@@ -15,8 +15,6 @@ from functools import cache
 from .rings import IntPoly, binomial
 from .spaces import PairCoords, Space, Sym, Tensor, Wedge, basis, ydegree
 
-QPoly = IntPoly
-
 
 def qpoly(coeffs) -> IntPoly:
     return IntPoly(coeffs, "q")

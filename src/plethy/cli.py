@@ -339,9 +339,20 @@ def cmd_scan(args) -> int:
     Ns = parse_range(args.N)
     ds = parse_range(args.d)
     primes = parse_primes(args.p)
+    if min(Ms) < 1 or min(Ns) < 1 or min(ds) < 0:
+        raise UsageError(
+            f"need M >= 1, N >= 1 and d >= 0, "
+            f"got --M {args.M} --N {args.N} --d {args.d}"
+        )
     cap = args.dim_cap
     if cap is None:
-        cap = int(os.environ.get("PLETHY_DIM_CAP", DEFAULT_DIM_CAP))
+        text = os.environ.get("PLETHY_DIM_CAP", str(DEFAULT_DIM_CAP))
+        try:
+            cap = int(text)
+        except ValueError:
+            raise UsageError(f"bad PLETHY_DIM_CAP {text!r}, expected INT") from None
+    if cap < 0:
+        raise UsageError(f"the dimension cap must be at least 0, got {cap}")
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
 

@@ -22,6 +22,7 @@ types over small prime fields, and reports what it finds.
 from __future__ import annotations
 
 import concurrent.futures
+import sys
 from dataclasses import dataclass, field
 
 from .characters import hook_schur_polynomial, qchar, qpoly
@@ -35,11 +36,10 @@ from .spaces import (
     Tensor,
     Wedge,
     basis,
+    basis_index,
     dim,
     group_action_map,
-    identity_map,
     kernel_basis,
-    rank_of_vectors,
     wedge_normalize,
 )
 
@@ -177,31 +177,220 @@ def jordan_type_from_ranks(ranks: list[int]) -> tuple[int, ...]:
 
 def jordan_fingerprint(p: int, space: Space, vectors=None) -> tuple[int, ...]:
     """Jordan type of the standard unipotent on a space over GF(p), or on
-    the span of the given vectors (checked to be invariant)."""
+    the span of the given vectors (checked to be independent and invariant).
+
+    U is built once and S = U - 1 is written in coordinates on the given
+    vectors, a square matrix of the span's dimension.  The ranks of the
+    powers of S then come from image bases, im S^(m+1) = S(im S^m), so only
+    a basis of the current image goes through S again.
+    """
     ring = PrimeField(p)
     U = group_action_map(
         ring, ((ring.one, ring.one), (ring.zero, ring.one)), space
     )
+    idx = basis_index(space)
+    shift = []  # columns of S as {row index: residue}
+    for j, col in enumerate(U.cols):
+        entries = {idx[l]: v for l, v in col.items()}
+        entries[j] = (entries.get(j, 0) - 1) % p
+        if not entries[j]:
+            del entries[j]
+        shift.append(entries)
     if vectors is None:
-        vectors = [ModuleElement.basis_vector(space, ring, l) for l in basis(space)]
-    else:
-        for v in vectors:
-            if v.space != space or v.ring != ring:
-                raise ValueError("vectors do not match the space or field")
-    r0 = rank_of_vectors(vectors)
-    if r0 != len(vectors):
-        raise ValueError("vectors are not linearly independent")
-    if vectors and rank_of_vectors(vectors + [U.apply(v) for v in vectors]) != r0:
-        raise ConsistencyError("span is not invariant under the unipotent")
-    shift = U - identity_map(ring, space)
-    ranks = [r0]
-    cur = vectors
+        return jordan_type_from_ranks(_power_ranks(p, shift))
+    ambient = []
+    for v in vectors:
+        if v.space != space or v.ring != ring:
+            raise ValueError("vectors do not match the space or field")
+        ambient.append({idx[l]: c for l, c in v.coeffs.items()})
+    return jordan_type_from_ranks(
+        _power_ranks(p, _span_coordinates(p, shift, ambient))
+    )
+
+
+# -------------------------------------------------------- packed GF(p) rows
+
+_WORDS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+class _Rows:
+    """An echelon of GF(p) vectors of one length, packed into Python ints.
+
+    Entry i of a vector occupies bits [w*i, w*(i+1)); the leading entry is
+    the highest nonzero slot.  Over GF(2) a slot is one bit and a row
+    operation is one XOR, as in M4RI.  Over odd p slots hold nonnegative
+    residues that are reduced only when a pivot is stored (delayed
+    reduction, as in FFLAS-FFPACK): subtracting c times a row adds (p - c)
+    times it, so a slot grows by at most (p-1)^2 per row added, and a slot
+    that is 0 mod p is cleared only once it leads.  A vector starts as a
+    sum of at most `length` residue multiples of reduced rows and then
+    takes at most one row per pivot, at most `length` more, so w is sized
+    to hold (p-1) + (n+1)(p-1)^2 with n = 2 * length: no carry crosses a
+    slot.  w is rounded up to a machine word so slots unpack in C; with
+    p < 2**16 (the PrimeField range) 64 bits hold the bound for any length
+    below 2**30.
+
+    Pivots are keyed by the bit offset of their leading slot and stored
+    reduced with leading entry one.  `cols` are the packed columns of the
+    matrix that `image` applies.
+    """
+
+    def __init__(self, p: int, length: int, cols=()):
+        self.p = p
+        self.pivots: dict[int, int] = {}
+        if p == 2:
+            self.w = 1
+        else:
+            bound = (p - 1) + (2 * length + 1) * (p - 1) ** 2
+            self.w = next(w for w in _WORDS if bound < 1 << w)
+            self.fmt = _WORDS[self.w]
+            self.nbytes = length * self.w // 8
+        self.cols = [self.pack(col) for col in cols]
+
+    def pack(self, entries: dict) -> int:
+        """Residues keyed by slot index, as one int."""
+        if self.p == 2:
+            x = 0
+            for i in entries:
+                x |= 1 << i
+            return x
+        slots = memoryview(bytearray(self.nbytes)).cast(self.fmt)
+        for i, v in entries.items():
+            slots[i] = v
+        return int.from_bytes(slots, sys.byteorder)
+
+    def slots(self, x: int):
+        """The slot values of x up to its leading slot, unreduced, as a
+        writable view that int.from_bytes packs back."""
+        size = -(-x.bit_length() // self.w) * (self.w // 8)
+        return memoryview(bytearray(x.to_bytes(size, sys.byteorder))).cast(self.fmt)
+
+    def image(self, x: int) -> int:
+        """The matrix `cols` applied to a packed vector of residues."""
+        cols = self.cols
+        y = 0
+        if self.p == 2:
+            bits = bin(x)[:1:-1]
+            i = bits.find("1")
+            while i >= 0:
+                y ^= cols[i]
+                i = bits.find("1", i + 1)
+            return y
+        for c, col in zip(self.slots(x), cols):
+            if c:
+                y += c * col
+        return y
+
+    def reduce(self, x: int, steps: list | None = None) -> int:
+        """Eliminate x against the pivots, leading slot first, down to zero
+        or to a leading slot with no pivot, whose residue is nonzero.
+
+        Each elimination subtracts r times the pivot row at bit offset at;
+        (at, r) is appended to `steps` when it is given.
+        """
+        pivots = self.pivots
+        top = x.bit_length()
+        if self.p == 2:
+            while top:
+                row = pivots.get(top - 1)
+                if row is None:
+                    return x
+                x ^= row
+                if steps is not None:
+                    steps.append((top - 1, 1))
+                top = x.bit_length()
+            return x
+        p, w = self.p, self.w
+        while top:
+            at = (top - 1) & -w
+            s = x >> at
+            r = s % p
+            if r:
+                row = pivots.get(at)
+                if row is None:
+                    return x
+                x += (p - r) * row - ((s + p - r) << at)
+                if steps is not None:
+                    steps.append((at, r))
+            else:
+                x -= s << at
+            top = x.bit_length()
+        return x
+
+    def insert(self, x: int) -> tuple[int, int]:
+        """Store a nonzero remainder left by `reduce` as a pivot row,
+        reduced with leading entry one; returns the bit offset of its lead
+        and the factor that scaled x to it."""
+        at = (x.bit_length() - 1) & -self.w
+        inv = 1
+        if self.p != 2:
+            slots = self.slots(x)
+            inv = pow(slots[-1], -1, self.p)
+            if inv != 1 or max(slots) >= self.p:
+                for i, v in enumerate(slots):
+                    if v:
+                        slots[i] = v * inv % self.p
+                x = int.from_bytes(slots, sys.byteorder)
+        self.pivots[at] = x
+        return at, inv
+
+
+def _combine(p: int, terms, combos: dict) -> dict:
+    """Sum of r * combos[at] over (at, r) terms, reduced, zeros dropped."""
+    out: dict = {}
+    for at, r in terms:
+        for m, c in combos[at].items():
+            out[m] = out.get(m, 0) + r * c
+    return {m: c % p for m, c in out.items() if c % p}
+
+
+def _span_coordinates(p: int, shift: list, vectors: list) -> list:
+    """Columns of S in coordinates on the given vectors.
+
+    The vectors are echelonized once, keeping the combination of the
+    vectors that gives each pivot row.  Each S v, a sum of packed columns
+    of S, is then eliminated against that echelon; the steps taken give
+    its coordinates, and a nonzero remainder witnesses a span that S does
+    not preserve."""
+    rows = _Rows(p, len(shift), shift)
+    combos: dict[int, dict] = {}
+    packed = [rows.pack(v) for v in vectors]
+    for j, v in enumerate(packed):
+        steps: list = []
+        x = rows.reduce(v, steps)
+        if not x:
+            raise ValueError("vectors are not linearly independent")
+        # x = v - sum of r * pivot rows, and insert scales x by inv
+        lead, inv = rows.insert(x)
+        combo = _combine(p, [(at, p - r) for at, r in steps], combos)
+        combo[j] = 1
+        combos[lead] = {m: c * inv % p for m, c in combo.items()}
+    coords = []
+    for v in packed:
+        steps = []
+        if rows.reduce(rows.image(v), steps):
+            raise ConsistencyError("span is not invariant under the unipotent")
+        coords.append(_combine(p, steps, combos))
+    return coords
+
+
+def _power_ranks(p: int, cols: list) -> list[int]:
+    """Ranks of the powers of a nilpotent square matrix given by sparse
+    columns, ending at zero, from successive image bases."""
+    rows = _Rows(p, len(cols), cols)
+    ranks = [len(cols)]
+    images = rows.cols
     while ranks[-1] > 0:
-        cur = [shift.apply(v) for v in cur]
-        ranks.append(rank_of_vectors(cur))
+        rows.pivots = {}
+        for x in images:
+            x = rows.reduce(x)
+            if x:
+                rows.insert(x)
+        ranks.append(len(rows.pivots))
         if len(ranks) > p + 1:
             raise ConsistencyError("nilpotency degree exceeded the characteristic")
-    return jordan_type_from_ranks(ranks)
+        images = [rows.image(b) for b in rows.pivots.values()]
+    return ranks
 
 
 # ----------------------------------------------------------------------- scan

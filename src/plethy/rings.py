@@ -336,7 +336,6 @@ class IntPolynomialRing(Ring):
 ZZ = IntegerRing()
 QQ = RationalField()
 ZGAMMA = IntPolynomialRing("gamma")
-ZQ = IntPolynomialRing("q")
 
 
 def ring_by_name(name: str, p: int | None = None) -> Ring:

@@ -530,14 +530,25 @@ def _label_action(ring: Ring, g, space: Space, label, sym_tables: dict) -> dict:
             ring, [table[a] for a in label], lambda ls: (tuple(sorted(ls)), 1)
         )
     if isinstance(space, Tensor):
-        lpart = _label_action(ring, g, space.left, label[0], sym_tables)
-        rpart = _label_action(ring, g, space.right, label[1], sym_tables)
+        lpart = _factor_action(ring, g, space.left, label[0], sym_tables)
+        rpart = _factor_action(ring, g, space.right, label[1], sym_tables)
         out = {}
         for ll, lv in lpart.items():
             for rl, rv in rpart.items():
                 out[(ll, rl)] = ring.mul(lv, rv)
         return out
     raise TypeError(f"not a space: {space!r}")
+
+
+def _factor_action(ring: Ring, g, space: Space, label, sym_tables: dict) -> dict:
+    """_label_action on a tensor factor, memoized in the per-call tables:
+    every factor label recurs once per label of the other factor.  The
+    cached dicts are shared, so callers must not mutate them."""
+    key = (space, label)
+    img = sym_tables.get(key)
+    if img is None:
+        img = sym_tables[key] = _label_action(ring, g, space, label, sym_tables)
+    return img
 
 
 def _check_matrix(ring: Ring, g):

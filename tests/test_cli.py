@@ -245,3 +245,19 @@ def test_scan_json_is_reproducible(tmp_path, capsys):
     main(args + ["--out", str(b)])
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_scan_rejects_bad_grid(capsys):
+    assert main(["scan", "--M", "0", "--N", "1", "--d", "0"]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_scan_rejects_bad_dim_cap_env(monkeypatch, capsys):
+    monkeypatch.setenv("PLETHY_DIM_CAP", "abc")
+    assert main(["scan"]) == 2
+    assert "PLETHY_DIM_CAP" in capsys.readouterr().err
+
+
+def test_scan_rejects_negative_dim_cap(capsys):
+    assert main(["scan", "--dim-cap", "-1"]) == 2
+    assert "usage error" in capsys.readouterr().err

@@ -135,6 +135,18 @@ def test_jordan_fingerprint_rejects_non_invariant_span():
         jordan_fingerprint(2, Sym(2), [v])
 
 
+def test_jordan_fingerprint_rejects_dependent_vectors():
+    ring = PrimeField(3)
+    x2 = ModuleElement.basis_vector(Sym(2), ring, 0)
+    xy = ModuleElement.basis_vector(Sym(2), ring, 1)
+    with pytest.raises(ValueError):
+        jordan_fingerprint(3, Sym(2), [x2, x2])
+    with pytest.raises(ValueError):
+        jordan_fingerprint(3, Sym(2), [x2, xy, x2 + xy.scale(2)])
+    with pytest.raises(ValueError):
+        jordan_fingerprint(3, Sym(2), [ModuleElement.zero(Sym(2), ring)])
+
+
 # ------------------------------------------------------------------- reports
 
 
@@ -160,6 +172,19 @@ def test_three_row_scan_finding_regression():
     assert two.jordan_rhs == (2, 2, 2, 2, 2, 2, 1, 1, 1)
     assert not two.jordan_equal
     assert three.jordan_equal
+    assert not r.all_equal
+
+
+def test_three_row_scan_third_finding_regression():
+    # the third characteristic-two finding along N = 2; p = 3 still agrees
+    r = scan_one(3, 2, 6, (2, 3))
+    assert r.dim_lhs == r.dim_rhs_char0 == 378
+    assert r.qchar_equal and r.qchar_shift == 6
+    two, three = r.primes
+    assert two.jordan_lhs == (2,) * 186 + (1,) * 6
+    assert two.jordan_rhs == (2,) * 183 + (1,) * 12
+    assert not two.jordan_equal
+    assert three.jordan_lhs == three.jordan_rhs == (3,) * 126
     assert not r.all_equal
 
 

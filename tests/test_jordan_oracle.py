@@ -1,0 +1,133 @@
+"""Differential tests: the packed Jordan fingerprint against the original
+dict-elimination algorithm, kept here as a reference oracle only."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plethy import (
+    ConsistencyError,
+    ModuleElement,
+    PrimeField,
+    Sym,
+    SymPower,
+    Tensor,
+    Wedge,
+    basis,
+    dim,
+    group_action_map,
+    hook_domain,
+    hook_kernel_vectors,
+    identity_map,
+    jordan_fingerprint,
+    jordan_type_from_ranks,
+    lhs_space,
+    rank_of_vectors,
+)
+
+PRIMES = st.sampled_from((2, 3, 5, 7))
+
+
+def oracle_fingerprint(p, space, vectors=None):
+    """The original algorithm: every rank recomputed by dict elimination
+    on ambient vectors."""
+    ring = PrimeField(p)
+    U = group_action_map(
+        ring, ((ring.one, ring.one), (ring.zero, ring.one)), space
+    )
+    if vectors is None:
+        vectors = [ModuleElement.basis_vector(space, ring, l) for l in basis(space)]
+    else:
+        for v in vectors:
+            if v.space != space or v.ring != ring:
+                raise ValueError("vectors do not match the space or field")
+    r0 = rank_of_vectors(vectors)
+    if r0 != len(vectors):
+        raise ValueError("vectors are not linearly independent")
+    if vectors and rank_of_vectors(vectors + [U.apply(v) for v in vectors]) != r0:
+        raise ConsistencyError("span is not invariant under the unipotent")
+    shift = U - identity_map(ring, space)
+    ranks = [r0]
+    cur = vectors
+    while ranks[-1] > 0:
+        cur = [shift.apply(v) for v in cur]
+        ranks.append(rank_of_vectors(cur))
+        if len(ranks) > p + 1:
+            raise ConsistencyError("nilpotency degree exceeded the characteristic")
+    return jordan_type_from_ranks(ranks)
+
+
+def outcome(fn, *args):
+    """The result, or the exception type, of a fingerprint call."""
+    try:
+        return fn(*args)
+    except (ValueError, ConsistencyError) as exc:
+        return type(exc)
+
+
+_atoms = st.one_of(
+    st.integers(0, 4).map(Sym),
+    st.builds(Wedge, st.integers(0, 3), st.integers(0, 5).map(Sym)),
+    st.builds(SymPower, st.integers(0, 2), st.integers(0, 3).map(Sym)),
+)
+SPACES = st.recursive(
+    _atoms, lambda inner: st.builds(Tensor, inner, inner), max_leaves=3
+).filter(lambda s: dim(s) <= 40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(PRIMES, SPACES)
+def test_ambient_fingerprint_matches_oracle(p, space):
+    assert jordan_fingerprint(p, space) == oracle_fingerprint(p, space)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_hook_kernel_fingerprint_matches_oracle(p):
+    ring = PrimeField(p)
+    for M, N, d in ((1, 2, 3), (2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 1), (3, 2, 2)):
+        vectors = hook_kernel_vectors(ring, M, N, d)
+        space = hook_domain(M, N, d)
+        assert jordan_fingerprint(p, space, vectors) == oracle_fingerprint(
+            p, space, vectors
+        )
+        left = lhs_space(M, N, d)
+        assert jordan_fingerprint(p, left) == oracle_fingerprint(p, left)
+
+
+@st.composite
+def vector_sets(draw):
+    """A space over GF(p) with a few vectors: random ones (usually neither
+    independent nor invariant) or an independent spanning set of the
+    invariant subspace the random ones generate."""
+    p = draw(PRIMES)
+    space = draw(SPACES.filter(lambda s: dim(s) > 0))
+    ring = PrimeField(p)
+    labels = basis(space)
+    vectors = []
+    for _ in range(draw(st.integers(0, 3))):
+        support = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4))
+        coeffs = {l: draw(st.integers(0, p - 1)) for l in support}
+        vectors.append(ModuleElement(space, ring, coeffs))
+    if draw(st.booleans()):
+        U = group_action_map(
+            ring, ((ring.one, ring.one), (ring.zero, ring.one)), space
+        )
+        orbit = list(vectors)
+        for v in vectors:
+            while not v.is_zero():
+                v = U.apply(v) - v
+                orbit.append(v)
+        vectors = []
+        for v in orbit:
+            if rank_of_vectors(vectors + [v]) > len(vectors):
+                vectors.append(v)
+    return p, space, vectors
+
+
+@settings(max_examples=80, deadline=None)
+@given(vector_sets())
+def test_span_fingerprint_matches_oracle(case):
+    p, space, vectors = case
+    assert outcome(jordan_fingerprint, p, space, vectors) == outcome(
+        oracle_fingerprint, p, space, vectors
+    )

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from plethy import (
     QQ,
+    ZGAMMA,
     ZZ,
+    IntPoly,
     LinearMap,
     ModuleElement,
     PairCoords,
@@ -154,6 +156,44 @@ def test_identity_acts_trivially():
     for space in (Sym(3), Wedge(2, Sym(3)), Tensor(Sym(1), Wedge(2, Sym(2)))):
         g = ((ZZ.one, ZZ.zero), (ZZ.zero, ZZ.one))
         assert group_action_map(ZZ, g, space) == identity_map(ZZ, space)
+
+
+_action_atoms = st.one_of(
+    st.integers(0, 3).map(Sym),
+    st.builds(Wedge, st.integers(0, 3), st.integers(0, 4).map(Sym)),
+    st.builds(SymPower, st.integers(0, 2), st.integers(0, 3).map(Sym)),
+)
+_action_spaces = st.recursive(
+    _action_atoms, lambda inner: st.builds(Tensor, inner, inner), max_leaves=3
+).filter(lambda s: dim(s) <= 30)
+
+
+@st.composite
+def _ring_and_matrix(draw):
+    """GF(p) for a small prime, or Z[gamma], with a 2x2 matrix over it."""
+    p = draw(st.sampled_from((0, 2, 3, 5, 7)))
+    if p:
+        ring = PrimeField(p)
+        entry = st.integers(0, p - 1)
+    else:
+        ring = ZGAMMA
+        entry = st.lists(st.integers(-2, 2), max_size=3).map(
+            lambda cs: IntPoly(cs, "gamma")
+        )
+    g = tuple(tuple(draw(entry) for _ in range(2)) for _ in range(2))
+    return ring, g
+
+
+@settings(max_examples=60, deadline=None)
+@given(_action_spaces, _ring_and_matrix())
+def test_action_map_columns_match_act_group(space, ring_g):
+    # the whole-map build shares factor images across labels; each
+    # column must equal the image of its basis vector computed alone
+    ring, g = ring_g
+    A = group_action_map(ring, g, space)
+    for label in basis(space):
+        v = ModuleElement.basis_vector(space, ring, label)
+        assert A.column(label) == act_group(g, v)
 
 
 def test_action_is_multiplicative_mod_p():
