@@ -86,6 +86,14 @@ def parse_primes(text: str) -> tuple[int, ...]:
     return tuple(dict.fromkeys(out))
 
 
+def parse_grid(args) -> tuple[list[int], list[int]]:
+    """The --N and --d ranges, which need N >= 1 and d >= 0."""
+    Ns, ds = parse_range(args.N), parse_range(args.d)
+    if min(Ns) < 1 or min(ds) < 0:
+        raise UsageError(f"need N >= 1 and d >= 0, got --N {args.N} --d {args.d}")
+    return Ns, ds
+
+
 def single_value(values: list[int], flag: str) -> int:
     if len(values) != 1:
         raise UsageError(f"{flag} takes a single value here, got {values}")
@@ -213,8 +221,7 @@ def verify_point(N: int, d: int, primes: tuple[int, ...]) -> dict:
 
 
 def cmd_verify(args) -> int:
-    Ns = parse_range(args.N)
-    ds = parse_range(args.d)
+    Ns, ds = parse_grid(args)
     primes = parse_primes(args.p)
     points = []
     for N in Ns:
@@ -303,8 +310,7 @@ def cmd_dump(args) -> int:
 
 
 def cmd_qchar(args) -> int:
-    Ns = parse_range(args.N)
-    ds = parse_range(args.d)
+    Ns, ds = parse_grid(args)
     rows = []
     for N in Ns:
         for d in ds:
@@ -336,14 +342,10 @@ def cmd_qchar(args) -> int:
 
 def cmd_scan(args) -> int:
     Ms = parse_range(args.M)
-    Ns = parse_range(args.N)
-    ds = parse_range(args.d)
+    if min(Ms) < 1:
+        raise UsageError(f"need M >= 1, got --M {args.M}")
+    Ns, ds = parse_grid(args)
     primes = parse_primes(args.p)
-    if min(Ms) < 1 or min(Ns) < 1 or min(ds) < 0:
-        raise UsageError(
-            f"need M >= 1, N >= 1 and d >= 0, "
-            f"got --M {args.M} --N {args.N} --d {args.d}"
-        )
     cap = args.dim_cap
     if cap is None:
         text = os.environ.get("PLETHY_DIM_CAP", str(DEFAULT_DIM_CAP))

@@ -53,6 +53,19 @@ def test_usage_errors_exit_two():
     assert main(["scan", "--workers", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--N", "0", "--d", "0"],
+        ["qchar", "--N", "0", "--d", "0"],
+        ["qchar", "--N", "3", "--d", "-1"],
+    ],
+)
+def test_bad_grid_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_argparse_rejects_unknown(capsys):
     with pytest.raises(SystemExit) as err:
         main(["explode"])

@@ -188,6 +188,48 @@ def test_three_row_scan_third_finding_regression():
     assert not r.all_equal
 
 
+def test_four_row_single_column_finding_regression():
+    # at (4, 1, 1) the kernel itself grows mod 2: the rhs gains a dimension
+    # over its characteristic-zero count and has more 2-blocks than the lhs
+    r = scan_one(4, 1, 1, (2,))
+    assert r.dim_lhs == r.dim_rhs_char0 == 5
+    assert r.qchar_equal
+    (two,) = r.primes
+    assert two.p == 2 and two.dim_rhs == 6
+    assert two.jordan_lhs == (2, 2, 1)
+    assert two.jordan_rhs == (2, 2, 2)
+    assert not two.jordan_equal
+    assert not r.all_equal
+
+
+def test_three_row_rank_four_finding_regression():
+    # a characteristic-two finding off the N = 2 line; p = 3 agrees
+    r = scan_one(3, 4, 4, (2, 3))
+    assert r.dim_lhs == r.dim_rhs_char0 == 70
+    assert r.qchar_equal
+    two, three = r.primes
+    assert two.dim_rhs == three.dim_rhs == 70
+    assert two.jordan_lhs == (2,) * 34 + (1,) * 2
+    assert two.jordan_rhs == (2,) * 33 + (1,) * 4
+    assert not two.jordan_equal
+    assert three.jordan_lhs == three.jordan_rhs == (3,) * 23 + (1,)
+    assert not r.all_equal
+
+
+def test_four_row_first_odd_prime_finding_regression():
+    # the first odd-prime finding: p = 3 disagrees while p = 2 agrees
+    r = scan_one(4, 3, 3, (2, 3))
+    assert r.dim_lhs == r.dim_rhs_char0 == 70
+    assert r.qchar_equal
+    two, three = r.primes
+    assert two.dim_rhs == three.dim_rhs == 70
+    assert two.jordan_lhs == two.jordan_rhs == (2,) * 34 + (1,) * 2
+    assert three.jordan_lhs == (3,) * 23 + (1,)
+    assert three.jordan_rhs == (3,) * 22 + (2, 1, 1)
+    assert not three.jordan_equal
+    assert not r.all_equal
+
+
 def test_three_row_larger_point_agrees():
     r = scan_one(3, 3, 5, (2, 3))
     assert r.all_equal

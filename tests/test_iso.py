@@ -11,6 +11,8 @@ from plethy import (
     QQ,
     ZGAMMA,
     ZZ,
+    ConsistencyError,
+    IsoContext,
     PrimeField,
     basis,
     basis_image,
@@ -175,6 +177,23 @@ def test_structure_certificate(N, d):
     }
 
 
+def test_structure_flags_are_set_by_the_checks():
+    ctx = IsoContext(2, 3)
+    assert ctx.columns_in_kernel is True and ctx.unitriangular is True
+    assert ctx.inverse_round_trip is False  # the inverse has not run yet
+    ctx.inverse()
+    assert ctx.inverse_round_trip is True
+
+
+def test_structure_report_reads_the_flags(monkeypatch):
+    ctx = iso_context(2, 3)
+    ctx.inverse()  # cached, so the report does not run the round trip again
+    for flag in ("columns_in_kernel", "unitriangular", "inverse_round_trip"):
+        with monkeypatch.context() as m:
+            m.setattr(ctx, flag, False)
+            assert verify_structure(2, 3)[flag] is False
+
+
 def test_factorization_through_coordinates():
     # ambient matrix == basis matrix after coordinate matrix, over ZZ
     for N, d in ((2, 4), (3, 5)):
@@ -192,6 +211,15 @@ def test_inverse_round_trips_explicitly():
         assert coord.compose(inv) == identity_map(ZZ, ctx.hook.coords)
         assert inv.compose(coord) == identity_map(ZZ, ctx.domain)
         assert all(isinstance(v, int) for col in inv.cols for v in col.values())
+
+
+def test_inverse_rejects_a_column_that_leaves_its_block(monkeypatch):
+    ctx = IsoContext(2, 3)
+    n = len(ctx.hook.pairs)
+    # singleton blocks: every off-diagonal entry now leaves its block
+    monkeypatch.setattr(ctx, "weight_blocks", lambda: {m: [m] for m in range(n)})
+    with pytest.raises(ConsistencyError, match="couples two Y-degrees"):
+        ctx.inverse()
 
 
 def test_determinant_is_one():
