@@ -31,7 +31,7 @@ import time
 
 from .characters import verify_qchar_identity
 from .conjecture import CONVENTION, CSV_HEADER, scan
-from .dump import basis_to_json, dump_payload, weight_block_digest
+from .dump import basis_to_json, dump_payload, weight_block_digests
 from .iso import (
     gl2_scalar_exponents,
     iso_context,
@@ -179,14 +179,21 @@ def note(msg: str):
 
 def verify_point(N: int, d: int, primes: tuple[int, ...]) -> dict:
     """All checks at one grid point, flattened to named booleans, with
-    auxiliary data and per-group timings kept separate."""
+    auxiliary data and per-group timings kept separate.
+
+    A ConsistencyError inside a check group fails that group alone: it is
+    recorded as the failed check `<group>.consistency`, with its message
+    under `<group>.consistency_error` in data, and the other groups run."""
     checks: dict[str, bool] = {}
     data: dict = {}
     timings: dict[str, float] = {}
 
     def run(group: str, fn):
         t0 = time.perf_counter()
-        result = fn()
+        try:
+            result = fn()
+        except ConsistencyError as exc:
+            result = {"consistency": False, "consistency_error": str(exc)}
         timings[group] = round((time.perf_counter() - t0) * 1000, 1)
         for key, value in result.items():
             if isinstance(value, bool):
@@ -202,14 +209,19 @@ def verify_point(N: int, d: int, primes: tuple[int, ...]) -> dict:
     run("duality", lambda: verify_duality(N, d))
     run("characters", lambda: verify_qchar_identity(N, d))
 
-    a, b = gl2_scalar_exponents(N, d)
-    checks["scalars.exponents_match"] = a == b
-    data["scalars.exponents"] = [a, b]
+    def scalars():
+        a, b = gl2_scalar_exponents(N, d)
+        return {"exponents_match": a == b, "exponents": [a, b]}
 
-    ctx = iso_context(N, d)
-    hashes = {
-        str(w): weight_block_digest(ctx, w) for w in sorted(ctx.weight_blocks())
-    }
+    run("scalars", scalars)
+    hashes: dict[str, str] = {}
+
+    def digests():
+        digest = weight_block_digests(iso_context(N, d))
+        hashes.update((str(w), h) for w, h in digest.items())
+        return {}
+
+    run("block_hashes", digests)
     return {
         "N": N,
         "d": d,

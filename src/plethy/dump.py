@@ -145,18 +145,43 @@ def basis_to_json(hook: HookSchurSpace) -> list:
 
 def weight_block_text(ctx: IsoContext, w: int) -> str:
     """Canonical text form of one Y-degree block of the paired coordinate
-    matrix: row labels, column labels, then dense integer rows."""
-    rows, cols, mat = ctx.weight_block_matrix(w)
+    matrix (ctx.weight_block_matrix): row labels, column labels, then dense
+    integer rows."""
+    return _block_text(ctx, ctx.weight_blocks().get(w, []), ctx._paired_columns())
+
+
+def _block_text(ctx: IsoContext, idxs: list, paired: list) -> str:
+    """weight_block_text of the block at pair positions idxs, given the
+    paired columns: the sparse columns are scattered into rows of decimal
+    strings, so only the nonzero entries are converted."""
+    local = {m: k for k, m in enumerate(idxs)}
+    rows = [["0"] * len(idxs) for _ in idxs]
+    for k, c in enumerate(idxs):
+        for r, v in paired[c].items():
+            i = local.get(r)
+            if i is not None:
+                rows[i][k] = str(v)
+    hook = ctx.hook
     lines = [
-        "rows=" + ";".join(label_str(ctx.hook.coords, p) for p in rows),
-        "cols=" + ";".join(label_str(ctx.domain, c) for c in cols),
+        "rows=" + ";".join(label_str(hook.coords, hook.pairs[m]) for m in idxs),
+        "cols=" + ";".join(label_str(ctx.domain, ctx.witnesses[m]) for m in idxs),
     ]
-    lines.extend(",".join(map(str, r)) for r in mat)
+    lines.extend(map(",".join, rows))
     return "\n".join(lines) + "\n"
 
 
 def weight_block_digest(ctx: IsoContext, w: int) -> str:
     return hashlib.sha256(weight_block_text(ctx, w).encode()).hexdigest()
+
+
+def weight_block_digests(ctx: IsoContext) -> dict:
+    """weight_block_digest of every Y-degree, ascending, from one pass over
+    the paired columns."""
+    paired = ctx._paired_columns()
+    return {
+        w: hashlib.sha256(_block_text(ctx, idxs, paired).encode()).hexdigest()
+        for w, idxs in sorted(ctx.weight_blocks().items())
+    }
 
 
 def dump_payload(A: LinearMap, fmt: str) -> str:

@@ -63,6 +63,17 @@ class IntPoly:
         self.var = var
 
     @classmethod
+    def _trusted(cls, coeffs: list, var: str) -> "IntPoly":
+        """An arithmetic result: coeffs holds ints by construction, so the
+        validation pass is skipped and only trailing zeros are stripped."""
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        out = object.__new__(cls)
+        out.coeffs = tuple(coeffs)
+        out.var = var
+        return out
+
+    @classmethod
     def const(cls, n: int, var: str = "q") -> "IntPoly":
         return cls((n,), var)
 
@@ -77,6 +88,9 @@ class IntPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def _check(self, other) -> "IntPoly":
         if isinstance(other, int):
@@ -95,12 +109,12 @@ class IntPoly:
         out = list(a)
         for k, c in enumerate(b):
             out[k] += c
-        return IntPoly(out, self.var)
+        return IntPoly._trusted(out, self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntPoly(tuple(-c for c in self.coeffs), self.var)
+        return IntPoly._trusted([-c for c in self.coeffs], self.var)
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -109,16 +123,21 @@ class IntPoly:
         return (-self) + self._check(other)
 
     def __mul__(self, other):
-        other = self._check(other)
+        if type(other) is not IntPoly or other.var != self.var:
+            other = self._check(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return IntPoly((), self.var)
-        out = [0] * (len(a) + len(b) - 1)
+            return IntPoly._trusted([], self.var)
+        la, lb = len(a) - 1, len(b) - 1
+        if not any(a[:la]) and not any(b[:lb]):
+            # two monomials, the shape of every unipotent action entry
+            return IntPoly._trusted([0] * (la + lb) + [a[la] * b[lb]], self.var)
+        out = [0] * (la + lb + 1)
         for i, ci in enumerate(a):
             if ci:
                 for j, cj in enumerate(b):
                     out[i + j] += ci * cj
-        return IntPoly(out, self.var)
+        return IntPoly._trusted(out, self.var)
 
     __rmul__ = __mul__
 
@@ -199,6 +218,11 @@ class Ring:
 
     def neg(self, a):
         return -a
+
+    def reduce(self, a):
+        """The canonical payload of a sum of products of payloads, built
+        with the payloads' own + and *.  The identity unless overridden."""
+        return a
 
     def is_zero(self, a) -> bool:
         return a == self.zero
@@ -287,6 +311,9 @@ class PrimeField(Ring):
 
     def neg(self, a):
         return (-a) % self.p
+
+    def reduce(self, a):
+        return a % self.p
 
     def div(self, a, b):
         if b % self.p == 0:

@@ -16,6 +16,7 @@ e = X d/dY and f = Y d/dX.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 
@@ -253,13 +254,9 @@ class ModuleElement:
     __slots__ = ("space", "ring", "coeffs")
 
     def __init__(self, space: Space, ring: Ring, coeffs=None):
-        cs = {}
-        for label, val in (coeffs or {}).items():
-            if not ring.is_zero(val):
-                cs[label] = val
         self.space = space
         self.ring = ring
-        self.coeffs = cs
+        self.coeffs = _settled(ring, coeffs or {})
 
     @classmethod
     def basis_vector(cls, space: Space, ring: Ring, label) -> "ModuleElement":
@@ -277,29 +274,23 @@ class ModuleElement:
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         self._match(other)
-        ring = self.ring
         out = dict(self.coeffs)
+        zero = self.ring.zero
         for label, val in other.coeffs.items():
-            s = ring.add(out.get(label, ring.zero), val)
-            if ring.is_zero(s):
-                out.pop(label, None)
-            else:
-                out[label] = s
-        return ModuleElement(self.space, ring, out)
+            out[label] = out.get(label, zero) + val
+        return ModuleElement(self.space, self.ring, out)
 
     def __neg__(self) -> "ModuleElement":
-        ring = self.ring
         return ModuleElement(
-            self.space, ring, {l: ring.neg(v) for l, v in self.coeffs.items()}
+            self.space, self.ring, {l: -v for l, v in self.coeffs.items()}
         )
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         return self + (-other)
 
     def scale(self, s) -> "ModuleElement":
-        ring = self.ring
         return ModuleElement(
-            self.space, ring, {l: ring.mul(s, v) for l, v in self.coeffs.items()}
+            self.space, self.ring, {l: s * v for l, v in self.coeffs.items()}
         )
 
     def is_zero(self) -> bool:
@@ -329,20 +320,32 @@ class ModuleElement:
         return " + ".join(parts)
 
 
+def _settled(ring: Ring, acc: dict) -> dict:
+    """The one accumulate-and-drop-zeros step: each entry of a dict summed
+    with the payloads' native + and * is reduced once by the ring, and the
+    zeros are dropped."""
+    if type(ring).reduce is Ring.reduce:  # the identity: only drop zeros
+        return {k: v for k, v in acc.items() if v}
+    reduce = ring.reduce
+    return {k: r for k, v in acc.items() if (r := reduce(v))}
+
+
 class LinearMap:
-    """Sparse matrix between two spaces, columns in domain basis order."""
+    """Sparse matrix between two spaces, columns in domain basis order.
+
+    Columns may be handed in as raw accumulations, from any iterable; each
+    entry is reduced once here and zeros are dropped, so a generator of
+    raw columns never holds more than one of them."""
 
     __slots__ = ("domain", "codomain", "ring", "cols")
 
     def __init__(self, domain: Space, codomain: Space, ring: Ring, cols):
-        if len(cols) != dim(domain):
+        self.cols = [_settled(ring, col) for col in cols]
+        if len(self.cols) != dim(domain):
             raise ValueError("column count does not match the domain dimension")
         self.domain = domain
         self.codomain = codomain
         self.ring = ring
-        self.cols = [
-            {l: v for l, v in col.items() if not ring.is_zero(v)} for col in cols
-        ]
 
     @classmethod
     def from_function(cls, ring: Ring, domain: Space, codomain: Space, fn) -> "LinearMap":
@@ -369,36 +372,28 @@ class LinearMap:
     def apply(self, v: ModuleElement) -> ModuleElement:
         if v.space != self.domain or v.ring != self.ring:
             raise ValueError("space or ring mismatch")
-        ring = self.ring
-        idx = basis_index(self.domain)
+        out = self._combine(v.coeffs, basis_index(self.domain))
+        return ModuleElement(self.codomain, self.ring, out)
+
+    def _combine(self, coeffs: dict, idx: dict) -> dict:
+        """The raw sum of coeffs[l] times column idx[l], entries not yet
+        reduced."""
+        cols = self.cols
+        zero = self.ring.zero
         out: dict = {}
-        for dl, c in v.coeffs.items():
-            for cl, m in self.cols[idx[dl]].items():
-                s = ring.add(out.get(cl, ring.zero), ring.mul(c, m))
-                if ring.is_zero(s):
-                    out.pop(cl, None)
-                else:
-                    out[cl] = s
-        return ModuleElement(self.codomain, ring, out)
+        get = out.get
+        for dl, c in coeffs.items():
+            for cl, m in cols[idx[dl]].items():
+                out[cl] = get(cl, zero) + c * m
+        return out
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
         if other.codomain != self.domain or other.ring != self.ring:
             raise ValueError("composition mismatch")
-        ring = self.ring
         idx = basis_index(self.domain)
-        cols = []
-        for col in other.cols:
-            out: dict = {}
-            for bl, c in col.items():
-                for cl, m in self.cols[idx[bl]].items():
-                    s = ring.add(out.get(cl, ring.zero), ring.mul(c, m))
-                    if ring.is_zero(s):
-                        out.pop(cl, None)
-                    else:
-                        out[cl] = s
-            cols.append(out)
-        return LinearMap(other.domain, self.codomain, ring, cols)
+        cols = (self._combine(col, idx) for col in other.cols)
+        return LinearMap(other.domain, self.codomain, self.ring, cols)
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
         if (
@@ -407,18 +402,14 @@ class LinearMap:
             or other.ring != self.ring
         ):
             raise ValueError("map mismatch")
-        ring = self.ring
+        zero = self.ring.zero
         cols = []
         for a, b in zip(self.cols, other.cols):
             out = dict(a)
             for l, v in b.items():
-                s = ring.sub(out.get(l, ring.zero), v)
-                if ring.is_zero(s):
-                    out.pop(l, None)
-                else:
-                    out[l] = s
+                out[l] = out.get(l, zero) - v
             cols.append(out)
-        return LinearMap(self.domain, self.codomain, ring, cols)
+        return LinearMap(self.domain, self.codomain, self.ring, cols)
 
     def is_zero(self) -> bool:
         return all(not col for col in self.cols)
@@ -438,7 +429,7 @@ class LinearMap:
             self.domain,
             self.codomain,
             ring2,
-            [{l: fn(v) for l, v in col.items()} for col in self.cols],
+            ({l: fn(v) for l, v in col.items()} for col in self.cols),
         )
 
     def entry_count(self) -> int:
@@ -452,98 +443,102 @@ def identity_map(ring: Ring, space: Space) -> LinearMap:
 # ---------------------------------------------------------------- group action
 
 
-def _linear_form_power(ring: Ring, s, t, m: int):
-    """Coefficients of (s X + t Y)^m by Y-degree, as a dense list."""
-    return [
-        ring.mul(ring.from_int(binomial(m, u)), ring.mul(ring.pow(s, m - u), ring.pow(t, u)))
-        for u in range(m + 1)
-    ]
+def _linear_form_powers(ring: Ring, s, t, c: int):
+    """For m = 0..c, the nonzero coefficients of (s X + t Y)^m as
+    (Y-degree, coefficient) pairs."""
+    ss, ts = [ring.one], [ring.one]
+    for _ in range(c):
+        ss.append(ring.reduce(ss[-1] * s))
+        ts.append(ring.reduce(ts[-1] * t))
+    out = []
+    for m in range(c + 1):
+        terms = [ring.reduce(binomial(m, u) * ss[m - u] * ts[u]) for u in range(m + 1)]
+        out.append([(u, cu) for u, cu in enumerate(terms) if cu])
+    return out
 
 
 def _sym_action_table(ring: Ring, g, c: int):
     """For each label a of Sym(c), the expansion of g.(X^(c-a) Y^a)."""
     (g11, g12), (g21, g22) = g
+    xs = _linear_form_powers(ring, g11, g21, c)
+    ys = _linear_form_powers(ring, g12, g22, c)
+    zero = ring.zero
     table = []
     for a in range(c + 1):
-        xs = _linear_form_power(ring, g11, g21, c - a)
-        ys = _linear_form_power(ring, g12, g22, a)
         out: dict = {}
-        for u, cu in enumerate(xs):
-            if ring.is_zero(cu):
-                continue
-            for v, cv in enumerate(ys):
-                if ring.is_zero(cv):
-                    continue
-                b = u + v
-                s = ring.add(out.get(b, ring.zero), ring.mul(cu, cv))
-                if ring.is_zero(s):
-                    out.pop(b, None)
-                else:
-                    out[b] = s
-        table.append(out)
+        for u, cu in xs[c - a]:
+            for v, cv in ys[a]:
+                out[u + v] = out.get(u + v, zero) + cu * cv
+        table.append(_settled(ring, out))
     return table
 
 
-def _product_expand(ring: Ring, factor_dicts, combine):
-    """Multiply out a product of sparse single-factor images.
-
-    combine(labels_tuple) returns (label, int_sign) or None; terms with
-    None are dropped.
-    """
-    out: dict = {}
-    for combo in itertools.product(*(fd.items() for fd in factor_dicts)):
-        labels = tuple(b for b, _ in combo)
-        target = combine(labels)
-        if target is None:
-            continue
-        label, sgn = target
-        val = ring.from_int(sgn)
-        for _, cv in combo:
-            val = ring.mul(val, cv)
-        s = ring.add(out.get(label, ring.zero), val)
-        if ring.is_zero(s):
-            out.pop(label, None)
-        else:
-            out[label] = s
-    return out
+def _power_action(ring: Ring, g, c: int, strict: bool, label: tuple, memo: dict):
+    """Image of a label of Wedge (strict) or SymPower of Sym(c): the image
+    of its prefix label[:-1], memoized, times the image of label[-1].  A new
+    factor b is placed with bisect; in a wedge, moving it past the
+    len(t) - pos larger factors gives the sign (-1)^(len(t) - pos), and a
+    repeated factor gives zero."""
+    key = (c, strict, label)
+    img = memo.get(key)
+    if img is not None:
+        return img
+    if not label:
+        img = {(): ring.one}
+    else:
+        head = _power_action(ring, g, c, strict, label[:-1], memo)
+        table = _sym_table(ring, g, c, memo)
+        last = table[label[-1]].items()
+        zero = ring.zero
+        out: dict = {}
+        get = out.get
+        for t, v in head.items():
+            n = len(t)
+            for b, cb in last:
+                pos = bisect_left(t, b)
+                if strict and pos < n and t[pos] == b:
+                    continue
+                new = t[:pos] + (b,) + t[pos:]
+                if strict and (n - pos) & 1:
+                    out[new] = get(new, zero) - v * cb
+                else:
+                    out[new] = get(new, zero) + v * cb
+        img = _settled(ring, out)
+    memo[key] = img
+    return img
 
 
 def _label_action(ring: Ring, g, space: Space, label, sym_tables: dict) -> dict:
+    """The image of one basis label under g, entries possibly unreduced.
+    sym_tables holds this call's memos: Sym tables by c, power prefix images
+    by (c, strict, prefix), and tensor factor images by (space, label).
+    Memoized dicts are shared, so callers must not mutate a returned image."""
     if isinstance(space, Sym):
-        if space.c not in sym_tables:
-            sym_tables[space.c] = _sym_action_table(ring, g, space.c)
-        return sym_tables[space.c][label]
-    if isinstance(space, Wedge):
-        c = space.inner.c
-        if c not in sym_tables:
-            sym_tables[c] = _sym_action_table(ring, g, c)
-        table = sym_tables[c]
-        return _product_expand(
-            ring, [table[a] for a in label], lambda ls: wedge_normalize(ls, c)
-        )
-    if isinstance(space, SymPower):
-        c = space.inner.c
-        if c not in sym_tables:
-            sym_tables[c] = _sym_action_table(ring, g, c)
-        table = sym_tables[c]
-        return _product_expand(
-            ring, [table[a] for a in label], lambda ls: (tuple(sorted(ls)), 1)
-        )
+        return _sym_table(ring, g, space.c, sym_tables)[label]
+    if isinstance(space, (Wedge, SymPower)):
+        strict = isinstance(space, Wedge)
+        return _power_action(ring, g, space.inner.c, strict, label, sym_tables)
     if isinstance(space, Tensor):
+        # a product of two nonzero entries is nonzero in every ring here
+        # (GF(p) included), so the image is reduced once, by its consumer
         lpart = _factor_action(ring, g, space.left, label[0], sym_tables)
         rpart = _factor_action(ring, g, space.right, label[1], sym_tables)
-        out = {}
-        for ll, lv in lpart.items():
-            for rl, rv in rpart.items():
-                out[(ll, rl)] = ring.mul(lv, rv)
-        return out
+        return {
+            (ll, rl): lv * rv for ll, lv in lpart.items() for rl, rv in rpart.items()
+        }
     raise TypeError(f"not a space: {space!r}")
+
+
+def _sym_table(ring: Ring, g, c: int, sym_tables: dict):
+    table = sym_tables.get(c)
+    if table is None:
+        table = sym_tables[c] = _sym_action_table(ring, g, c)
+    return table
 
 
 def _factor_action(ring: Ring, g, space: Space, label, sym_tables: dict) -> dict:
     """_label_action on a tensor factor, memoized in the per-call tables:
-    every factor label recurs once per label of the other factor.  The
-    cached dicts are shared, so callers must not mutate them."""
+    every factor label recurs once per label of the other factor."""
     key = (space, label)
     img = sym_tables.get(key)
     if img is None:
@@ -562,46 +557,36 @@ def act_group(g, v: ModuleElement) -> ModuleElement:
     g = _check_matrix(v.ring, g)
     ring = v.ring
     sym_tables: dict = {}
-    out = ModuleElement.zero(v.space, ring)
+    zero = ring.zero
+    out: dict = {}
     for label, c in v.coeffs.items():
-        img = _label_action(ring, g, v.space, label, sym_tables)
-        out = out + ModuleElement(v.space, ring, img).scale(c)
-    return out
+        for l, m in _label_action(ring, g, v.space, label, sym_tables).items():
+            out[l] = out.get(l, zero) + c * m
+    return ModuleElement(v.space, ring, out)
 
 
 def group_action_map(ring: Ring, g, space: Space) -> LinearMap:
     """The whole action matrix of g on a space."""
     g = _check_matrix(ring, g)
     sym_tables: dict = {}
-    cols = [
-        _label_action(ring, g, space, label, sym_tables) for label in basis(space)
-    ]
+    cols = (_label_action(ring, g, space, label, sym_tables) for label in basis(space))
     return LinearMap(space, space, ring, cols)
 
 
 # ------------------------------------------------------------------ Lie action
 
 
-def _lie_label(ring: Ring, which: str, space: Space, label) -> dict:
+def _lie_label(which: str, space: Space, label) -> dict:
+    """The image of one basis label under e or f, with integer entries."""
     out: dict = {}
-
-    def put(lab, n: int):
-        if n == 0:
-            return
-        s = ring.add(out.get(lab, ring.zero), ring.from_int(n))
-        if ring.is_zero(s):
-            out.pop(lab, None)
-        else:
-            out[lab] = s
-
     if isinstance(space, Sym):
         c, a = space.c, label
         if which == "e":
             if a >= 1:
-                put(a - 1, a)
+                out[a - 1] = a
         else:
             if a <= c - 1:
-                put(a + 1, c - a)
+                out[a + 1] = c - a
         return out
     if isinstance(space, (Wedge, SymPower)):
         c = space.inner.c
@@ -622,18 +607,14 @@ def _lie_label(ring: Ring, which: str, space: Space, label) -> dict:
                     continue
             else:
                 new = tuple(sorted(new))
-            put(new, coeff)
+            out[new] = out.get(new, 0) + coeff
         return out
     if isinstance(space, Tensor):
-        for ll, lv in _lie_label(ring, which, space.left, label[0]).items():
+        for ll, lv in _lie_label(which, space.left, label[0]).items():
             out[(ll, label[1])] = lv
-        for rl, rv in _lie_label(ring, which, space.right, label[1]).items():
+        for rl, rv in _lie_label(which, space.right, label[1]).items():
             key = (label[0], rl)
-            s = ring.add(out.get(key, ring.zero), rv)
-            if ring.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
+            out[key] = out.get(key, 0) + rv
         return out
     raise TypeError(f"not a space: {space!r}")
 
@@ -655,20 +636,20 @@ def act_f(v: ModuleElement) -> ModuleElement:
 
 def _act_lie(which: str, v: ModuleElement) -> ModuleElement:
     _require_char_zero(v.ring)
-    ring = v.ring
-    out = ModuleElement.zero(v.space, ring)
+    out: dict = {}
     for label, c in v.coeffs.items():
-        img = _lie_label(ring, which, v.space, label)
-        out = out + ModuleElement(v.space, ring, img).scale(c)
-    return out
+        for l, m in _lie_label(which, v.space, label).items():
+            out[l] = out.get(l, 0) + c * m
+    return ModuleElement(v.space, v.ring, out)
 
 
 def lie_action_map(ring: Ring, which: str, space: Space) -> LinearMap:
     _require_char_zero(ring)
     if which not in ("e", "f"):
         raise ValueError(f"unknown generator {which!r}")
-    cols = [_lie_label(ring, which, space, label) for label in basis(space)]
-    return LinearMap(space, space, ring, cols)
+    cols = [_lie_label(which, space, label) for label in basis(space)]
+    A = LinearMap(space, space, ZZ, cols)
+    return A if ring == ZZ else A.map_entries(ring, ring.from_int)
 
 
 # ------------------------------------------------------- multiplication map
@@ -697,13 +678,16 @@ def multiplication_map(ring: Ring, N: int, d: int) -> LinearMap:
 
 
 def _sub_scaled(target: dict, source: dict, factor, ring: Ring):
-    """target -= factor * source, in place, dropping zeros."""
+    """target -= factor * source, in place: each touched entry is reduced
+    once and dropped when zero."""
+    reduce = ring.reduce
+    zero = ring.zero
     for k, val in source.items():
-        s = ring.sub(target.get(k, ring.zero), ring.mul(factor, val))
-        if ring.is_zero(s):
-            target.pop(k, None)
-        else:
+        s = reduce(target.get(k, zero) - factor * val)
+        if s:
             target[k] = s
+        else:
+            target.pop(k, None)
 
 
 def _echelon(cols, ring: Ring, track: bool):
@@ -792,11 +776,6 @@ def solve(A: LinearMap, b: ModuleElement) -> ModuleElement:
         pv, pc = hit
         f = ring.div(v[r], pv[r])
         _sub_scaled(v, pv, f, ring)
-        for j, c in pc.items():
-            s = ring.add(x.get(j, ring.zero), ring.mul(f, c))
-            if ring.is_zero(s):
-                x.pop(j, None)
-            else:
-                x[j] = s
+        _sub_scaled(x, pc, -f, ring)
     dom = basis(A.domain)
     return ModuleElement(A.domain, ring, {dom[j]: c for j, c in x.items()})

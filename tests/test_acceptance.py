@@ -69,7 +69,7 @@ def test_criterion_2_equivariance_three_routes():
             assert all(verify_group_equivariance_fp(N, d, p).values()), (N, d, p)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"equivariance routes took {elapsed:.1f}s"
-    report(2, "equivariance via rational, polynomial, modular routes", t0)
+    report(2, "equivariance via integer, polynomial, modular routes", t0)
 
 
 def test_criterion_3_golden_values():

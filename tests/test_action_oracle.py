@@ -1,0 +1,248 @@
+"""Differential tests: the native-arithmetic group action and compose
+against the original ring-call algorithms, kept here as reference oracles
+only.
+
+The oracle action multiplies out every product of single-factor images and
+makes one Ring method call per scalar operation; the oracle compose does
+the same per product.  Both drop zeros as they go.
+"""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plethy import (
+    QQ,
+    ZGAMMA,
+    ZZ,
+    IntPoly,
+    LinearMap,
+    ModuleElement,
+    PrimeField,
+    Sym,
+    SymPower,
+    Tensor,
+    Wedge,
+    act_group,
+    basis,
+    basis_index,
+    binomial,
+    dim,
+    gamma_coefficients,
+    group_action_map,
+    wedge_normalize,
+)
+
+RINGS = (ZZ, QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), ZGAMMA)
+
+
+# ------------------------------------------------------------------ oracles
+
+
+def _oracle_linear_form_power(ring, s, t, m):
+    return [
+        ring.mul(
+            ring.from_int(binomial(m, u)), ring.mul(ring.pow(s, m - u), ring.pow(t, u))
+        )
+        for u in range(m + 1)
+    ]
+
+
+def _oracle_sym_table(ring, g, c):
+    (g11, g12), (g21, g22) = g
+    table = []
+    for a in range(c + 1):
+        xs = _oracle_linear_form_power(ring, g11, g21, c - a)
+        ys = _oracle_linear_form_power(ring, g12, g22, a)
+        out = {}
+        for u, cu in enumerate(xs):
+            if ring.is_zero(cu):
+                continue
+            for v, cv in enumerate(ys):
+                if ring.is_zero(cv):
+                    continue
+                s = ring.add(out.get(u + v, ring.zero), ring.mul(cu, cv))
+                if ring.is_zero(s):
+                    out.pop(u + v, None)
+                else:
+                    out[u + v] = s
+        table.append(out)
+    return table
+
+
+def _oracle_product_expand(ring, factor_dicts, combine):
+    out = {}
+    for combo in itertools.product(*(fd.items() for fd in factor_dicts)):
+        target = combine(tuple(b for b, _ in combo))
+        if target is None:
+            continue
+        label, sgn = target
+        val = ring.from_int(sgn)
+        for _, cv in combo:
+            val = ring.mul(val, cv)
+        s = ring.add(out.get(label, ring.zero), val)
+        if ring.is_zero(s):
+            out.pop(label, None)
+        else:
+            out[label] = s
+    return out
+
+
+def _oracle_label_action(ring, g, space, label):
+    if isinstance(space, Sym):
+        return _oracle_sym_table(ring, g, space.c)[label]
+    if isinstance(space, (Wedge, SymPower)):
+        c = space.inner.c
+        table = _oracle_sym_table(ring, g, c)
+        if isinstance(space, Wedge):
+            combine = lambda ls: wedge_normalize(ls, c)  # noqa: E731
+        else:
+            combine = lambda ls: (tuple(sorted(ls)), 1)  # noqa: E731
+        return _oracle_product_expand(ring, [table[a] for a in label], combine)
+    lpart = _oracle_label_action(ring, g, space.left, label[0])
+    rpart = _oracle_label_action(ring, g, space.right, label[1])
+    return {
+        (ll, rl): ring.mul(lv, rv)
+        for ll, lv in lpart.items()
+        for rl, rv in rpart.items()
+    }
+
+
+def oracle_action_cols(ring, g, space):
+    return [
+        {l: v for l, v in _oracle_label_action(ring, g, space, label).items()
+         if not ring.is_zero(v)}
+        for label in basis(space)
+    ]
+
+
+def oracle_compose_cols(A, B):
+    ring = A.ring
+    idx = basis_index(A.domain)
+    cols = []
+    for col in B.cols:
+        out = {}
+        for bl, c in col.items():
+            for cl, m in A.cols[idx[bl]].items():
+                s = ring.add(out.get(cl, ring.zero), ring.mul(c, m))
+                if ring.is_zero(s):
+                    out.pop(cl, None)
+                else:
+                    out[cl] = s
+        cols.append(out)
+    return cols
+
+
+# --------------------------------------------------------------- strategies
+
+_atoms = st.one_of(
+    st.integers(0, 4).map(Sym),
+    st.builds(Wedge, st.integers(0, 3), st.integers(0, 5).map(Sym)),
+    st.builds(SymPower, st.integers(0, 3), st.integers(0, 3).map(Sym)),
+)
+SPACES = st.recursive(
+    _atoms, lambda inner: st.builds(Tensor, inner, inner), max_leaves=3
+).filter(lambda s: dim(s) <= 40)
+
+
+def scalars(ring):
+    """Small payloads of a ring, zero included, so sums can cancel."""
+    if ring == ZZ:
+        return st.integers(-3, 3)
+    if ring == QQ:
+        return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    if ring == ZGAMMA:
+        return st.lists(st.integers(-2, 2), max_size=3).map(
+            lambda cs: IntPoly(cs, "gamma")
+        )
+    return st.integers(0, ring.p - 1)
+
+
+@st.composite
+def ring_and_matrix(draw, rings=RINGS):
+    """A ring and a 2x2 matrix over it; singular matrices (second row a
+    multiple of the first) are drawn on purpose."""
+    ring = draw(st.sampled_from(rings))
+    xs = scalars(ring)
+    a, b = draw(xs), draw(xs)
+    if draw(st.booleans()):
+        k = draw(xs)
+        c, d = ring.mul(k, a), ring.mul(k, b)
+    else:
+        c, d = draw(xs), draw(xs)
+    return ring, ((a, b), (c, d))
+
+
+@st.composite
+def sparse_map(draw, ring, domain, codomain):
+    labels = basis(codomain)
+    cols = []
+    for _ in basis(domain):
+        support = draw(st.lists(st.sampled_from(labels), max_size=4)) if labels else []
+        cols.append({l: draw(scalars(ring)) for l in support})
+    return LinearMap(domain, codomain, ring, cols)
+
+
+@st.composite
+def composable_maps(draw):
+    ring = draw(st.sampled_from(RINGS))
+    small = SPACES.filter(lambda s: dim(s) <= 12)
+    s0, s1, s2 = draw(small), draw(small), draw(small)
+    return draw(sparse_map(ring, s1, s2)), draw(sparse_map(ring, s0, s1))
+
+
+# --------------------------------------------------------------------- tests
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_and_matrix(), SPACES)
+def test_action_map_matches_oracle(ring_g, space):
+    ring, g = ring_g
+    A = group_action_map(ring, g, space)
+    assert A.cols == oracle_action_cols(ring, g, space)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_and_matrix(), SPACES, st.data())
+def test_act_group_matches_oracle(ring_g, space, data):
+    ring, g = ring_g
+    labels = basis(space)
+    support = data.draw(st.lists(st.sampled_from(labels), max_size=3)) if labels else []
+    v = ModuleElement(space, ring, {l: data.draw(scalars(ring)) for l in support})
+    cols = oracle_action_cols(ring, g, space)
+    expected = LinearMap(space, space, ring, cols).apply(v)
+    assert act_group(g, v) == expected
+
+
+def test_action_oracle_covers_a_wedge_sign():
+    # g swaps X and Y up to sign, so every wedge image is a signed basis label
+    g = ((0, 1), (1, 0))
+    space = Wedge(2, Sym(2))
+    A = group_action_map(ZZ, g, space)
+    assert A.cols == oracle_action_cols(ZZ, g, space)
+    assert A.column((0, 1)).coeffs == {(1, 2): -1}
+
+
+@settings(max_examples=150, deadline=None)
+@given(composable_maps())
+def test_compose_matches_oracle(maps):
+    A, B = maps
+    assert A.compose(B).cols == oracle_compose_cols(A, B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_and_matrix((ZGAMMA,)), SPACES)
+def test_gamma_coefficients_reassemble_the_map(ring_g, space):
+    ring, g = ring_g
+    A = group_action_map(ring, g, space)
+    parts = gamma_coefficients(A)
+    assert all(P.ring == ZZ and not P.is_zero() for P in parts.values())
+    gamma = ZGAMMA.gen()
+    total = [{} for _ in A.cols]
+    for k, P in parts.items():
+        for out, col in zip(total, P.cols):
+            for l, c in col.items():
+                out[l] = out.get(l, ZGAMMA.zero) + c * gamma**k
+    assert LinearMap(A.domain, A.codomain, ZGAMMA, total) == A

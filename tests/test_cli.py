@@ -1,12 +1,13 @@
 """Command line behavior: exit codes, artifacts, and reproducibility."""
 
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
-from plethy import ZZ, iso_context, linear_map_from_json
+from plethy import ZZ, ConsistencyError, iso_context, linear_map_from_json
 from plethy.cli import main, parse_primes, parse_range
 from plethy.cli import UsageError
 
@@ -127,6 +128,54 @@ def test_verify_out_is_byte_reproducible(tmp_path, capsys):
     main(["verify", "--N", "2", "--d", "3", "--p", "2", "--out", str(b)])
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_out_bytes_are_pinned(tmp_path, capsys):
+    # the default grid; the digest was taken before the equivariance routes
+    # moved to integer arithmetic, and is the benchmark's verify-grid pin
+    out = tmp_path / "report.json"
+    argv = ["verify", "--N", "1..3", "--d", "0..5", "--p", "2,3,5", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert (
+        hashlib.sha256(out.read_bytes()).hexdigest()
+        == "4bd2d9e94661c1f233077be8dd956b6f746d72876a050233be03f2813492458a"
+    )
+
+
+def test_consistency_error_fails_one_group_and_the_run_goes_on(
+    monkeypatch, tmp_path, capsys
+):
+    import plethy.cli as cli
+
+    real = cli.verify_group_equivariance_poly
+
+    def broken(N, d):
+        if (N, d) == (2, 3):
+            raise ConsistencyError("poly route fell over")
+        return real(N, d)
+
+    monkeypatch.setattr(cli, "verify_group_equivariance_poly", broken)
+    out = tmp_path / "report.json"
+    argv = ["verify", "--N", "2", "--d", "2..4", "--p", "2", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "FAILED at (N=2, d=3): poly.consistency" in err
+    report = json.loads(out.read_text())
+    assert report["all_pass"] is False
+    assert report["checks_failed"] == 1
+    assert [pt["d"] for pt in report["points"]] == [2, 3, 4]
+    bad = report["points"][1]
+    assert bad["checks"]["poly.consistency"] is False
+    assert bad["data"]["poly.consistency_error"] == "poly route fell over"
+    assert "poly.commutes_with_upper_unipotent" not in bad["checks"]
+    # the other groups at that point and the other points still ran
+    others = {k: v for k, v in bad["checks"].items() if k != "poly.consistency"}
+    assert others and all(others.values())
+    assert "fp[2].commutes_with_all_unipotents" in others
+    assert len(bad["block_hashes"]) == len(iso_context(2, 3).weight_blocks())
+    for pt in (report["points"][0], report["points"][2]):
+        assert all(pt["checks"].values())
 
 
 def test_verify_skips_out_of_range_points(capsys):

@@ -1,5 +1,6 @@
 """The explicit map, its triangular certificate, and its symmetries."""
 
+import copy
 import hashlib
 from fractions import Fraction
 
@@ -13,13 +14,17 @@ from plethy import (
     ZZ,
     ConsistencyError,
     IsoContext,
+    LinearMap,
     PrimeField,
+    Sym,
     basis,
+    basis_index,
     basis_image,
     box,
     dim,
     flip_codomain_map,
     flip_domain_map,
+    gamma_coefficients,
     gl2_scalar_exponents,
     group_action_map,
     identity_map,
@@ -34,9 +39,11 @@ from plethy import (
     verify_lie_equivariance,
     verify_structure,
     weight_block_digest,
+    weight_block_digests,
     weight_block_text,
     ydegree,
 )
+import plethy.iso as iso
 
 # ------------------------------------------------------------- the map itself
 
@@ -141,6 +148,14 @@ def test_weight_block_golden_6x6():
         [1, 0, 1, 1, 1, 0],
         [1, 0, 0, 1, 1, 1],
     ]
+
+
+@pytest.mark.parametrize("N,d", [(1, 3), (2, 4), (3, 5), (4, 4), (3, 1)])
+def test_block_digests_in_one_pass_match_one_at_a_time(N, d):
+    ctx = iso_context(N, d)
+    digests = weight_block_digests(ctx)
+    assert list(digests) == sorted(ctx.weight_blocks())
+    assert digests == {w: weight_block_digest(ctx, w) for w in digests}
 
 
 def test_weight_block_digest_matches_frozen_serialization():
@@ -263,6 +278,83 @@ def test_generic_unipotent_specializes_to_rational_action():
     evaluated = A.map_entries(QQ, lambda poly: Fraction(poly(2)))
     g_rat = ((QQ.one, QQ.from_int(2)), (QQ.zero, QQ.one))
     assert evaluated == group_action_map(QQ, g_rat, space)
+
+
+def _broken_context(N, d):
+    """A copy of the context whose map has the first entry of column 3
+    raised by one; the cached context is left alone."""
+    ctx = iso_context(N, d)
+    broken = copy.copy(ctx)
+    cols = [dict(col) for col in ctx.matrix.cols]
+    label = next(iter(cols[3]))
+    cols[3][label] += 1
+    broken.matrix = LinearMap(ctx.domain, ctx.hook.ambient, ZZ, cols)
+    return broken
+
+
+def test_every_route_catches_a_broken_map(monkeypatch):
+    broken = _broken_context(2, 4)
+    monkeypatch.setattr(iso, "iso_context", lambda N, d: broken)
+    assert verify_lie_equivariance(2, 4) == {
+        "commutes_with_e": False,
+        "commutes_with_f": False,
+    }
+    assert verify_group_equivariance_poly(2, 4) == {
+        "commutes_with_upper_unipotent": False,
+        "commutes_with_lower_unipotent": False,
+    }
+    for p in (2, 3, 5):
+        assert verify_group_equivariance_fp(2, 4, p) == {
+            "commutes_with_all_unipotents": False,
+            "determinant_unit_mod_p": True,  # read from the coordinate matrix
+        }
+    assert verify_duality(2, 4)["swap_law_holds"] is False
+
+
+def test_poly_route_compares_every_gamma_degree(monkeypatch):
+    # add gamma^k to one diagonal entry of the ambient action, for every
+    # degree k that occurs and one that does not: the route must fail each time
+    N, d = 2, 3
+    ctx = iso_context(N, d)
+    real = iso.group_action_map
+    gamma = ZGAMMA.gen()
+    row = next(iter(ctx.matrix.cols[0]))  # phi's column 0 reaches this label
+    top = 0
+    for transpose in (False, True):
+        g = iso._unipotent(ZGAMMA, gamma, transpose)
+        for space in (ctx.domain, ctx.hook.ambient):
+            top = max(top, *gamma_coefficients(real(ZGAMMA, g, space)))
+    assert top >= 2
+
+    for k in range(top + 2):
+
+        def corrupted(ring, g, space, k=k):
+            A = real(ring, g, space)
+            if space != ctx.hook.ambient:
+                return A
+            cols = [dict(col) for col in A.cols]
+            col = cols[basis_index(space)[row]]
+            col[row] = col.get(row, ZGAMMA.zero) + gamma**k
+            return LinearMap(space, space, ring, cols)
+
+        with monkeypatch.context() as m:
+            m.setattr(iso, "group_action_map", corrupted)
+            assert verify_group_equivariance_poly(N, d) == {
+                "commutes_with_upper_unipotent": False,
+                "commutes_with_lower_unipotent": False,
+            }, k
+
+
+def test_gamma_coefficients_split_a_known_map():
+    gamma = ZGAMMA.gen()
+    g = ((ZGAMMA.one, gamma), (ZGAMMA.zero, ZGAMMA.one))
+    A = group_action_map(ZGAMMA, g, Sym(2))
+    parts = gamma_coefficients(A)
+    assert sorted(parts) == [0, 1, 2]
+    assert parts[0] == identity_map(ZZ, Sym(2))
+    # X^(2-a) Y^a -> X^(2-a) (gamma X + Y)^a
+    assert parts[1].cols == [{}, {0: 1}, {1: 2}]
+    assert parts[2].cols == [{}, {}, {0: 1}]
 
 
 # ---------------------------------------------------------------------- duality
