@@ -147,13 +147,14 @@ def weight_block_text(ctx: IsoContext, w: int) -> str:
     """Canonical text form of one Y-degree block of the paired coordinate
     matrix (ctx.weight_block_matrix): row labels, column labels, then dense
     integer rows."""
-    return _block_text(ctx, ctx.weight_blocks().get(w, []), ctx._paired_columns())
+    return _block_text(ctx, ctx.weight_blocks().get(w, []))
 
 
-def _block_text(ctx: IsoContext, idxs: list, paired: list) -> str:
-    """weight_block_text of the block at pair positions idxs, given the
-    paired columns: the sparse columns are scattered into rows of decimal
-    strings, so only the nonzero entries are converted."""
+def _block_text(ctx: IsoContext, idxs: list) -> str:
+    """weight_block_text of the block at pair positions idxs: the sparse
+    paired columns are scattered into rows of decimal strings, so only the
+    nonzero entries are converted."""
+    paired = ctx.paired_columns
     local = {m: k for k, m in enumerate(idxs)}
     rows = [["0"] * len(idxs) for _ in idxs]
     for k, c in enumerate(idxs):
@@ -177,9 +178,8 @@ def weight_block_digest(ctx: IsoContext, w: int) -> str:
 def weight_block_digests(ctx: IsoContext) -> dict:
     """weight_block_digest of every Y-degree, ascending, from one pass over
     the paired columns."""
-    paired = ctx._paired_columns()
     return {
-        w: hashlib.sha256(_block_text(ctx, idxs, paired).encode()).hexdigest()
+        w: hashlib.sha256(_block_text(ctx, idxs).encode()).hexdigest()
         for w, idxs in sorted(ctx.weight_blocks().items())
     }
 

@@ -30,6 +30,7 @@ group routes add value by cross-checking separately written action code.
 from __future__ import annotations
 
 from functools import cache
+from math import prod
 
 from . import tableaux
 from .rings import (
@@ -119,21 +120,14 @@ class IsoContext:
         self.matrix = LinearMap.from_function(
             ZZ, self.domain, self.hook.ambient, lambda lab: basis_image(ZZ, N, d, *lab)
         )
+        coord_cols = []
         for label, col in zip(basis(self.domain), self.matrix.cols):
             img = ModuleElement(self.hook.ambient, ZZ, col)
             if not mu.apply(img).is_zero():
                 raise ConsistencyError(f"image of {label} is outside the kernel")
+            coord_cols.append(self.hook.coordinates(img).coeffs)
         self.columns_in_kernel = True
-
-        self.coord_matrix = LinearMap(
-            self.domain,
-            self.hook.coords,
-            ZZ,
-            [
-                self.hook.coordinates(ModuleElement(self.hook.ambient, ZZ, col)).coeffs
-                for col in self.matrix.cols
-            ],
-        )
+        self.coord_matrix = LinearMap(self.domain, self.hook.coords, ZZ, coord_cols)
 
         # witness pairing: column of pair m is the image of witness(pair m)
         self.witnesses = [triangular_witness(p) for p in self.hook.pairs]
@@ -141,6 +135,12 @@ class IsoContext:
             basis(self.domain)
         ):
             raise ConsistencyError("witness labels do not biject onto the domain basis")
+        # built once and read by every check, the inverse and the digests
+        self.paired_columns = self._paired_columns()
+        self.diagonal = [col.get(m, 0) for m, col in enumerate(self.paired_columns)]
+        self._blocks: dict = {}
+        for m, pair in enumerate(self.hook.pairs):
+            self._blocks.setdefault(ydegree(self.hook.coords, pair), []).append(m)
         self._check_unitriangular()
         self.unitriangular = True
         self.inverse_round_trip = False  # set by inverse() once both trips pass
@@ -150,7 +150,8 @@ class IsoContext:
 
     def _paired_columns(self):
         """Coordinate columns reordered so column m belongs to pair m,
-        keyed by pair position."""
+        keyed by pair position.  Construction stores the result as
+        paired_columns, which everything else reads."""
         pos = self.hook.pair_index
         dom_idx = basis_index(self.domain)
         out = []
@@ -160,8 +161,8 @@ class IsoContext:
         return out
 
     def _check_unitriangular(self):
-        for m, col in enumerate(self._paired_columns()):
-            if col.get(m) != 1:
+        for m, (col, diag) in enumerate(zip(self.paired_columns, self.diagonal)):
+            if diag != 1:
                 raise ConsistencyError(f"diagonal entry at position {m} is not one")
             if min(col) < m:
                 raise ConsistencyError(
@@ -171,23 +172,18 @@ class IsoContext:
     @property
     def determinant(self) -> int:
         """Product of the diagonal of the paired coordinate matrix."""
-        det = 1
-        for m, col in enumerate(self._paired_columns()):
-            det *= col[m]
-        return det
+        return prod(self.diagonal)
 
     def weight_blocks(self) -> dict:
-        """Pair positions grouped by Y-degree, ascending within each block."""
-        blocks: dict = {}
-        for m, pair in enumerate(self.hook.pairs):
-            blocks.setdefault(ydegree(self.hook.coords, pair), []).append(m)
-        return blocks
+        """Pair positions grouped by Y-degree, ascending within each block;
+        built once with the context, so callers must not modify it."""
+        return self._blocks
 
     def weight_block_matrix(self, w: int):
         """Dense integer block of the paired coordinate matrix for one
         Y-degree: (row pairs, column witness labels, rows of entries)."""
         idxs = self.weight_blocks().get(w, [])
-        cols = self._paired_columns()
+        cols = self.paired_columns
         rows = [[cols[c].get(r, 0) for c in idxs] for r in idxs]
         return (
             [self.hook.pairs[m] for m in idxs],
@@ -217,7 +213,7 @@ class IsoContext:
         """
         if self._inverse is not None:
             return self._inverse
-        paired = self._paired_columns()
+        paired = self.paired_columns
         inv_cols_by_pos: list = [None] * len(paired)
         for idxs in self.weight_blocks().values():
             b = len(idxs)
@@ -394,12 +390,9 @@ def verify_group_equivariance_fp(N: int, d: int, p: int) -> dict:
             amb = group_action_map(ring, g, ctx.hook.ambient)
             if phi.compose(dom) != amb.compose(phi):
                 ok = False
-    det = 1 % p
-    for m, col in enumerate(ctx._paired_columns()):
-        det = (det * col[m]) % p
     return {
         "commutes_with_all_unipotents": ok,
-        "determinant_unit_mod_p": det == 1 % p,
+        "determinant_unit_mod_p": prod(ctx.diagonal) % p == 1 % p,
     }
 
 

@@ -46,7 +46,27 @@ class HookSchurSpace:
         self.coords = PairCoords(N, d)
         self.pairs = basis(self.coords)
         self.pair_index = {p: n for n, p in enumerate(self.pairs)}
+        self._chains, self._class_of = self._content_classes()
         self._verify()
+
+    def _content_classes(self):
+        """The content classes of the ambient basis, built once.
+
+        A class of N + 1 distinct values is its content chain followed by
+        its terminal label (i, j) with j the least value; a class with one
+        repeated value holds a single fixed pair.  Returns the classes as
+        tuples of ambient labels, terminal last, and the map from each
+        ambient label to (class number, position in its class)."""
+        N, d = self.N, self.d
+        chains = []
+        for vals in tableaux.increasing_tuples(d, N + 1):
+            chains.append((*tableaux.content_chain(vals), (vals[1:], vals[0])))
+        for i in tableaux.increasing_tuples(d, N):
+            chains.extend(((i, j),) for j in i)
+        class_of = {
+            label: (c, t) for c, chain in enumerate(chains) for t, label in enumerate(chain)
+        }
+        return chains, class_of
 
     # ------------------------------------------------------------- vectors
 
@@ -82,39 +102,45 @@ class HookSchurSpace:
     def coordinates(self, v: ModuleElement) -> ModuleElement:
         """Express an ambient element in the kernel basis.
 
-        Walks each content class: along a chain the basis vectors overlap
-        in single canonical labels, so the coordinates fall out of a two-term
-        recurrence, with the terminal label acting as a consistency check.
-        A failed check means v is outside the kernel; a field ring gets a
-        global solve as a second opinion before the error.
+        Each entry of v is sent to its content class by one lookup in the
+        table built with the space.  Along a chain the basis vectors overlap
+        in single canonical labels, so the coordinates fall out of the
+        two-term recurrence c_t = v_t - c_(t-1), summed with native - and
+        reduced once; the terminal label must then carry c_(N-1).  A fixed
+        pair's class holds that pair alone, whose coordinate is its entry.
+        A label in no class, or a failed terminal check, means v is outside
+        the kernel; a field ring gets a global solve as a second opinion
+        before the error, and other rings raise ValueError.
         """
         if v.space != self.ambient:
             raise ValueError("element does not live in the ambient space")
         ring = v.ring
+        zero = ring.zero
+        class_of = self._class_of
         classes: dict = {}
-        for (i, j), val in v.coeffs.items():
-            classes.setdefault(tableaux.content(i, j), {})[(i, j)] = val
-        coords: dict = {}
-        for cont, members in sorted(classes.items()):
-            if len(set(cont)) != len(cont):
-                # one repeated value: the class holds a single fixed pair
-                distinct = tuple(sorted(set(cont)))
-                rep = next(x for x in set(cont) if cont.count(x) == 2)
-                pair = (distinct, rep)
-                if set(members) != {pair}:
-                    return self._coordinates_fallback(v)
-                coords[pair] = members[pair]
-                continue
-            chain = tableaux.content_chain(cont)
-            terminal = (cont[1:], cont[0])
-            if not set(members) <= set(chain) | {terminal}:
+        for label, val in v.coeffs.items():
+            where = class_of.get(label)
+            if where is None:
                 return self._coordinates_fallback(v)
-            running = ring.zero
-            for pair in chain:
-                running = ring.sub(members.get(pair, ring.zero), running)
-                if not ring.is_zero(running):
-                    coords[pair] = running
-            if not ring.eq(members.get(terminal, ring.zero), running):
+            c, t = where
+            members = classes.get(c)
+            if members is None:
+                members = classes[c] = {}
+            members[t] = val
+        chains = self._chains
+        reduce = ring.reduce
+        coords: dict = {}
+        for c, members in classes.items():
+            chain = chains[c]
+            last = len(chain) - 1
+            if not last:  # a fixed pair
+                coords[chain[0]] = members[0]
+                continue
+            running = zero
+            for t in range(last):
+                running = members.get(t, zero) - running
+                coords[chain[t]] = running
+            if reduce(members.get(last, zero) - running):
                 return self._coordinates_fallback(v)
         return ModuleElement(self.coords, ring, coords)
 

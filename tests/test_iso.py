@@ -3,6 +3,7 @@
 import copy
 import hashlib
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from plethy import (
     identity_map,
     increasing_tuples,
     iso_context,
+    label_str,
     multiplication_map,
     reversal_sign,
     triangular_witness,
@@ -44,6 +46,7 @@ from plethy import (
     ydegree,
 )
 import plethy.iso as iso
+from plethy.cli import verify_point
 
 # ------------------------------------------------------------- the map itself
 
@@ -240,6 +243,87 @@ def test_inverse_rejects_a_column_that_leaves_its_block(monkeypatch):
 def test_determinant_is_one():
     for N, d in ((1, 5), (2, 4), (3, 4)):
         assert iso_context(N, d).determinant == 1
+
+
+def _fresh_paired_structure(ctx):
+    """The paired columns and weight blocks rebuilt from the coordinate
+    matrix and the witnesses, independently of the stored copies."""
+    pos = ctx.hook.pair_index
+    dom_idx = basis_index(ctx.domain)
+    paired = [
+        {pos[p]: v for p, v in ctx.coord_matrix.cols[dom_idx[w]].items()}
+        for w in ctx.witnesses
+    ]
+    blocks: dict = {}
+    for m, pair in enumerate(ctx.hook.pairs):
+        blocks.setdefault(ydegree(ctx.hook.coords, pair), []).append(m)
+    return paired, blocks
+
+
+def _dense_block_inverse(paired, idxs):
+    """Inverse columns of one unitriangular block by dense forward
+    substitution, keyed by pair position."""
+    out = {}
+    for m in idxs:
+        x = {m: 1}
+        for r in idxs:
+            if r > m:
+                acc = sum(paired[c].get(r, 0) * x.get(c, 0) for c in idxs if c < r)
+                if acc:
+                    x[r] = -acc
+        out[m] = x
+    return out
+
+
+@pytest.mark.parametrize("N,d", [(1, 3), (2, 4), (3, 5), (4, 6), (3, 1)])
+def test_stored_paired_structure_matches_a_fresh_rebuild(N, d):
+    ctx = iso_context(N, d)
+    inv = ctx.inverse()  # read the stored structure before comparing it
+    digests = weight_block_digests(ctx)
+    paired, blocks = _fresh_paired_structure(ctx)
+    assert ctx.paired_columns == paired
+    assert ctx.weight_blocks() == blocks
+    assert ctx.diagonal == [col.get(m, 0) for m, col in enumerate(paired)]
+    assert ctx.determinant == prod(col.get(m, 0) for m, col in enumerate(paired)) == 1
+    hook = ctx.hook
+    expected_inverse = [None] * len(paired)
+    expected_digests = {}
+    for w, idxs in sorted(blocks.items()):
+        dense = [[paired[c].get(r, 0) for c in idxs] for r in idxs]
+        assert ctx.weight_block_matrix(w) == (
+            [hook.pairs[m] for m in idxs],
+            [ctx.witnesses[m] for m in idxs],
+            dense,
+        )
+        for m, x in _dense_block_inverse(paired, idxs).items():
+            expected_inverse[m] = {ctx.witnesses[c]: v for c, v in x.items()}
+        lines = [
+            "rows=" + ";".join(label_str(hook.coords, hook.pairs[m]) for m in idxs),
+            "cols=" + ";".join(label_str(ctx.domain, ctx.witnesses[m]) for m in idxs),
+        ]
+        lines += [",".join(map(str, row)) for row in dense]
+        text = "\n".join(lines) + "\n"
+        expected_digests[w] = hashlib.sha256(text.encode()).hexdigest()
+    assert inv.cols == expected_inverse
+    assert digests == expected_digests
+
+
+def test_verify_point_builds_the_paired_columns_once(monkeypatch):
+    builds = []
+    build = IsoContext._paired_columns
+
+    def counted(self):
+        builds.append((self.N, self.d))
+        return build(self)
+
+    monkeypatch.setattr(IsoContext, "_paired_columns", counted)
+    iso_context.cache_clear()
+    try:
+        point = verify_point(2, 3, (2, 3))
+    finally:
+        iso_context.cache_clear()  # drop the context built under the wrapper
+    assert all(point["checks"].values())
+    assert builds == [(2, 3)]
 
 
 # ----------------------------------------------------------------- equivariance

@@ -114,9 +114,16 @@ def vector_sets(draw):
         )
         orbit = list(vectors)
         for v in vectors:
-            while not v.is_zero():
+            # U - 1 is nilpotent, so (U - 1)^dim(space) v is zero
+            for _ in range(dim(space) + 1):
+                if v.is_zero():
+                    break
                 v = U.apply(v) - v
                 orbit.append(v)
+            else:
+                raise AssertionError(
+                    f"U - 1 is not nilpotent on {space} over GF({p})"
+                )
         vectors = []
         for v in orbit:
             if rank_of_vectors(vectors + [v]) > len(vectors):
