@@ -12,7 +12,6 @@ from plethy import (
     dim,
     identity_map,
     iso_context,
-    label_str,
     multiplication_map,
 )
 
@@ -28,7 +27,7 @@ s, k = 1, (0, 2, 5)
 image = basis_image(ZZ, N, d, s, k)
 print(f"image of s={s}, k={k}:")
 for label, coeff in sorted(image.coeffs.items()):
-    print(f"  {coeff:+d} * {label_str(ctx.hook.ambient, label)}")
+    print(f"  {coeff:+d} * {ctx.hook.ambient.label_str(label)}")
 
 mu = multiplication_map(ZZ, N, d)
 print("lands in the kernel:", mu.apply(image).is_zero())
@@ -36,17 +35,17 @@ print("lands in the kernel:", mu.apply(image).is_zero())
 coords = ctx.hook.coordinates(image)
 print("coordinates in the pair basis:")
 for pair, coeff in sorted(coords.coeffs.items()):
-    print(f"  {coeff:+d} * {label_str(ctx.hook.coords, pair)}")
+    print(f"  {coeff:+d} * {ctx.hook.coords.label_str(pair)}")
 print()
 
 w = 7
 rows, cols, mat = ctx.weight_block_matrix(w)
 print(f"Y-degree {w} block of the paired coordinate matrix:")
-header = " ".join(f"{label_str(ctx.domain, c):>10}" for c in cols)
+header = " ".join(f"{ctx.domain.label_str(c):>10}" for c in cols)
 print(" " * 12 + header)
 for pair, row in zip(rows, mat):
     cells = " ".join(f"{v:>10}" for v in row)
-    print(f"{label_str(ctx.hook.coords, pair):>10}  {cells}")
+    print(f"{ctx.hook.coords.label_str(pair):>10}  {cells}")
 print("unit diagonal, zeros above: the determinant is", ctx.determinant)
 print()
 
@@ -59,5 +58,5 @@ print("inverse is integral:", integral)
 print("inverse round trips both ways:", ok_domain and ok_pairs)
 print()
 print("first domain basis labels:", [
-    label_str(ctx.domain, l) for l in basis(ctx.domain)[:4]
+    ctx.domain.label_str(l) for l in basis(ctx.domain)[:4]
 ])

@@ -10,14 +10,25 @@ each other.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cache
 
 from .rings import IntPoly, binomial
-from .spaces import PairCoords, Space, Sym, Tensor, Wedge, basis, ydegree
+from .spaces import PairCoords, Space, Sym, Tensor, Wedge, basis
 
 
 def qpoly(coeffs) -> IntPoly:
     return IntPoly(coeffs, "q")
+
+
+def _count_qpoly(degrees) -> IntPoly:
+    """Sum of q^w over an iterable of degrees w: the last step of every
+    graded count here."""
+    counts = Counter(degrees)
+    out = [0] * (max(counts, default=-1) + 1)
+    for w, n in counts.items():
+        out[w] = n
+    return qpoly(out)
 
 
 def q_integer(n: int) -> IntPoly:
@@ -42,16 +53,7 @@ def gaussian_binomial(a: int, b: int) -> IntPoly:
 
 def qchar(space: Space) -> IntPoly:
     """Sum of q^(Y-degree) over the basis."""
-    counts: dict[int, int] = {}
-    for label in basis(space):
-        w = ydegree(space, label)
-        counts[w] = counts.get(w, 0) + 1
-    if not counts:
-        return qpoly(())
-    out = [0] * (max(counts) + 1)
-    for w, n in counts.items():
-        out[w] = n
-    return qpoly(out)
+    return _count_qpoly(map(space.ydegree, basis(space)))
 
 
 def hook_schur_polynomial(M: int, N: int, d: int) -> IntPoly:
@@ -60,20 +62,11 @@ def hook_schur_polynomial(M: int, N: int, d: int) -> IntPoly:
     increasing row tail of length M - 1 bounded below by the column top."""
     if M < 1 or N < 1 or d < 0:
         raise ValueError(f"bad (M, N, d) = ({M}, {N}, {d})")
-    counts: dict[int, int] = {}
-    for col in itertools.combinations(range(d + 1), N):
-        base = sum(col)
-        for tail in itertools.combinations_with_replacement(
-            range(col[0], d + 1), M - 1
-        ):
-            w = base + sum(tail)
-            counts[w] = counts.get(w, 0) + 1
-    if not counts:
-        return qpoly(())
-    out = [0] * (max(counts) + 1)
-    for w, n in counts.items():
-        out[w] = n
-    return qpoly(out)
+    return _count_qpoly(
+        sum(col) + sum(tail)
+        for col in itertools.combinations(range(d + 1), N)
+        for tail in itertools.combinations_with_replacement(range(col[0], d + 1), M - 1)
+    )
 
 
 def verify_qchar_identity(N: int, d: int) -> dict:

@@ -25,7 +25,7 @@ import concurrent.futures
 import sys
 from dataclasses import dataclass, field
 
-from .characters import hook_schur_polynomial, qchar, qpoly
+from .characters import _count_qpoly, hook_schur_polynomial, qchar
 from .rings import QQ, ConsistencyError, PrimeField, Ring
 from .spaces import (
     LinearMap,
@@ -84,15 +84,11 @@ def hook_kernel_map(ring: Ring, M: int, N: int, d: int) -> LinearMap:
                 continue
             lab, sgn = norm
             pos = m.index(x)
-            rest = m[:pos] + m[pos + 1 :]
-            cnt = m.count(x)
-            key = (lab, rest)
-            val = ring.add(out.get(key, ring.zero), ring.from_int(cnt * sgn))
-            if ring.is_zero(val):
-                out.pop(key, None)
-            else:
-                out[key] = val
-        return out
+            key = (lab, m[:pos] + m[pos + 1 :])
+            out[key] = out.get(key, 0) + m.count(x) * sgn
+        # the LinearMap constructor reduces each entry and drops the zeros,
+        # so a multiplicity divisible by p vanishes there
+        return {key: ring.from_int(n) for key, n in out.items()}
 
     return LinearMap.from_function(ring, domain, codomain, fn)
 
@@ -119,18 +115,13 @@ def kernel_qchar(ring: Ring, M: int, N: int, d: int):
     Kernel vectors produced by the elimination are automatically
     Y-homogeneous because columns of different degree never share a pivot
     row."""
-    counts: dict[int, int] = {}
+    degrees = []
     for v in hook_kernel_vectors(ring, M, N, d):
         w = v.homogeneous_ydegree()
         if w is None:
             raise ConsistencyError("kernel vector is not homogeneous")
-        counts[w] = counts.get(w, 0) + 1
-    if not counts:
-        return qpoly(())
-    out = [0] * (max(counts) + 1)
-    for w, n in counts.items():
-        out[w] = n
-    return qpoly(out)
+        degrees.append(w)
+    return _count_qpoly(degrees)
 
 
 def conjecture_qchar(M: int, N: int, d: int) -> dict:

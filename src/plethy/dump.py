@@ -25,15 +25,7 @@ from .rings import (
     Ring,
 )
 from .schur import HookSchurSpace
-from .spaces import (
-    LinearMap,
-    basis,
-    label_from_json,
-    label_str,
-    label_to_json,
-    space_from_json,
-    space_to_json,
-)
+from .spaces import LinearMap, basis, space_from_json
 
 
 def ring_to_json(ring: Ring):
@@ -89,10 +81,10 @@ def linear_map_to_json(A: LinearMap) -> dict:
     return {
         "kind": "linear_map",
         "ring": ring_to_json(A.ring),
-        "domain": space_to_json(A.domain),
-        "codomain": space_to_json(A.codomain),
-        "domain_basis": [label_to_json(A.domain, l) for l in dom],
-        "codomain_basis": [label_to_json(A.codomain, l) for l in cod],
+        "domain": A.domain.to_json(),
+        "codomain": A.codomain.to_json(),
+        "domain_basis": [A.domain.label_to_json(l) for l in dom],
+        "codomain_basis": [A.codomain.label_to_json(l) for l in cod],
         "entries": entries,
     }
 
@@ -105,8 +97,8 @@ def linear_map_from_json(data) -> LinearMap:
     codomain = space_from_json(data["codomain"])
     dom = basis(domain)
     cod = basis(codomain)
-    got_dom = [label_from_json(domain, l) for l in data["domain_basis"]]
-    got_cod = [label_from_json(codomain, l) for l in data["codomain_basis"]]
+    got_dom = [domain.label_from_json(l) for l in data["domain_basis"]]
+    got_cod = [codomain.label_from_json(l) for l in data["codomain_basis"]]
     if got_dom != list(dom) or got_cod != list(cod):
         raise ValueError("basis labels do not match the declared spaces")
     cols: list[dict] = [{} for _ in dom]
@@ -119,10 +111,10 @@ def linear_map_to_csv(A: LinearMap) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     dom = basis(A.domain)
-    writer.writerow([""] + [label_str(A.domain, l) for l in dom])
+    writer.writerow([""] + [A.domain.label_str(l) for l in dom])
     for row_label in basis(A.codomain):
         writer.writerow(
-            [label_str(A.codomain, row_label)]
+            [A.codomain.label_str(row_label)]
             + [A.ring.to_str(col.get(row_label, A.ring.zero)) for col in A.cols]
         )
     return out.getvalue()
@@ -133,9 +125,9 @@ def basis_to_json(hook: HookSchurSpace) -> list:
     for pair in hook.pairs:
         out.append(
             {
-                "pair": label_to_json(hook.coords, pair),
+                "pair": hook.coords.label_to_json(pair),
                 "support": [
-                    [label_to_json(hook.ambient, lab), 1]
+                    [hook.ambient.label_to_json(lab), 1]
                     for lab in hook.kernel_support(pair)
                 ],
             }
@@ -164,8 +156,8 @@ def _block_text(ctx: IsoContext, idxs: list) -> str:
                 rows[i][k] = str(v)
     hook = ctx.hook
     lines = [
-        "rows=" + ";".join(label_str(hook.coords, hook.pairs[m]) for m in idxs),
-        "cols=" + ";".join(label_str(ctx.domain, ctx.witnesses[m]) for m in idxs),
+        "rows=" + ";".join(hook.coords.label_str(hook.pairs[m]) for m in idxs),
+        "cols=" + ";".join(ctx.domain.label_str(ctx.witnesses[m]) for m in idxs),
     ]
     lines.extend(map(",".join, rows))
     return "\n".join(lines) + "\n"

@@ -52,12 +52,9 @@ from .spaces import (
     dim,
     group_action_map,
     identity_map,
-    label_str,
     lie_action_map,
     multiplication_map,
-    total_degree,
     wedge_normalize,
-    ydegree,
 )
 
 
@@ -140,7 +137,7 @@ class IsoContext:
         self.diagonal = [col.get(m, 0) for m, col in enumerate(self.paired_columns)]
         self._blocks: dict = {}
         for m, pair in enumerate(self.hook.pairs):
-            self._blocks.setdefault(ydegree(self.hook.coords, pair), []).append(m)
+            self._blocks.setdefault(self.hook.coords.ydegree(pair), []).append(m)
         self._check_unitriangular()
         self.unitriangular = True
         self.inverse_round_trip = False  # set by inverse() once both trips pass
@@ -450,4 +447,4 @@ def gl2_scalar_exponents(N: int, d: int) -> tuple[int, int]:
     """Scalar matrices act on both sides by the same power: the domain's
     homogeneous degree versus the kernel's degree plus the twist 2N."""
     ctx = iso_context(N, d)
-    return total_degree(ctx.domain), total_degree(ctx.hook.ambient) + 2 * N
+    return ctx.domain.total_degree(), ctx.hook.ambient.total_degree() + 2 * N

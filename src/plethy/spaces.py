@@ -1,11 +1,19 @@
 """Representation spaces for SL2 with exact scalars.
 
 Spaces are immutable descriptors built from Sym(c) atoms: wedge powers,
-symmetric powers, and binary tensors.  A basis vector of Sym(c) is the
-monomial X^(c-a) Y^a, labeled by the Y-exponent a.  Wedge and SymPower
-labels are strictly or weakly increasing tuples of inner labels; tensor
-labels are pairs.  Basis enumeration order is fixed once and for all:
-lexicographic tuples, tensor pairs with the left factor outermost.
+symmetric powers, binary tensors, and the coordinate space of the sorted
+semistandard pairs.  A basis vector of Sym(c) is the monomial
+X^(c-a) Y^a, labeled by the Y-exponent a.  Wedge and SymPower labels are
+strictly or weakly increasing tuples of inner labels; tensor labels are
+pairs.  Basis enumeration order is fixed once and for all: lexicographic
+tuples, tensor pairs with the left factor outermost.
+
+Each space type carries its own facts as methods: its basis and dim, the
+Y-degree of a label and the total degree, the label format, the JSON form
+of the space and of its labels, and the images of one label under the
+group and Lie actions.  The module functions basis, basis_index and dim
+hold the one cache that all equal spaces share.  To add a kind, write one
+Space subclass and add it to the space_from_json kind table, _KINDS.
 
 The two-by-two matrix g = ((g11, g12), (g21, g22)) acts on the left by
 g.X = g11 X + g21 Y and g.Y = g12 X + g22 Y, so columns of g are the
@@ -19,58 +27,274 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
+from typing import ClassVar
 
 from .rings import Ring, ZZ, QQ, binomial
 from . import tableaux
 
 
+class Space:
+    """The interface of a space kind, a frozen dataclass with a JSON kind.
+
+    _basis() and _dim() enumerate and count the basis (call basis and dim,
+    which cache them); ydegree(label) is the total Y-exponent of a basis
+    vector and total_degree() the degree in X, Y that every basis vector
+    shares; label_str, label_to_json and label_from_json format one label;
+    to_json() and the classmethod _from_json serialize the space.
+
+    _label_action(ring, g, label, memo) is the image of one label under g,
+    entries possibly unreduced; memo holds one action build's memos, and
+    since memoized images are shared, callers must not mutate a returned
+    image.  _lie_label(which, label) is the image under e or f with integer
+    entries.  A kind that is not a polynomial space inherits the refusals
+    below."""
+
+    kind: ClassVar[str]
+
+    def _label_action(self, ring: Ring, g, label, memo: dict) -> dict:
+        raise TypeError(f"the group action is undefined on {self!r}")
+
+    def _lie_label(self, which: str, label) -> dict:
+        raise TypeError(f"the Lie action is undefined on {self!r}")
+
+
 @dataclass(frozen=True)
-class Sym:
+class Sym(Space):
     """Sym^c E, dimension c + 1."""
 
     c: int
+
+    kind = "sym"
 
     def __post_init__(self):
         if self.c < 0:
             raise ValueError(f"Sym needs c >= 0, got {self.c}")
 
+    def _basis(self):
+        return tuple(range(self.c + 1))
+
+    def _dim(self):
+        return self.c + 1
+
+    def ydegree(self, label) -> int:
+        return label
+
+    def total_degree(self) -> int:
+        return self.c
+
+    def label_str(self, label) -> str:
+        return str(label)
+
+    def to_json(self):
+        return {"kind": self.kind, "c": self.c}
+
+    @classmethod
+    def _from_json(cls, data):
+        return cls(data["c"])
+
+    def label_to_json(self, label):
+        return label
+
+    def label_from_json(self, data):
+        return int(data)
+
+    def _label_action(self, ring, g, label, memo):
+        """g.(X^(c-a) Y^a), from the table of all c + 1 images, built once
+        per c in the memo."""
+        table = memo.get(self.c)
+        if table is None:
+            table = memo[self.c] = _sym_action_table(ring, g, self.c)
+        return table[label]
+
+    def _lie_label(self, which, a):
+        if which == "e":
+            return {a - 1: a} if a >= 1 else {}
+        return {a + 1: self.c - a} if a <= self.c - 1 else {}
+
 
 @dataclass(frozen=True)
-class Wedge:
+class _Power(Space):
+    """The r-th power of a Sym atom: labels are strictly (Wedge) or weakly
+    (SymPower) increasing tuples of inner labels."""
+
+    r: int
+    inner: Sym
+
+    strict: ClassVar[bool]
+
+    def __post_init__(self):
+        name = type(self).__name__
+        if self.r < 0:
+            raise ValueError(f"{name} needs r >= 0, got {self.r}")
+        if not isinstance(self.inner, Sym):
+            raise ValueError(f"{name} supports Sym atoms only")
+
+    def ydegree(self, label) -> int:
+        return sum(label)
+
+    def total_degree(self) -> int:
+        return self.r * self.inner.c
+
+    def label_str(self, label) -> str:
+        return "(" + ",".join(map(str, label)) + ")"
+
+    def to_json(self):
+        return {"kind": self.kind, "r": self.r, "inner": self.inner.to_json()}
+
+    @classmethod
+    def _from_json(cls, data):
+        return cls(data["r"], space_from_json(data["inner"]))
+
+    def label_to_json(self, label):
+        return list(label)
+
+    def label_from_json(self, data):
+        return tuple(int(v) for v in data)
+
+    def _label_action(self, ring, g, label, memo):
+        """The image of the prefix label[:-1], memoized, times the image of
+        label[-1].  A new factor b is placed with bisect; in a wedge, moving
+        it past the len(t) - pos larger factors gives the sign
+        (-1)^(len(t) - pos), and a repeated factor gives zero.  Prefixes are
+        memoized by (c, strict, prefix), so powers of every r share them."""
+        strict = self.strict
+        key = (self.inner.c, strict, label)
+        img = memo.get(key)
+        if img is not None:
+            return img
+        if not label:
+            img = {(): ring.one}
+        else:
+            head = self._label_action(ring, g, label[:-1], memo)
+            last = self.inner._label_action(ring, g, label[-1], memo).items()
+            zero = ring.zero
+            out: dict = {}
+            get = out.get
+            for t, v in head.items():
+                n = len(t)
+                for b, cb in last:
+                    pos = bisect_left(t, b)
+                    if strict and pos < n and t[pos] == b:
+                        continue
+                    new = t[:pos] + (b,) + t[pos:]
+                    if strict and (n - pos) & 1:
+                        out[new] = get(new, zero) - v * cb
+                    else:
+                        out[new] = get(new, zero) + v * cb
+            img = _settled(ring, out)
+        memo[key] = img
+        return img
+
+    def _lie_label(self, which, label):
+        c = self.inner.c
+        out: dict = {}
+        for idx, a in enumerate(label):
+            if which == "e":
+                if a < 1:
+                    continue
+                new = label[:idx] + (a - 1,) + label[idx + 1 :]
+                coeff = a
+            else:
+                if a > c - 1:
+                    continue
+                new = label[:idx] + (a + 1,) + label[idx + 1 :]
+                coeff = c - a
+            if self.strict:
+                if any(x == y for x, y in zip(new, new[1:])):
+                    continue
+            else:
+                new = tuple(sorted(new))
+            out[new] = out.get(new, 0) + coeff
+        return out
+
+
+class Wedge(_Power):
     """Wedge^r of an inner Sym space."""
 
-    r: int
-    inner: Sym
+    strict = True
+    kind = "wedge"
 
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"Wedge needs r >= 0, got {self.r}")
-        if not isinstance(self.inner, Sym):
-            raise ValueError("Wedge supports Sym atoms only")
+    def _basis(self):
+        return tuple(itertools.combinations(range(self.inner.c + 1), self.r))
+
+    def _dim(self):
+        return binomial(self.inner.c + 1, self.r)
 
 
-@dataclass(frozen=True)
-class SymPower:
+class SymPower(_Power):
     """Sym^r of an inner Sym space, basis of weakly increasing tuples."""
 
-    r: int
-    inner: Sym
+    strict = False
+    kind = "sympower"
 
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"SymPower needs r >= 0, got {self.r}")
-        if not isinstance(self.inner, Sym):
-            raise ValueError("SymPower supports Sym atoms only")
+    def _basis(self):
+        return tuple(
+            itertools.combinations_with_replacement(range(self.inner.c + 1), self.r)
+        )
 
-
-@dataclass(frozen=True)
-class Tensor:
-    left: "Space"
-    right: "Space"
+    def _dim(self):
+        return binomial(self.inner.c + self.r, self.r)
 
 
 @dataclass(frozen=True)
-class PairCoords:
+class Tensor(Space):
+    left: Space
+    right: Space
+
+    kind = "tensor"
+
+    def _basis(self):
+        return tuple((l, r) for l in basis(self.left) for r in basis(self.right))
+
+    def _dim(self):
+        return dim(self.left) * dim(self.right)
+
+    def ydegree(self, label) -> int:
+        return self.left.ydegree(label[0]) + self.right.ydegree(label[1])
+
+    def total_degree(self) -> int:
+        return self.left.total_degree() + self.right.total_degree()
+
+    def label_str(self, label) -> str:
+        return self.left.label_str(label[0]) + "|" + self.right.label_str(label[1])
+
+    def to_json(self):
+        return {
+            "kind": self.kind,
+            "left": self.left.to_json(),
+            "right": self.right.to_json(),
+        }
+
+    @classmethod
+    def _from_json(cls, data):
+        return cls(space_from_json(data["left"]), space_from_json(data["right"]))
+
+    def label_to_json(self, label):
+        return [self.left.label_to_json(label[0]), self.right.label_to_json(label[1])]
+
+    def label_from_json(self, data):
+        return (self.left.label_from_json(data[0]), self.right.label_from_json(data[1]))
+
+    def _label_action(self, ring, g, label, memo):
+        # a product of two nonzero entries is nonzero in every ring here
+        # (GF(p) included), so the image is reduced once, by its consumer
+        lpart = _factor_action(ring, g, self.left, label[0], memo)
+        rpart = _factor_action(ring, g, self.right, label[1], memo)
+        return {
+            (ll, rl): lv * rv for ll, lv in lpart.items() for rl, rv in rpart.items()
+        }
+
+    def _lie_label(self, which, label):
+        l0, l1 = label
+        out = {(ll, l1): lv for ll, lv in self.left._lie_label(which, l0).items()}
+        for rl, rv in self.right._lie_label(which, l1).items():
+            key = (l0, rl)
+            out[key] = out.get(key, 0) + rv
+        return out
+
+
+@dataclass(frozen=True)
+class PairCoords(Space):
     """Coordinate space whose basis is the sorted semistandard pairs.
 
     Not itself a polynomial space; it names coordinates with respect to the
@@ -81,31 +305,54 @@ class PairCoords:
     N: int
     d: int
 
+    kind = "paircoords"
+
     def __post_init__(self):
         if self.N < 1 or self.d < 0:
             raise ValueError(f"bad (N, d) = ({self.N}, {self.d})")
 
+    def _basis(self):
+        return tuple(tableaux.semistandard_pairs(self.N, self.d))
 
-Space = Sym | Wedge | SymPower | Tensor | PairCoords
+    def _dim(self):
+        return tableaux.count_hook_tableaux(self.N, self.d)
+
+    def ydegree(self, label) -> int:
+        return sum(label[0]) + label[1]
+
+    def total_degree(self) -> int:
+        return (self.N + 1) * self.d
+
+    def label_str(self, label) -> str:
+        return "(" + ",".join(map(str, label[0])) + ")|" + str(label[1])
+
+    def to_json(self):
+        return {"kind": self.kind, "N": self.N, "d": self.d}
+
+    @classmethod
+    def _from_json(cls, data):
+        return cls(data["N"], data["d"])
+
+    def label_to_json(self, label):
+        return [list(label[0]), label[1]]
+
+    def label_from_json(self, data):
+        return (tuple(int(v) for v in data[0]), int(data[1]))
+
+
+_KINDS = {cls.kind: cls for cls in (Sym, Wedge, SymPower, Tensor, PairCoords)}
+
+
+def space_from_json(data) -> Space:
+    cls = _KINDS.get(data["kind"])
+    if cls is None:
+        raise ValueError(f"unknown space kind {data['kind']!r}")
+    return cls._from_json(data)
 
 
 @cache
 def basis(space: Space) -> tuple:
-    if isinstance(space, Sym):
-        return tuple(range(space.c + 1))
-    if isinstance(space, Wedge):
-        return tuple(itertools.combinations(range(space.inner.c + 1), space.r))
-    if isinstance(space, SymPower):
-        return tuple(
-            itertools.combinations_with_replacement(range(space.inner.c + 1), space.r)
-        )
-    if isinstance(space, Tensor):
-        return tuple(
-            (l, r) for l in basis(space.left) for r in basis(space.right)
-        )
-    if isinstance(space, PairCoords):
-        return tuple(tableaux.semistandard_pairs(space.N, space.d))
-    raise TypeError(f"not a space: {space!r}")
+    return space._basis()
 
 
 @cache
@@ -113,116 +360,9 @@ def basis_index(space: Space) -> dict:
     return {label: n for n, label in enumerate(basis(space))}
 
 
+@cache
 def dim(space: Space) -> int:
-    if isinstance(space, Sym):
-        return space.c + 1
-    if isinstance(space, Wedge):
-        return binomial(space.inner.c + 1, space.r)
-    if isinstance(space, SymPower):
-        return binomial(space.inner.c + space.r, space.r)
-    if isinstance(space, Tensor):
-        return dim(space.left) * dim(space.right)
-    if isinstance(space, PairCoords):
-        return tableaux.count_hook_tableaux(space.N, space.d)
-    raise TypeError(f"not a space: {space!r}")
-
-
-def ydegree(space: Space, label) -> int:
-    """Total Y-exponent of a basis vector."""
-    if isinstance(space, Sym):
-        return label
-    if isinstance(space, (Wedge, SymPower)):
-        return sum(label)
-    if isinstance(space, Tensor):
-        return ydegree(space.left, label[0]) + ydegree(space.right, label[1])
-    if isinstance(space, PairCoords):
-        return sum(label[0]) + label[1]
-    raise TypeError(f"not a space: {space!r}")
-
-
-def total_degree(space: Space) -> int:
-    """Homogeneous degree in X, Y shared by every basis vector."""
-    if isinstance(space, Sym):
-        return space.c
-    if isinstance(space, (Wedge, SymPower)):
-        return space.r * space.inner.c
-    if isinstance(space, Tensor):
-        return total_degree(space.left) + total_degree(space.right)
-    if isinstance(space, PairCoords):
-        return (space.N + 1) * space.d
-    raise TypeError(f"not a space: {space!r}")
-
-
-def label_str(space: Space, label) -> str:
-    if isinstance(space, Sym):
-        return str(label)
-    if isinstance(space, (Wedge, SymPower)):
-        return "(" + ",".join(map(str, label)) + ")"
-    if isinstance(space, Tensor):
-        return label_str(space.left, label[0]) + "|" + label_str(space.right, label[1])
-    if isinstance(space, PairCoords):
-        return "(" + ",".join(map(str, label[0])) + ")|" + str(label[1])
-    raise TypeError(f"not a space: {space!r}")
-
-
-def space_to_json(space: Space):
-    if isinstance(space, Sym):
-        return {"kind": "sym", "c": space.c}
-    if isinstance(space, Wedge):
-        return {"kind": "wedge", "r": space.r, "inner": space_to_json(space.inner)}
-    if isinstance(space, SymPower):
-        return {"kind": "sympower", "r": space.r, "inner": space_to_json(space.inner)}
-    if isinstance(space, Tensor):
-        return {
-            "kind": "tensor",
-            "left": space_to_json(space.left),
-            "right": space_to_json(space.right),
-        }
-    if isinstance(space, PairCoords):
-        return {"kind": "paircoords", "N": space.N, "d": space.d}
-    raise TypeError(f"not a space: {space!r}")
-
-
-def space_from_json(data) -> Space:
-    kind = data["kind"]
-    if kind == "sym":
-        return Sym(data["c"])
-    if kind == "wedge":
-        return Wedge(data["r"], space_from_json(data["inner"]))
-    if kind == "sympower":
-        return SymPower(data["r"], space_from_json(data["inner"]))
-    if kind == "tensor":
-        return Tensor(space_from_json(data["left"]), space_from_json(data["right"]))
-    if kind == "paircoords":
-        return PairCoords(data["N"], data["d"])
-    raise ValueError(f"unknown space kind {kind!r}")
-
-
-def label_to_json(space: Space, label):
-    if isinstance(space, Sym):
-        return label
-    if isinstance(space, (Wedge, SymPower)):
-        return list(label)
-    if isinstance(space, Tensor):
-        return [label_to_json(space.left, label[0]), label_to_json(space.right, label[1])]
-    if isinstance(space, PairCoords):
-        return [list(label[0]), label[1]]
-    raise TypeError(f"not a space: {space!r}")
-
-
-def label_from_json(space: Space, data):
-    if isinstance(space, Sym):
-        return int(data)
-    if isinstance(space, (Wedge, SymPower)):
-        return tuple(int(v) for v in data)
-    if isinstance(space, Tensor):
-        return (
-            label_from_json(space.left, data[0]),
-            label_from_json(space.right, data[1]),
-        )
-    if isinstance(space, PairCoords):
-        return (tuple(int(v) for v in data[0]), int(data[1]))
-    raise TypeError(f"not a space: {space!r}")
+    return space._dim()
 
 
 def wedge_normalize(factors, top: int):
@@ -306,7 +446,7 @@ class ModuleElement:
 
     def homogeneous_ydegree(self):
         """The common Y-degree of the support, or None if mixed or zero."""
-        degs = {ydegree(self.space, l) for l in self.coeffs}
+        degs = set(map(self.space.ydegree, self.coeffs))
         return degs.pop() if len(degs) == 1 else None
 
     def __repr__(self):
@@ -314,7 +454,7 @@ class ModuleElement:
             return "0"
         idx = basis_index(self.space)
         parts = [
-            f"{self.ring.to_str(v)}*{label_str(self.space, l)}"
+            f"{self.ring.to_str(v)}*{self.space.label_str(l)}"
             for l, v in sorted(self.coeffs.items(), key=lambda kv: idx[kv[0]])
         ]
         return " + ".join(parts)
@@ -473,181 +613,36 @@ def _sym_action_table(ring: Ring, g, c: int):
     return table
 
 
-def _power_action(ring: Ring, g, c: int, strict: bool, label: tuple, memo: dict):
-    """Image of a label of Wedge (strict) or SymPower of Sym(c): the image
-    of its prefix label[:-1], memoized, times the image of label[-1].  A new
-    factor b is placed with bisect; in a wedge, moving it past the
-    len(t) - pos larger factors gives the sign (-1)^(len(t) - pos), and a
-    repeated factor gives zero."""
-    key = (c, strict, label)
-    img = memo.get(key)
-    if img is not None:
-        return img
-    if not label:
-        img = {(): ring.one}
-    else:
-        head = _power_action(ring, g, c, strict, label[:-1], memo)
-        table = _sym_table(ring, g, c, memo)
-        last = table[label[-1]].items()
-        zero = ring.zero
-        out: dict = {}
-        get = out.get
-        for t, v in head.items():
-            n = len(t)
-            for b, cb in last:
-                pos = bisect_left(t, b)
-                if strict and pos < n and t[pos] == b:
-                    continue
-                new = t[:pos] + (b,) + t[pos:]
-                if strict and (n - pos) & 1:
-                    out[new] = get(new, zero) - v * cb
-                else:
-                    out[new] = get(new, zero) + v * cb
-        img = _settled(ring, out)
-    memo[key] = img
-    return img
-
-
-def _label_action(ring: Ring, g, space: Space, label, sym_tables: dict) -> dict:
-    """The image of one basis label under g, entries possibly unreduced.
-    sym_tables holds this call's memos: Sym tables by c, power prefix images
-    by (c, strict, prefix), and tensor factor images by (space, label).
-    Memoized dicts are shared, so callers must not mutate a returned image."""
-    if isinstance(space, Sym):
-        return _sym_table(ring, g, space.c, sym_tables)[label]
-    if isinstance(space, (Wedge, SymPower)):
-        strict = isinstance(space, Wedge)
-        return _power_action(ring, g, space.inner.c, strict, label, sym_tables)
-    if isinstance(space, Tensor):
-        # a product of two nonzero entries is nonzero in every ring here
-        # (GF(p) included), so the image is reduced once, by its consumer
-        lpart = _factor_action(ring, g, space.left, label[0], sym_tables)
-        rpart = _factor_action(ring, g, space.right, label[1], sym_tables)
-        return {
-            (ll, rl): lv * rv for ll, lv in lpart.items() for rl, rv in rpart.items()
-        }
-    raise TypeError(f"not a space: {space!r}")
-
-
-def _sym_table(ring: Ring, g, c: int, sym_tables: dict):
-    table = sym_tables.get(c)
-    if table is None:
-        table = sym_tables[c] = _sym_action_table(ring, g, c)
-    return table
-
-
-def _factor_action(ring: Ring, g, space: Space, label, sym_tables: dict) -> dict:
-    """_label_action on a tensor factor, memoized in the per-call tables:
+def _factor_action(ring: Ring, g, space: Space, label, memo: dict) -> dict:
+    """A tensor factor's _label_action, memoized in the per-call memo:
     every factor label recurs once per label of the other factor."""
     key = (space, label)
-    img = sym_tables.get(key)
+    img = memo.get(key)
     if img is None:
-        img = sym_tables[key] = _label_action(ring, g, space, label, sym_tables)
+        img = memo[key] = space._label_action(ring, g, label, memo)
     return img
-
-
-def _check_matrix(ring: Ring, g):
-    if len(g) != 2 or any(len(row) != 2 for row in g):
-        raise ValueError("expected a 2x2 matrix")
-    return tuple(tuple(row) for row in g)
-
-
-def act_group(g, v: ModuleElement) -> ModuleElement:
-    """Apply a 2x2 matrix with entries in v's ring to an element."""
-    g = _check_matrix(v.ring, g)
-    ring = v.ring
-    sym_tables: dict = {}
-    zero = ring.zero
-    out: dict = {}
-    for label, c in v.coeffs.items():
-        for l, m in _label_action(ring, g, v.space, label, sym_tables).items():
-            out[l] = out.get(l, zero) + c * m
-    return ModuleElement(v.space, ring, out)
 
 
 def group_action_map(ring: Ring, g, space: Space) -> LinearMap:
     """The whole action matrix of g on a space."""
-    g = _check_matrix(ring, g)
-    sym_tables: dict = {}
-    cols = (_label_action(ring, g, space, label, sym_tables) for label in basis(space))
+    if len(g) != 2 or any(len(row) != 2 for row in g):
+        raise ValueError("expected a 2x2 matrix")
+    g = tuple(tuple(row) for row in g)
+    memo: dict = {}
+    cols = (space._label_action(ring, g, label, memo) for label in basis(space))
     return LinearMap(space, space, ring, cols)
 
 
 # ------------------------------------------------------------------ Lie action
 
 
-def _lie_label(which: str, space: Space, label) -> dict:
-    """The image of one basis label under e or f, with integer entries."""
-    out: dict = {}
-    if isinstance(space, Sym):
-        c, a = space.c, label
-        if which == "e":
-            if a >= 1:
-                out[a - 1] = a
-        else:
-            if a <= c - 1:
-                out[a + 1] = c - a
-        return out
-    if isinstance(space, (Wedge, SymPower)):
-        c = space.inner.c
-        strict = isinstance(space, Wedge)
-        for idx, a in enumerate(label):
-            if which == "e":
-                if a < 1:
-                    continue
-                new = label[:idx] + (a - 1,) + label[idx + 1 :]
-                coeff = a
-            else:
-                if a > c - 1:
-                    continue
-                new = label[:idx] + (a + 1,) + label[idx + 1 :]
-                coeff = c - a
-            if strict:
-                if any(x == y for x, y in zip(new, new[1:])):
-                    continue
-            else:
-                new = tuple(sorted(new))
-            out[new] = out.get(new, 0) + coeff
-        return out
-    if isinstance(space, Tensor):
-        for ll, lv in _lie_label(which, space.left, label[0]).items():
-            out[(ll, label[1])] = lv
-        for rl, rv in _lie_label(which, space.right, label[1]).items():
-            key = (label[0], rl)
-            out[key] = out.get(key, 0) + rv
-        return out
-    raise TypeError(f"not a space: {space!r}")
-
-
-def _require_char_zero(ring: Ring):
+def lie_action_map(ring: Ring, which: str, space: Space) -> LinearMap:
+    """e = X d/dY lowers the Y-degree by one, f = Y d/dX raises it."""
     if ring not in (ZZ, QQ):
         raise ValueError("Lie generators act only over ZZ or QQ")
-
-
-def act_e(v: ModuleElement) -> ModuleElement:
-    """e = X d/dY, the raising generator; lowers the Y-degree by one."""
-    return _act_lie("e", v)
-
-
-def act_f(v: ModuleElement) -> ModuleElement:
-    """f = Y d/dX; raises the Y-degree by one."""
-    return _act_lie("f", v)
-
-
-def _act_lie(which: str, v: ModuleElement) -> ModuleElement:
-    _require_char_zero(v.ring)
-    out: dict = {}
-    for label, c in v.coeffs.items():
-        for l, m in _lie_label(which, v.space, label).items():
-            out[l] = out.get(l, 0) + c * m
-    return ModuleElement(v.space, v.ring, out)
-
-
-def lie_action_map(ring: Ring, which: str, space: Space) -> LinearMap:
-    _require_char_zero(ring)
     if which not in ("e", "f"):
         raise ValueError(f"unknown generator {which!r}")
-    cols = [_lie_label(which, space, label) for label in basis(space)]
+    cols = [space._lie_label(which, label) for label in basis(space)]
     A = LinearMap(space, space, ZZ, cols)
     return A if ring == ZZ else A.map_entries(ring, ring.from_int)
 

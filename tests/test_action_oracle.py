@@ -19,13 +19,11 @@ from plethy import (
     ZZ,
     IntPoly,
     LinearMap,
-    ModuleElement,
     PrimeField,
     Sym,
     SymPower,
     Tensor,
     Wedge,
-    act_group,
     basis,
     basis_index,
     binomial,
@@ -202,18 +200,6 @@ def test_action_map_matches_oracle(ring_g, space):
     ring, g = ring_g
     A = group_action_map(ring, g, space)
     assert A.cols == oracle_action_cols(ring, g, space)
-
-
-@settings(max_examples=60, deadline=None)
-@given(ring_and_matrix(), SPACES, st.data())
-def test_act_group_matches_oracle(ring_g, space, data):
-    ring, g = ring_g
-    labels = basis(space)
-    support = data.draw(st.lists(st.sampled_from(labels), max_size=3)) if labels else []
-    v = ModuleElement(space, ring, {l: data.draw(scalars(ring)) for l in support})
-    cols = oracle_action_cols(ring, g, space)
-    expected = LinearMap(space, space, ring, cols).apply(v)
-    assert act_group(g, v) == expected
 
 
 def test_action_oracle_covers_a_wedge_sign():

@@ -31,7 +31,6 @@ from plethy import (
     identity_map,
     increasing_tuples,
     iso_context,
-    label_str,
     multiplication_map,
     reversal_sign,
     triangular_witness,
@@ -43,7 +42,6 @@ from plethy import (
     weight_block_digest,
     weight_block_digests,
     weight_block_text,
-    ydegree,
 )
 import plethy.iso as iso
 from plethy.cli import verify_point
@@ -95,7 +93,7 @@ def test_images_are_homogeneous_with_twist():
     ctx = iso_context(3, 5)
     for s, k in basis(ctx.domain):
         v = basis_image(ZZ, 3, 5, s, k)
-        w = ydegree(ctx.domain, (s, k))
+        w = ctx.domain.ydegree((s, k))
         assert v.homogeneous_ydegree() == w - 3  # twist by N
 
 
@@ -256,7 +254,7 @@ def _fresh_paired_structure(ctx):
     ]
     blocks: dict = {}
     for m, pair in enumerate(ctx.hook.pairs):
-        blocks.setdefault(ydegree(ctx.hook.coords, pair), []).append(m)
+        blocks.setdefault(ctx.hook.coords.ydegree(pair), []).append(m)
     return paired, blocks
 
 
@@ -298,8 +296,8 @@ def test_stored_paired_structure_matches_a_fresh_rebuild(N, d):
         for m, x in _dense_block_inverse(paired, idxs).items():
             expected_inverse[m] = {ctx.witnesses[c]: v for c, v in x.items()}
         lines = [
-            "rows=" + ";".join(label_str(hook.coords, hook.pairs[m]) for m in idxs),
-            "cols=" + ";".join(label_str(ctx.domain, ctx.witnesses[m]) for m in idxs),
+            "rows=" + ";".join(hook.coords.label_str(hook.pairs[m]) for m in idxs),
+            "cols=" + ";".join(ctx.domain.label_str(ctx.witnesses[m]) for m in idxs),
         ]
         lines += [",".join(map(str, row)) for row in dense]
         text = "\n".join(lines) + "\n"

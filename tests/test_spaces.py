@@ -1,6 +1,7 @@
 """Spaces, actions, and exact sparse elimination."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -10,9 +11,7 @@ from hypothesis import strategies as st
 
 from plethy import (
     QQ,
-    ZGAMMA,
     ZZ,
-    IntPoly,
     LinearMap,
     ModuleElement,
     PairCoords,
@@ -21,25 +20,20 @@ from plethy import (
     SymPower,
     Tensor,
     Wedge,
-    act_e,
-    act_f,
-    act_group,
     basis,
     basis_index,
     dim,
     group_action_map,
     identity_map,
     kernel_basis,
-    label_str,
     lie_action_map,
     multiplication_map,
     rank,
     rank_of_vectors,
     solve,
-    total_degree,
     wedge_normalize,
-    ydegree,
 )
+from plethy.spaces import space_from_json
 
 # ---------------------------------------------------------------- dimensions
 
@@ -68,16 +62,16 @@ def test_basis_sizes_match_dims():
 
 
 def test_degree_bookkeeping():
-    assert ydegree(Sym(5), 3) == 3
-    assert ydegree(Wedge(2, Sym(4)), (1, 3)) == 4
-    assert ydegree(Tensor(Sym(2), Sym(3)), (1, 2)) == 3
-    assert ydegree(SymPower(2, Sym(3)), (1, 2)) == 3
-    assert total_degree(Sym(5)) == 5
-    assert total_degree(Wedge(2, Sym(4))) == 8
-    assert total_degree(Tensor(Sym(2), Wedge(3, Sym(5)))) == 17
+    assert Sym(5).ydegree(3) == 3
+    assert Wedge(2, Sym(4)).ydegree((1, 3)) == 4
+    assert Tensor(Sym(2), Sym(3)).ydegree((1, 2)) == 3
+    assert SymPower(2, Sym(3)).ydegree((1, 2)) == 3
+    assert Sym(5).total_degree() == 5
+    assert Wedge(2, Sym(4)).total_degree() == 8
+    assert Tensor(Sym(2), Wedge(3, Sym(5))).total_degree() == 17
     # pair coordinates carry the kernel's degree
-    assert total_degree(PairCoords(2, 4)) == 12
-    assert ydegree(PairCoords(2, 4), ((0, 3), 4)) == 7
+    assert PairCoords(2, 4).total_degree() == 12
+    assert PairCoords(2, 4).ydegree(((0, 3), 4)) == 7
 
 
 def test_wedge_and_sympower_require_sym_inner():
@@ -88,10 +82,67 @@ def test_wedge_and_sympower_require_sym_inner():
 
 
 def test_label_str_round_feel():
-    assert label_str(Sym(4), 2) == "2"
-    assert label_str(Wedge(2, Sym(4)), (0, 3)) == "(0,3)"
-    assert label_str(Tensor(Sym(2), Wedge(2, Sym(4))), (1, (0, 3))) == "1|(0,3)"
-    assert label_str(PairCoords(2, 4), ((0, 3), 4)) == "(0,3)|4"
+    assert Sym(4).label_str(2) == "2"
+    assert Wedge(2, Sym(4)).label_str((0, 3)) == "(0,3)"
+    assert SymPower(3, Sym(4)).label_str((1, 1, 4)) == "(1,1,4)"
+    assert Tensor(Sym(2), Wedge(2, Sym(4))).label_str((1, (0, 3))) == "1|(0,3)"
+    assert PairCoords(2, 4).label_str(((0, 3), 4)) == "(0,3)|4"
+
+
+_contract_atoms = st.one_of(
+    st.integers(0, 4).map(Sym),
+    st.builds(Wedge, st.integers(0, 3), st.integers(0, 4).map(Sym)),
+    st.builds(SymPower, st.integers(0, 3), st.integers(0, 3).map(Sym)),
+    st.builds(PairCoords, st.integers(1, 3), st.integers(0, 3)),
+)
+_contract_spaces = st.recursive(
+    _contract_atoms, lambda inner: st.builds(Tensor, inner, inner), max_leaves=3
+).filter(lambda s: dim(s) <= 200)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_contract_spaces)
+def test_space_type_contract(space):
+    # every kind serializes itself and its labels, and its basis and
+    # degrees agree with one another
+    assert space_from_json(json.loads(json.dumps(space.to_json()))) == space
+    labels = basis(space)
+    assert len(labels) == dim(space)
+    top = space.total_degree()
+    for label in labels:
+        data = json.loads(json.dumps(space.label_to_json(label)))
+        assert space.label_from_json(data) == label
+        assert 0 <= space.ydegree(label) <= top
+
+
+def test_space_from_json_rejects_unknown_kind():
+    with pytest.raises(ValueError):
+        space_from_json({"kind": "schur", "c": 2})
+
+
+def test_wedge_and_sympower_stay_distinct():
+    # the two power kinds share fields and code but not equality, reprs or
+    # cached bases
+    wedge, sympower = Wedge(2, Sym(2)), SymPower(2, Sym(2))
+    assert wedge != sympower
+    assert repr(wedge) == "Wedge(r=2, inner=Sym(c=2))"
+    assert repr(sympower) == "SymPower(r=2, inner=Sym(c=2))"
+    assert basis(wedge) == ((0, 1), (0, 2), (1, 2))
+    assert len(basis(sympower)) == dim(sympower) == 6
+    assert basis_index(wedge) != basis_index(sympower)
+    assert wedge.to_json()["kind"] == "wedge"
+    assert sympower.to_json()["kind"] == "sympower"
+
+
+@pytest.mark.parametrize(
+    "space", [PairCoords(2, 3), Tensor(PairCoords(1, 1), Sym(1))], ids=str
+)
+def test_pair_coords_refuse_the_actions(space):
+    with pytest.raises(TypeError, match="group action is undefined on PairCoords"):
+        group_action_map(ZZ, ((1, 0), (0, 1)), space)
+    for which in ("e", "f"):
+        with pytest.raises(TypeError, match="Lie action is undefined on PairCoords"):
+            lie_action_map(QQ, which, space)
 
 
 # ------------------------------------------------------------ wedge normalize
@@ -140,15 +191,13 @@ def test_wedge_normalize_matches_parity_oracle(seq):
 def test_unipotent_on_sym2_golden():
     # with X fixed and Y -> X + Y, the square (Y^2) expands binomially
     g = ((QQ.one, QQ.one), (QQ.zero, QQ.one))
-    v = ModuleElement.basis_vector(Sym(2), QQ, 2)
-    image = act_group(g, v)
+    image = group_action_map(QQ, g, Sym(2)).column(2)
     assert image.coeffs == {0: Fraction(1), 1: Fraction(2), 2: Fraction(1)}
 
 
 def test_transposed_unipotent_moves_x():
     g = ((QQ.one, QQ.zero), (QQ.one, QQ.one))
-    v = ModuleElement.basis_vector(Sym(2), QQ, 0)  # X^2
-    image = act_group(g, v)
+    image = group_action_map(QQ, g, Sym(2)).column(0)  # the image of X^2
     assert image.coeffs == {0: Fraction(1), 1: Fraction(2), 2: Fraction(1)}
 
 
@@ -156,44 +205,6 @@ def test_identity_acts_trivially():
     for space in (Sym(3), Wedge(2, Sym(3)), Tensor(Sym(1), Wedge(2, Sym(2)))):
         g = ((ZZ.one, ZZ.zero), (ZZ.zero, ZZ.one))
         assert group_action_map(ZZ, g, space) == identity_map(ZZ, space)
-
-
-_action_atoms = st.one_of(
-    st.integers(0, 3).map(Sym),
-    st.builds(Wedge, st.integers(0, 3), st.integers(0, 4).map(Sym)),
-    st.builds(SymPower, st.integers(0, 2), st.integers(0, 3).map(Sym)),
-)
-_action_spaces = st.recursive(
-    _action_atoms, lambda inner: st.builds(Tensor, inner, inner), max_leaves=3
-).filter(lambda s: dim(s) <= 30)
-
-
-@st.composite
-def _ring_and_matrix(draw):
-    """GF(p) for a small prime, or Z[gamma], with a 2x2 matrix over it."""
-    p = draw(st.sampled_from((0, 2, 3, 5, 7)))
-    if p:
-        ring = PrimeField(p)
-        entry = st.integers(0, p - 1)
-    else:
-        ring = ZGAMMA
-        entry = st.lists(st.integers(-2, 2), max_size=3).map(
-            lambda cs: IntPoly(cs, "gamma")
-        )
-    g = tuple(tuple(draw(entry) for _ in range(2)) for _ in range(2))
-    return ring, g
-
-
-@settings(max_examples=60, deadline=None)
-@given(_action_spaces, _ring_and_matrix())
-def test_action_map_columns_match_act_group(space, ring_g):
-    # the whole-map build shares factor images across labels; each
-    # column must equal the image of its basis vector computed alone
-    ring, g = ring_g
-    A = group_action_map(ring, g, space)
-    for label in basis(space):
-        v = ModuleElement.basis_vector(space, ring, label)
-        assert A.column(label) == act_group(g, v)
 
 
 def test_action_is_multiplicative_mod_p():
@@ -228,14 +239,13 @@ def test_action_is_multiplicative_mod_p():
 def test_wedge_action_picks_up_signs():
     # swapping both basis lines through the antidiagonal reverses wedge order
     g = ((QQ.zero, QQ.one), (QQ.one, QQ.zero))
-    v = ModuleElement.basis_vector(Wedge(2, Sym(1)), QQ, (0, 1))
-    image = act_group(g, v)
+    image = group_action_map(QQ, g, Wedge(2, Sym(1))).column((0, 1))
     assert image.coeffs == {(0, 1): Fraction(-1)}
 
 
 def test_bad_matrix_shape_rejected():
     with pytest.raises(ValueError):
-        act_group(((ZZ.one,),), ModuleElement.basis_vector(Sym(1), ZZ, 0))
+        group_action_map(ZZ, ((ZZ.one,),), Sym(1))
 
 
 # ------------------------------------------------------------------ Lie action
@@ -268,11 +278,11 @@ def test_lie_commutator_is_the_weight(space):
     E = lie_action_map(QQ, "e", space)
     F = lie_action_map(QQ, "f", space)
     comm = E.compose(F) - F.compose(E)
-    td = total_degree(space)
+    td = space.total_degree()
     for n, label in enumerate(basis(space)):
-        expected = {label: Fraction(td - 2 * ydegree(space, label))}
+        expected = {label: Fraction(td - 2 * space.ydegree(label))}
         got = {l: v for l, v in comm.cols[n].items() if v}
-        assert got == expected or (not got and td - 2 * ydegree(space, label) == 0)
+        assert got == expected or (not got and td - 2 * space.ydegree(label) == 0)
 
 
 def test_lie_needs_characteristic_zero():
@@ -282,11 +292,13 @@ def test_lie_needs_characteristic_zero():
 
 def test_lie_moves_ydegree_by_one():
     space = Tensor(Sym(2), Wedge(2, Sym(3)))
+    E = lie_action_map(QQ, "e", space)
+    F = lie_action_map(QQ, "f", space)
     for label in basis(space):
         v = ModuleElement.basis_vector(space, QQ, label)
-        up = act_f(v)
-        down = act_e(v)
-        w = ydegree(space, label)
+        up = F.apply(v)
+        down = E.apply(v)
+        w = space.ydegree(label)
         if not up.is_zero():
             assert up.homogeneous_ydegree() == w + 1
         if not down.is_zero():
@@ -430,4 +442,4 @@ def test_action_preserves_ydegree_shift_invariants(data):
     g = ((ring.one, ring.zero), (ring.zero, ring.from_int(t)))
     A = group_action_map(ring, g, space)
     for n, label in enumerate(basis(space)):
-        assert A.cols[n] == {label: pow(t, ydegree(space, label), 7)}
+        assert A.cols[n] == {label: pow(t, space.ydegree(label), 7)}
