@@ -265,15 +265,13 @@ def cmd_verify(args) -> int:
         "checks_failed": len(failures),
         "all_pass": not failures,
     }
-    stdout_text = json.dumps(report, indent=2) + "\n"
     if args.out:
-        stripped = json.loads(json.dumps(report))
-        for pt in stripped["points"]:
-            pt.pop("timings_ms")
-        emit(json.dumps(stripped, indent=2) + "\n", args.out)
+        # the file drops the timings, so its bytes are reproducible
+        untimed = [{k: v for k, v in pt.items() if k != "timings_ms"} for pt in points]
+        emit(json.dumps(dict(report, points=untimed), indent=2) + "\n", args.out)
         note(f"report written to {args.out}")
     else:
-        sys.stdout.write(stdout_text)
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
     note(
         f"verify: {n_checks - len(failures)}/{n_checks} checks passed "
         f"on {len(points)} grid points"

@@ -332,7 +332,7 @@ def _combine(p: int, terms, combos: dict) -> dict:
     for at, r in terms:
         for m, c in combos[at].items():
             out[m] = out.get(m, 0) + r * c
-    return {m: c % p for m, c in out.items() if c % p}
+    return {m: r for m, c in out.items() if (r := c % p)}
 
 
 def _span_coordinates(p: int, shift: list, vectors: list) -> list:

@@ -77,7 +77,6 @@ def linear_map_to_json(A: LinearMap) -> dict:
     for c, col in enumerate(A.cols):
         for l, v in sorted(col.items(), key=lambda kv: cod_idx[kv[0]]):
             entries.append([cod_idx[l], c, payload_to_json(A.ring, v)])
-    entries.sort(key=lambda e: (e[1], e[0]))
     return {
         "kind": "linear_map",
         "ring": ring_to_json(A.ring),

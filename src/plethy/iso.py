@@ -314,8 +314,8 @@ def verify_lie_equivariance(N: int, d: int) -> dict:
     phi = ctx.matrix
     out = {}
     for which in ("e", "f"):
-        dom = lie_action_map(ZZ, which, ctx.domain)
-        amb = lie_action_map(ZZ, which, ctx.hook.ambient)
+        dom = lie_action_map(which, ctx.domain)
+        amb = lie_action_map(which, ctx.hook.ambient)
         out[f"commutes_with_{which}"] = phi.compose(dom) == amb.compose(phi)
     return out
 
@@ -404,10 +404,10 @@ def verify_duality(N: int, d: int) -> dict:
     phi = ctx.matrix
     tau = flip_domain_map(ZZ, N, d)
     tau2 = flip_codomain_map(ZZ, N, d)
-    e_dom = lie_action_map(ZZ, "e", ctx.domain)
-    f_dom = lie_action_map(ZZ, "f", ctx.domain)
-    e_amb = lie_action_map(ZZ, "e", ctx.hook.ambient)
-    f_amb = lie_action_map(ZZ, "f", ctx.hook.ambient)
+    e_dom = lie_action_map("e", ctx.domain)
+    f_dom = lie_action_map("f", ctx.domain)
+    e_amb = lie_action_map("e", ctx.hook.ambient)
+    f_amb = lie_action_map("f", ctx.hook.ambient)
 
     lhs = tau2.compose(phi)
     rhs = phi.compose(tau)

@@ -74,10 +74,6 @@ class IntPoly:
         return out
 
     @classmethod
-    def const(cls, n: int, var: str = "q") -> "IntPoly":
-        return cls((n,), var)
-
-    @classmethod
     def gen(cls, var: str = "q") -> "IntPoly":
         return cls((0, 1), var)
 

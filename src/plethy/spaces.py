@@ -10,15 +10,17 @@ tuples, tensor pairs with the left factor outermost.
 
 Each space type carries its own facts as methods: its basis and dim, the
 Y-degree of a label and the total degree, the label format, the JSON form
-of the space and of its labels, and the images of one label under the
-group and Lie actions.  The module functions basis, basis_index and dim
-hold the one cache that all equal spaces share.  To add a kind, write one
-Space subclass and add it to the space_from_json kind table, _KINDS.
+of the space and of its labels, and its whole group and Lie action
+matrices, built from its factors' matrices the way the functors are:
+Sym^c(g), then Wedge^r, Sym^r and tensor products of those.  The module
+functions basis, basis_index and dim hold the one cache that all equal
+spaces share.  To add a kind, write one Space subclass and add it to the
+space_from_json kind table, _KINDS.
 
 The two-by-two matrix g = ((g11, g12), (g21, g22)) acts on the left by
 g.X = g11 X + g21 Y and g.Y = g12 X + g22 Y, so columns of g are the
-images of the basis.  The Lie generators act in characteristic zero by
-e = X d/dY and f = Y d/dX.
+images of the basis.  The Lie generators e = X d/dY and f = Y d/dX have
+integer matrices.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import ClassVar
 
-from .rings import Ring, ZZ, QQ, binomial
+from .rings import Ring, ZZ, binomial
 from . import tableaux
 
 
@@ -42,19 +44,21 @@ class Space:
     shares; label_str, label_to_json and label_from_json format one label;
     to_json() and the classmethod _from_json serialize the space.
 
-    _label_action(ring, g, label, memo) is the image of one label under g,
-    entries possibly unreduced; memo holds one action build's memos, and
-    since memoized images are shared, callers must not mutate a returned
-    image.  _lie_label(which, label) is the image under e or f with integer
-    entries.  A kind that is not a polynomial space inherits the refusals
-    below."""
+    _action_columns(ring, g) is the matrix of g as its columns in basis
+    order, a list or a one-pass iterator whose entries may be unreduced;
+    group_action_map reduces them.  _lie_columns(which) is the list of the
+    integer columns of e or f.  A kind builds both from its factors'
+    columns: a divided power D^r(Sym c), say, would expand each label's
+    image from the columns of Sym(c), as _Power does, with its own
+    coefficients.  A kind that is not a polynomial space inherits the
+    refusals below, which come before any label is looked at."""
 
     kind: ClassVar[str]
 
-    def _label_action(self, ring: Ring, g, label, memo: dict) -> dict:
+    def _action_columns(self, ring: Ring, g):
         raise TypeError(f"the group action is undefined on {self!r}")
 
-    def _lie_label(self, which: str, label) -> dict:
+    def _lie_columns(self, which: str) -> list:
         raise TypeError(f"the Lie action is undefined on {self!r}")
 
 
@@ -98,18 +102,14 @@ class Sym(Space):
     def label_from_json(self, data):
         return int(data)
 
-    def _label_action(self, ring, g, label, memo):
-        """g.(X^(c-a) Y^a), from the table of all c + 1 images, built once
-        per c in the memo."""
-        table = memo.get(self.c)
-        if table is None:
-            table = memo[self.c] = _sym_action_table(ring, g, self.c)
-        return table[label]
+    def _action_columns(self, ring, g):
+        return _sym_action_table(ring, g, self.c)
 
-    def _lie_label(self, which, a):
+    def _lie_columns(self, which):
+        c = self.c
         if which == "e":
-            return {a - 1: a} if a >= 1 else {}
-        return {a + 1: self.c - a} if a <= self.c - 1 else {}
+            return [{a - 1: a} if a >= 1 else {} for a in range(c + 1)]
+        return [{a + 1: c - a} if a <= c - 1 else {} for a in range(c + 1)]
 
 
 @dataclass(frozen=True)
@@ -151,61 +151,62 @@ class _Power(Space):
     def label_from_json(self, data):
         return tuple(int(v) for v in data)
 
-    def _label_action(self, ring, g, label, memo):
-        """The image of the prefix label[:-1], memoized, times the image of
-        label[-1].  A new factor b is placed with bisect; in a wedge, moving
-        it past the len(t) - pos larger factors gives the sign
-        (-1)^(len(t) - pos), and a repeated factor gives zero.  Prefixes are
-        memoized by (c, strict, prefix), so powers of every r share them."""
+    def _action_columns(self, ring, g):
+        """Each label's image is the image of its prefix label[:-1] times
+        the inner column of label[-1].  A new factor b is placed with
+        bisect; in a wedge, moving it past the len(t) - pos larger factors
+        gives the sign (-1)^(len(t) - pos), and a repeated factor gives
+        zero.  Prefix images live in a dict local to this call, filled by a
+        loop: a recursive closure would be a reference cycle that kept them
+        alive until the cyclic collector ran."""
         strict = self.strict
-        key = (self.inner.c, strict, label)
-        img = memo.get(key)
-        if img is not None:
-            return img
-        if not label:
-            img = {(): ring.one}
-        else:
-            head = self._label_action(ring, g, label[:-1], memo)
-            last = self.inner._label_action(ring, g, label[-1], memo).items()
-            zero = ring.zero
-            out: dict = {}
-            get = out.get
-            for t, v in head.items():
-                n = len(t)
-                for b, cb in last:
-                    pos = bisect_left(t, b)
-                    if strict and pos < n and t[pos] == b:
-                        continue
-                    new = t[:pos] + (b,) + t[pos:]
-                    if strict and (n - pos) & 1:
-                        out[new] = get(new, zero) - v * cb
-                    else:
-                        out[new] = get(new, zero) + v * cb
-            img = _settled(ring, out)
-        memo[key] = img
-        return img
+        inner = [col.items() for col in self.inner._action_columns(ring, g)]
+        zero = ring.zero
+        images = {(): {(): ring.one}}
+        for label in basis(self):
+            for k in range(1, len(label) + 1):
+                if label[:k] in images:
+                    continue
+                out: dict = {}
+                get = out.get
+                for t, v in images[label[: k - 1]].items():
+                    n = len(t)
+                    for b, cb in inner[label[k - 1]]:
+                        pos = bisect_left(t, b)
+                        if strict and pos < n and t[pos] == b:
+                            continue
+                        new = t[:pos] + (b,) + t[pos:]
+                        if strict and (n - pos) & 1:
+                            out[new] = get(new, zero) - v * cb
+                        else:
+                            out[new] = get(new, zero) + v * cb
+                images[label[:k]] = _settled(ring, out)
+        return [images[label] for label in basis(self)]
 
-    def _lie_label(self, which, label):
+    def _lie_columns(self, which):
         c = self.inner.c
-        out: dict = {}
-        for idx, a in enumerate(label):
-            if which == "e":
-                if a < 1:
-                    continue
-                new = label[:idx] + (a - 1,) + label[idx + 1 :]
-                coeff = a
-            else:
-                if a > c - 1:
-                    continue
-                new = label[:idx] + (a + 1,) + label[idx + 1 :]
-                coeff = c - a
-            if self.strict:
-                if any(x == y for x, y in zip(new, new[1:])):
-                    continue
-            else:
-                new = tuple(sorted(new))
-            out[new] = out.get(new, 0) + coeff
-        return out
+        cols = []
+        for label in basis(self):
+            out: dict = {}
+            for idx, a in enumerate(label):
+                if which == "e":
+                    if a < 1:
+                        continue
+                    new = label[:idx] + (a - 1,) + label[idx + 1 :]
+                    coeff = a
+                else:
+                    if a > c - 1:
+                        continue
+                    new = label[:idx] + (a + 1,) + label[idx + 1 :]
+                    coeff = c - a
+                if self.strict:
+                    if any(x == y for x, y in zip(new, new[1:])):
+                        continue
+                else:
+                    new = tuple(sorted(new))
+                out[new] = out.get(new, 0) + coeff
+            cols.append(out)
+        return cols
 
 
 class Wedge(_Power):
@@ -275,22 +276,29 @@ class Tensor(Space):
     def label_from_json(self, data):
         return (self.left.label_from_json(data[0]), self.right.label_from_json(data[1]))
 
-    def _label_action(self, ring, g, label, memo):
+    def _action_columns(self, ring, g):
         # a product of two nonzero entries is nonzero in every ring here
-        # (GF(p) included), so the image is reduced once, by its consumer
-        lpart = _factor_action(ring, g, self.left, label[0], memo)
-        rpart = _factor_action(ring, g, self.right, label[1], memo)
-        return {
-            (ll, rl): lv * rv for ll, lv in lpart.items() for rl, rv in rpart.items()
-        }
+        # (GF(p) included), so each product column is left unreduced for
+        # its consumer, and yielded one at a time so that none is kept
+        lcols = self.left._action_columns(ring, g)
+        rcols = [col.items() for col in self.right._action_columns(ring, g)]
+        return (
+            {(ll, rl): lv * rv for ll, lv in lcol.items() for rl, rv in rcol}
+            for lcol in lcols
+            for rcol in rcols
+        )
 
-    def _lie_label(self, which, label):
-        l0, l1 = label
-        out = {(ll, l1): lv for ll, lv in self.left._lie_label(which, l0).items()}
-        for rl, rv in self.right._lie_label(which, l1).items():
-            key = (l0, rl)
-            out[key] = out.get(key, 0) + rv
-        return out
+    def _lie_columns(self, which):
+        rcols = list(zip(basis(self.right), self.right._lie_columns(which)))
+        cols = []
+        for l0, lcol in zip(basis(self.left), self.left._lie_columns(which)):
+            for l1, rcol in rcols:
+                out = {(ll, l1): lv for ll, lv in lcol.items()}
+                for rl, rv in rcol.items():
+                    key = (l0, rl)
+                    out[key] = out.get(key, 0) + rv
+                cols.append(out)
+        return cols
 
 
 @dataclass(frozen=True)
@@ -505,10 +513,6 @@ class LinearMap:
             self.codomain, self.ring, self.cols[basis_index(self.domain)[label]]
         )
 
-    def entry(self, row_label, col_label):
-        col = self.cols[basis_index(self.domain)[col_label]]
-        return col.get(row_label, self.ring.zero)
-
     def apply(self, v: ModuleElement) -> ModuleElement:
         if v.space != self.domain or v.ring != self.ring:
             raise ValueError("space or ring mismatch")
@@ -613,38 +617,22 @@ def _sym_action_table(ring: Ring, g, c: int):
     return table
 
 
-def _factor_action(ring: Ring, g, space: Space, label, memo: dict) -> dict:
-    """A tensor factor's _label_action, memoized in the per-call memo:
-    every factor label recurs once per label of the other factor."""
-    key = (space, label)
-    img = memo.get(key)
-    if img is None:
-        img = memo[key] = space._label_action(ring, g, label, memo)
-    return img
-
-
 def group_action_map(ring: Ring, g, space: Space) -> LinearMap:
     """The whole action matrix of g on a space."""
     if len(g) != 2 or any(len(row) != 2 for row in g):
         raise ValueError("expected a 2x2 matrix")
-    g = tuple(tuple(row) for row in g)
-    memo: dict = {}
-    cols = (space._label_action(ring, g, label, memo) for label in basis(space))
-    return LinearMap(space, space, ring, cols)
+    return LinearMap(space, space, ring, space._action_columns(ring, g))
 
 
 # ------------------------------------------------------------------ Lie action
 
 
-def lie_action_map(ring: Ring, which: str, space: Space) -> LinearMap:
-    """e = X d/dY lowers the Y-degree by one, f = Y d/dX raises it."""
-    if ring not in (ZZ, QQ):
-        raise ValueError("Lie generators act only over ZZ or QQ")
+def lie_action_map(which: str, space: Space) -> LinearMap:
+    """The integer matrix of e = X d/dY, which lowers the Y-degree by one,
+    or of f = Y d/dX, which raises it."""
     if which not in ("e", "f"):
         raise ValueError(f"unknown generator {which!r}")
-    cols = [space._lie_label(which, label) for label in basis(space)]
-    A = LinearMap(space, space, ZZ, cols)
-    return A if ring == ZZ else A.map_entries(ring, ring.from_int)
+    return LinearMap(space, space, ZZ, space._lie_columns(which))
 
 
 # ------------------------------------------------------- multiplication map

@@ -1,10 +1,11 @@
-"""Differential tests: the native-arithmetic group action and compose
-against the original ring-call algorithms, kept here as reference oracles
-only.
+"""Differential tests: the native-arithmetic group action, Lie action and
+compose against the original per-label algorithms, kept here as reference
+oracles only.
 
 The oracle action multiplies out every product of single-factor images and
 makes one Ring method call per scalar operation; the oracle compose does
-the same per product.  Both drop zeros as they go.
+the same per product.  Both drop zeros as they go.  The oracle Lie action
+applies e or f to one basis label at a time, factor by factor.
 """
 
 import itertools
@@ -30,6 +31,7 @@ from plethy import (
     dim,
     gamma_coefficients,
     group_action_map,
+    lie_action_map,
     wedge_normalize,
 )
 
@@ -112,6 +114,49 @@ def oracle_action_cols(ring, g, space):
     return [
         {l: v for l, v in _oracle_label_action(ring, g, space, label).items()
          if not ring.is_zero(v)}
+        for label in basis(space)
+    ]
+
+
+def _oracle_lie_label(which, space, label):
+    """The image of one basis label under e or f, integer entries."""
+    if isinstance(space, Sym):
+        a, c = label, space.c
+        if which == "e":
+            return {a - 1: a} if a >= 1 else {}
+        return {a + 1: c - a} if a <= c - 1 else {}
+    if isinstance(space, (Wedge, SymPower)):
+        c = space.inner.c
+        out = {}
+        for idx, a in enumerate(label):
+            if which == "e":
+                if a < 1:
+                    continue
+                new = label[:idx] + (a - 1,) + label[idx + 1 :]
+                coeff = a
+            else:
+                if a > c - 1:
+                    continue
+                new = label[:idx] + (a + 1,) + label[idx + 1 :]
+                coeff = c - a
+            if isinstance(space, Wedge):
+                if any(x == y for x, y in zip(new, new[1:])):
+                    continue
+            else:
+                new = tuple(sorted(new))
+            out[new] = out.get(new, 0) + coeff
+        return out
+    l0, l1 = label
+    out = {(ll, l1): lv for ll, lv in _oracle_lie_label(which, space.left, l0).items()}
+    for rl, rv in _oracle_lie_label(which, space.right, l1).items():
+        key = (l0, rl)
+        out[key] = out.get(key, 0) + rv
+    return out
+
+
+def oracle_lie_cols(which, space):
+    return [
+        {l: v for l, v in _oracle_lie_label(which, space, label).items() if v}
         for label in basis(space)
     ]
 
@@ -209,6 +254,14 @@ def test_action_oracle_covers_a_wedge_sign():
     A = group_action_map(ZZ, g, space)
     assert A.cols == oracle_action_cols(ZZ, g, space)
     assert A.column((0, 1)).coeffs == {(1, 2): -1}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from("ef"), SPACES)
+def test_lie_map_matches_oracle(which, space):
+    A = lie_action_map(which, space)
+    assert A.ring == ZZ
+    assert A.cols == oracle_lie_cols(which, space)
 
 
 @settings(max_examples=150, deadline=None)
