@@ -54,8 +54,6 @@ from .schur import HookSchurSpace, hook_schur_space
 from .iso import (
     IsoContext,
     basis_image,
-    flip_codomain_map,
-    flip_domain_map,
     gamma_coefficients,
     gl2_scalar_exponents,
     iso_context,
@@ -100,7 +98,6 @@ from .dump import (
     ring_to_json,
     weight_block_digest,
     weight_block_digests,
-    weight_block_text,
 )
 
 __version__ = "0.1.0"

@@ -289,6 +289,7 @@ def cmd_dump(args) -> int:
     d = single_value(parse_range(args.d), "--d")
     if N < 1 or d < 0 or N > d + 2:
         raise UsageError(f"need 1 <= N <= d + 2, got (N={N}, d={d})")
+    p = parse_primes(args.p)[0]
 
     if args.what == "basis":
         if args.format != "json":
@@ -302,7 +303,7 @@ def cmd_dump(args) -> int:
         emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
 
-    ring = ring_by_name(args.ring, parse_primes(args.p)[0])
+    ring = ring_by_name(args.ring, p)
     ctx = iso_context(N, d)
     if args.what == "map":
         A = ctx.matrix_over(ring)

@@ -134,17 +134,12 @@ def basis_to_json(hook: HookSchurSpace) -> list:
     return out
 
 
-def weight_block_text(ctx: IsoContext, w: int) -> str:
-    """Canonical text form of one Y-degree block of the paired coordinate
-    matrix (ctx.weight_block_matrix): row labels, column labels, then dense
-    integer rows."""
-    return _block_text(ctx, ctx.weight_blocks().get(w, []))
-
-
 def _block_text(ctx: IsoContext, idxs: list) -> str:
-    """weight_block_text of the block at pair positions idxs: the sparse
-    paired columns are scattered into rows of decimal strings, so only the
-    nonzero entries are converted."""
+    """Canonical text form of the Y-degree block of the paired coordinate
+    matrix at pair positions idxs (ctx.weight_block_matrix): row labels,
+    column labels, then dense integer rows.  The sparse paired columns are
+    scattered into rows of decimal strings, so only the nonzero entries are
+    converted."""
     paired = ctx.paired_columns
     local = {m: k for k, m in enumerate(idxs)}
     rows = [["0"] * len(idxs) for _ in idxs]
@@ -163,16 +158,14 @@ def _block_text(ctx: IsoContext, idxs: list) -> str:
 
 
 def weight_block_digest(ctx: IsoContext, w: int) -> str:
-    return hashlib.sha256(weight_block_text(ctx, w).encode()).hexdigest()
+    """sha256 of the canonical text of the Y-degree block w."""
+    idxs = ctx.weight_blocks().get(w, [])
+    return hashlib.sha256(_block_text(ctx, idxs).encode()).hexdigest()
 
 
 def weight_block_digests(ctx: IsoContext) -> dict:
-    """weight_block_digest of every Y-degree, ascending, from one pass over
-    the paired columns."""
-    return {
-        w: hashlib.sha256(_block_text(ctx, idxs).encode()).hexdigest()
-        for w, idxs in sorted(ctx.weight_blocks().items())
-    }
+    """weight_block_digest of every Y-degree, ascending."""
+    return {w: weight_block_digest(ctx, w) for w in sorted(ctx.weight_blocks())}
 
 
 def dump_payload(A: LinearMap, fmt: str) -> str:

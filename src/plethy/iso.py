@@ -16,7 +16,10 @@ Certificates produced here:
     parameter unipotent family over a polynomial ring (which certifies the
     statement over every coefficient ring at once), and exhaustive unipotent
     checks over small prime fields;
-  * the X/Y swap dualities and their sign law, over the integers.
+  * the X/Y swap dualities and their sign law, over the integers.  The swap
+    is the action of w = [[0, 1], [1, 0]], built by the same group-action
+    code as the unipotents; det w = -1, and phi commutes with GL2 up to
+    the twist det^N, so the two swaps agree through phi up to (-1)^N.
 
 The map is one integer matrix, so each route keeps its arithmetic on
 integers or on residues reduced once per entry.  The polynomial route
@@ -54,8 +57,10 @@ from .spaces import (
     identity_map,
     lie_action_map,
     multiplication_map,
-    wedge_normalize,
 )
+
+# the X/Y swap w, of determinant -1
+SWAP = ((0, 1), (1, 0))
 
 
 def reversal_sign(R: int) -> int:
@@ -252,37 +257,6 @@ def iso_context(N: int, d: int) -> IsoContext:
     return IsoContext(N, d)
 
 
-# ------------------------------------------------------------------ dualities
-
-
-def flip_domain_map(ring: Ring, N: int, d: int) -> LinearMap:
-    """X <-> Y swap on the domain: complement the wedge labels in d+1 and
-    reflect the loose exponent in N-1.  An involution."""
-    domain = iso_context(N, d).domain
-
-    def fn(label):
-        s, k = label
-        norm = wedge_normalize(tuple(d + 1 - v for v in k), d + 1)
-        lab, sgn = norm  # complements of distinct entries stay distinct
-        return {(N - 1 - s, lab): ring.from_int(sgn)}
-
-    return LinearMap.from_function(ring, domain, domain, fn)
-
-
-def flip_codomain_map(ring: Ring, N: int, d: int) -> LinearMap:
-    """X <-> Y swap on the ambient space: complement wedge labels and the
-    loose exponent in d.  An involution."""
-    ambient = hook_schur_space(N, d).ambient
-
-    def fn(label):
-        k, a = label
-        norm = wedge_normalize(tuple(d - v for v in k), d)
-        lab, sgn = norm
-        return {(lab, d - a): ring.from_int(sgn)}
-
-    return LinearMap.from_function(ring, ambient, ambient, fn)
-
-
 # ---------------------------------------------------------------- verification
 
 
@@ -394,16 +368,16 @@ def verify_group_equivariance_fp(N: int, d: int, p: int) -> dict:
 
 
 def verify_duality(N: int, d: int) -> dict:
-    """The X/Y swaps: involutivity, generator exchange, and the sign law
-    tying the two swaps through the map.
+    """The X/Y swaps, the actions of SWAP on both sides: involutivity,
+    generator exchange, and the sign law tying the two swaps through the map.
 
     The sign is measured from the matrices, then compared with the product
     of the two reversal signs.
     """
     ctx = iso_context(N, d)
     phi = ctx.matrix
-    tau = flip_domain_map(ZZ, N, d)
-    tau2 = flip_codomain_map(ZZ, N, d)
+    tau = group_action_map(ZZ, SWAP, ctx.domain)
+    tau2 = group_action_map(ZZ, SWAP, ctx.hook.ambient)
     e_dom = lie_action_map("e", ctx.domain)
     f_dom = lie_action_map("f", ctx.domain)
     e_amb = lie_action_map("e", ctx.hook.ambient)

@@ -201,7 +201,6 @@ class Ring:
 
     name: str
     is_field = False
-    characteristic = 0
 
     def add(self, a, b):
         return a + b
@@ -292,7 +291,6 @@ class PrimeField(Ring):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
         self.name = f"GF({p})"
-        self.characteristic = p
         self.zero = 0
         self.one = 1 % p
 

@@ -70,11 +70,6 @@ class HookSchurSpace:
 
     # ------------------------------------------------------------- vectors
 
-    def canonical_vector(self, ring: Ring, i, j) -> ModuleElement:
-        """Ambient basis vector: wedge of the monomials named by i, tensor
-        the monomial with Y-exponent j.  (i, j) need not be semistandard."""
-        return ModuleElement.basis_vector(self.ambient, ring, (tuple(i), j))
-
     def kernel_support(self, pair) -> tuple:
         """Ambient labels carrying the pair's kernel basis vector."""
         i, j = pair

@@ -1,6 +1,7 @@
 """Differential tests: the native-arithmetic group action, Lie action and
 compose against the original per-label algorithms, kept here as reference
-oracles only.
+oracles only.  The hand-written X/Y flip maps are kept as the oracle for the
+group action at the swap matrix.
 
 The oracle action multiplies out every product of single-factor images and
 makes one Ring method call per scalar operation; the oracle compose does
@@ -11,6 +12,7 @@ applies e or f to one basis label at a time, factor by factor.
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +33,8 @@ from plethy import (
     dim,
     gamma_coefficients,
     group_action_map,
+    hook_schur_space,
+    iso_context,
     lie_action_map,
     wedge_normalize,
 )
@@ -161,6 +165,34 @@ def oracle_lie_cols(which, space):
     ]
 
 
+def flip_domain_map(ring, N, d):
+    """X <-> Y swap on the domain: complement the wedge labels in d+1 and
+    reflect the loose exponent in N-1.  An involution."""
+    domain = iso_context(N, d).domain
+
+    def fn(label):
+        s, k = label
+        norm = wedge_normalize(tuple(d + 1 - v for v in k), d + 1)
+        lab, sgn = norm  # complements of distinct entries stay distinct
+        return {(N - 1 - s, lab): ring.from_int(sgn)}
+
+    return LinearMap.from_function(ring, domain, domain, fn)
+
+
+def flip_codomain_map(ring, N, d):
+    """X <-> Y swap on the ambient space: complement wedge labels and the
+    loose exponent in d.  An involution."""
+    ambient = hook_schur_space(N, d).ambient
+
+    def fn(label):
+        k, a = label
+        norm = wedge_normalize(tuple(d - v for v in k), d)
+        lab, sgn = norm
+        return {(lab, d - a): ring.from_int(sgn)}
+
+    return LinearMap.from_function(ring, ambient, ambient, fn)
+
+
 def oracle_compose_cols(A, B):
     ring = A.ring
     idx = basis_index(A.domain)
@@ -254,6 +286,30 @@ def test_action_oracle_covers_a_wedge_sign():
     A = group_action_map(ZZ, g, space)
     assert A.cols == oracle_action_cols(ZZ, g, space)
     assert A.column((0, 1)).coeffs == {(1, 2): -1}
+
+
+def _swap_matches_flips(ring, N, d):
+    swap = ((ring.zero, ring.one), (ring.one, ring.zero))
+    ctx = iso_context(N, d)
+    for space, flip in (
+        (ctx.domain, flip_domain_map),
+        (ctx.hook.ambient, flip_codomain_map),
+    ):
+        assert group_action_map(ring, swap, space).cols == flip(ring, N, d).cols, (
+            ring, N, d, space)
+
+
+@pytest.mark.parametrize(
+    "N,d", [(N, d) for d in range(7) for N in range(1, d + 3)]
+)
+def test_swap_action_matches_flip_oracle(N, d):
+    for ring in (ZZ, QQ, PrimeField(2), PrimeField(3)):
+        _swap_matches_flips(ring, N, d)
+
+
+@pytest.mark.parametrize("N,d", [(1, 0), (2, 4), (3, 3), (4, 5)])
+def test_swap_action_matches_flip_oracle_over_zgamma(N, d):
+    _swap_matches_flips(ZGAMMA, N, d)
 
 
 @settings(max_examples=150, deadline=None)

@@ -49,6 +49,8 @@ def test_usage_errors_exit_two():
     assert main(["verify", "--N", "nope"]) == 2
     assert main(["verify", "--p", "6"]) == 2
     assert main(["dump", "--N", "2", "--d", "4", "--what", "basis"]) == 2
+    assert main(["dump", "--N", "2", "--d", "4", "--what", "basis", "--format",
+                 "json", "--ring", "fp", "--p", "9"]) == 2  # --p checked here too
     assert main(["dump", "--N", "1..2", "--d", "4"]) == 2  # range where single
     assert main(["dump", "--N", "5", "--d", "1"]) == 2  # empty parameter zone
     assert main(["scan", "--workers", "0"]) == 2

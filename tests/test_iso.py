@@ -23,8 +23,6 @@ from plethy import (
     basis_image,
     box,
     dim,
-    flip_codomain_map,
-    flip_domain_map,
     gamma_coefficients,
     gl2_scalar_exponents,
     group_action_map,
@@ -39,9 +37,7 @@ from plethy import (
     verify_group_equivariance_poly,
     verify_lie_equivariance,
     verify_structure,
-    weight_block_digest,
     weight_block_digests,
-    weight_block_text,
 )
 import plethy.iso as iso
 from plethy.cli import verify_point
@@ -151,17 +147,30 @@ def test_weight_block_golden_6x6():
     ]
 
 
+def _block_text_from_matrix(ctx, w):
+    """The canonical block text, rebuilt from the dense weight_block_matrix."""
+    rows, cols, mat = ctx.weight_block_matrix(w)
+    lines = [
+        "rows=" + ";".join(ctx.hook.coords.label_str(p) for p in rows),
+        "cols=" + ";".join(ctx.domain.label_str(c) for c in cols),
+    ]
+    lines.extend(",".join(map(str, row)) for row in mat)
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("N,d", [(1, 3), (2, 4), (3, 5), (4, 4), (3, 1)])
 def test_block_digests_in_one_pass_match_one_at_a_time(N, d):
     ctx = iso_context(N, d)
     digests = weight_block_digests(ctx)
     assert list(digests) == sorted(ctx.weight_blocks())
-    assert digests == {w: weight_block_digest(ctx, w) for w in digests}
+    assert digests == {
+        w: hashlib.sha256(_block_text_from_matrix(ctx, w).encode()).hexdigest()
+        for w in digests
+    }
 
 
 def test_weight_block_digest_matches_frozen_serialization():
     ctx = iso_context(2, 4)
-    text = weight_block_text(ctx, 7)
     expected_lines = [
         "rows=(0,3)|4;(0,4)|3;(1,2)|4;(1,4)|2;(1,3)|3;(2,3)|2",
         "cols=1|(0,3,5);0|(0,4,5);1|(1,2,5);0|(1,3,5);1|(1,3,4);0|(2,3,4)",
@@ -172,9 +181,9 @@ def test_weight_block_digest_matches_frozen_serialization():
         "1,0,1,1,1,0",
         "1,0,0,1,1,1",
     ]
-    assert text == "\n".join(expected_lines) + "\n"
+    text = "\n".join(expected_lines) + "\n"
     assert (
-        weight_block_digest(ctx, 7)
+        weight_block_digests(ctx)[7]
         == hashlib.sha256(text.encode()).hexdigest()
     )
 
@@ -461,11 +470,33 @@ def test_duality_suite(N, d):
 
 
 def test_flip_maps_are_permutation_matrices_up_to_sign():
-    for A in (flip_domain_map(QQ, 2, 4), flip_codomain_map(QQ, 2, 4)):
+    ctx = iso_context(2, 4)
+    for space in (ctx.domain, ctx.hook.ambient):
+        A = group_action_map(QQ, ((QQ.zero, QQ.one), (QQ.one, QQ.zero)), space)
         for col in A.cols:
             assert len(col) == 1
             ((_, value),) = col.items()
             assert value in (Fraction(1), Fraction(-1))
+
+
+@pytest.mark.parametrize("side", ["domain", "ambient"])
+def test_duality_route_catches_a_broken_swap(monkeypatch, side):
+    # negate one entry of the swap map on one side: the sign law must fail
+    ctx = iso_context(2, 4)
+    target = ctx.domain if side == "domain" else ctx.hook.ambient
+    real = iso.group_action_map
+
+    def broken(ring, g, space):
+        A = real(ring, g, space)
+        if space != target:
+            return A
+        cols = [dict(col) for col in A.cols]
+        ((label, value),) = cols[3].items()
+        cols[3][label] = -value
+        return LinearMap(space, space, ring, cols)
+
+    monkeypatch.setattr(iso, "group_action_map", broken)
+    assert verify_duality(2, 4)["swap_law_holds"] is False
 
 
 # ----------------------------------------------------------------- gl2 scalars

@@ -97,10 +97,12 @@ def test_coordinates_round_trip_mod_p():
 def test_coordinates_reject_non_kernel_elements():
     hook = hook_schur_space(2, 4)
     # a bare canonical vector with j outside i is never in the kernel
-    v = hook.canonical_vector(ZZ, (0, 1), 3)
+    v = ModuleElement.basis_vector(hook.ambient, ZZ, ((0, 1), 3))
     with pytest.raises(ValueError):
         hook.coordinates(v)
-    w = hook.canonical_vector(QQ, (1, 3), 2).scale(Fraction(1, 2))
+    w = ModuleElement.basis_vector(hook.ambient, QQ, ((1, 3), 2)).scale(
+        Fraction(1, 2)
+    )
     with pytest.raises(ValueError):
         hook.coordinates(w)
 
