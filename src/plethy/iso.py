@@ -14,20 +14,34 @@ Certificates produced here:
   * an exact integer inverse, verified by round-trip composition;
   * equivariance three ways: Lie generators over the integers, a one-
     parameter unipotent family over a polynomial ring (which certifies the
-    statement over every coefficient ring at once), and exhaustive unipotent
-    checks over small prime fields;
+    statement over every coefficient ring at once), and unipotent checks
+    over small prime fields that reach every unipotent;
   * the X/Y swap dualities and their sign law, over the integers.  The swap
     is the action of w = [[0, 1], [1, 0]], built by the same group-action
     code as the unipotents; det w = -1, and phi commutes with GL2 up to
     the twist det^N, so the two swaps agree through phi up to (-1)^N.
 
 The map is one integer matrix, so each route keeps its arithmetic on
-integers or on residues reduced once per entry.  The polynomial route
-builds its unipotent actions over Z[gamma] and compares the identity
-gamma-coefficient by gamma-coefficient, as integer matrices.  Since phi is
-integral and k! E^(k) = E^k for the divided powers that make up the
-unipotents, the Lie check already implies the polynomial identity; the
-group routes add value by cross-checking separately written action code.
+integers or on residues reduced once per entry.  Two design notes keep the
+unipotent routes to the work their claims need:
+
+  * poly: the exponent is fixed by weight.  Every entry of the upper
+    unipotent U(gamma) is c gamma^k, where k is the drop in Y-degree (the
+    rise, for the transpose) and c the entry of U(1) over the integers.  So
+    U(1) is built once over ZZ and split by Y-degree change into the
+    integer maps E_k with U(gamma) = sum over k of gamma^k E_k, and the
+    identity is compared as phi E_k = E_k phi for every k.  Only the Sym
+    tables are built over Z[gamma], to check that rule where the action
+    code makes it.
+  * fp: generators.  Over GF(p), U(gamma) = U(1)^gamma, and U(1) with its
+    transpose generates every unipotent, so two action pairs cover them all;
+    for p > 2 one spot check at gamma = p - 1 cross-checks the group-action
+    code.
+
+Since phi is integral and k! E^(k) = E^k for the divided powers that make
+up the unipotents, the Lie check already implies the polynomial identity;
+the group routes add value by cross-checking separately written action
+code.
 """
 
 from __future__ import annotations
@@ -318,28 +332,79 @@ def gamma_coefficients(A: LinearMap) -> dict:
     }
 
 
+def _ychange_parts(A: LinearMap, transpose: bool) -> dict:
+    """The maps E_k that split an action map A on one space by Y-degree
+    change: E_k keeps the entries whose row label lies k below its column
+    label, or k above it for the transpose.  Only the k that occur are
+    keys; a k below zero marks an entry that moves the wrong way.  A row
+    label outside the basis is split by its own Y-degree, so a broken map
+    fails the comparison instead of stopping it."""
+    space = A.domain
+    ydeg = {label: space.ydegree(label) for label in basis(space)}
+    get = ydeg.get
+    sign = -1 if transpose else 1
+    n = len(A.cols)
+    parts: dict = {}
+    for j, (w, col) in enumerate(zip(ydeg.values(), A.cols)):
+        for label, c in col.items():
+            v = get(label)
+            k = sign * (w - (space.ydegree(label) if v is None else v))
+            cols = parts.get(k)
+            if cols is None:
+                cols = parts[k] = [{} for _ in range(n)]
+            cols[j][label] = c
+    return {k: LinearMap(space, space, A.ring, parts[k]) for k in sorted(parts)}
+
+
+def _sym_tables_are_monomial(spaces, transpose: bool) -> bool:
+    """Whether every entry of the Z[gamma] action table of each Sym atom of
+    the spaces is c gamma^k, with k its Y-degree drop (rise for the
+    transpose) and c the same entry of the table of U(1) over ZZ."""
+    g = _unipotent(ZGAMMA, ZGAMMA.gen(), transpose)
+    g1 = _unipotent(ZZ, 1, transpose)
+    sign = -1 if transpose else 1
+    for atom in frozenset().union(*(space.sym_atoms() for space in spaces)):
+        polys = group_action_map(ZGAMMA, g, atom).cols
+        ints = group_action_map(ZZ, g1, atom).cols
+        for a, (pcol, icol) in enumerate(zip(polys, ints)):
+            if pcol.keys() != icol.keys():
+                return False
+            for b, c in icol.items():
+                k = sign * (a - b)
+                if k < 0 or pcol[b].coeffs != (0,) * k + (c,):
+                    return False
+    return True
+
+
 def verify_group_equivariance_poly(N: int, d: int) -> dict:
     """Commutation with the generic unipotent and its transpose over the
-    polynomial ring in one variable.
+    polynomial ring Z[gamma] in one variable.
 
     A polynomial identity in the matrix entries holds under every evaluation
     into every commutative ring, so this single check covers all fields at
-    once, prime characteristic included.  Both actions are built over
-    Z[gamma]; since phi is integral, phi U_dom(gamma) = U_amb(gamma) phi
-    holds exactly when phi E_dom_k = E_amb_k phi over the integers for every
-    gamma-degree k, an absent side being the zero map.
+    once, prime characteristic included.
+
+    The exponent is fixed by weight (see the module notes), equivalently
+    U(gamma) = D U(1) D^-1 with D = diag(gamma, 1).  So phi U_dom(gamma) =
+    U_amb(gamma) phi holds exactly when phi E_dom_k = E_amb_k phi for every
+    Y-degree change k, an absent side being the zero map.  One comparison
+    at gamma = 1 would not be that identity for a phi that mixed
+    Y-degrees, so the route compares every k.  Both keys also require the
+    Sym tables over Z[gamma], from which the action code multiplies out
+    every other entry, to follow the rule.
     """
-    ring = ZGAMMA
     ctx = iso_context(N, d)
     phi = ctx.matrix
-    gamma = ring.gen()
+    spaces = (ctx.domain, ctx.hook.ambient)
     zero = LinearMap(ctx.domain, ctx.hook.ambient, ZZ, [{} for _ in phi.cols])
     out = {}
     for transpose, name in ((False, "upper"), (True, "lower")):
-        g = _unipotent(ring, gamma, transpose)
-        dom = gamma_coefficients(group_action_map(ring, g, ctx.domain))
-        amb = gamma_coefficients(group_action_map(ring, g, ctx.hook.ambient))
-        out[f"commutes_with_{name}_unipotent"] = all(
+        g = _unipotent(ZZ, 1, transpose)
+        dom = _ychange_parts(group_action_map(ZZ, g, ctx.domain), transpose)
+        amb = _ychange_parts(group_action_map(ZZ, g, ctx.hook.ambient), transpose)
+        out[f"commutes_with_{name}_unipotent"] = _sym_tables_are_monomial(
+            spaces, transpose
+        ) and all(
             (phi.compose(dom[k]) if k in dom else zero)
             == (amb[k].compose(phi) if k in amb else zero)
             for k in sorted(dom.keys() | amb.keys())
@@ -348,19 +413,25 @@ def verify_group_equivariance_poly(N: int, d: int) -> dict:
 
 
 def verify_group_equivariance_fp(N: int, d: int, p: int) -> dict:
-    """Exhaustive unipotent checks over GF(p), plus unit determinant of the
-    reduced coordinate matrix (bijectivity mod p)."""
+    """Commutation with every unipotent over GF(p), plus unit determinant of
+    the reduced coordinate matrix (bijectivity mod p).
+
+    The route checks generators: over GF(p), U(gamma) = U(1)^gamma, so U(1)
+    and its transpose generate every unipotent, and phi commutes with all of
+    them once it commutes with those two.  For p > 2 one more element, the
+    upper unipotent at gamma = p - 1, is checked as a cross-check on the
+    group-action code; at p = 2 that element is U(1) itself.
+    """
     ring = PrimeField(p)
     ctx = iso_context(N, d)
     phi = ctx.matrix_over(ring)
+    elements = [(1, False), (1, True)] + ([(p - 1, False)] if p > 2 else [])
     ok = True
-    for gamma in range(p):
-        for transpose in (False, True):
-            g = _unipotent(ring, ring.from_int(gamma), transpose)
-            dom = group_action_map(ring, g, ctx.domain)
-            amb = group_action_map(ring, g, ctx.hook.ambient)
-            if phi.compose(dom) != amb.compose(phi):
-                ok = False
+    for gamma, transpose in elements:
+        g = _unipotent(ring, ring.from_int(gamma), transpose)
+        dom = group_action_map(ring, g, ctx.domain)
+        amb = group_action_map(ring, g, ctx.hook.ambient)
+        ok = ok and phi.compose(dom) == amb.compose(phi)
     return {
         "commutes_with_all_unipotents": ok,
         "determinant_unit_mod_p": prod(ctx.diagonal) % p == 1 % p,

@@ -42,7 +42,8 @@ class Space:
     which cache them); ydegree(label) is the total Y-exponent of a basis
     vector and total_degree() the degree in X, Y that every basis vector
     shares; label_str, label_to_json and label_from_json format one label;
-    to_json() and the classmethod _from_json serialize the space.
+    to_json() and the classmethod _from_json serialize the space;
+    sym_atoms() is the set of Sym atoms it is built from.
 
     _action_columns(ring, g) is the matrix of g as its columns in basis
     order, a list or a one-pass iterator whose entries may be unreduced;
@@ -54,6 +55,12 @@ class Space:
     refusals below, which come before any label is looked at."""
 
     kind: ClassVar[str]
+
+    def sym_atoms(self) -> frozenset:
+        """The Sym atoms the space is built from, read off its fields."""
+        return frozenset().union(
+            *(f.sym_atoms() for f in vars(self).values() if isinstance(f, Space))
+        )
 
     def _action_columns(self, ring: Ring, g):
         raise TypeError(f"the group action is undefined on {self!r}")
@@ -73,6 +80,9 @@ class Sym(Space):
     def __post_init__(self):
         if self.c < 0:
             raise ValueError(f"Sym needs c >= 0, got {self.c}")
+
+    def sym_atoms(self):
+        return frozenset((self,))
 
     def _basis(self):
         return tuple(range(self.c + 1))

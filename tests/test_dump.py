@@ -12,7 +12,6 @@ from plethy import (
     IntPolynomialRing,
     PrimeField,
     Sym,
-    Wedge,
     basis_to_json,
     dump_payload,
     group_action_map,

@@ -16,7 +16,6 @@ from plethy import (
     ConsistencyError,
     IsoContext,
     LinearMap,
-    PrimeField,
     Sym,
     basis,
     basis_index,
@@ -40,6 +39,7 @@ from plethy import (
     weight_block_digests,
 )
 import plethy.iso as iso
+import plethy.spaces as spaces
 from plethy.cli import verify_point
 
 # ------------------------------------------------------------- the map itself
@@ -434,6 +434,108 @@ def test_poly_route_compares_every_gamma_degree(monkeypatch):
                 "commutes_with_upper_unipotent": False,
                 "commutes_with_lower_unipotent": False,
             }, k
+
+
+def test_poly_route_compares_every_y_degree_change(monkeypatch):
+    # add 1 to one entry of the integer U(1) on the ambient side, at Y-degree
+    # change k, for every k that occurs and one more: the route must fail
+    # each time.  The corrupted column is reached by phi; its row is a basis
+    # label k steps down (up, for the transpose) when there is one, else a
+    # label one step outside the basis.
+    N, d = 2, 3
+    ctx = iso_context(N, d)
+    amb = ctx.hook.ambient
+    real = iso.group_action_map
+    by_ydeg = {}
+    for label in basis(amb):
+        by_ydeg.setdefault(amb.ydegree(label), label)
+    low, high = min(by_ydeg), max(by_ydeg)
+    top = high - low  # the largest change between two basis labels
+    reached = {l for col in ctx.matrix.cols for l in col}
+    assert by_ydeg[low] in reached and by_ydeg[high] in reached
+
+    for k in range(top + 2):
+
+        def corrupted(ring, g, space, k=k):
+            A = real(ring, g, space)
+            if space != amb:
+                return A
+            transpose = g[1][0] != 0
+            w, shift = (low, k) if transpose else (high, -k)
+            col_label = by_ydeg[w]
+            i, j = col_label
+            row = by_ydeg.get(w + shift, (i, j + shift))
+            cols = [dict(col) for col in A.cols]
+            col = cols[basis_index(amb)[col_label]]
+            col[row] = col.get(row, 0) + 1
+            return LinearMap(space, space, ring, cols)
+
+        with monkeypatch.context() as m:
+            m.setattr(iso, "group_action_map", corrupted)
+            assert verify_group_equivariance_poly(N, d) == {
+                "commutes_with_upper_unipotent": False,
+                "commutes_with_lower_unipotent": False,
+            }, k
+
+
+def test_poly_route_checks_the_gamma_exponent_of_the_sym_tables(monkeypatch):
+    # the Z[gamma] table of Sym(c) gets gamma^(k+1) at one off-diagonal
+    # entry; the integer U(1) is untouched, so only the monomial check sees it
+    real = spaces._sym_action_table
+
+    def wrong_exponent(ring, g, c):
+        table = real(ring, g, c)
+        if ring != ZGAMMA or c == 0:
+            return table
+        table = [dict(col) for col in table]
+        a, b = (1, 0) if g[0][1] else (0, 1)
+        table[a][b] = table[a][b] * ZGAMMA.gen()
+        return table
+
+    assert verify_group_equivariance_poly(2, 3) == {
+        "commutes_with_upper_unipotent": True,
+        "commutes_with_lower_unipotent": True,
+    }
+    monkeypatch.setattr(spaces, "_sym_action_table", wrong_exponent)
+    assert verify_group_equivariance_poly(2, 3) == {
+        "commutes_with_upper_unipotent": False,
+        "commutes_with_lower_unipotent": False,
+    }
+
+
+@pytest.mark.parametrize("p, builds", [(2, 4), (3, 6), (5, 6), (7, 6)])
+def test_fp_route_builds_only_the_generators_and_one_spot_check(monkeypatch, p, builds):
+    calls = []
+    real = iso.group_action_map
+
+    def counting(ring, g, space):
+        calls.append((g, space))
+        return real(ring, g, space)
+
+    monkeypatch.setattr(iso, "group_action_map", counting)
+    assert verify_group_equivariance_fp(2, 4, p)["commutes_with_all_unipotents"]
+    assert len(calls) == builds
+    gammas = {(g[0][1], g[1][0]) for g, _ in calls}
+    assert gammas == {(1, 0), (0, 1), (p - 1, 0)}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fp_route_catches_a_fault_seen_only_at_the_spot_check(monkeypatch, p):
+    ctx = iso_context(2, 4)
+    real = iso.group_action_map
+    row = next(iter(ctx.matrix.cols[0]))
+
+    def corrupted(ring, g, space):
+        A = real(ring, g, space)
+        if space != ctx.hook.ambient or g[0][1] != p - 1:
+            return A
+        cols = [dict(col) for col in A.cols]
+        col = cols[basis_index(space)[row]]
+        col[row] = col.get(row, 0) + 1
+        return LinearMap(space, space, ring, cols)
+
+    monkeypatch.setattr(iso, "group_action_map", corrupted)
+    assert verify_group_equivariance_fp(2, 4, p)["commutes_with_all_unipotents"] is False
 
 
 def test_gamma_coefficients_split_a_known_map():

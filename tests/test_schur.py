@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from plethy import (
     QQ,
     ZZ,
-    ConsistencyError,
     ModuleElement,
     PrimeField,
     hook_schur_space,

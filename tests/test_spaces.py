@@ -1,6 +1,5 @@
 """Spaces, actions, and exact sparse elimination."""
 
-import itertools
 import json
 import random
 from fractions import Fraction
@@ -72,6 +71,13 @@ def test_degree_bookkeeping():
     # pair coordinates carry the kernel's degree
     assert PairCoords(2, 4).total_degree() == 12
     assert PairCoords(2, 4).ydegree(((0, 3), 4)) == 7
+
+
+def test_sym_atoms():
+    assert Sym(3).sym_atoms() == {Sym(3)}
+    assert Tensor(Sym(2), Wedge(3, Sym(5))).sym_atoms() == {Sym(2), Sym(5)}
+    assert Tensor(Wedge(2, Sym(4)), SymPower(2, Sym(4))).sym_atoms() == {Sym(4)}
+    assert PairCoords(2, 4).sym_atoms() == frozenset()
 
 
 def test_wedge_and_sympower_require_sym_inner():
