@@ -54,7 +54,6 @@ from .schur import HookSchurSpace, hook_schur_space
 from .iso import (
     IsoContext,
     basis_image,
-    gamma_coefficients,
     gl2_scalar_exponents,
     iso_context,
     reversal_sign,

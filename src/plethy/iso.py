@@ -11,7 +11,8 @@ Certificates produced here:
   * in kernel-basis coordinates, with rows sorted by the pair order and
     column m paired to the witness of pair m, the matrix is lower
     unitriangular, hence has determinant one over the integers;
-  * an exact integer inverse, verified by round-trip composition;
+  * an exact integer inverse, with both round trips checked against the
+    identity one Y-degree block at a time;
   * equivariance three ways: Lie generators over the integers, a one-
     parameter unipotent family over a polynomial ring (which certifies the
     statement over every coefficient ring at once), and unipotent checks
@@ -22,21 +23,27 @@ Certificates produced here:
     the twist det^N, so the two swaps agree through phi up to (-1)^N.
 
 The map is one integer matrix, so each route keeps its arithmetic on
-integers or on residues reduced once per entry.  Two design notes keep the
-unipotent routes to the work their claims need:
+integers or on residues reduced once per entry.  Three design notes keep
+the routes to the work their claims need:
 
   * poly: the exponent is fixed by weight.  Every entry of the upper
     unipotent U(gamma) is c gamma^k, where k is the drop in Y-degree (the
     rise, for the transpose) and c the entry of U(1) over the integers.  So
-    U(1) is built once over ZZ and split by Y-degree change into the
-    integer maps E_k with U(gamma) = sum over k of gamma^k E_k, and the
-    identity is compared as phi E_k = E_k phi for every k.  Only the Sym
-    tables are built over Z[gamma], to check that rule where the action
-    code makes it.
+    U(1) is built once over ZZ, and each of its entries is sorted by its
+    Y-degree change k into the integer maps E_k with U(gamma) = sum over k
+    of gamma^k E_k; the identity is compared as phi E_k = E_k phi for
+    every k.  Only the Sym tables are built over Z[gamma], to check that
+    rule where the action code makes it.
   * fp: generators.  Over GF(p), U(gamma) = U(1)^gamma, and U(1) with its
     transpose generates every unipotent, so two action pairs cover them all;
     for p > 2 one spot check at gamma = p - 1 cross-checks the group-action
     code.
+  * no certificate builds a whole product map.  Each commutation phi A =
+    B phi is checked one domain column at a time, both sides summed raw
+    into one dict (one per Y-degree change, for poly) that is reduced once
+    and dropped, and the first nonzero entry ends the check.  The inverse
+    round trips run one Y-degree block at a time, on pair positions.  Only
+    the swap's involution and sign law still compose whole maps.
 
 Since phi is integral and k! E^(k) = E^k for the divided powers that make
 up the unipotents, the Lie check already implies the polynomial identity;
@@ -224,8 +231,9 @@ class IsoContext:
         ascending order.  There the pending sum for c is final: a nonzero one
         is kept as x[c] and scattered down the sparse column c, and one that
         cancelled to zero is skipped, so the scatter work is proportional to
-        the nonzeros reached.  Both round trips are composed and compared to
-        the identity before anything is returned.
+        the nonzeros reached.  Both round trips are checked against the
+        identity one block at a time, on pair positions, before anything is
+        returned.
         """
         if self._inverse is not None:
             return self._inverse
@@ -253,17 +261,35 @@ class IsoContext:
                     for r, v in below[k]:
                         pending[r] -= v * xc
                 inv_cols_by_pos[m] = x
-        cols = [
+            if not _is_block_identity(paired, inv_cols_by_pos, idxs):
+                raise ConsistencyError("inverse round trip failed on the pair side")
+            if not _is_block_identity(inv_cols_by_pos, paired, idxs):
+                raise ConsistencyError("inverse round trip failed on the domain side")
+        # a generator: LinearMap settles one relabelled column at a time
+        cols = (
             {self.witnesses[c]: val for c, val in x.items()} for x in inv_cols_by_pos
-        ]
+        )
         inv = LinearMap(self.hook.coords, self.domain, ZZ, cols)
-        if self.coord_matrix.compose(inv) != identity_map(ZZ, self.hook.coords):
-            raise ConsistencyError("inverse round trip failed on the pair side")
-        if inv.compose(self.coord_matrix) != identity_map(ZZ, self.domain):
-            raise ConsistencyError("inverse round trip failed on the domain side")
         self.inverse_round_trip = True
         self._inverse = inv
         return inv
+
+
+def _is_block_identity(left: list, right: list, idxs) -> bool:
+    """Whether column m of left times right is e_m at every position m of
+    one block.  Both are lists of integer columns keyed by pair position,
+    with column m of the product the sum over c of right[m][c] left[c]; a
+    paired column and an inverse column each stay inside their block, so
+    one block is checked without the rest."""
+    for m in idxs:
+        acc: dict = {}
+        get = acc.get
+        for c, v in right[m].items():
+            for r, u in left[c].items():
+                acc[r] = get(r, 0) + v * u
+        if acc.pop(m, 0) != 1 or any(acc.values()):
+            return False
+    return True
 
 
 @cache
@@ -300,12 +326,14 @@ def verify_lie_equivariance(N: int, d: int) -> dict:
     compared over the integers."""
     ctx = iso_context(N, d)
     phi = ctx.matrix
-    out = {}
-    for which in ("e", "f"):
-        dom = lie_action_map(which, ctx.domain)
-        amb = lie_action_map(which, ctx.hook.ambient)
-        out[f"commutes_with_{which}"] = phi.compose(dom) == amb.compose(phi)
-    return out
+    return {
+        f"commutes_with_{which}": _commutes(
+            phi,
+            lie_action_map(which, ctx.domain),
+            lie_action_map(which, ctx.hook.ambient),
+        )
+        for which in ("e", "f")
+    }
 
 
 def _unipotent(ring: Ring, gamma, transpose: bool):
@@ -314,46 +342,109 @@ def _unipotent(ring: Ring, gamma, transpose: bool):
     return ((ring.one, gamma), (ring.zero, ring.one))
 
 
-def gamma_coefficients(A: LinearMap) -> dict:
-    """The integer maps E_k with A = sum over k of gamma^k E_k, for a map A
-    over Z[gamma]; only the k that occur are keys."""
-    n = len(A.cols)
-    parts: dict = {}
-    for j, col in enumerate(A.cols):
-        for label, poly in col.items():
-            for k, c in enumerate(poly.coeffs):
-                if c:
-                    cols = parts.get(k)
-                    if cols is None:
-                        cols = parts[k] = [{} for _ in range(n)]
-                    cols[j][label] = c
-    return {
-        k: LinearMap(A.domain, A.codomain, ZZ, parts[k]) for k in sorted(parts)
-    }
+def _commutes(
+    phi: LinearMap, dom: LinearMap, amb: LinearMap, transpose: bool | None = None
+) -> bool:
+    """Whether phi dom == amb phi, for dom acting on phi's domain and amb on
+    its codomain, checked one domain column at a time; no product map is
+    built.  Column j of phi dom minus amb phi is summed raw into one dict,
+    each entry is reduced once, and the first nonzero entry ends the check.
 
+    With transpose given, the two sides are compared one Y-degree change k
+    at a time, k being the drop from the column label to the row label of
+    an action entry (the rise, for the transpose): phi E_dom_k == E_amb_k
+    phi for every k, with E_k the entries of the action at change k, so
+    each column keeps one raw sum per k.  A row label of amb outside the
+    basis is split by its own Y-degree, so a broken map fails the
+    comparison instead of stopping it.
+    """
+    if (
+        dom.domain != phi.domain
+        or dom.codomain != phi.domain
+        or amb.domain != phi.codomain
+        or amb.codomain != phi.codomain
+        or not phi.ring == dom.ring == amb.ring
+    ):
+        raise ValueError("commutation mismatch")
+    ring = phi.ring
+    reduce = None if type(ring).reduce is Ring.reduce else ring.reduce
+    zero = ring.zero
+    phi_cols = phi.cols
+    dom_idx = basis_index(phi.domain)
+    amb_idx = basis_index(phi.codomain)
+    if transpose is None:
+        amb_cols = amb.cols
+        for dom_col, phi_col in zip(dom.cols, phi_cols):
+            acc: dict = {}
+            get = acc.get
+            for label, c in dom_col.items():
+                for row, m in phi_cols[dom_idx[label]].items():
+                    acc[row] = get(row, zero) + c * m
+            for label, c in phi_col.items():
+                for row, m in amb_cols[amb_idx[label]].items():
+                    acc[row] = get(row, zero) - c * m
+            if _any_nonzero(acc, reduce):
+                return False
+        return True
 
-def _ychange_parts(A: LinearMap, transpose: bool) -> dict:
-    """The maps E_k that split an action map A on one space by Y-degree
-    change: E_k keeps the entries whose row label lies k below its column
-    label, or k above it for the transpose.  Only the k that occur are
-    keys; a k below zero marks an entry that moves the wrong way.  A row
-    label outside the basis is split by its own Y-degree, so a broken map
-    fails the comparison instead of stopping it."""
-    space = A.domain
-    ydeg = {label: space.ydegree(label) for label in basis(space)}
-    get = ydeg.get
     sign = -1 if transpose else 1
-    n = len(A.cols)
-    parts: dict = {}
-    for j, (w, col) in enumerate(zip(ydeg.values(), A.cols)):
+    ydeg = _ydegrees(phi.domain)
+    amb_parts = _ychange_columns(amb, sign)
+    for w, dom_col, phi_col in zip(ydeg.values(), dom.cols, phi_cols):
+        accs: dict = {}
+        for label, c in dom_col.items():
+            k = sign * (w - ydeg[label])
+            acc = accs.get(k)
+            if acc is None:
+                acc = accs[k] = {}
+            get = acc.get
+            for row, m in phi_cols[dom_idx[label]].items():
+                acc[row] = get(row, zero) + c * m
+        for label, c in phi_col.items():
+            for k, part in amb_parts[amb_idx[label]]:
+                acc = accs.get(k)
+                if acc is None:
+                    acc = accs[k] = {}
+                get = acc.get
+                for row, m in part.items():
+                    acc[row] = get(row, zero) - c * m
+        if any(_any_nonzero(acc, reduce) for acc in accs.values()):
+            return False
+    return True
+
+
+def _any_nonzero(acc: dict, reduce) -> bool:
+    """Whether a raw sum has an entry that reduces to nonzero; reduce is
+    None for a ring whose payloads are already canonical."""
+    if reduce is None:
+        return any(acc.values())
+    return any(reduce(v) for v in acc.values())
+
+
+def _ydegrees(space) -> dict:
+    """Y-degree of each basis label, in basis order."""
+    return {label: space.ydegree(label) for label in basis(space)}
+
+
+def _ychange_columns(A: LinearMap, sign: int) -> list:
+    """Each column of an action map A on one space, split by Y-degree change
+    k = sign * (column Y-degree - row Y-degree) into (k, entries) pairs.  A
+    row label outside the basis is split by its own Y-degree."""
+    space = A.domain
+    ydeg = _ydegrees(space)
+    get = ydeg.get
+    out = []
+    for w, col in zip(ydeg.values(), A.cols):
+        parts: dict = {}
         for label, c in col.items():
             v = get(label)
             k = sign * (w - (space.ydegree(label) if v is None else v))
-            cols = parts.get(k)
-            if cols is None:
-                cols = parts[k] = [{} for _ in range(n)]
-            cols[j][label] = c
-    return {k: LinearMap(space, space, A.ring, parts[k]) for k in sorted(parts)}
+            part = parts.get(k)
+            if part is None:
+                part = parts[k] = {}
+            part[label] = c
+        out.append(tuple(parts.items()))
+    return out
 
 
 def _sym_tables_are_monomial(spaces, transpose: bool) -> bool:
@@ -396,18 +487,16 @@ def verify_group_equivariance_poly(N: int, d: int) -> dict:
     ctx = iso_context(N, d)
     phi = ctx.matrix
     spaces = (ctx.domain, ctx.hook.ambient)
-    zero = LinearMap(ctx.domain, ctx.hook.ambient, ZZ, [{} for _ in phi.cols])
     out = {}
     for transpose, name in ((False, "upper"), (True, "lower")):
         g = _unipotent(ZZ, 1, transpose)
-        dom = _ychange_parts(group_action_map(ZZ, g, ctx.domain), transpose)
-        amb = _ychange_parts(group_action_map(ZZ, g, ctx.hook.ambient), transpose)
         out[f"commutes_with_{name}_unipotent"] = _sym_tables_are_monomial(
             spaces, transpose
-        ) and all(
-            (phi.compose(dom[k]) if k in dom else zero)
-            == (amb[k].compose(phi) if k in amb else zero)
-            for k in sorted(dom.keys() | amb.keys())
+        ) and _commutes(
+            phi,
+            group_action_map(ZZ, g, ctx.domain),
+            group_action_map(ZZ, g, ctx.hook.ambient),
+            transpose,
         )
     return out
 
@@ -429,9 +518,11 @@ def verify_group_equivariance_fp(N: int, d: int, p: int) -> dict:
     ok = True
     for gamma, transpose in elements:
         g = _unipotent(ring, ring.from_int(gamma), transpose)
-        dom = group_action_map(ring, g, ctx.domain)
-        amb = group_action_map(ring, g, ctx.hook.ambient)
-        ok = ok and phi.compose(dom) == amb.compose(phi)
+        ok = ok and _commutes(
+            phi,
+            group_action_map(ring, g, ctx.domain),
+            group_action_map(ring, g, ctx.hook.ambient),
+        )
     return {
         "commutes_with_all_unipotents": ok,
         "determinant_unit_mod_p": prod(ctx.diagonal) % p == 1 % p,
@@ -463,8 +554,8 @@ def verify_duality(N: int, d: int) -> dict:
         "domain_swap_involutive": tau.compose(tau) == identity_map(ZZ, ctx.domain),
         "codomain_swap_involutive": tau2.compose(tau2)
         == identity_map(ZZ, ctx.hook.ambient),
-        "domain_swap_exchanges_e_f": e_dom.compose(tau) == tau.compose(f_dom),
-        "codomain_swap_exchanges_e_f": tau2.compose(e_amb) == f_amb.compose(tau2),
+        "domain_swap_exchanges_e_f": _commutes(tau, f_dom, e_dom),
+        "codomain_swap_exchanges_e_f": _commutes(tau2, e_amb, f_amb),
         "swap_law_sign": sign,
         "swap_law_holds": vacuous
         or (sign is not None and lhs == rhs.map_entries(ZZ, lambda v: sign * v)),

@@ -31,13 +31,13 @@ from plethy import (
     basis_index,
     binomial,
     dim,
-    gamma_coefficients,
     group_action_map,
     hook_schur_space,
     iso_context,
     lie_action_map,
     wedge_normalize,
 )
+from oracles import gamma_coefficients
 
 RINGS = (ZZ, QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), ZGAMMA)
 

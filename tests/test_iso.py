@@ -22,7 +22,6 @@ from plethy import (
     basis_image,
     box,
     dim,
-    gamma_coefficients,
     gl2_scalar_exponents,
     group_action_map,
     identity_map,
@@ -38,6 +37,7 @@ from plethy import (
     verify_structure,
     weight_block_digests,
 )
+from oracles import gamma_coefficients
 import plethy.iso as iso
 import plethy.spaces as spaces
 from plethy.cli import verify_point
@@ -245,6 +245,30 @@ def test_inverse_rejects_a_column_that_leaves_its_block(monkeypatch):
     monkeypatch.setattr(ctx, "weight_blocks", lambda: {m: [m] for m in range(n)})
     with pytest.raises(ConsistencyError, match="couples two Y-degrees"):
         ctx.inverse()
+
+
+@pytest.mark.parametrize("side", ["pair", "domain"])
+def test_inverse_round_trip_catches_one_corrupted_entry(monkeypatch, side):
+    # the check of the named side gets the inverse with one entry off by one,
+    # in the largest block; the other side gets the exact inverse
+    ctx = IsoContext(3, 5)
+    idxs = max(ctx.weight_blocks().values(), key=len)
+    assert len(idxs) > 1
+    real = iso._is_block_identity
+
+    def corrupting(left, right, block):
+        pair_side = left is ctx.paired_columns
+        if block != idxs or pair_side != (side == "pair"):
+            return real(left, right, block)
+        inv = list(right if pair_side else left)
+        inv[idxs[0]] = dict(inv[idxs[0]])
+        inv[idxs[0]][idxs[-1]] = inv[idxs[0]].get(idxs[-1], 0) + 1
+        return real(left, inv, block) if pair_side else real(inv, right, block)
+
+    monkeypatch.setattr(iso, "_is_block_identity", corrupting)
+    with pytest.raises(ConsistencyError, match=f"failed on the {side} side"):
+        ctx.inverse()
+    assert ctx.inverse_round_trip is False
 
 
 def test_determinant_is_one():

@@ -1,11 +1,17 @@
-"""Differential tests: the generator-based unipotent routes against the
-original ones, kept here as reference oracles only.
+"""Differential tests: the equivariance routes against the earlier ones,
+kept here as reference oracles only.
 
 The oracle polynomial route builds both unipotent actions over Z[gamma]
 and compares them gamma-coefficient by gamma-coefficient.  The oracle
 prime-field route composes one action pair for every gamma in 0..p-1, for
 both transposes.  Both are compared with the routes in plethy.iso on the
 true map and on maps broken at random.
+
+The column-at-a-time comparison iso._commutes is checked against the
+whole-map comparison it replaced, which builds both products and compares
+them with ==, and, split by Y-degree change, against the per-k comparison
+that cut each action map into one map per change k.  Those oracles run on
+random sparse maps and on the routes themselves.
 """
 
 import copy
@@ -21,13 +27,21 @@ from plethy import (
     ZZ,
     LinearMap,
     PrimeField,
+    Sym,
+    Tensor,
+    Wedge,
     basis,
-    gamma_coefficients,
+    basis_index,
     group_action_map,
+    identity_map,
     iso_context,
+    lie_action_map,
+    verify_duality,
     verify_group_equivariance_fp,
     verify_group_equivariance_poly,
+    verify_lie_equivariance,
 )
+from oracles import gamma_coefficients
 
 PRIMES = (2, 3, 5, 7)
 GRID = [(N, d) for d in range(6) for N in range(1, 4)]
@@ -69,6 +83,187 @@ def oracle_fp(ctx, p: int) -> dict:
         "commutes_with_all_unipotents": ok,
         "determinant_unit_mod_p": prod(ctx.diagonal) % p == 1 % p,
     }
+
+
+def oracle_commutes(phi, A, B) -> bool:
+    """phi A == B phi, with both products built whole."""
+    return phi.compose(A) == B.compose(phi)
+
+
+def oracle_ychange_parts(A, transpose: bool) -> dict:
+    """The maps E_k that split an action map A on one space by Y-degree
+    change: E_k keeps the entries whose row label lies k below its column
+    label, or k above it for the transpose.  A row label outside the basis
+    is split by its own Y-degree."""
+    space = A.domain
+    ydeg = {label: space.ydegree(label) for label in basis(space)}
+    get = ydeg.get
+    sign = -1 if transpose else 1
+    n = len(A.cols)
+    parts: dict = {}
+    for j, (w, col) in enumerate(zip(ydeg.values(), A.cols)):
+        for label, c in col.items():
+            v = get(label)
+            k = sign * (w - (space.ydegree(label) if v is None else v))
+            cols = parts.get(k)
+            if cols is None:
+                cols = parts[k] = [{} for _ in range(n)]
+            cols[j][label] = c
+    return {k: LinearMap(space, space, A.ring, parts[k]) for k in sorted(parts)}
+
+
+def oracle_commutes_by_ychange(phi, A, B, transpose: bool) -> bool:
+    """phi E_k == F_k phi for every Y-degree change k, with E_k and F_k the
+    parts of A and B, an absent part being the zero map."""
+    dom = oracle_ychange_parts(A, transpose)
+    amb = oracle_ychange_parts(B, transpose)
+    zero = LinearMap(phi.domain, phi.codomain, phi.ring, [{} for _ in phi.cols])
+    return all(
+        (phi.compose(dom[k]) if k in dom else zero)
+        == (amb[k].compose(phi) if k in amb else zero)
+        for k in sorted(dom.keys() | amb.keys())
+    )
+
+
+def oracle_lie(ctx) -> dict:
+    return {
+        f"commutes_with_{which}": oracle_commutes(
+            ctx.matrix,
+            lie_action_map(which, ctx.domain),
+            lie_action_map(which, ctx.hook.ambient),
+        )
+        for which in ("e", "f")
+    }
+
+
+def oracle_poly_by_ychange(ctx) -> dict:
+    out = {}
+    for transpose, name in ((False, "upper"), (True, "lower")):
+        g = iso._unipotent(ZZ, 1, transpose)
+        out[f"commutes_with_{name}_unipotent"] = iso._sym_tables_are_monomial(
+            (ctx.domain, ctx.hook.ambient), transpose
+        ) and oracle_commutes_by_ychange(
+            ctx.matrix,
+            group_action_map(ZZ, g, ctx.domain),
+            group_action_map(ZZ, g, ctx.hook.ambient),
+            transpose,
+        )
+    return out
+
+
+def oracle_fp_generators(ctx, p: int) -> dict:
+    ring = PrimeField(p)
+    phi = ctx.matrix_over(ring)
+    elements = [(1, False), (1, True)] + ([(p - 1, False)] if p > 2 else [])
+    ok = True
+    for gamma, transpose in elements:
+        g = iso._unipotent(ring, ring.from_int(gamma), transpose)
+        dom = group_action_map(ring, g, ctx.domain)
+        amb = group_action_map(ring, g, ctx.hook.ambient)
+        ok = oracle_commutes(phi, dom, amb) and ok
+    return {
+        "commutes_with_all_unipotents": ok,
+        "determinant_unit_mod_p": prod(ctx.diagonal) % p == 1 % p,
+    }
+
+
+def oracle_swap_exchanges(ctx) -> dict:
+    tau = group_action_map(ZZ, iso.SWAP, ctx.domain)
+    tau2 = group_action_map(ZZ, iso.SWAP, ctx.hook.ambient)
+    e_dom, f_dom = (lie_action_map(w, ctx.domain) for w in ("e", "f"))
+    e_amb, f_amb = (lie_action_map(w, ctx.hook.ambient) for w in ("e", "f"))
+    return {
+        "domain_swap_exchanges_e_f": e_dom.compose(tau) == tau.compose(f_dom),
+        "codomain_swap_exchanges_e_f": tau2.compose(e_amb) == f_amb.compose(tau2),
+    }
+
+
+# ------------------------------------------------------------ random maps
+
+MAP_RINGS = (ZZ, PrimeField(2), PrimeField(3))
+# each space with a wider one of the same shape, whose extra labels lie
+# outside the space's basis
+SPACE_PAIRS = (
+    (Sym(0), Sym(1)),
+    (Sym(3), Sym(4)),
+    (Wedge(2, Sym(3)), Wedge(2, Sym(4))),
+    (Tensor(Sym(1), Sym(2)), Tensor(Sym(2), Sym(3))),
+    (Tensor(Sym(1), Wedge(2, Sym(2))), Tensor(Sym(2), Wedge(2, Sym(3)))),
+)
+
+
+def _outside(pair) -> tuple:
+    space, wider = pair
+    inside = basis_index(space)
+    return tuple(label for label in basis(wider) if label not in inside)
+
+
+@st.composite
+def sparse_maps(draw, ring, domain, codomain, extra_rows=()):
+    rows = basis(codomain) + tuple(extra_rows)
+    cols = []
+    for _ in basis(domain):
+        entries = draw(
+            st.lists(st.tuples(st.sampled_from(rows), st.integers(-3, 3)), max_size=3)
+        )
+        col: dict = {}
+        for row, v in entries:
+            col[row] = col.get(row, 0) + v
+        cols.append({row: ring.from_int(v) for row, v in col.items()})
+    return LinearMap(domain, codomain, ring, cols)
+
+
+@st.composite
+def commutation_cases(draw):
+    """(phi, A, B, transpose) for the question phi A == B phi.  The maps
+    commute by construction in most draws, before one entry of phi, A or B
+    may be changed; B may then have a row label outside the basis."""
+    ring = draw(st.sampled_from(MAP_RINGS))
+    x_pair = draw(st.sampled_from(SPACE_PAIRS))
+    X = x_pair[0]
+    transpose = draw(st.booleans())
+    source = draw(st.sampled_from(("action", "random", "independent")))
+    if source == "independent":
+        y_pair = draw(st.sampled_from(SPACE_PAIRS))
+        Y = y_pair[0]
+        phi = draw(sparse_maps(ring, X, Y))
+        A = draw(sparse_maps(ring, X, X))
+        B = draw(sparse_maps(ring, Y, Y))
+    else:
+        y_pair, Y = x_pair, X
+        if source == "action":
+            A = group_action_map(ring, iso._unipotent(ring, ring.one, transpose), X)
+        else:
+            A = draw(sparse_maps(ring, X, X))
+        lie = lie_action_map("f" if transpose else "e", X)
+        phi = draw(
+            st.sampled_from(
+                (
+                    identity_map(ring, X),
+                    A,
+                    A.compose(A) - A,
+                    lie.map_entries(ring, ring.from_int),
+                )
+            )
+        )
+        B = A
+    target = draw(st.sampled_from(("none", "phi", "A", "B")))
+    if target != "none":
+        M = {"phi": phi, "A": A, "B": B}[target]
+        rows = basis(M.codomain) + (_outside(y_pair) if target == "B" else ())
+        j = draw(st.integers(0, len(M.cols) - 1))
+        row = draw(st.sampled_from(rows))
+        delta = ring.from_int(draw(st.integers(1, 4)))
+        cols = [dict(col) for col in M.cols]
+        cols[j][row] = cols[j].get(row, ring.zero) + delta
+        M = LinearMap(M.domain, M.codomain, ring, cols)
+        if target == "phi":
+            phi = M
+        elif target == "A":
+            A = M
+        else:
+            B = M
+    return phi, A, B, transpose
 
 
 # ------------------------------------------------------------------ breaks
@@ -152,3 +347,94 @@ def test_a_map_that_mixes_y_degrees_fails_both_routes(p):
     }
     assert fp == oracle_fp(broken, p)
     assert fp["commutes_with_all_unipotents"] is False
+
+
+@settings(max_examples=300, deadline=None)
+@given(commutation_cases())
+def test_commutes_matches_the_whole_map_oracle(case):
+    phi, A, B, _ = case
+    assert iso._commutes(phi, A, B) == oracle_commutes(phi, A, B)
+
+
+@settings(max_examples=300, deadline=None)
+@given(commutation_cases())
+def test_commutes_by_ychange_matches_the_per_k_oracle(case):
+    phi, A, B, transpose = case
+    assert iso._commutes(phi, A, B, transpose) == oracle_commutes_by_ychange(
+        phi, A, B, transpose
+    )
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_commutes_by_ychange_sees_negative_changes_and_outside_rows(transpose):
+    # U(1) on Sym(3) commutes with e (f, for the transpose) at every change
+    # k; one entry of B that moves the wrong way, or leaves the basis, breaks
+    # it, and the route and the oracle both see it
+    X = Sym(3)
+    A = group_action_map(ZZ, iso._unipotent(ZZ, 1, transpose), X)
+    phi = lie_action_map("f" if transpose else "e", X)
+    assert iso._commutes(phi, A, A, transpose)
+    assert oracle_commutes_by_ychange(phi, A, A, transpose)
+    col = 3 if transpose else 0
+    for row in (1, 2, -1, 4):  # k < 0 at 1 and 2; -1 and 4 are outside
+        cols = [dict(c) for c in A.cols]
+        cols[col][row] = cols[col].get(row, 0) + 1
+        B = LinearMap(X, X, ZZ, cols)
+        assert iso._commutes(phi, A, B, transpose) is False, row
+        assert oracle_commutes_by_ychange(phi, A, B, transpose) is False, row
+
+
+def test_commutes_by_ychange_is_stronger_than_one_whole_comparison():
+    # A = E_0 + E_1 on Sym(1), with E_0 = diag(2, 0) and E_1 moving Y down:
+    # phi = A commutes with A, but not with E_0 and E_1 one at a time
+    X = Sym(1)
+    A = LinearMap(X, X, ZZ, [{0: 2}, {0: 1}])
+    assert iso._commutes(A, A, A)
+    assert iso._commutes(A, A, A, False) is False
+    assert oracle_commutes_by_ychange(A, A, A, False) is False
+
+
+def test_commutes_rejects_mismatched_maps():
+    A = identity_map(ZZ, Sym(2))
+    with pytest.raises(ValueError, match="mismatch"):
+        iso._commutes(identity_map(ZZ, Sym(1)), A, A)
+    with pytest.raises(ValueError, match="mismatch"):
+        iso._commutes(A, A, A.map_entries(PrimeField(2), lambda v: v % 2))
+
+
+@pytest.mark.parametrize("N, d", GRID)
+def test_routes_match_the_whole_map_oracles(N, d):
+    ctx = iso_context(N, d)
+    assert verify_lie_equivariance(N, d) == oracle_lie(ctx)
+    assert verify_group_equivariance_poly(N, d) == oracle_poly_by_ychange(ctx)
+    for p in PRIMES:
+        assert verify_group_equivariance_fp(N, d, p) == oracle_fp_generators(ctx, p)
+    report = verify_duality(N, d)
+    assert {k: report[k] for k in oracle_swap_exchanges(ctx)} == (
+        oracle_swap_exchanges(ctx)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.integers(1, 3),
+    d=st.integers(1, 4),
+    p=st.sampled_from(PRIMES),
+    kind=st.sampled_from(("shift", "drop", "add_same_degree", "move_degree")),
+    j=st.integers(0, 10**6),
+    r=st.integers(0, 10**6),
+    delta=st.sampled_from((1, -1, 2, 3, 5, 7, 10)),
+)
+def test_broken_maps_match_the_whole_map_oracles(N, d, p, kind, j, r, delta):
+    ctx = iso_context(N, d)
+    nonzero = [m for m, col in enumerate(ctx.matrix.cols) if col]
+    if not nonzero:
+        return
+    broken = _broken(ctx, kind, nonzero[j % len(nonzero)], r, delta)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(iso, "iso_context", lambda N, d: broken)
+        assert verify_lie_equivariance(N, d) == oracle_lie(broken)
+        assert verify_group_equivariance_poly(N, d) == oracle_poly_by_ychange(broken)
+        assert verify_group_equivariance_fp(N, d, p) == oracle_fp_generators(
+            broken, p
+        )
