@@ -28,22 +28,23 @@ the routes to the work their claims need:
 
   * poly: the exponent is fixed by weight.  Every entry of the upper
     unipotent U(gamma) is c gamma^k, where k is the drop in Y-degree (the
-    rise, for the transpose) and c the entry of U(1) over the integers.  So
-    U(1) is built once over ZZ, and each of its entries is sorted by its
-    Y-degree change k into the integer maps E_k with U(gamma) = sum over k
-    of gamma^k E_k; the identity is compared as phi E_k = E_k phi for
-    every k.  Only the Sym tables are built over Z[gamma], to check that
-    rule where the action code makes it.
+    rise, for the transpose) and c the entry of U(1) over the integers, so
+    U(gamma) = sum over k of gamma^k E_k with integer maps E_k.  A phi that
+    maps Y-degree w to w - N only, checked entry by entry, sends the parts
+    for different k to rows of different Y-degree, so phi U(1) = U(1) phi
+    over ZZ is phi E_k = E_k phi for every k at once.  Only the Sym tables
+    are built over Z[gamma], to check the rule where the action code
+    makes it.
   * fp: generators.  Over GF(p), U(gamma) = U(1)^gamma, and U(1) with its
     transpose generates every unipotent, so two action pairs cover them all;
     for p > 2 one spot check at gamma = p - 1 cross-checks the group-action
     code.
   * no certificate builds a whole product map.  Each commutation phi A =
-    B phi is checked one domain column at a time, both sides summed raw
-    into one dict (one per Y-degree change, for poly) that is reduced once
-    and dropped, and the first nonzero entry ends the check.  The inverse
-    round trips run one Y-degree block at a time, on pair positions.  Only
-    the swap's involution and sign law still compose whole maps.
+    B phi, the swap's sign law included, is checked one domain column at a
+    time, both sides summed raw into one dict that is settled once and
+    dropped, and the first nonzero entry ends the check.  The inverse round
+    trips run one Y-degree block at a time, on pair positions.  Only the
+    swaps' involutions still compose whole maps.
 
 Since phi is integral and k! E^(k) = E^k for the divided powers that make
 up the unipotents, the Lie check already implies the polynomial identity;
@@ -71,6 +72,7 @@ from .spaces import (
     Sym,
     Tensor,
     Wedge,
+    _settled,
     basis,
     basis_index,
     dim,
@@ -342,21 +344,11 @@ def _unipotent(ring: Ring, gamma, transpose: bool):
     return ((ring.one, gamma), (ring.zero, ring.one))
 
 
-def _commutes(
-    phi: LinearMap, dom: LinearMap, amb: LinearMap, transpose: bool | None = None
-) -> bool:
+def _commutes(phi: LinearMap, dom: LinearMap, amb: LinearMap) -> bool:
     """Whether phi dom == amb phi, for dom acting on phi's domain and amb on
     its codomain, checked one domain column at a time; no product map is
     built.  Column j of phi dom minus amb phi is summed raw into one dict,
-    each entry is reduced once, and the first nonzero entry ends the check.
-
-    With transpose given, the two sides are compared one Y-degree change k
-    at a time, k being the drop from the column label to the row label of
-    an action entry (the rise, for the transpose): phi E_dom_k == E_amb_k
-    phi for every k, with E_k the entries of the action at change k, so
-    each column keeps one raw sum per k.  A row label of amb outside the
-    basis is split by its own Y-degree, so a broken map fails the
-    comparison instead of stopping it.
+    settled once, and the first column that keeps an entry ends the check.
     """
     if (
         dom.domain != phi.domain
@@ -367,84 +359,35 @@ def _commutes(
     ):
         raise ValueError("commutation mismatch")
     ring = phi.ring
-    reduce = None if type(ring).reduce is Ring.reduce else ring.reduce
     zero = ring.zero
     phi_cols = phi.cols
+    amb_cols = amb.cols
     dom_idx = basis_index(phi.domain)
     amb_idx = basis_index(phi.codomain)
-    if transpose is None:
-        amb_cols = amb.cols
-        for dom_col, phi_col in zip(dom.cols, phi_cols):
-            acc: dict = {}
-            get = acc.get
-            for label, c in dom_col.items():
-                for row, m in phi_cols[dom_idx[label]].items():
-                    acc[row] = get(row, zero) + c * m
-            for label, c in phi_col.items():
-                for row, m in amb_cols[amb_idx[label]].items():
-                    acc[row] = get(row, zero) - c * m
-            if _any_nonzero(acc, reduce):
-                return False
-        return True
-
-    sign = -1 if transpose else 1
-    ydeg = _ydegrees(phi.domain)
-    amb_parts = _ychange_columns(amb, sign)
-    for w, dom_col, phi_col in zip(ydeg.values(), dom.cols, phi_cols):
-        accs: dict = {}
+    for dom_col, phi_col in zip(dom.cols, phi_cols):
+        acc: dict = {}
+        get = acc.get
         for label, c in dom_col.items():
-            k = sign * (w - ydeg[label])
-            acc = accs.get(k)
-            if acc is None:
-                acc = accs[k] = {}
-            get = acc.get
             for row, m in phi_cols[dom_idx[label]].items():
                 acc[row] = get(row, zero) + c * m
         for label, c in phi_col.items():
-            for k, part in amb_parts[amb_idx[label]]:
-                acc = accs.get(k)
-                if acc is None:
-                    acc = accs[k] = {}
-                get = acc.get
-                for row, m in part.items():
-                    acc[row] = get(row, zero) - c * m
-        if any(_any_nonzero(acc, reduce) for acc in accs.values()):
+            for row, m in amb_cols[amb_idx[label]].items():
+                acc[row] = get(row, zero) - c * m
+        if _settled(ring, acc):
             return False
     return True
 
 
-def _any_nonzero(acc: dict, reduce) -> bool:
-    """Whether a raw sum has an entry that reduces to nonzero; reduce is
-    None for a ring whose payloads are already canonical."""
-    if reduce is None:
-        return any(acc.values())
-    return any(reduce(v) for v in acc.values())
-
-
-def _ydegrees(space) -> dict:
-    """Y-degree of each basis label, in basis order."""
-    return {label: space.ydegree(label) for label in basis(space)}
-
-
-def _ychange_columns(A: LinearMap, sign: int) -> list:
-    """Each column of an action map A on one space, split by Y-degree change
-    k = sign * (column Y-degree - row Y-degree) into (k, entries) pairs.  A
-    row label outside the basis is split by its own Y-degree."""
-    space = A.domain
-    ydeg = _ydegrees(space)
-    get = ydeg.get
-    out = []
-    for w, col in zip(ydeg.values(), A.cols):
-        parts: dict = {}
-        for label, c in col.items():
-            v = get(label)
-            k = sign * (w - (space.ydegree(label) if v is None else v))
-            part = parts.get(k)
-            if part is None:
-                part = parts[k] = {}
-            part[label] = c
-        out.append(tuple(parts.items()))
-    return out
+def _shifts_y_degree(phi: LinearMap, shift: int) -> bool:
+    """Whether each column of phi of Y-degree w lands only on rows of
+    Y-degree w - shift."""
+    dom_ydeg = phi.domain.ydegree
+    ydeg = phi.codomain.ydegree
+    for label, col in zip(basis(phi.domain), phi.cols):
+        target = dom_ydeg(label) - shift
+        if any(ydeg(row) != target for row in col):
+            return False
+    return True
 
 
 def _sym_tables_are_monomial(spaces, transpose: bool) -> bool:
@@ -475,28 +418,32 @@ def verify_group_equivariance_poly(N: int, d: int) -> dict:
     into every commutative ring, so this single check covers all fields at
     once, prime characteristic included.
 
-    The exponent is fixed by weight (see the module notes), equivalently
-    U(gamma) = D U(1) D^-1 with D = diag(gamma, 1).  So phi U_dom(gamma) =
-    U_amb(gamma) phi holds exactly when phi E_dom_k = E_amb_k phi for every
-    Y-degree change k, an absent side being the zero map.  One comparison
-    at gamma = 1 would not be that identity for a phi that mixed
-    Y-degrees, so the route compares every k.  Both keys also require the
-    Sym tables over Z[gamma], from which the action code multiplies out
-    every other entry, to follow the rule.
+    The exponent is fixed by weight (see the module notes), so the identity
+    is phi E_dom_k = E_amb_k phi for every Y-degree change k, with U(1) =
+    sum over k of E_k.  Once phi maps each Y-degree w to w - N only, the
+    part at k of a column of phi U(1) - U(1) phi lands on rows of Y-degree
+    w - N - k (w - N + k, for the transpose): different k never share a row,
+    so the one comparison at gamma = 1 over the integers is the identity
+    for every k.  Each key is the three checks together: the Sym tables over
+    Z[gamma], from which the action code multiplies out every other entry,
+    follow the rule; phi shifts Y-degree by N; and phi commutes with U(1),
+    or its transpose, over ZZ.
     """
     ctx = iso_context(N, d)
     phi = ctx.matrix
     spaces = (ctx.domain, ctx.hook.ambient)
+    homogeneous = _shifts_y_degree(phi, N)
     out = {}
     for transpose, name in ((False, "upper"), (True, "lower")):
         g = _unipotent(ZZ, 1, transpose)
-        out[f"commutes_with_{name}_unipotent"] = _sym_tables_are_monomial(
-            spaces, transpose
-        ) and _commutes(
-            phi,
-            group_action_map(ZZ, g, ctx.domain),
-            group_action_map(ZZ, g, ctx.hook.ambient),
-            transpose,
+        out[f"commutes_with_{name}_unipotent"] = (
+            _sym_tables_are_monomial(spaces, transpose)
+            and homogeneous
+            and _commutes(
+                phi,
+                group_action_map(ZZ, g, ctx.domain),
+                group_action_map(ZZ, g, ctx.hook.ambient),
+            )
         )
     return out
 
@@ -533,8 +480,10 @@ def verify_duality(N: int, d: int) -> dict:
     """The X/Y swaps, the actions of SWAP on both sides: involutivity,
     generator exchange, and the sign law tying the two swaps through the map.
 
-    The sign is measured from the matrices, then compared with the product
-    of the two reversal signs.
+    The sign is the s in (1, -1) with phi tau = s tau2 phi, compared with the
+    product of the two reversal signs.  Both signs hold only when both sides
+    are zero, the zero-dimensional corner, which carries no sign; none holds
+    when the law fails, and then no sign is reported either.
     """
     ctx = iso_context(N, d)
     phi = ctx.matrix
@@ -545,38 +494,22 @@ def verify_duality(N: int, d: int) -> dict:
     e_amb = lie_action_map("e", ctx.hook.ambient)
     f_amb = lie_action_map("f", ctx.hook.ambient)
 
-    lhs = tau2.compose(phi)
-    rhs = phi.compose(tau)
-    sign = _measure_sign(lhs, rhs)
     expected = reversal_sign(N) * reversal_sign(N + 1)
-    vacuous = lhs.is_zero() and rhs.is_zero()  # zero-dimensional corner
+    signs = [
+        s
+        for s in (1, -1)
+        if _commutes(phi, tau, tau2.map_entries(ZZ, lambda v: s * v))
+    ]
     return {
         "domain_swap_involutive": tau.compose(tau) == identity_map(ZZ, ctx.domain),
         "codomain_swap_involutive": tau2.compose(tau2)
         == identity_map(ZZ, ctx.hook.ambient),
         "domain_swap_exchanges_e_f": _commutes(tau, f_dom, e_dom),
         "codomain_swap_exchanges_e_f": _commutes(tau2, e_amb, f_amb),
-        "swap_law_sign": sign,
-        "swap_law_holds": vacuous
-        or (sign is not None and lhs == rhs.map_entries(ZZ, lambda v: sign * v)),
-        "swap_law_sign_matches_reversal_signs": vacuous or sign == expected,
+        "swap_law_sign": signs[0] if len(signs) == 1 else None,
+        "swap_law_holds": bool(signs),
+        "swap_law_sign_matches_reversal_signs": expected in signs,
     }
-
-
-def _measure_sign(lhs: LinearMap, rhs: LinearMap):
-    """The scalar in {+1, -1} with lhs == sign * rhs, read off the first
-    nonzero column; None when no column determines it or none exists."""
-    for a, b in zip(lhs.cols, rhs.cols):
-        if a and not b or b and not a:
-            return None
-        if not a:
-            continue
-        label, val = next(iter(a.items()))
-        other = b.get(label)
-        if other is None:
-            return None
-        return 1 if val == other else -1 if val == -other else None
-    return None  # zero maps carry no sign information
 
 
 def gl2_scalar_exponents(N: int, d: int) -> tuple[int, int]:

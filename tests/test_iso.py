@@ -625,6 +625,27 @@ def test_duality_route_catches_a_broken_swap(monkeypatch, side):
     assert verify_duality(2, 4)["swap_law_holds"] is False
 
 
+def test_duality_sign_is_none_when_the_law_fails(monkeypatch):
+    # negate the last column of the ambient swap: phi tau = s tau2 phi then
+    # holds for neither sign, so no sign is reported and none matches
+    ctx = iso_context(2, 4)
+    real = iso.group_action_map
+
+    def broken(ring, g, space):
+        A = real(ring, g, space)
+        if space != ctx.hook.ambient or g != iso.SWAP:
+            return A
+        cols = [dict(col) for col in A.cols]
+        cols[-1] = {label: -value for label, value in cols[-1].items()}
+        return LinearMap(space, space, ring, cols)
+
+    monkeypatch.setattr(iso, "group_action_map", broken)
+    report = verify_duality(2, 4)
+    assert report["swap_law_sign"] is None
+    assert report["swap_law_holds"] is False
+    assert report["swap_law_sign_matches_reversal_signs"] is False
+
+
 # ----------------------------------------------------------------- gl2 scalars
 
 

@@ -9,8 +9,10 @@ true map and on maps broken at random.
 
 The column-at-a-time comparison iso._commutes is checked against the
 whole-map comparison it replaced, which builds both products and compares
-them with ==, and, split by Y-degree change, against the per-k comparison
-that cut each action map into one map per change k.  Those oracles run on
+them with ==, and against the per-k comparison that cuts each action map
+into one map per Y-degree change k: a per-k pass implies a whole pass, and
+on a Y-homogeneous map the two agree, which is what lets the polynomial
+route compare once after checking homogeneity.  Those oracles run on
 random sparse maps and on the routes themselves.
 """
 
@@ -356,42 +358,83 @@ def test_commutes_matches_the_whole_map_oracle(case):
     assert iso._commutes(phi, A, B) == oracle_commutes(phi, A, B)
 
 
+def _y_shifts(phi) -> set:
+    """The Y-degree drops from column label to row label over the entries
+    of phi: at most one for a Y-homogeneous map."""
+    return {
+        phi.domain.ydegree(label) - phi.codomain.ydegree(row)
+        for label, col in zip(basis(phi.domain), phi.cols)
+        for row in col
+    }
+
+
 @settings(max_examples=300, deadline=None)
 @given(commutation_cases())
-def test_commutes_by_ychange_matches_the_per_k_oracle(case):
+def test_commutes_matches_the_per_k_oracle_on_y_homogeneous_maps(case):
+    # the parts of a column at different k land on different Y-degrees once
+    # phi shifts every Y-degree by one constant, so the whole comparison is
+    # the per-k one; otherwise a per-k pass still implies a whole pass
     phi, A, B, transpose = case
-    assert iso._commutes(phi, A, B, transpose) == oracle_commutes_by_ychange(
-        phi, A, B, transpose
-    )
+    whole = iso._commutes(phi, A, B)
+    per_k = oracle_commutes_by_ychange(phi, A, B, transpose)
+    shifts = _y_shifts(phi)
+    for shift in shifts | {0}:
+        assert iso._shifts_y_degree(phi, shift) == (shifts <= {shift})
+    if len(shifts) <= 1:
+        assert whole == per_k
+    elif per_k:
+        assert whole
 
 
 @pytest.mark.parametrize("transpose", [False, True])
 def test_commutes_by_ychange_sees_negative_changes_and_outside_rows(transpose):
-    # U(1) on Sym(3) commutes with e (f, for the transpose) at every change
-    # k; one entry of B that moves the wrong way, or leaves the basis, breaks
-    # it, and the route and the oracle both see it
+    # U(1) on Sym(3) commutes with e (f, for the transpose), which shifts
+    # Y-degree by one; one entry of B that moves the wrong way, or leaves the
+    # basis, breaks it, and the route and the per-k oracle both see it
     X = Sym(3)
     A = group_action_map(ZZ, iso._unipotent(ZZ, 1, transpose), X)
     phi = lie_action_map("f" if transpose else "e", X)
-    assert iso._commutes(phi, A, A, transpose)
+    assert iso._shifts_y_degree(phi, -1 if transpose else 1)
+    assert iso._commutes(phi, A, A)
     assert oracle_commutes_by_ychange(phi, A, A, transpose)
     col = 3 if transpose else 0
     for row in (1, 2, -1, 4):  # k < 0 at 1 and 2; -1 and 4 are outside
         cols = [dict(c) for c in A.cols]
         cols[col][row] = cols[col].get(row, 0) + 1
         B = LinearMap(X, X, ZZ, cols)
-        assert iso._commutes(phi, A, B, transpose) is False, row
+        assert iso._commutes(phi, A, B) is False, row
         assert oracle_commutes_by_ychange(phi, A, B, transpose) is False, row
 
 
-def test_commutes_by_ychange_is_stronger_than_one_whole_comparison():
-    # A = E_0 + E_1 on Sym(1), with E_0 = diag(2, 0) and E_1 moving Y down:
-    # phi = A commutes with A, but not with E_0 and E_1 one at a time
+def test_poly_route_rejects_a_y_inhomogeneous_map_the_per_k_oracle_passes():
+    # one whole comparison is weaker than the per-k identity on a map that
+    # mixes Y-degrees: A = E_0 + E_1 on Sym(1), with E_0 = diag(2, 0) and
+    # E_1 moving Y down, commutes with itself but not part by part
     X = Sym(1)
     A = LinearMap(X, X, ZZ, [{0: 2}, {0: 1}])
     assert iso._commutes(A, A, A)
-    assert iso._commutes(A, A, A, False) is False
     assert oracle_commutes_by_ychange(A, A, A, False) is False
+    assert not iso._shifts_y_degree(A, 0)
+    # so the poly route requires phi to shift Y-degree by N, which makes
+    # each key alone stricter than the Z[gamma] identity: at (1, 1), one
+    # entry added at another Y-degree keeps the upper identity, and both
+    # keys fail
+    ctx = iso_context(1, 1)
+    cols = [dict(col) for col in ctx.matrix.cols]
+    label = ((0,), 0)
+    cols[2][label] = cols[2].get(label, 0) + 1
+    broken = copy.copy(ctx)
+    broken.matrix = LinearMap(ctx.domain, ctx.hook.ambient, ZZ, cols)
+    oracle = {
+        "commutes_with_upper_unipotent": True,
+        "commutes_with_lower_unipotent": False,
+    }
+    assert oracle_poly(broken) == oracle_poly_by_ychange(broken) == oracle
+    poly, _ = _reports(broken, 2)
+    assert poly == {
+        "commutes_with_upper_unipotent": False,
+        "commutes_with_lower_unipotent": False,
+    }
 
 
 def test_commutes_rejects_mismatched_maps():
