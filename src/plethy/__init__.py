@@ -47,7 +47,6 @@ from .spaces import (
     multiplication_map,
     rank,
     rank_of_vectors,
-    solve,
     wedge_normalize,
 )
 from .schur import HookSchurSpace, hook_schur_space

@@ -41,7 +41,7 @@ from .iso import (
     verify_lie_equivariance,
     verify_structure,
 )
-from .rings import ZZ, ConsistencyError, _is_prime, ring_by_name
+from .rings import ZZ, ConsistencyError, PrimeField, ring_by_name
 from .schur import hook_schur_space
 
 DEFAULT_DIM_CAP = 5000
@@ -75,12 +75,9 @@ def parse_primes(text: str) -> tuple[int, ...]:
         if not piece:
             continue
         try:
-            p = int(piece)
-        except ValueError:
-            raise UsageError(f"bad prime {piece!r}") from None
-        if not _is_prime(p):
-            raise UsageError(f"{p} is not prime")
-        out.append(p)
+            out.append(PrimeField(int(piece)).p)
+        except ValueError as exc:
+            raise UsageError(f"bad prime {piece!r}: {exc}") from None
     if not out:
         raise UsageError("need at least one prime")
     return tuple(dict.fromkeys(out))
@@ -166,8 +163,11 @@ def emit(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def note(msg: str):

@@ -524,7 +524,8 @@ def scan(
 
     Returns (reports, skipped); a grid point is skipped with a notice when
     either side's ambient dimension exceeds dim_cap.  Grid points are
-    independent, so workers > 1 fans them out to processes.
+    independent, so workers > 1 fans them out to at most one process per
+    grid point.
     """
     jobs = []
     skipped = []
@@ -548,7 +549,9 @@ def scan(
                     continue
                 jobs.append((M, N, d, primes))
     if workers > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(workers, len(jobs))
+        ) as pool:
             reports = list(pool.map(_scan_job, jobs))
     else:
         reports = [_scan_job(j) for j in jobs]

@@ -63,17 +63,6 @@ class IntPoly:
         self.var = var
 
     @classmethod
-    def _trusted(cls, coeffs: list, var: str) -> "IntPoly":
-        """An arithmetic result: coeffs holds ints by construction, so the
-        validation pass is skipped and only trailing zeros are stripped."""
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        out = object.__new__(cls)
-        out.coeffs = tuple(coeffs)
-        out.var = var
-        return out
-
-    @classmethod
     def gen(cls, var: str = "q") -> "IntPoly":
         return cls((0, 1), var)
 
@@ -105,12 +94,12 @@ class IntPoly:
         out = list(a)
         for k, c in enumerate(b):
             out[k] += c
-        return IntPoly._trusted(out, self.var)
+        return IntPoly(out, self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntPoly._trusted([-c for c in self.coeffs], self.var)
+        return IntPoly([-c for c in self.coeffs], self.var)
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -119,21 +108,14 @@ class IntPoly:
         return (-self) + self._check(other)
 
     def __mul__(self, other):
-        if type(other) is not IntPoly or other.var != self.var:
-            other = self._check(other)
+        other = self._check(other)
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly._trusted([], self.var)
-        la, lb = len(a) - 1, len(b) - 1
-        if not any(a[:la]) and not any(b[:lb]):
-            # two monomials, the shape of every unipotent action entry
-            return IntPoly._trusted([0] * (la + lb) + [a[la] * b[lb]], self.var)
-        out = [0] * (la + lb + 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ci in enumerate(a):
             if ci:
                 for j, cj in enumerate(b):
                     out[i + j] += ci * cj
-        return IntPoly._trusted(out, self.var)
+        return IntPoly(out, self.var)
 
     __rmul__ = __mul__
 

@@ -29,7 +29,6 @@ from .spaces import (
     dim,
     multiplication_map,
     rank,
-    solve,
 )
 
 
@@ -104,8 +103,7 @@ class HookSchurSpace:
         reduced once; the terminal label must then carry c_(N-1).  A fixed
         pair's class holds that pair alone, whose coordinate is its entry.
         A label in no class, or a failed terminal check, means v is outside
-        the kernel; a field ring gets a global solve as a second opinion
-        before the error, and other rings raise ValueError.
+        the kernel, and every ring then raises ValueError.
         """
         if v.space != self.ambient:
             raise ValueError("element does not live in the ambient space")
@@ -140,12 +138,7 @@ class HookSchurSpace:
         return ModuleElement(self.coords, ring, coords)
 
     def _coordinates_fallback(self, v: ModuleElement) -> ModuleElement:
-        if not v.ring.is_field:
-            raise ValueError("element is not in the kernel span")
-        try:
-            return solve(self.basis_matrix(v.ring), v)
-        except ValueError:
-            raise ValueError("element is not in the kernel span") from None
+        raise ValueError("element is not in the kernel span")
 
     # ---------------------------------------------------------------- checks
 

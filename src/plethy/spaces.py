@@ -565,9 +565,6 @@ class LinearMap:
             cols.append(out)
         return LinearMap(self.domain, self.codomain, self.ring, cols)
 
-    def is_zero(self) -> bool:
-        return all(not col for col in self.cols)
-
     def __eq__(self, other):
         return (
             isinstance(other, LinearMap)
@@ -750,25 +747,3 @@ def kernel_basis(A: LinearMap) -> list[ModuleElement]:
             raise AssertionError("kernel vector failed the zero check")
         out.append(v)
     return out
-
-
-def solve(A: LinearMap, b: ModuleElement) -> ModuleElement:
-    """One exact solution x of A x = b, or ValueError if none exists."""
-    if b.space != A.codomain or b.ring != A.ring:
-        raise ValueError("space or ring mismatch")
-    ring = A.ring
-    pivots, _ = _echelon(_indexed_cols(A), ring, track=True)
-    idx = basis_index(A.codomain)
-    v = {idx[l]: c for l, c in b.coeffs.items()}
-    x: dict = {}
-    while v:
-        r = min(v)
-        hit = pivots.get(r)
-        if hit is None:
-            raise ValueError("inconsistent system: no solution")
-        pv, pc = hit
-        f = ring.div(v[r], pv[r])
-        _sub_scaled(v, pv, f, ring)
-        _sub_scaled(x, pc, -f, ring)
-    dom = basis(A.domain)
-    return ModuleElement(A.domain, ring, {dom[j]: c for j, c in x.items()})

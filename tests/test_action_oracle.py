@@ -333,7 +333,7 @@ def test_gamma_coefficients_reassemble_the_map(ring_g, space):
     ring, g = ring_g
     A = group_action_map(ring, g, space)
     parts = gamma_coefficients(A)
-    assert all(P.ring == ZZ and not P.is_zero() for P in parts.values())
+    assert all(P.ring == ZZ and any(P.cols) for P in parts.values())
     gamma = ZGAMMA.gen()
     total = [{} for _ in A.cols]
     for k, P in parts.items():

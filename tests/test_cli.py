@@ -27,7 +27,7 @@ def test_parse_range():
 def test_parse_primes():
     assert parse_primes("2,3,5") == (2, 3, 5)
     assert parse_primes("5, 2, 5") == (5, 2)  # deduplicated, order kept
-    for bad in ("4", "2,9", "x", ""):
+    for bad in ("4", "2,9", "x", "", "65537"):
         with pytest.raises(UsageError):
             parse_primes(bad)
 
@@ -54,6 +54,16 @@ def test_usage_errors_exit_two():
     assert main(["dump", "--N", "1..2", "--d", "4"]) == 2  # range where single
     assert main(["dump", "--N", "5", "--d", "1"]) == 2  # empty parameter zone
     assert main(["scan", "--workers", "0"]) == 2
+    # a prime beyond the supported range, in every subcommand that takes --p
+    assert main(["verify", "--p", "65537"]) == 2
+    assert main(["scan", "--p", "65537"]) == 2
+    assert main(["dump", "--N", "1", "--d", "0", "--ring", "fp", "--p", "65537"]) == 2
+    # an --out path that cannot be opened, in every subcommand
+    unwritable = ["--N", "1", "--d", "0", "--out", "/nonexistent/x.json"]
+    assert main(["verify", "--p", "2", *unwritable]) == 2
+    assert main(["dump", *unwritable]) == 2
+    assert main(["qchar", *unwritable]) == 2
+    assert main(["scan", "--M", "1", "--p", "2", *unwritable]) == 2
 
 
 @pytest.mark.parametrize(

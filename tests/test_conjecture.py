@@ -1,5 +1,7 @@
 """The general-parameter comparison grid and its modular fingerprints."""
 
+import concurrent.futures
+
 import pytest
 
 from plethy import (
@@ -260,6 +262,32 @@ def test_scan_workers_match_serial():
     serial, _ = scan(*grid, workers=1)
     parallel, _ = scan(*grid, workers=2)
     assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
+
+
+def test_scan_starts_at_most_one_worker_per_grid_point(monkeypatch):
+    # a serial stand-in: no process is started, only max_workers is recorded
+    seen = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    grid = ((1,), (2,), (2, 3), (2,))
+    reports, _ = scan(*grid, workers=64)
+    assert seen == [2]
+    serial, _ = scan(*grid, workers=1)
+    assert seen == [2]
+    assert [r.to_json() for r in reports] == [r.to_json() for r in serial]
 
 
 def test_scan_validates_primes():

@@ -102,6 +102,9 @@ def test_terminal_mismatch_is_caught_over_every_ring():
         v = ModuleElement(hook.ambient, ring, {pair: ring.one})
         assert outcome(hook.coordinates, v) == ValueError
         assert outcome(oracle_coordinates, hook, v) == ValueError
+        # a label outside the ambient basis (9 > d)
+        v = ModuleElement(hook.ambient, ring, {((0, 1), 9): ring.one})
+        assert outcome(hook.coordinates, v) == ValueError
 
 
 @pytest.mark.parametrize("N, d", GRID)
