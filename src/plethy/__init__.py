@@ -29,6 +29,7 @@ from .tableaux import (
     semistandard_pairs,
 )
 from .spaces import (
+    KroneckerMap,
     LinearMap,
     ModuleElement,
     PairCoords,

@@ -13,7 +13,8 @@ Subcommands:
   machine-readable report; inequalities are findings, not errors.
 
 Machine payloads go to --out when given, otherwise to stdout; progress and
-summaries go to stderr.  Files written via --out carry no timings, so
+summaries go to stderr.  An --out that cannot be written is a usage error
+found before any work starts.  Files written via --out carry no timings, so
 repeated runs produce identical bytes.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -168,6 +170,26 @@ def emit(text: str, out: str | None):
                 fh.write(text)
         except OSError as exc:
             raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
+
+
+def check_out(out: str | None):
+    """Fail fast, before any work, when --out cannot be written: its
+    directory must exist and be writable, and it must not be a directory
+    itself.  Nothing is created."""
+    if out is None:
+        return
+    folder = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        reason = errno.EISDIR
+    elif not os.path.isdir(folder):
+        reason = errno.ENOENT
+    elif not os.access(folder, os.W_OK | os.X_OK) or (
+        os.path.exists(out) and not os.access(out, os.W_OK)
+    ):
+        reason = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write {out}: {os.strerror(reason)}")
 
 
 def note(msg: str):
@@ -412,6 +434,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_out(args.out)
         return args.func(args)
     except UsageError as exc:
         note(f"usage error: {exc}")

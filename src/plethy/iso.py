@@ -45,6 +45,15 @@ the routes to the work their claims need:
     dropped, and the first nonzero entry ends the check.  The inverse round
     trips run one Y-degree block at a time, on pair positions.  Only the
     swaps' involutions still compose whole maps.
+  * no unipotent route builds a tensor action whole.  Both spaces are
+    tensor products, and group_action_map gives the action of g on one as
+    a KroneckerMap of its factors' actions A (x) B, whose columns are
+    built only when read.  _commutes applies it one factor at a time, as
+    A (x) B = (A (x) 1)(1 (x) B): on the domain side phi(l' (x) B r) is
+    summed once and reused for every left label l, and on the codomain
+    side A (x) 1 goes first, equal labels merge, and the Sym table of B
+    follows.  A route holds the factor actions only, the largest on
+    Wedge(N+1, Sym(d+1)); the swaps, composed with themselves, are built.
 
 Since phi is integral and k! E^(k) = E^k for the divided powers that make
 up the unipotents, the Lie check already implies the polynomial identity;
@@ -349,6 +358,8 @@ def _commutes(phi: LinearMap, dom: LinearMap, amb: LinearMap) -> bool:
     its codomain, checked one domain column at a time; no product map is
     built.  Column j of phi dom minus amb phi is summed raw into one dict,
     settled once, and the first column that keeps an entry ends the check.
+    Each side is formed by the map's own method, so a tensor action, a
+    KroneckerMap, is applied one factor at a time and never built whole.
     """
     if (
         dom.domain != phi.domain
@@ -359,20 +370,9 @@ def _commutes(phi: LinearMap, dom: LinearMap, amb: LinearMap) -> bool:
     ):
         raise ValueError("commutation mismatch")
     ring = phi.ring
-    zero = ring.zero
-    phi_cols = phi.cols
-    amb_cols = amb.cols
-    dom_idx = basis_index(phi.domain)
-    amb_idx = basis_index(phi.codomain)
-    for dom_col, phi_col in zip(dom.cols, phi_cols):
-        acc: dict = {}
-        get = acc.get
-        for label, c in dom_col.items():
-            for row, m in phi_cols[dom_idx[label]].items():
-                acc[row] = get(row, zero) + c * m
-        for label, c in phi_col.items():
-            for row, m in amb_cols[amb_idx[label]].items():
-                acc[row] = get(row, zero) - c * m
+    rows = phi._position_items()
+    for j, acc in dom._columns_after(rows):
+        amb._add_image(acc, [(row, -c) for row, c in rows[j]])
         if _settled(ring, acc):
             return False
     return True

@@ -10,9 +10,11 @@ tuples, tensor pairs with the left factor outermost.
 
 Each space type carries its own facts as methods: its basis and dim, the
 Y-degree of a label and the total degree, the label format, the JSON form
-of the space and of its labels, and its whole group and Lie action
-matrices, built from its factors' matrices the way the functors are:
-Sym^c(g), then Wedge^r, Sym^r and tensor products of those.  The module
+of the space and of its labels, and its group and Lie action matrices,
+built from its factors' matrices the way the functors are: Sym^c(g), then
+Wedge^r, Sym^r and tensor products of those.  A tensor's group action is
+kept as the Kronecker product of its factors' matrices, built whole only
+when something reads its columns.  The module
 functions basis, basis_index and dim hold the one cache that all equal
 spaces share.  To add a kind, write one Space subclass and add it to the
 space_from_json kind table, _KINDS.
@@ -28,7 +30,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import ClassVar
 
 from .rings import Ring, ZZ, binomial
@@ -45,14 +47,15 @@ class Space:
     to_json() and the classmethod _from_json serialize the space;
     sym_atoms() is the set of Sym atoms it is built from.
 
-    _action_columns(ring, g) is the matrix of g as its columns in basis
-    order, a list or a one-pass iterator whose entries may be unreduced;
-    group_action_map reduces them.  _lie_columns(which) is the list of the
-    integer columns of e or f.  A kind builds both from its factors'
-    columns: a divided power D^r(Sym c), say, would expand each label's
-    image from the columns of Sym(c), as _Power does, with its own
-    coefficients.  A kind that is not a polynomial space inherits the
-    refusals below, which come before any label is looked at."""
+    _action_map(ring, g) is the matrix of g, a LinearMap; by default it
+    holds _action_columns(ring, g), the columns in basis order, a list or
+    a one-pass iterator whose entries may be unreduced.  A Tensor instead
+    keeps its factors' maps in a KroneckerMap.  _lie_columns(which) is
+    the list of the integer columns of e or f.  A kind builds both from
+    its factors' columns: a divided power D^r(Sym c), say, would expand
+    each label's image from the columns of Sym(c), as _Power does, with
+    its own coefficients.  A kind that is not a polynomial space inherits
+    the refusals below, which come before any label is looked at."""
 
     kind: ClassVar[str]
 
@@ -61,6 +64,9 @@ class Space:
         return frozenset().union(
             *(f.sym_atoms() for f in vars(self).values() if isinstance(f, Space))
         )
+
+    def _action_map(self, ring: Ring, g) -> "LinearMap":
+        return LinearMap(self, self, ring, self._action_columns(ring, g))
 
     def _action_columns(self, ring: Ring, g):
         raise TypeError(f"the group action is undefined on {self!r}")
@@ -286,16 +292,9 @@ class Tensor(Space):
     def label_from_json(self, data):
         return (self.left.label_from_json(data[0]), self.right.label_from_json(data[1]))
 
-    def _action_columns(self, ring, g):
-        # a product of two nonzero entries is nonzero in every ring here
-        # (GF(p) included), so each product column is left unreduced for
-        # its consumer, and yielded one at a time so that none is kept
-        lcols = self.left._action_columns(ring, g)
-        rcols = [col.items() for col in self.right._action_columns(ring, g)]
-        return (
-            {(ll, rl): lv * rv for ll, lv in lcol.items() for rl, rv in rcol}
-            for lcol in lcols
-            for rcol in rcols
+    def _action_map(self, ring, g):
+        return KroneckerMap(
+            self.left._action_map(ring, g), self.right._action_map(ring, g)
         )
 
     def _lie_columns(self, which):
@@ -541,6 +540,46 @@ class LinearMap:
                 out[cl] = get(cl, zero) + c * m
         return out
 
+    # The two sides of a commutation check phi A == B phi, in basis
+    # positions, one method per map kind: a KroneckerMap overrides both to
+    # apply one factor at a time.
+
+    def _position_items(self) -> list:
+        """Each column as a list of (row key, entry), the key being the
+        codomain basis position of the row label, or (None, label) for a
+        label outside the basis."""
+        idx = basis_index(self.codomain)
+        return [
+            [(_row_key(idx, label), v) for label, v in col.items()]
+            for col in self.cols
+        ]
+
+    def _columns_after(self, rows: list):
+        """Given rows, phi._position_items() of a map phi from this map's
+        codomain, the pairs (j, column j of phi after self, raw and keyed
+        by row key), one for every column j, in some order."""
+        idx = basis_index(self.codomain)
+        zero = self.ring.zero
+        for j, col in enumerate(self.cols):
+            acc: dict = {}
+            get = acc.get
+            for label, c in col.items():
+                for row, m in rows[idx[label]]:
+                    acc[row] = get(row, zero) + c * m
+            yield j, acc
+
+    def _add_image(self, acc: dict, items) -> None:
+        """Add to acc, keyed by row key, the raw image of the vector given
+        as (domain basis position, coefficient) pairs."""
+        cols = self.cols
+        idx = basis_index(self.codomain)
+        zero = self.ring.zero
+        get = acc.get
+        for pos, c in items:
+            for label, m in cols[pos].items():
+                row = _row_key(idx, label)
+                acc[row] = get(row, zero) + c * m
+
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
         if other.codomain != self.domain or other.ring != self.ring:
@@ -587,6 +626,111 @@ class LinearMap:
         return sum(len(col) for col in self.cols)
 
 
+class KroneckerMap(LinearMap):
+    """The Kronecker product A (x) B of two maps over one ring, from
+    Tensor(A.domain, B.domain) to Tensor(A.codomain, B.codomain): column
+    (l, r) holds a b at (l', r') for each entry a at l' of column l of A
+    and b at r' of column r of B.
+
+    It keeps its two factors, and builds its columns, settled as any
+    LinearMap's, only when something first reads cols.  The commutation
+    check never reads them: with A (x) B = (A (x) 1)(1 (x) B), _add_image
+    and _columns_after apply one factor at a time."""
+
+    __slots__ = ("left", "right", "_cols", "_items")
+
+    def __init__(self, left: LinearMap, right: LinearMap):
+        if left.ring != right.ring:
+            raise ValueError("factor rings differ")
+        self.domain = Tensor(left.domain, right.domain)
+        self.codomain = Tensor(left.codomain, right.codomain)
+        self.ring = left.ring
+        self.left = left
+        self.right = right
+        self._cols = None
+        self._items = None
+
+    @property
+    def cols(self) -> list:
+        if self._cols is None:
+            self._cols = self._build_cols()
+        return self._cols
+
+    def _build_cols(self) -> list:
+        ring = self.ring
+        rcols = [col.items() for col in self.right.cols]
+        return [
+            _settled(
+                ring, {(ll, rl): lv * rv for ll, lv in lcol.items() for rl, rv in rcol}
+            )
+            for lcol in self.left.cols
+            for rcol in rcols
+        ]
+
+    def _factor_items(self) -> tuple:
+        """The two factors' _position_items(), made on first use."""
+        if self._items is None:
+            self._items = (self.left._position_items(), self.right._position_items())
+        return self._items
+
+    # Position (l, r) of a tensor basis is l * n + r, with n the dimension
+    # of the right factor, so the loops below key on ints, not label pairs.
+
+    def _columns_after(self, rows):
+        # column (l, r) of phi (A (x) B) is the sum over l' of A[l', l]
+        # phi(l' (x) B r); right label outermost, each phi(l' (x) B r) is
+        # summed once and reused for every l
+        left, right = self._factor_items()
+        zero = self.ring.zero
+        n = len(right)
+        m = dim(self.right.codomain)
+        for r, rcol in enumerate(right):
+            sums: dict = {}
+            for l, lcol in enumerate(left):
+                acc: dict = {}
+                get = acc.get
+                for ll, a in lcol:
+                    part = sums.get(ll)
+                    if part is None:
+                        part = sums[ll] = {}
+                        pget = part.get
+                        base = ll * m
+                        for rl, b in rcol:
+                            for row, v in rows[base + rl]:
+                                part[row] = pget(row, zero) + b * v
+                    for row, v in part.items():
+                        acc[row] = get(row, zero) + a * v
+                yield l * n + r, acc
+
+    def _add_image(self, acc, items):
+        # A (x) 1 first; its raw sums merge equal positions before 1 (x) B
+        left, right = self._factor_items()
+        zero = self.ring.zero
+        n = len(right)
+        m = dim(self.right.codomain)
+        mid: dict = {}
+        get = mid.get
+        for pos, c in items:
+            l, r = divmod(pos, n)
+            for ll, a in left[l]:
+                key = ll * n + r
+                mid[key] = get(key, zero) + c * a
+        get = acc.get
+        for key, v in mid.items():
+            if v:
+                ll, r = divmod(key, n)
+                base = ll * m
+                for rl, b in right[r]:
+                    row = base + rl
+                    acc[row] = get(row, zero) + v * b
+
+
+def _row_key(idx: dict, label):
+    """The basis position of a label, or (None, label) outside the basis."""
+    pos = idx.get(label)
+    return (None, label) if pos is None else pos
+
+
 def identity_map(ring: Ring, space: Space) -> LinearMap:
     return LinearMap(space, space, ring, [{l: ring.one} for l in basis(space)])
 
@@ -608,8 +752,12 @@ def _linear_form_powers(ring: Ring, s, t, c: int):
     return out
 
 
+@lru_cache(maxsize=1024)
 def _sym_action_table(ring: Ring, g, c: int):
-    """For each label a of Sym(c), the expansion of g.(X^(c-a) Y^a)."""
+    """For each label a of Sym(c), the expansion of g.(X^(c-a) Y^a).
+
+    Memoized per (ring, g, c): every caller shares one table, so it is
+    read-only, and a caller that changes it must change a copy."""
     (g11, g12), (g21, g22) = g
     xs = _linear_form_powers(ring, g11, g21, c)
     ys = _linear_form_powers(ring, g12, g22, c)
@@ -625,10 +773,11 @@ def _sym_action_table(ring: Ring, g, c: int):
 
 
 def group_action_map(ring: Ring, g, space: Space) -> LinearMap:
-    """The whole action matrix of g on a space."""
+    """The action matrix of g on a space; on a Tensor, a KroneckerMap of
+    the factors' matrices, whose columns are built when first read."""
     if len(g) != 2 or any(len(row) != 2 for row in g):
         raise ValueError("expected a 2x2 matrix")
-    return LinearMap(space, space, ring, space._action_columns(ring, g))
+    return space._action_map(ring, tuple(map(tuple, g)))
 
 
 # ------------------------------------------------------------------ Lie action

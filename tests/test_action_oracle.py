@@ -37,6 +37,7 @@ from plethy import (
     lie_action_map,
     wedge_normalize,
 )
+import plethy.spaces as spaces
 from oracles import gamma_coefficients
 
 RINGS = (ZZ, QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), ZGAMMA)
@@ -221,6 +222,8 @@ SPACES = st.recursive(
     _atoms, lambda inner: st.builds(Tensor, inner, inner), max_leaves=3
 ).filter(lambda s: dim(s) <= 40)
 
+SMALL_SPACES = SPACES.filter(lambda s: dim(s) <= 8)
+
 
 def scalars(ring):
     """Small payloads of a ring, zero included, so sums can cancel."""
@@ -310,6 +313,35 @@ def test_swap_action_matches_flip_oracle(N, d):
 @pytest.mark.parametrize("N,d", [(1, 0), (2, 4), (3, 3), (4, 5)])
 def test_swap_action_matches_flip_oracle_over_zgamma(N, d):
     _swap_matches_flips(ZGAMMA, N, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_and_matrix(), SMALL_SPACES, SMALL_SPACES)
+def test_tensor_action_is_the_kronecker_product_of_the_factor_actions(
+    ring_g, left, right
+):
+    # the rule that lets the commutation check apply g (x) g one factor at
+    # a time: column (l, r) holds a b at (l', r'), entry for entry
+    ring, g = ring_g
+    space = Tensor(left, right)
+    lcols = group_action_map(ring, g, left).cols
+    rcols = group_action_map(ring, g, right).cols
+    kron = []
+    for lcol in lcols:
+        for rcol in rcols:
+            out = {}
+            for ll, lv in lcol.items():
+                for rl, rv in rcol.items():
+                    v = ring.mul(lv, rv)
+                    if not ring.is_zero(v):
+                        out[(ll, rl)] = v
+            kron.append(out)
+    assert group_action_map(ring, g, space).cols == kron
+    # one shared Sym table per (ring, g, c), equal to a fresh build
+    for atom in space.sym_atoms():
+        table = spaces._sym_action_table(ring, g, atom.c)
+        assert table is spaces._sym_action_table(ring, g, atom.c)
+        assert table == spaces._sym_action_table.__wrapped__(ring, g, atom.c)
 
 
 @settings(max_examples=150, deadline=None)

@@ -66,6 +66,30 @@ def test_usage_errors_exit_two():
     assert main(["scan", "--M", "1", "--p", "2", *unwritable]) == 2
 
 
+def test_an_unwritable_out_fails_before_any_grid_point_runs(capsys):
+    argv = ["verify", "--N", "1..3", "--d", "0..5", "--out", "/nonexistent/x.json"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "cannot write /nonexistent/x.json" in err
+    assert "(N=" not in err
+
+
+def test_an_out_that_is_a_directory_fails_first_and_creates_nothing(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    for command in (
+        ["verify", "--N", "1..3", "--d", "0..5"],
+        ["scan", "--M", "1", "--N", "1", "--d", "0..2", "--p", "2"],
+        ["qchar", "--N", "1", "--d", "0..2"],
+        ["dump", "--N", "1", "--d", "0"],
+    ):
+        for out in (tmp_path, missing):
+            assert main([*command, "--out", str(out)]) == 2, (command, out)
+            err = capsys.readouterr().err
+            assert f"cannot write {out}" in err
+            assert "(N=" not in err and "(M=" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

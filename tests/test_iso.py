@@ -543,6 +543,23 @@ def test_fp_route_builds_only_the_generators_and_one_spot_check(monkeypatch, p, 
     assert gammas == {(1, 0), (0, 1), (p - 1, 0)}
 
 
+@pytest.mark.parametrize("N, d", [(2, 4), (3, 5)])
+def test_unipotent_routes_never_build_a_tensor_action_whole(monkeypatch, N, d):
+    # both sides of every commutation are tensor actions, applied one
+    # factor at a time; building one whole would raise here
+    def refuse(self):
+        raise AssertionError("a tensor action was built whole")
+
+    monkeypatch.setattr(spaces.KroneckerMap, "_build_cols", refuse)
+    reports = [verify_group_equivariance_poly(N, d)]
+    reports += [verify_group_equivariance_fp(N, d, p) for p in (2, 3)]
+    for report in reports:
+        assert report and all(value is True for value in report.values()), report
+    U = group_action_map(ZZ, ((1, 1), (0, 1)), iso_context(N, d).domain)
+    with pytest.raises(AssertionError, match="built whole"):
+        U.cols
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_fp_route_catches_a_fault_seen_only_at_the_spot_check(monkeypatch, p):
     ctx = iso_context(2, 4)

@@ -9,10 +9,11 @@ true map and on maps broken at random.
 
 The column-at-a-time comparison iso._commutes is checked against the
 whole-map comparison it replaced, which builds both products and compares
-them with ==, and against the per-k comparison that cuts each action map
-into one map per Y-degree change k: a per-k pass implies a whole pass, and
-on a Y-homogeneous map the two agree, which is what lets the polynomial
-route compare once after checking homogeneity.  Those oracles run on
+them with ==, on plain maps and on tensor actions (which _commutes applies
+one factor at a time), and against the per-k comparison that cuts each
+action map into one map per Y-degree change k: a per-k pass implies a
+whole pass, and on a Y-homogeneous map the two agree, which is what lets
+the polynomial route compare once after checking homogeneity.  Those oracles run on
 random sparse maps and on the routes themselves.
 """
 
@@ -27,9 +28,11 @@ import plethy.iso as iso
 from plethy import (
     ZGAMMA,
     ZZ,
+    KroneckerMap,
     LinearMap,
     PrimeField,
     Sym,
+    SymPower,
     Tensor,
     Wedge,
     basis,
@@ -215,16 +218,85 @@ def sparse_maps(draw, ring, domain, codomain, extra_rows=()):
     return LinearMap(domain, codomain, ring, cols)
 
 
+TENSOR_FACTORS = (
+    Sym(0),
+    Sym(1),
+    Sym(2),
+    Wedge(2, Sym(2)),
+    Wedge(2, Sym(3)),
+    SymPower(2, Sym(1)),
+    SymPower(2, Sym(2)),
+)
+
+
+def _changed(ring, M, j: int, row, delta: int):
+    """A plain copy of M with delta added at (row, column j)."""
+    cols = [dict(col) for col in M.cols]
+    cols[j][row] = cols[j].get(row, ring.zero) + ring.from_int(delta)
+    return LinearMap(M.domain, M.codomain, ring, cols)
+
+
+@st.composite
+def tensor_commutation_cases(draw):
+    """(phi, A, B) with A and B the actions of one random integer matrix g
+    on two tensor spaces, both KroneckerMaps, over ZZ, GF(2), GF(3) or
+    Z[gamma].  phi is equivariant by construction: the identity, the action
+    of g itself, the swap of the two tensor factors, or 1 (x) g.  Then one
+    entry of phi, or of one factor of A or B, may be changed."""
+    ring = draw(st.sampled_from(MAP_RINGS + (ZGAMMA,)))
+    g = tuple(
+        tuple(ring.from_int(draw(st.integers(-2, 2))) for _ in range(2))
+        for _ in range(2)
+    )
+    left = draw(st.sampled_from(TENSOR_FACTORS))
+    right = draw(st.sampled_from(TENSOR_FACTORS))
+    X = Tensor(left, right)
+    kind = draw(st.sampled_from(("identity", "action", "swap", "one_tensor_g")))
+    Y = Tensor(right, left) if kind == "swap" else X
+    if kind == "identity":
+        phi = identity_map(ring, X)
+    elif kind == "action":
+        phi = group_action_map(ring, g, X)
+    elif kind == "swap":
+        phi = LinearMap.from_function(
+            ring, X, Y, lambda label: {(label[1], label[0]): ring.one}
+        )
+    else:
+        phi = KroneckerMap(identity_map(ring, left), group_action_map(ring, g, right))
+    A = group_action_map(ring, g, X)
+    B = group_action_map(ring, g, Y)
+    target = draw(st.sampled_from(("none", "phi", "A", "B")))
+    delta = draw(st.integers(1, 4))
+    if target == "phi":
+        j = draw(st.integers(0, len(phi.cols) - 1))
+        phi = _changed(ring, phi, j, draw(st.sampled_from(basis(Y))), delta)
+    elif target != "none":
+        M = A if target == "A" else B
+        side = draw(st.sampled_from(("left", "right")))
+        F = getattr(M, side)
+        j = draw(st.integers(0, len(F.cols) - 1))
+        F = _changed(ring, F, j, draw(st.sampled_from(basis(F.codomain))), delta)
+        M = KroneckerMap(F, M.right) if side == "left" else KroneckerMap(M.left, F)
+        if target == "A":
+            A = M
+        else:
+            B = M
+    return phi, A, B
+
+
 @st.composite
 def commutation_cases(draw):
     """(phi, A, B, transpose) for the question phi A == B phi.  The maps
     commute by construction in most draws, before one entry of phi, A or B
-    may be changed; B may then have a row label outside the basis."""
+    may be changed; B may then have a row label outside the basis.  A
+    quarter of the draws are tensor_commutation_cases."""
+    transpose = draw(st.booleans())
+    source = draw(st.sampled_from(("action", "random", "independent", "tensor")))
+    if source == "tensor":
+        return (*draw(tensor_commutation_cases()), transpose)
     ring = draw(st.sampled_from(MAP_RINGS))
     x_pair = draw(st.sampled_from(SPACE_PAIRS))
     X = x_pair[0]
-    transpose = draw(st.booleans())
-    source = draw(st.sampled_from(("action", "random", "independent")))
     if source == "independent":
         y_pair = draw(st.sampled_from(SPACE_PAIRS))
         Y = y_pair[0]
@@ -255,10 +327,7 @@ def commutation_cases(draw):
         rows = basis(M.codomain) + (_outside(y_pair) if target == "B" else ())
         j = draw(st.integers(0, len(M.cols) - 1))
         row = draw(st.sampled_from(rows))
-        delta = ring.from_int(draw(st.integers(1, 4)))
-        cols = [dict(col) for col in M.cols]
-        cols[j][row] = cols[j].get(row, ring.zero) + delta
-        M = LinearMap(M.domain, M.codomain, ring, cols)
+        M = _changed(ring, M, j, row, draw(st.integers(1, 4)))
         if target == "phi":
             phi = M
         elif target == "A":
@@ -358,6 +427,19 @@ def test_commutes_matches_the_whole_map_oracle(case):
     assert iso._commutes(phi, A, B) == oracle_commutes(phi, A, B)
 
 
+@settings(max_examples=200, deadline=None)
+@given(tensor_commutation_cases())
+def test_factored_commutes_matches_the_whole_map_oracle_on_tensor_actions(case):
+    # _commutes applies A and B one factor at a time and never builds them;
+    # the oracle composes their built-out columns
+    phi, A, B = case
+    assert isinstance(A, KroneckerMap) and isinstance(B, KroneckerMap)
+    result = iso._commutes(phi, A, B)
+    assert A._cols is None and B._cols is None
+    built = [LinearMap(M.domain, M.codomain, M.ring, M.cols) for M in (A, B)]
+    assert result == oracle_commutes(phi, *built)
+
+
 def _y_shifts(phi) -> set:
     """The Y-degree drops from column label to row label over the entries
     of phi: at most one for a Y-homogeneous map."""
@@ -404,6 +486,19 @@ def test_commutes_by_ychange_sees_negative_changes_and_outside_rows(transpose):
         B = LinearMap(X, X, ZZ, cols)
         assert iso._commutes(phi, A, B) is False, row
         assert oracle_commutes_by_ychange(phi, A, B, transpose) is False, row
+
+
+def test_two_rows_outside_the_basis_do_not_cancel():
+    # opposite entries at two different labels outside the basis of Sym(3)
+    # are two nonzero rows of phi A - B phi, not one that sums to zero
+    X = Sym(3)
+    A = identity_map(ZZ, X)
+    cols = [dict(c) for c in A.cols]
+    cols[0][-1] = 1
+    cols[0][4] = -1
+    B = LinearMap(X, X, ZZ, cols)
+    assert oracle_commutes(A, A, B) is False
+    assert iso._commutes(A, A, B) is False
 
 
 def test_poly_route_rejects_a_y_inhomogeneous_map_the_per_k_oracle_passes():
