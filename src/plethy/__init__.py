@@ -12,6 +12,7 @@ from .rings import (
     Ring,
     binomial,
     ring_by_name,
+    ring_from_json,
 )
 from .tableaux import (
     box,
@@ -89,12 +90,12 @@ from .conjecture import (
 )
 from .dump import (
     basis_to_json,
+    csv_text,
     dump_payload,
+    json_text,
     linear_map_from_json,
     linear_map_to_csv,
     linear_map_to_json,
-    ring_from_json,
-    ring_to_json,
     weight_block_digest,
     weight_block_digests,
 )

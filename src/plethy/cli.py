@@ -23,17 +23,14 @@ Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
-import io
-import json
 import os
 import sys
 import time
 
 from .characters import verify_qchar_identity
-from .conjecture import CONVENTION, CSV_HEADER, scan
-from .dump import basis_to_json, dump_payload, weight_block_digests
+from .conjecture import CONVENTION, CSV_HEADER, DIM_CAP, scan
+from .dump import basis_to_json, csv_text, dump_payload, json_text, weight_block_digests
 from .iso import (
     gl2_scalar_exponents,
     iso_context,
@@ -45,8 +42,6 @@ from .iso import (
 )
 from .rings import ZZ, ConsistencyError, PrimeField, ring_by_name
 from .schur import hook_schur_space
-
-DEFAULT_DIM_CAP = 5000
 
 
 class UsageError(Exception):
@@ -149,9 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument(
         "--dim-cap",
         type=int,
-        default=None,
-        help=f"skip grid points above this ambient dimension "
-        f"(default ${{PLETHY_DIM_CAP}} or {DEFAULT_DIM_CAP})",
+        default=DIM_CAP,
+        help="skip grid points above this ambient dimension (default %(default)s)",
     )
     p_scan.add_argument("--workers", type=int, default=1, help="parallel processes")
     p_scan.add_argument("--format", default="json", choices=("json", "csv"))
@@ -257,6 +251,8 @@ def verify_point(N: int, d: int, primes: tuple[int, ...]) -> dict:
 def cmd_verify(args) -> int:
     Ns, ds = parse_grid(args)
     primes = parse_primes(args.p)
+    if all(N > d + 2 for N in Ns for d in ds):
+        raise UsageError(f"no grid point has N <= d + 2 in --N {args.N} --d {args.d}")
     points = []
     for N in Ns:
         for d in ds:
@@ -289,11 +285,11 @@ def cmd_verify(args) -> int:
     }
     if args.out:
         # the file drops the timings, so its bytes are reproducible
-        untimed = [{k: v for k, v in pt.items() if k != "timings_ms"} for pt in points]
-        emit(json.dumps(dict(report, points=untimed), indent=2) + "\n", args.out)
+        for pt in points:
+            del pt["timings_ms"]
+    emit(json_text(report), args.out)
+    if args.out:
         note(f"report written to {args.out}")
-    else:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
     note(
         f"verify: {n_checks - len(failures)}/{n_checks} checks passed "
         f"on {len(points)} grid points"
@@ -322,7 +318,7 @@ def cmd_dump(args) -> int:
             "d": d,
             "vectors": basis_to_json(hook_schur_space(N, d)),
         }
-        emit(json.dumps(payload, indent=2) + "\n", args.out)
+        emit(json_text(payload), args.out)
         return 0
 
     ring = ring_by_name(args.ring, p)
@@ -358,14 +354,9 @@ def cmd_qchar(args) -> int:
             "points": rows,
             "all_pass": not failures,
         }
-        emit(json.dumps(payload, indent=2) + "\n", args.out)
+        emit(json_text(payload), args.out)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(rows[0]))
-        for r in rows:
-            writer.writerow([r[k] for k in rows[0]])
-        emit(buf.getvalue(), args.out)
+        emit(csv_text(list(rows[0]), ([r[k] for k in rows[0]] for r in rows)), args.out)
     note(f"qchar: {len(rows) - len(failures)}/{len(rows)} grid points pass")
     return 0 if not failures else 1
 
@@ -380,12 +371,6 @@ def cmd_scan(args) -> int:
     Ns, ds = parse_grid(args)
     primes = parse_primes(args.p)
     cap = args.dim_cap
-    if cap is None:
-        text = os.environ.get("PLETHY_DIM_CAP", str(DEFAULT_DIM_CAP))
-        try:
-            cap = int(text)
-        except ValueError:
-            raise UsageError(f"bad PLETHY_DIM_CAP {text!r}, expected INT") from None
     if cap < 0:
         raise UsageError(f"the dimension cap must be at least 0, got {cap}")
     if args.workers < 1:
@@ -412,14 +397,10 @@ def cmd_scan(args) -> int:
             "skipped": skipped,
             "disagreements": len(disagreements),
         }
-        emit(json.dumps(payload, indent=2) + "\n", args.out)
+        emit(json_text(payload), args.out)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in reports:
-            writer.writerows(r.csv_rows())
-        emit(buf.getvalue(), args.out)
+        rows = [row for r in reports for row in r.csv_rows()]
+        emit(csv_text(CSV_HEADER, rows), args.out)
     note(
         f"scan: {len(reports)} grid points, {len(skipped)} skipped, "
         f"{len(disagreements)} disagreements"

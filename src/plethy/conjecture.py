@@ -49,6 +49,9 @@ CONVENTION = (
     "left side drops its Wedge(0) factor at M=1"
 )
 
+# default of scan's dim_cap and of `plethy scan --dim-cap`
+DIM_CAP = 5000
+
 
 def lhs_space(M: int, N: int, d: int) -> Space:
     """The wedge tensor product side."""
@@ -398,6 +401,10 @@ class PrimeFingerprint:
     def jordan_equal(self) -> bool:
         return self.jordan_lhs == self.jordan_rhs
 
+    def to_json(self) -> dict:
+        """The fields in order, as __init__ set them, then jordan_equal."""
+        return dict(vars(self), jordan_equal=self.jordan_equal)
+
 
 @dataclass
 class ConjectureReport:
@@ -410,7 +417,6 @@ class ConjectureReport:
     qchar_shift: int
     kernel_matches_tableaux: bool
     primes: list[PrimeFingerprint] = field(default_factory=list)
-    convention: str = CONVENTION
 
     @property
     def all_equal(self) -> bool:
@@ -421,47 +427,26 @@ class ConjectureReport:
         )
 
     def to_json(self) -> dict:
-        return {
-            "M": self.M,
-            "N": self.N,
-            "d": self.d,
-            "dim_lhs": self.dim_lhs,
-            "dim_rhs_char0": self.dim_rhs_char0,
-            "qchar_equal": self.qchar_equal,
-            "qchar_shift": self.qchar_shift,
-            "kernel_matches_tableaux": self.kernel_matches_tableaux,
-            "primes": [
-                {
-                    "p": f.p,
-                    "dim_rhs": f.dim_rhs,
-                    "jordan_lhs": list(f.jordan_lhs),
-                    "jordan_rhs": list(f.jordan_rhs),
-                    "jordan_equal": f.jordan_equal,
-                }
-                for f in self.primes
-            ],
-            "all_equal": self.all_equal,
-            "convention": self.convention,
-        }
+        """The fields in order, as __init__ set them, then all_equal and
+        the convention."""
+        return dict(
+            vars(self),
+            primes=[f.to_json() for f in self.primes],
+            all_equal=self.all_equal,
+            convention=CONVENTION,
+        )
 
     def csv_rows(self) -> list[list]:
+        """One row per prime: the CSV_HEADER keys of the report's JSON
+        merged with the prime's, each Jordan type written as 3+2+1, or 0
+        when it is empty."""
+        report = self.to_json()
         rows = []
-        for f in self.primes:
-            rows.append(
-                [
-                    self.M,
-                    self.N,
-                    self.d,
-                    f.p,
-                    self.dim_lhs,
-                    f.dim_rhs,
-                    self.qchar_equal,
-                    "+".join(map(str, f.jordan_lhs)) or "0",
-                    "+".join(map(str, f.jordan_rhs)) or "0",
-                    f.jordan_equal,
-                    self.convention,
-                ]
-            )
+        for prime in report["primes"]:
+            row = report | prime
+            for key in ("jordan_lhs", "jordan_rhs"):
+                row[key] = "+".join(map(str, row[key])) or "0"
+            rows.append([row[key] for key in CSV_HEADER])
         return rows
 
 
@@ -482,17 +467,7 @@ CSV_HEADER = [
 
 def scan_one(M: int, N: int, d: int, primes: tuple[int, ...]) -> ConjectureReport:
     """Full comparison at one grid point."""
-    qc = conjecture_qchar(M, N, d)
-    report = ConjectureReport(
-        M=M,
-        N=N,
-        d=d,
-        dim_lhs=qc["dim_lhs"],
-        dim_rhs_char0=qc["dim_rhs_char0"],
-        qchar_equal=qc["qchar_equal"],
-        qchar_shift=qc["qchar_shift"],
-        kernel_matches_tableaux=qc["kernel_matches_tableaux"],
-    )
+    report = ConjectureReport(M=M, N=N, d=d, **conjecture_qchar(M, N, d))
     left = lhs_space(M, N, d)
     for p in primes:
         ring = PrimeField(p)
@@ -517,7 +492,7 @@ def scan(
     Ns,
     ds,
     primes,
-    dim_cap: int = 5000,
+    dim_cap: int = DIM_CAP,
     workers: int = 1,
 ):
     """Sweep the grid in deterministic order.

@@ -1,8 +1,10 @@
 """Exact, byte-reproducible serialization of maps and bases.
 
-CSV: one header row of domain labels, then one row per codomain basis
-label with entries rendered exactly as strings.  JSON: explicit basis
-label arrays plus sparse entries; payloads stay exact (ints as ints,
+json_text and csv_text are the one JSON layout and the one CSV dialect
+of every payload the command line writes.  CSV: one header row of domain
+labels, then one row per codomain basis label with entries rendered
+exactly as strings.  JSON: explicit basis label arrays plus sparse
+entries; payloads stay exact, in the ring's own JSON form (ints as ints,
 rationals as "p/q" strings, polynomials as coefficient lists), so a dump
 parses back to an equal LinearMap.  Nothing here writes timestamps.
 """
@@ -13,73 +15,40 @@ import csv
 import hashlib
 import io
 import json
-from fractions import Fraction
 
 from .iso import IsoContext
-from .rings import (
-    QQ,
-    ZZ,
-    IntPoly,
-    IntPolynomialRing,
-    PrimeField,
-    Ring,
-)
+from .rings import ring_from_json
 from .schur import HookSchurSpace
 from .spaces import LinearMap, basis, space_from_json
 
 
-def ring_to_json(ring: Ring):
-    if ring == ZZ:
-        return {"kind": "int"}
-    if ring == QQ:
-        return {"kind": "rat"}
-    if isinstance(ring, PrimeField):
-        return {"kind": "fp", "p": ring.p}
-    if isinstance(ring, IntPolynomialRing):
-        return {"kind": "poly", "var": ring.var}
-    raise ValueError(f"no serialization for ring {ring!r}")
+def json_text(payload) -> str:
+    """A payload as JSON text: indent 2, one trailing newline."""
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def ring_from_json(data) -> Ring:
-    kind = data["kind"]
-    if kind == "int":
-        return ZZ
-    if kind == "rat":
-        return QQ
-    if kind == "fp":
-        return PrimeField(data["p"])
-    if kind == "poly":
-        return IntPolynomialRing(data["var"])
-    raise ValueError(f"unknown ring kind {kind!r}")
-
-
-def payload_to_json(ring: Ring, value):
-    if ring == QQ:
-        return str(Fraction(value))
-    if isinstance(ring, IntPolynomialRing):
-        return list(value.coeffs)
-    return value
-
-
-def payload_from_json(ring: Ring, data):
-    if ring == QQ:
-        return Fraction(data)
-    if isinstance(ring, IntPolynomialRing):
-        return IntPoly(data, ring.var)
-    return int(data)
+def csv_text(header: list, rows) -> str:
+    """A header row and then the rows as CSV text, each line ending in a
+    bare newline."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def linear_map_to_json(A: LinearMap) -> dict:
     dom = basis(A.domain)
     cod = basis(A.codomain)
     cod_idx = {l: n for n, l in enumerate(cod)}
+    to_json = A.ring.payload_to_json
     entries = []
     for c, col in enumerate(A.cols):
         for l, v in sorted(col.items(), key=lambda kv: cod_idx[kv[0]]):
-            entries.append([cod_idx[l], c, payload_to_json(A.ring, v)])
+            entries.append([cod_idx[l], c, to_json(v)])
     return {
         "kind": "linear_map",
-        "ring": ring_to_json(A.ring),
+        "ring": A.ring.to_json(),
         "domain": A.domain.to_json(),
         "codomain": A.codomain.to_json(),
         "domain_basis": [A.domain.label_to_json(l) for l in dom],
@@ -102,21 +71,19 @@ def linear_map_from_json(data) -> LinearMap:
         raise ValueError("basis labels do not match the declared spaces")
     cols: list[dict] = [{} for _ in dom]
     for r, c, v in data["entries"]:
-        cols[c][cod[r]] = payload_from_json(ring, v)
+        cols[c][cod[r]] = ring.payload_from_json(v)
     return LinearMap(domain, codomain, ring, cols)
 
 
 def linear_map_to_csv(A: LinearMap) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    dom = basis(A.domain)
-    writer.writerow([""] + [A.domain.label_str(l) for l in dom])
-    for row_label in basis(A.codomain):
-        writer.writerow(
+    return csv_text(
+        [""] + [A.domain.label_str(l) for l in basis(A.domain)],
+        (
             [A.codomain.label_str(row_label)]
             + [A.ring.to_str(col.get(row_label, A.ring.zero)) for col in A.cols]
-        )
-    return out.getvalue()
+            for row_label in basis(A.codomain)
+        ),
+    )
 
 
 def basis_to_json(hook: HookSchurSpace) -> list:
@@ -170,7 +137,7 @@ def weight_block_digests(ctx: IsoContext) -> dict:
 
 def dump_payload(A: LinearMap, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(linear_map_to_json(A), indent=2) + "\n"
+        return json_text(linear_map_to_json(A))
     if fmt == "csv":
         return linear_map_to_csv(A)
     raise ValueError(f"unknown format {fmt!r}")

@@ -4,6 +4,11 @@ Every scalar in this package is an exact object: a Python int, a
 fractions.Fraction, a residue in a prime field, or an integer-coefficient
 polynomial.  Floating point never appears.  A Ring instance interprets raw
 payloads; elements and matrices carry the ring alongside the payloads.
+
+A ring's JSON form is its kind and the constructor arguments named in
+json_fields; payload_to_json and payload_from_json convert its payloads.
+To add a ring, write one Ring subclass and add it to the ring_from_json
+kind table, _KINDS.
 """
 
 from __future__ import annotations
@@ -61,10 +66,6 @@ class IntPoly:
             raise TypeError("IntPoly coefficients must be ints")
         self.coeffs = tuple(cs)
         self.var = var
-
-    @classmethod
-    def gen(cls, var: str = "q") -> "IntPoly":
-        return cls((0, 1), var)
 
     @property
     def degree(self) -> int:
@@ -182,6 +183,7 @@ class Ring:
     """Base interface: exact operations on raw scalar payloads."""
 
     name: str
+    json_fields: tuple[str, ...] = ()
     is_field = False
 
     def add(self, a, b):
@@ -222,6 +224,16 @@ class Ring:
     def to_str(self, a) -> str:
         return str(a)
 
+    def to_json(self) -> dict:
+        return {"kind": self.kind, **{f: getattr(self, f) for f in self.json_fields}}
+
+    def payload_to_json(self, a):
+        """A payload as a JSON value that payload_from_json reads back."""
+        return a
+
+    def payload_from_json(self, data):
+        return int(data)
+
     def __eq__(self, other):
         return type(self) is type(other)
 
@@ -234,6 +246,7 @@ class Ring:
 
 class IntegerRing(Ring):
     name = "ZZ"
+    kind = "int"
     zero = 0
     one = 1
 
@@ -248,6 +261,7 @@ class IntegerRing(Ring):
 
 class RationalField(Ring):
     name = "QQ"
+    kind = "rat"
     is_field = True
     zero = Fraction(0)
     one = Fraction(1)
@@ -260,10 +274,18 @@ class RationalField(Ring):
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
 
+    def payload_to_json(self, a) -> str:
+        return str(Fraction(a))
+
+    def payload_from_json(self, data) -> Fraction:
+        return Fraction(data)
+
 
 class PrimeField(Ring):
     """GF(p) for p prime, p < 2**16.  Payloads are ints in [0, p)."""
 
+    kind = "fp"
+    json_fields = ("p",)
     is_field = True
 
     def __init__(self, p: int):
@@ -307,7 +329,10 @@ class PrimeField(Ring):
 
 
 class IntPolynomialRing(Ring):
-    """Z[var] with IntPoly payloads."""
+    """Z[var] with IntPoly payloads, in JSON as coefficient lists."""
+
+    kind = "poly"
+    json_fields = ("var",)
 
     def __init__(self, var: str):
         self.var = var
@@ -327,7 +352,13 @@ class IntPolynomialRing(Ring):
         return IntPoly((n,), self.var)
 
     def gen(self) -> IntPoly:
-        return IntPoly.gen(self.var)
+        return IntPoly((0, 1), self.var)
+
+    def payload_to_json(self, a) -> list:
+        return list(a.coeffs)
+
+    def payload_from_json(self, data) -> IntPoly:
+        return IntPoly(data, self.var)
 
     def __eq__(self, other):
         return isinstance(other, IntPolynomialRing) and other.var == self.var
@@ -340,17 +371,24 @@ ZZ = IntegerRing()
 QQ = RationalField()
 ZGAMMA = IntPolynomialRing("gamma")
 
+_KINDS = {
+    cls.kind: cls
+    for cls in (IntegerRing, RationalField, PrimeField, IntPolynomialRing)
+}
+
+
+def ring_from_json(data) -> Ring:
+    cls = _KINDS.get(data["kind"])
+    if cls is None:
+        raise ValueError(f"unknown ring kind {data['kind']!r}")
+    return cls(*(data[f] for f in cls.json_fields))
+
 
 def ring_by_name(name: str, p: int | None = None) -> Ring:
-    """CLI-facing ring lookup: rat, fp (needs p), polygamma, int."""
-    if name == "rat":
-        return QQ
-    if name == "int":
-        return ZZ
+    """CLI-facing ring lookup: a ring kind (int, rat, or fp, which needs
+    p), or polygamma for Z[gamma]."""
     if name == "polygamma":
         return ZGAMMA
-    if name == "fp":
-        if p is None:
-            raise ValueError("ring fp needs a prime")
-        return PrimeField(p)
-    raise ValueError(f"unknown ring {name!r}")
+    if name == "fp" and p is None:
+        raise ValueError("ring fp needs a prime")
+    return ring_from_json({"kind": name, "p": p})

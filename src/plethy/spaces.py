@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import ClassVar
 
-from .rings import Ring, ZZ, binomial
+from .rings import ConsistencyError, Ring, ZZ, binomial
 from . import tableaux
 
 
@@ -893,6 +893,6 @@ def kernel_basis(A: LinearMap) -> list[ModuleElement]:
     for combo in combos:
         v = ModuleElement(A.domain, A.ring, {dom[j]: c for j, c in combo.items()})
         if not A.apply(v).is_zero():
-            raise AssertionError("kernel vector failed the zero check")
+            raise ConsistencyError("kernel vector failed the zero check")
         out.append(v)
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .rings import binomial
+from .rings import ConsistencyError, binomial
 
 Pair = tuple[tuple[int, ...], int]
 
@@ -78,7 +78,8 @@ def content_chain(values) -> list[Pair]:
         pair = neighbour(*pair)
         out.append(pair)
     seconds = [j for _, j in out]
-    assert seconds == sorted(seconds, reverse=True) and len(set(seconds)) == len(seconds)
+    if seconds != sorted(set(seconds), reverse=True):
+        raise ConsistencyError(f"chain of {values} is not strictly decreasing in j")
     return out
 
 
@@ -134,7 +135,8 @@ def pair_to_increasing(i: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]
     alpha and shift the tail up by one."""
     alpha = pair_alpha(i, j)
     k = i[:alpha] + (j + 1,) + tuple(v + 1 for v in i[alpha:])
-    assert is_increasing(k)
+    if not is_increasing(k):
+        raise ConsistencyError(f"pair ({i}, {j}) gave {k}, not increasing")
     return alpha, k
 
 

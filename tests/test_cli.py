@@ -96,6 +96,7 @@ def test_an_out_that_is_a_directory_fails_first_and_creates_nothing(tmp_path, ca
         ["verify", "--N", "0", "--d", "0"],
         ["qchar", "--N", "0", "--d", "0"],
         ["qchar", "--N", "3", "--d", "-1"],
+        ["verify", "--N", "5", "--d", "1"],  # no point with N <= d + 2
     ],
 )
 def test_bad_grid_is_a_usage_error(argv, capsys):
@@ -177,6 +178,43 @@ def test_verify_out_bytes_are_pinned(tmp_path, capsys):
         hashlib.sha256(out.read_bytes()).hexdigest()
         == "4bd2d9e94661c1f233077be8dd956b6f746d72876a050233be03f2813492458a"
     )
+
+
+# sha256 of each output's bytes, taken before the writers were unified
+OUTPUT_PINS = [
+    (["scan", "--M", "2..3", "--N", "2", "--d", "2..3", "--p", "2,3", "--format", "csv"],
+     "7730b48df5b351ff93049a66b3b500d177b6f3f96b7cd2deacd41f0cf33abdec"),
+    (["scan", "--M", "2..3", "--N", "2", "--d", "2..3", "--p", "2,3", "--format", "json"],
+     "bef5f3a398a9eb785e6e952d60164f9283c397aa93d28b08b6e19702362a7a28"),
+    (["qchar", "--N", "1..3", "--d", "0..4", "--format", "json"],
+     "254d1f8a8cc61ff99cd92a1bd20227d1f962aac7bd1356faaf4398817f86e311"),
+    (["qchar", "--N", "1..3", "--d", "0..4", "--format", "csv"],
+     "0993b2ac200d5962bd34b329eb0dda3969e58b35f7ec3b5aaef4ff330f186619"),
+    (["dump", "--N", "2", "--d", "3", "--what", "basis", "--format", "json"],
+     "7f6ab193deb88d0bf068db37690e4fd7759a94bcaa699361f0e2f5e1f79e06e4"),
+    (["dump", "--N", "2", "--d", "3", "--what", "map", "--format", "json",
+      "--ring", "rat"],
+     "755b751a900036a2198069224e5fdba981a41c81ac052edf15cb5a7b29180274"),
+    (["dump", "--N", "2", "--d", "3", "--what", "map", "--format", "json",
+      "--ring", "fp", "--p", "7"],
+     "83ddf6fbd9aaba109a534b1be82ac6bfe9b87ea5c4b33d581728805366c2313b"),
+    (["dump", "--N", "2", "--d", "3", "--what", "map", "--format", "json",
+      "--ring", "polygamma"],
+     "dc197823bd1051f3625d29ddfd9e00dfab1a7585d75173eb672a6a85e14654d9"),
+    (["dump", "--N", "2", "--d", "3", "--what", "coords", "--format", "csv"],
+     "8aa541c0e711497c3eb0aa74e15686ad8785fbf7adf8d1733b93763dbd34fe6c"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", OUTPUT_PINS, ids=[" ".join(argv) for argv, _ in OUTPUT_PINS]
+)
+def test_output_bytes_are_pinned(argv, digest, tmp_path, capsys):
+    out = tmp_path / "payload"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert main(argv) == 0  # stdout carries the same bytes
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_consistency_error_fails_one_group_and_the_run_goes_on(
@@ -319,21 +357,13 @@ def test_scan_csv_schema(capsys):
     assert rows[1][3] == "2" and rows[2][3] == "3"
 
 
-def test_scan_dim_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("PLETHY_DIM_CAP", "50")
-    assert main(["scan", "--M", "3", "--N", "3", "--d", "5", "--p", "2"]) == 0
+def test_scan_dim_cap_env(capsys):
+    argv = ["scan", "--M", "3", "--N", "3", "--d", "5", "--p", "2", "--dim-cap", "50"]
+    assert main(argv) == 0
     captured = capsys.readouterr()
     assert "exceeds cap 50" in captured.err
     payload = json.loads(captured.out)
     assert payload["reports"] == [] and len(payload["skipped"]) == 1
-
-
-def test_scan_dim_cap_flag_beats_env(monkeypatch, capsys):
-    monkeypatch.setenv("PLETHY_DIM_CAP", "50")
-    assert main(["scan", "--M", "2", "--N", "2", "--d", "3", "--p", "2",
-                 "--dim-cap", "5000"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert len(payload["reports"]) == 1
 
 
 def test_scan_json_is_reproducible(tmp_path, capsys):
@@ -348,12 +378,6 @@ def test_scan_json_is_reproducible(tmp_path, capsys):
 def test_scan_rejects_bad_grid(capsys):
     assert main(["scan", "--M", "0", "--N", "1", "--d", "0"]) == 2
     assert "usage error" in capsys.readouterr().err
-
-
-def test_scan_rejects_bad_dim_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("PLETHY_DIM_CAP", "abc")
-    assert main(["scan"]) == 2
-    assert "PLETHY_DIM_CAP" in capsys.readouterr().err
 
 
 def test_scan_rejects_negative_dim_cap(capsys):

@@ -22,7 +22,6 @@ from plethy import (
     linear_map_to_json,
     multiplication_map,
     ring_from_json,
-    ring_to_json,
 )
 
 
@@ -30,7 +29,7 @@ from plethy import (
     "ring", [ZZ, QQ, PrimeField(7), ZGAMMA, IntPolynomialRing("q")], ids=str
 )
 def test_ring_serialization_round_trip(ring):
-    assert ring_from_json(ring_to_json(ring)) == ring
+    assert ring_from_json(ring.to_json()) == ring
 
 
 def test_ring_serialization_rejects_unknown():
