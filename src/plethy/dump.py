@@ -17,9 +17,9 @@ import io
 import json
 
 from .iso import IsoContext
-from .rings import ring_from_json
+from .rings import json_int, ring_from_json
 from .schur import HookSchurSpace
-from .spaces import LinearMap, basis, space_from_json
+from .spaces import LinearMap, basis, basis_index, space_from_json
 
 
 def json_text(payload) -> str:
@@ -40,7 +40,7 @@ def csv_text(header: list, rows) -> str:
 def linear_map_to_json(A: LinearMap) -> dict:
     dom = basis(A.domain)
     cod = basis(A.codomain)
-    cod_idx = {l: n for n, l in enumerate(cod)}
+    cod_idx = basis_index(A.codomain)
     to_json = A.ring.payload_to_json
     entries = []
     for c, col in enumerate(A.cols):
@@ -71,6 +71,13 @@ def linear_map_from_json(data) -> LinearMap:
         raise ValueError("basis labels do not match the declared spaces")
     cols: list[dict] = [{} for _ in dom]
     for r, c, v in data["entries"]:
+        if not (
+            0 <= json_int(r, "an entry row") < len(cod)
+            and 0 <= json_int(c, "an entry column") < len(dom)
+        ):
+            raise ValueError(f"entry ({r}, {c}) is outside the matrix")
+        if cod[r] in cols[c]:
+            raise ValueError(f"entry ({r}, {c}) is given twice")
         cols[c][cod[r]] = ring.payload_from_json(v)
     return LinearMap(domain, codomain, ring, cols)
 

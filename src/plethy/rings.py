@@ -33,6 +33,13 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+def json_int(data, what: str) -> int:
+    """data, which must be a JSON integer: not a float, not a bool."""
+    if type(data) is not int:
+        raise ValueError(f"{what} must be an int, got {data!r}")
+    return data
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -232,7 +239,7 @@ class Ring:
         return a
 
     def payload_from_json(self, data):
-        return int(data)
+        return json_int(data, f"a {self.name} payload")
 
     def __eq__(self, other):
         return type(self) is type(other)
@@ -278,6 +285,8 @@ class RationalField(Ring):
         return str(Fraction(a))
 
     def payload_from_json(self, data) -> Fraction:
+        if type(data) not in (int, str):
+            raise ValueError(f"a QQ payload is an int or a string, got {data!r}")
         return Fraction(data)
 
 
@@ -321,6 +330,11 @@ class PrimeField(Ring):
     def from_int(self, n: int) -> int:
         return n % self.p
 
+    def payload_from_json(self, data) -> int:
+        if not 0 <= json_int(data, f"a {self.name} payload") < self.p:
+            raise ValueError(f"a {self.name} payload must lie in 0..{self.p - 1}")
+        return data
+
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -358,7 +372,9 @@ class IntPolynomialRing(Ring):
         return list(a.coeffs)
 
     def payload_from_json(self, data) -> IntPoly:
-        return IntPoly(data, self.var)
+        if type(data) is not list:
+            raise ValueError(f"a {self.name} payload is a list, got {data!r}")
+        return IntPoly([json_int(c, "a coefficient") for c in data], self.var)
 
     def __eq__(self, other):
         return isinstance(other, IntPolynomialRing) and other.var == self.var

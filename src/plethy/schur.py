@@ -26,6 +26,7 @@ from .spaces import (
     Tensor,
     Wedge,
     basis,
+    basis_index,
     dim,
     multiplication_map,
     rank,
@@ -44,7 +45,7 @@ class HookSchurSpace:
         self.ambient = Tensor(Wedge(N, Sym(d)), Sym(d))
         self.coords = PairCoords(N, d)
         self.pairs = basis(self.coords)
-        self.pair_index = {p: n for n, p in enumerate(self.pairs)}
+        self.pair_index = basis_index(self.coords)
         self._chains, self._class_of = self._content_classes()
         self._verify()
 

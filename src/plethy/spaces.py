@@ -9,15 +9,15 @@ pairs.  Basis enumeration order is fixed once and for all: lexicographic
 tuples, tensor pairs with the left factor outermost.
 
 Each space type carries its own facts as methods: its basis and dim, the
-Y-degree of a label and the total degree, the label format, the JSON form
-of the space and of its labels, and its group and Lie action matrices,
-built from its factors' matrices the way the functors are: Sym^c(g), then
-Wedge^r, Sym^r and tensor products of those.  A tensor's group action is
-kept as the Kronecker product of its factors' matrices, built whole only
-when something reads its columns.  The module
-functions basis, basis_index and dim hold the one cache that all equal
-spaces share.  To add a kind, write one Space subclass and add it to the
-space_from_json kind table, _KINDS.
+Y-degree of a label and the total degree, the label format, and its group
+and Lie action matrices, built from its factors' matrices the way the
+functors are: Sym^c(g), then Wedge^r, Sym^r and tensor products of those.
+A tensor's group action is kept as the Kronecker product of its factors'
+matrices, built whole only when something reads its columns.  JSON forms
+come from the dataclass fields.  The module functions basis, basis_index
+and dim hold the one cache that all equal spaces share.  To add a kind,
+write one Space subclass with its fields, basis, dim, degrees, label_str
+and actions, and add it to the space_from_json kind table, _KINDS.
 
 The two-by-two matrix g = ((g11, g12), (g21, g22)) acts on the left by
 g.X = g11 X + g21 Y and g.Y = g12 X + g22 Y, so columns of g are the
@@ -29,22 +29,22 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, lru_cache
 from typing import ClassVar
 
-from .rings import ConsistencyError, Ring, ZZ, binomial
+from .rings import ConsistencyError, Ring, ZZ, binomial, json_int
 from . import tableaux
 
 
 class Space:
     """The interface of a space kind, a frozen dataclass with a JSON kind.
 
-    _basis() and _dim() enumerate and count the basis (call basis and dim,
-    which cache them); ydegree(label) is the total Y-exponent of a basis
-    vector and total_degree() the degree in X, Y that every basis vector
-    shares; label_str, label_to_json and label_from_json format one label;
-    to_json() and the classmethod _from_json serialize the space;
+    A kind writes its fields and these: _basis() and _dim() enumerate and
+    count the basis (call basis and dim, which cache them); ydegree(label)
+    is the total Y-exponent of a basis vector and total_degree() the
+    degree in X, Y that every basis vector shares; label_str formats one
+    label.  The JSON methods below serve every kind, from its fields.
     sym_atoms() is the set of Sym atoms it is built from.
 
     _action_map(ring, g) is the matrix of g, a LinearMap; by default it
@@ -58,6 +58,27 @@ class Space:
     the refusals below, which come before any label is looked at."""
 
     kind: ClassVar[str]
+
+    def to_json(self) -> dict:
+        """The kind, then each field in order, a Space field as its to_json()."""
+        out = {"kind": self.kind}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = v.to_json() if isinstance(v, Space) else v
+        return out
+
+    def label_to_json(self, label):
+        """A label with its tuples, at every depth, as lists."""
+        if type(label) is not tuple:
+            return label
+        return [v if type(v) is int else self.label_to_json(v) for v in label]
+
+    def label_from_json(self, data):
+        """A label with its lists, at every depth, as tuples; a leaf that is
+        not an int raises ValueError."""
+        if type(data) is not list:
+            return json_int(data, "a label entry")
+        return tuple(v if type(v) is int else self.label_from_json(v) for v in data)
 
     def sym_atoms(self) -> frozenset:
         """The Sym atoms the space is built from, read off its fields."""
@@ -105,19 +126,6 @@ class Sym(Space):
     def label_str(self, label) -> str:
         return str(label)
 
-    def to_json(self):
-        return {"kind": self.kind, "c": self.c}
-
-    @classmethod
-    def _from_json(cls, data):
-        return cls(data["c"])
-
-    def label_to_json(self, label):
-        return label
-
-    def label_from_json(self, data):
-        return int(data)
-
     def _action_columns(self, ring, g):
         return _sym_action_table(ring, g, self.c)
 
@@ -153,19 +161,6 @@ class _Power(Space):
 
     def label_str(self, label) -> str:
         return "(" + ",".join(map(str, label)) + ")"
-
-    def to_json(self):
-        return {"kind": self.kind, "r": self.r, "inner": self.inner.to_json()}
-
-    @classmethod
-    def _from_json(cls, data):
-        return cls(data["r"], space_from_json(data["inner"]))
-
-    def label_to_json(self, label):
-        return list(label)
-
-    def label_from_json(self, data):
-        return tuple(int(v) for v in data)
 
     def _action_columns(self, ring, g):
         """Each label's image is the image of its prefix label[:-1] times
@@ -275,23 +270,6 @@ class Tensor(Space):
     def label_str(self, label) -> str:
         return self.left.label_str(label[0]) + "|" + self.right.label_str(label[1])
 
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "left": self.left.to_json(),
-            "right": self.right.to_json(),
-        }
-
-    @classmethod
-    def _from_json(cls, data):
-        return cls(space_from_json(data["left"]), space_from_json(data["right"]))
-
-    def label_to_json(self, label):
-        return [self.left.label_to_json(label[0]), self.right.label_to_json(label[1])]
-
-    def label_from_json(self, data):
-        return (self.left.label_from_json(data[0]), self.right.label_from_json(data[1]))
-
     def _action_map(self, ring, g):
         return KroneckerMap(
             self.left._action_map(ring, g), self.right._action_map(ring, g)
@@ -343,28 +321,24 @@ class PairCoords(Space):
     def label_str(self, label) -> str:
         return "(" + ",".join(map(str, label[0])) + ")|" + str(label[1])
 
-    def to_json(self):
-        return {"kind": self.kind, "N": self.N, "d": self.d}
-
-    @classmethod
-    def _from_json(cls, data):
-        return cls(data["N"], data["d"])
-
-    def label_to_json(self, label):
-        return [list(label[0]), label[1]]
-
-    def label_from_json(self, data):
-        return (tuple(int(v) for v in data[0]), int(data[1]))
-
 
 _KINDS = {cls.kind: cls for cls in (Sym, Wedge, SymPower, Tensor, PairCoords)}
 
 
 def space_from_json(data) -> Space:
-    cls = _KINDS.get(data["kind"])
+    """The space that Space.to_json wrote as data, or ValueError.  A field
+    declared int must be a JSON integer; any other field is a space."""
+    cls = _KINDS.get(data.get("kind")) if isinstance(data, dict) else None
     if cls is None:
-        raise ValueError(f"unknown space kind {data['kind']!r}")
-    return cls._from_json(data)
+        raise ValueError(f"not a space of a known kind: {data!r}")
+    names = [f.name for f in fields(cls)]
+    if set(data) != {"kind", *names}:
+        raise ValueError(f"a {cls.kind} space has the fields {names}, got {data!r}")
+    return cls(*(
+        json_int(data[f.name], f"{cls.kind} field {f.name}")
+        if f.type == "int" else space_from_json(data[f.name])
+        for f in fields(cls)
+    ))
 
 
 @cache

@@ -203,6 +203,9 @@ OUTPUT_PINS = [
      "dc197823bd1051f3625d29ddfd9e00dfab1a7585d75173eb672a6a85e14654d9"),
     (["dump", "--N", "2", "--d", "3", "--what", "coords", "--format", "csv"],
      "8aa541c0e711497c3eb0aa74e15686ad8785fbf7adf8d1733b93763dbd34fe6c"),
+    (["scan", "--M", "2..4", "--N", "1..2", "--d", "1..3", "--p", "5,7",
+      "--format", "json"],
+     "dc260ba631b2357cd26b353299d3af49ee9f1339122dde0c7898f54365dc25ec"),
 ]
 
 

@@ -79,6 +79,79 @@ def test_map_json_rejects_basis_mismatch():
         linear_map_from_json({"kind": "something_else"})
 
 
+def _set(path, value):
+    """A mutation of a map's JSON form that sets the item at path."""
+
+    def mutate(data):
+        *head, last = path
+        for key in head:
+            data = data[key]
+        data[last] = value
+
+    return mutate
+
+
+def _drop_codomain_r(data):
+    del data["codomain"]["r"]
+
+
+def _repeat_first_entry(data):
+    data["entries"].append(list(data["entries"][0]))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _set(("entries", 0, 0), -1),
+        _set(("entries", 0, 0), 6),  # the codomain Wedge(2, Sym(3)) has 6 labels
+        _set(("entries", 0, 1), 16),  # the domain has 16
+        _set(("entries", 0, 0), 0.0),
+        _repeat_first_entry,
+        _set(("entries", 0, 2), 1.5),
+        _set(("entries", 0, 2), True),
+        _set(("domain_basis", 0, 1), 0.5),
+        _set(("domain_basis", 0, 1), [0]),  # a Sym label is an int
+        _set(("codomain", "inner", "c"), 3.0),
+        _set(("domain", "left", "r"), True),
+        _set(("domain", "right"), 3),
+        _set(("domain", "extra"), 3),
+        _drop_codomain_r,
+    ],
+    ids=[
+        "row -1", "row past the end", "column past the end", "row 0.0",
+        "entry twice", "payload 1.5", "payload true", "label entry 0.5",
+        "label shape", "field 3.0", "field true",
+        "field not a space", "field unknown", "field missing",
+    ],
+)
+def test_map_json_rejects_malformed_dumps(mutate):
+    data = json.loads(json.dumps(linear_map_to_json(multiplication_map(ZZ, 1, 3))))
+    mutate(data)
+    with pytest.raises(ValueError):
+        linear_map_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "ring, payload",
+    [
+        (QQ, 0.1),
+        (QQ, True),
+        (QQ, None),
+        (PrimeField(7), 7),
+        (PrimeField(7), -1),
+        (ZGAMMA, 1),
+        (ZGAMMA, [True]),
+        (ZGAMMA, [1.5]),
+    ],
+    ids=str,
+)
+def test_map_json_rejects_payloads_outside_the_ring(ring, payload):
+    data = linear_map_to_json(multiplication_map(ring, 1, 3))
+    data["entries"][0][2] = payload
+    with pytest.raises(ValueError):
+        linear_map_from_json(data)
+
+
 def test_csv_renders_exact_entries():
     ring = QQ
     A = iso_context(1, 2).coord_matrix_over(ring)
