@@ -19,12 +19,10 @@ from .tableaux import (
     content,
     content_chain,
     count_hook_tableaux,
-    increasing_to_pair,
     increasing_tuples,
     is_semistandard,
     neighbour,
     pair_alpha,
-    pair_precedes,
     pair_sort_key,
     pair_to_increasing,
     semistandard_pairs,

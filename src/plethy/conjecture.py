@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .characters import _count_qpoly, hook_schur_polynomial, qchar
@@ -173,25 +174,32 @@ def jordan_fingerprint(p: int, space: Space, vectors=None) -> tuple[int, ...]:
     """Jordan type of the standard unipotent on a space over GF(p), or on
     the span of the given vectors (checked to be independent and invariant).
 
-    U is built once and S = U - 1 is written in coordinates on the given
-    vectors, a square matrix of the span's dimension.  The ranks of the
-    powers of S then come from image bases, im S^(m+1) = S(im S^m), so only
-    a basis of the current image goes through S again.
+    On a whole Tensor the type comes from its factors' types by the tensor
+    rule of the cyclic group of order p, _tensor_jordan_type; pass the
+    full basis as vectors to compute it directly.  Otherwise U is built
+    once and S = U - 1 is written in coordinates on the given vectors, a
+    square matrix of the span's dimension.  The ranks of the powers of S
+    then come from image bases, im S^(m+1) = S(im S^m), so only a basis of
+    the current image goes through S again.
     """
+    if vectors is None and type(space) is Tensor:
+        return _tensor_jordan_type(
+            p, jordan_fingerprint(p, space.left), jordan_fingerprint(p, space.right)
+        )
     ring = PrimeField(p)
     U = group_action_map(
         ring, ((ring.one, ring.one), (ring.zero, ring.one)), space
     )
-    idx = basis_index(space)
     shift = []  # columns of S as {row index: residue}
-    for j, col in enumerate(U.cols):
-        entries = {idx[l]: v for l, v in col.items()}
+    for j, col in enumerate(U._position_items()):
+        entries = dict(col)
         entries[j] = (entries.get(j, 0) - 1) % p
         if not entries[j]:
             del entries[j]
         shift.append(entries)
     if vectors is None:
         return jordan_type_from_ranks(_power_ranks(p, shift))
+    idx = basis_index(space)
     ambient = []
     for v in vectors:
         if v.space != space or v.ring != ring:
@@ -200,6 +208,28 @@ def jordan_fingerprint(p: int, space: Space, vectors=None) -> tuple[int, ...]:
     return jordan_type_from_ranks(
         _power_ranks(p, _span_coordinates(p, shift, ambient))
     )
+
+
+def _tensor_jordan_type(p: int, left: tuple, right: tuple) -> tuple[int, ...]:
+    """The Jordan type of u (x) u from the types of u on two factors, for u
+    of order p in characteristic p, so every block has size at most p.
+
+    For blocks r <= s (Green 1962; Renaud 1979; Glasby, Praeger and Xia
+    2015): if r + s <= p, J_r (x) J_s is the sum of J_(s-r+2i-1) for
+    i = 1..r; otherwise it is (r+s-p) J_p plus J_(s-r+2i-1) for i = 1..p-s.
+    """
+    parts: Counter = Counter()
+    for r, m in Counter(left).items():
+        for s, n in Counter(right).items():
+            lo, hi = sorted((r, s))
+            if lo + hi <= p:
+                top = lo + hi
+            else:
+                parts[p] += (lo + hi - p) * m * n
+                top = 2 * p - lo - hi
+            for size in range(hi - lo + 1, top, 2):
+                parts[size] += m * n
+    return tuple(sorted(parts.elements(), reverse=True))
 
 
 # -------------------------------------------------------- packed GF(p) rows

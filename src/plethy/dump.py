@@ -58,19 +58,23 @@ def linear_map_to_json(A: LinearMap) -> dict:
 
 
 def linear_map_from_json(data) -> LinearMap:
-    if data.get("kind") != "linear_map":
+    """The map that linear_map_to_json wrote as data, or ValueError."""
+    if not isinstance(data, dict) or data.get("kind") != "linear_map":
         raise ValueError("not a serialized linear map")
     ring = ring_from_json(data["ring"])
     domain = space_from_json(data["domain"])
     codomain = space_from_json(data["codomain"])
     dom = basis(domain)
     cod = basis(codomain)
-    got_dom = [domain.label_from_json(l) for l in data["domain_basis"]]
-    got_cod = [codomain.label_from_json(l) for l in data["codomain_basis"]]
+    got_dom = [domain.label_from_json(l) for l in _json_list(data, "domain_basis")]
+    got_cod = [codomain.label_from_json(l) for l in _json_list(data, "codomain_basis")]
     if got_dom != list(dom) or got_cod != list(cod):
         raise ValueError("basis labels do not match the declared spaces")
     cols: list[dict] = [{} for _ in dom]
-    for r, c, v in data["entries"]:
+    for entry in _json_list(data, "entries"):
+        if type(entry) is not list or len(entry) != 3:
+            raise ValueError(f"an entry is a [row, column, value] list, got {entry!r}")
+        r, c, v = entry
         if not (
             0 <= json_int(r, "an entry row") < len(cod)
             and 0 <= json_int(c, "an entry column") < len(dom)
@@ -80,6 +84,13 @@ def linear_map_from_json(data) -> LinearMap:
             raise ValueError(f"entry ({r}, {c}) is given twice")
         cols[c][cod[r]] = ring.payload_from_json(v)
     return LinearMap(domain, codomain, ring, cols)
+
+
+def _json_list(data: dict, key: str) -> list:
+    value = data.get(key)
+    if type(value) is not list:
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
 
 
 def linear_map_to_csv(A: LinearMap) -> str:

@@ -40,6 +40,13 @@ def json_int(data, what: str) -> int:
     return data
 
 
+def json_kind(data, kinds: dict):
+    """The class that a kind table gives for data's "kind", or None when
+    data is not a JSON object or its kind is not a known string."""
+    kind = data.get("kind") if isinstance(data, dict) else None
+    return kinds.get(kind) if isinstance(kind, str) else None
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -59,18 +66,19 @@ class IntPoly:
     """Dense univariate polynomial over the integers.
 
     coeffs is a tuple, low degree first, with no trailing zeros; the zero
-    polynomial has coeffs == ().  Mixing variables in arithmetic is a ring
-    mismatch and raises.
+    polynomial has coeffs == ().  A coefficient that is not an int, a bool
+    or a float say, raises ValueError.  Mixing variables in arithmetic is a
+    ring mismatch and raises.
     """
 
     __slots__ = ("coeffs", "var")
 
     def __init__(self, coeffs, var: str = "q"):
         cs = list(coeffs)
+        if not all(type(c) is int for c in cs):
+            raise ValueError(f"IntPoly coefficients must be ints, got {cs!r}")
         while cs and cs[-1] == 0:
             cs.pop()
-        if not all(isinstance(c, int) for c in cs):
-            raise TypeError("IntPoly coefficients must be ints")
         self.coeffs = tuple(cs)
         self.var = var
 
@@ -374,7 +382,7 @@ class IntPolynomialRing(Ring):
     def payload_from_json(self, data) -> IntPoly:
         if type(data) is not list:
             raise ValueError(f"a {self.name} payload is a list, got {data!r}")
-        return IntPoly([json_int(c, "a coefficient") for c in data], self.var)
+        return IntPoly(data, self.var)
 
     def __eq__(self, other):
         return isinstance(other, IntPolynomialRing) and other.var == self.var
@@ -394,9 +402,9 @@ _KINDS = {
 
 
 def ring_from_json(data) -> Ring:
-    cls = _KINDS.get(data["kind"])
+    cls = json_kind(data, _KINDS)
     if cls is None:
-        raise ValueError(f"unknown ring kind {data['kind']!r}")
+        raise ValueError(f"not a ring of a known kind: {data!r}")
     return cls(*(data[f] for f in cls.json_fields))
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 from functools import cache, lru_cache
 from typing import ClassVar
 
-from .rings import ConsistencyError, Ring, ZZ, binomial, json_int
+from .rings import ConsistencyError, Ring, ZZ, binomial, json_int, json_kind
 from . import tableaux
 
 
@@ -328,7 +328,7 @@ _KINDS = {cls.kind: cls for cls in (Sym, Wedge, SymPower, Tensor, PairCoords)}
 def space_from_json(data) -> Space:
     """The space that Space.to_json wrote as data, or ValueError.  A field
     declared int must be a JSON integer; any other field is a space."""
-    cls = _KINDS.get(data.get("kind")) if isinstance(data, dict) else None
+    cls = json_kind(data, _KINDS)
     if cls is None:
         raise ValueError(f"not a space of a known kind: {data!r}")
     names = [f.name for f in fields(cls)]
@@ -514,9 +514,9 @@ class LinearMap:
                 out[cl] = get(cl, zero) + c * m
         return out
 
-    # The two sides of a commutation check phi A == B phi, in basis
-    # positions, one method per map kind: a KroneckerMap overrides both to
-    # apply one factor at a time.
+    # A map's entries, and the two sides of a commutation check
+    # phi A == B phi, in basis positions, one method per map kind: a
+    # KroneckerMap overrides all three to work from its factors.
 
     def _position_items(self) -> list:
         """Each column as a list of (row key, entry), the key being the
@@ -608,8 +608,10 @@ class KroneckerMap(LinearMap):
 
     It keeps its two factors, and builds its columns, settled as any
     LinearMap's, only when something first reads cols.  The commutation
-    check never reads them: with A (x) B = (A (x) 1)(1 (x) B), _add_image
-    and _columns_after apply one factor at a time."""
+    check and the Jordan fingerprint never read them: _position_items
+    forms the same entries by position from the factors', and, with
+    A (x) B = (A (x) 1)(1 (x) B), _add_image and _columns_after apply one
+    factor at a time."""
 
     __slots__ = ("left", "right", "_cols", "_items")
 
@@ -649,6 +651,20 @@ class KroneckerMap(LinearMap):
 
     # Position (l, r) of a tensor basis is l * n + r, with n the dimension
     # of the right factor, so the loops below key on ints, not label pairs.
+
+    def _position_items(self):
+        # the entries of the built columns, keyed by position
+        left, right = self._factor_items()
+        ring = self.ring
+        m = dim(self.right.codomain)
+        return [
+            list(
+                _settled(ring, {ll * m + rl: a * b for ll, a in lcol for rl, b in rcol})
+                .items()
+            )
+            for lcol in left
+            for rcol in right
+        ]
 
     def _columns_after(self, rows):
         # column (l, r) of phi (A (x) B) is the sum over l' of A[l', l]

@@ -102,11 +102,6 @@ def pair_sort_key(pair: Pair):
     return content(i, j), -j
 
 
-def pair_precedes(p: Pair, q: Pair) -> bool:
-    """Strict total order on semistandard pairs of one (N, d)."""
-    return pair_sort_key(p) < pair_sort_key(q)
-
-
 def semistandard_pairs(N: int, d: int) -> list[Pair]:
     """All semistandard pairs for (N, d), sorted by pair_sort_key."""
     if N < 1:
@@ -138,14 +133,3 @@ def pair_to_increasing(i: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]
     if not is_increasing(k):
         raise ConsistencyError(f"pair ({i}, {j}) gave {k}, not increasing")
     return alpha, k
-
-
-def increasing_to_pair(alpha: int, k: tuple[int, ...]) -> Pair:
-    """Inverse of pair_to_increasing for the slice at alpha."""
-    if not is_increasing(k):
-        raise ValueError(f"need a strictly increasing tuple, got {k}")
-    if not 1 <= alpha <= len(k) - 1:
-        raise ValueError(f"alpha {alpha} out of range for length {len(k)}")
-    i = k[:alpha] + tuple(v - 1 for v in k[alpha + 1 :])
-    j = k[alpha] - 1
-    return i, j

@@ -4,6 +4,7 @@ import concurrent.futures
 
 import pytest
 
+from plethy import spaces
 from plethy import (
     QQ,
     ZZ,
@@ -204,6 +205,32 @@ def test_four_row_single_column_finding_regression():
     assert not r.all_equal
 
 
+def test_three_row_line_seventh_point_agrees():
+    # the (3, 2, d) line past the workload grid: p = 2 agrees at odd d
+    r = scan_one(3, 2, 7, (2, 3))
+    assert r.dim_lhs == r.dim_rhs_char0 == 630
+    assert r.qchar_equal and r.qchar_shift == 6
+    two, three = r.primes
+    assert two.dim_rhs == three.dim_rhs == 630
+    assert two.jordan_lhs == two.jordan_rhs == (2,) * 310 + (1,) * 10
+    assert three.jordan_lhs == three.jordan_rhs == (3,) * 210
+    assert r.all_equal
+
+
+def test_three_row_line_eighth_point_finding_regression():
+    # and disagrees at even d, as at d = 2, 4, 6; p = 3 agrees
+    r = scan_one(3, 2, 8, (2, 3))
+    assert r.dim_lhs == r.dim_rhs_char0 == 990
+    assert r.qchar_equal and r.qchar_shift == 6
+    two, three = r.primes
+    assert two.dim_rhs == three.dim_rhs == 990
+    assert two.jordan_lhs == (2,) * 490 + (1,) * 10
+    assert two.jordan_rhs == (2,) * 486 + (1,) * 18
+    assert not two.jordan_equal
+    assert three.jordan_lhs == three.jordan_rhs == (3,) * 330
+    assert not r.all_equal
+
+
 def test_three_row_rank_four_finding_regression():
     # a characteristic-two finding off the N = 2 line; p = 3 agrees
     r = scan_one(3, 4, 4, (2, 3))
@@ -237,6 +264,22 @@ def test_three_row_larger_point_agrees():
     assert r.all_equal
     assert r.dim_lhs == 336
     assert r.qchar_shift == 8
+
+
+def test_scan_never_builds_a_tensor_action_whole(monkeypatch):
+    # both sides' unipotents are tensor actions, read by position from
+    # their factors; building one whole would raise here
+    def refuse(self):
+        raise AssertionError("a tensor action was built whole")
+
+    monkeypatch.setattr(spaces.KroneckerMap, "_build_cols", refuse)
+    r = scan_one(3, 2, 4, (2, 3))
+    two, three = r.primes
+    assert two.jordan_lhs == (2,) * 51 + (1,) * 3
+    assert two.jordan_rhs == (2,) * 49 + (1,) * 7
+    assert three.jordan_lhs == three.jordan_rhs == (3,) * 35
+    with pytest.raises(AssertionError, match="built whole"):
+        spaces.group_action_map(PrimeField(2), ((1, 1), (0, 1)), hook_domain(3, 2, 4)).cols
 
 
 def test_report_serialization():

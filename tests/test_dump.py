@@ -37,6 +37,12 @@ def test_ring_serialization_rejects_unknown():
         ring_from_json({"kind": "surreal"})
 
 
+@pytest.mark.parametrize("data", [{"kind": [1]}, ["int"], None])
+def test_ring_serialization_rejects_a_kind_that_is_not_a_name(data):
+    with pytest.raises(ValueError):
+        ring_from_json(data)
+
+
 def test_map_json_round_trip_over_each_ring():
     ctx = iso_context(2, 3)
     for A in (
@@ -127,6 +133,39 @@ def _repeat_first_entry(data):
 def test_map_json_rejects_malformed_dumps(mutate):
     data = json.loads(json.dumps(linear_map_to_json(multiplication_map(ZZ, 1, 3))))
     mutate(data)
+    with pytest.raises(ValueError):
+        linear_map_from_json(data)
+
+
+def _drop_entries(data):
+    del data["entries"]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        ["kind", "linear_map"],
+        None,
+        _set(("entries",), {}),
+        _set(("entries",), 3),
+        _drop_entries,
+        _set(("codomain_basis",), "abc"),
+        _set(("entries", 0), [0, 0]),
+        _set(("entries", 0), [0, 0, 1, 1]),
+        _set(("entries", 0), 5),
+        _set(("entries", 0), "abc"),
+    ],
+    ids=[
+        "top level a list", "top level null", "entries a dict",
+        "entries an int", "entries missing", "basis a string",
+        "entry of two", "entry of four", "entry an int", "entry a string",
+    ],
+)
+def test_map_json_rejects_malformed_containers(data):
+    if callable(data):
+        mutate = data
+        data = json.loads(json.dumps(linear_map_to_json(multiplication_map(ZZ, 1, 3))))
+        mutate(data)
     with pytest.raises(ValueError):
         linear_map_from_json(data)
 

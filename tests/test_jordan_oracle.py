@@ -1,5 +1,6 @@
 """Differential tests: the packed Jordan fingerprint against the original
-dict-elimination algorithm, kept here as a reference oracle only."""
+dict-elimination algorithm, kept here as a reference oracle only, and the
+tensor rule against the direct fingerprint of the whole tensor."""
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from plethy import (
     lhs_space,
     rank_of_vectors,
 )
+from plethy.conjecture import _tensor_jordan_type
 
 PRIMES = st.sampled_from((2, 3, 5, 7))
 
@@ -138,3 +140,90 @@ def test_span_fingerprint_matches_oracle(case):
     assert outcome(jordan_fingerprint, p, space, vectors) == outcome(
         oracle_fingerprint, p, space, vectors
     )
+
+
+# ----------------------------------------------------------- the tensor rule
+
+
+def direct_fingerprint(p, space):
+    """The fingerprint of the whole space computed on it, not by the tensor
+    rule: the full basis passed as the vectors."""
+    ring = PrimeField(p)
+    return jordan_fingerprint(
+        p, space, [ModuleElement.basis_vector(space, ring, l) for l in basis(space)]
+    )
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_tensor_rule_on_two_blocks(p):
+    for r in range(1, p + 1):
+        for s in range(1, p + 1):
+            parts = _tensor_jordan_type(p, (r,), (s,))
+            assert sum(parts) == r * s
+            assert all(1 <= k <= p for k in parts)
+            assert list(parts) == sorted(parts, reverse=True)
+            assert parts == _tensor_jordan_type(p, (s,), (r,))
+            if r == 1:
+                assert parts == (s,)
+            if p in (r, s):
+                assert parts == (p,) * min(r, s)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_tensor_rule_sums_over_pairs_of_blocks(p):
+    # u (x) u on a sum of blocks is the sum over pairs of blocks, repeated
+    # blocks included, whatever order the blocks come in
+    left = tuple(range(p, 0, -1)) + (p, 1)
+    right = (1,) + tuple(range(1, p + 1))
+    pairwise = [k for r in left for s in right for k in _tensor_jordan_type(p, (r,), (s,))]
+    parts = _tensor_jordan_type(p, left, right)
+    assert parts == tuple(sorted(pairwise, reverse=True))
+    assert parts == _tensor_jordan_type(p, right, left)
+    assert sum(parts) == sum(left) * sum(right)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_tensor_rule_matches_the_direct_fingerprint_on_sym_pairs(p):
+    # Sym(c) for c in 0..2p has one to three distinct block sizes mod p
+    for a in range(2 * p + 1):
+        for b in range(a, 2 * p + 1):
+            T = Tensor(Sym(a), Sym(b))
+            assert jordan_fingerprint(p, T) == direct_fingerprint(p, T), T
+
+
+# at each p in 2, 3, 5, 7 both factors of one of these tensors have two or
+# more distinct block sizes; the last one nests a tensor in a factor
+TENSORS = (
+    Tensor(Wedge(2, Sym(4)), SymPower(2, Sym(6))),
+    Tensor(Wedge(2, Sym(3)), SymPower(3, Sym(6))),
+    Tensor(Wedge(3, Sym(5)), SymPower(2, Sym(2))),
+    Tensor(Tensor(Sym(2), Wedge(2, Sym(3))), SymPower(2, Sym(4))),
+)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_tensor_rule_matches_the_direct_fingerprint_on_powers(p):
+    def sizes(space):
+        return len(set(jordan_fingerprint(p, space)))
+
+    assert any(sizes(T.left) > 1 and sizes(T.right) > 1 for T in TENSORS)
+    for T in TENSORS:
+        assert jordan_fingerprint(p, T) == direct_fingerprint(p, T), T
+
+
+# every M >= 2 lhs of the scan-grid workload (M 1..3, N 1..2, d 0..6 at
+# p = 2, 3) and of the odd-prime scan pin (M 2..4, N 1..2, d 1..3 at
+# p = 5, 7)
+SCAN_GRID_LHS = [
+    (M, N, d, p)
+    for M in (2, 3) for N in (1, 2) for d in range(7) for p in (2, 3)
+] + [
+    (M, N, d, p)
+    for M in (2, 3, 4) for N in (1, 2) for d in (1, 2, 3) for p in (5, 7)
+]
+
+
+@pytest.mark.parametrize("M, N, d, p", SCAN_GRID_LHS)
+def test_tensor_rule_matches_the_direct_fingerprint_on_scan_lhs(M, N, d, p):
+    left = lhs_space(M, N, d)
+    assert jordan_fingerprint(p, left) == direct_fingerprint(p, left)

@@ -45,6 +45,13 @@ def test_intpoly_normalizes_trailing_zeros():
     assert IntPoly([0, 0], "q").degree == -1  # zero polynomial sentinel
 
 
+@pytest.mark.parametrize("coeffs", [[True], [1.0], [1, 0.0], [False]], ids=str)
+def test_intpoly_rejects_coefficients_that_are_not_ints(coeffs):
+    # a bool is not read as 0 or 1, and a float zero is not dropped
+    with pytest.raises(ValueError):
+        IntPoly(coeffs)
+
+
 def test_intpoly_str_and_eval():
     p = IntPoly([1, 2], "gamma")
     assert str(p) == "1+2*gamma"

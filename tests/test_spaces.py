@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from plethy import (
     QQ,
     ZZ,
+    KroneckerMap,
     LinearMap,
     ModuleElement,
     PairCoords,
@@ -172,6 +173,13 @@ def test_space_from_json_rejects_unknown_kind():
         space_from_json({"kind": "schur", "c": 2})
 
 
+@pytest.mark.parametrize("data", [{"kind": [1]}, {"kind": {}}, {"c": 2}, ["sym"], None])
+def test_space_from_json_rejects_a_kind_that_is_not_a_name(data):
+    # an unhashable kind is not looked up in the kind table
+    with pytest.raises(ValueError):
+        space_from_json(data)
+
+
 def test_wedge_and_sympower_stay_distinct():
     # the two power kinds share fields and code but not equality, reprs or
     # cached bases
@@ -294,6 +302,32 @@ def test_action_is_multiplicative_mod_p():
             group_action_map(ring, h, space)
         )
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("ring", [ZZ, PrimeField(2), PrimeField(3), PrimeField(7)])
+def test_kronecker_position_items_are_the_built_columns(ring):
+    # the entries a b formed by position from the factors equal the built
+    # label-keyed columns, reduced, mapped to positions, column for column
+    g = tuple(tuple(map(ring.from_int, row)) for row in ((2, 5), (3, 4)))
+    maps = [
+        group_action_map(ring, g, space)
+        for space in (
+            Tensor(Sym(3), Wedge(2, Sym(4))),
+            Tensor(SymPower(2, Sym(3)), Sym(2)),
+            Tensor(Tensor(Sym(1), Wedge(2, Sym(3))), SymPower(2, Sym(2))),
+            Tensor(Sym(2), Tensor(Sym(1), Sym(3))),
+        )
+    ]
+    maps.append(
+        KroneckerMap(multiplication_map(ring, 2, 3), group_action_map(ring, g, Sym(2)))
+    )
+    for A in maps:
+        assert isinstance(A, KroneckerMap)
+        items = A._position_items()
+        idx = basis_index(A.codomain)
+        built = [{idx[l]: v for l, v in col.items()} for col in A.cols]
+        assert [dict(col) for col in items] == built
+        assert all(len(dict(col)) == len(col) for col in items)
 
 
 def test_wedge_action_picks_up_signs():

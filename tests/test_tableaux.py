@@ -9,16 +9,16 @@ from plethy import (
     content,
     content_chain,
     count_hook_tableaux,
-    increasing_to_pair,
     increasing_tuples,
     is_semistandard,
     neighbour,
     pair_alpha,
-    pair_precedes,
     pair_sort_key,
     pair_to_increasing,
     semistandard_pairs,
 )
+
+from oracles import increasing_to_pair, pair_precedes
 
 
 def test_neighbour_golden_chain_steps():
