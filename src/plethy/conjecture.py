@@ -40,6 +40,7 @@ from .spaces import (
     basis_index,
     dim,
     group_action_map,
+    identity_map,
     kernel_basis,
     wedge_normalize,
 )
@@ -190,13 +191,7 @@ def jordan_fingerprint(p: int, space: Space, vectors=None) -> tuple[int, ...]:
     U = group_action_map(
         ring, ((ring.one, ring.one), (ring.zero, ring.one)), space
     )
-    shift = []  # columns of S as {row index: residue}
-    for j, col in enumerate(U._position_items()):
-        entries = dict(col)
-        entries[j] = (entries.get(j, 0) - 1) % p
-        if not entries[j]:
-            del entries[j]
-        shift.append(entries)
+    shift = (U - identity_map(ring, space)).pcols  # S, keyed by position
     if vectors is None:
         return jordan_type_from_ranks(_power_ranks(p, shift))
     idx = basis_index(space)

@@ -19,7 +19,7 @@ import json
 from .iso import IsoContext
 from .rings import json_int, ring_from_json
 from .schur import HookSchurSpace
-from .spaces import LinearMap, basis, basis_index, space_from_json
+from .spaces import LinearMap, basis, space_from_json
 
 
 def json_text(payload) -> str:
@@ -40,12 +40,10 @@ def csv_text(header: list, rows) -> str:
 def linear_map_to_json(A: LinearMap) -> dict:
     dom = basis(A.domain)
     cod = basis(A.codomain)
-    cod_idx = basis_index(A.codomain)
     to_json = A.ring.payload_to_json
-    entries = []
-    for c, col in enumerate(A.cols):
-        for l, v in sorted(col.items(), key=lambda kv: cod_idx[kv[0]]):
-            entries.append([cod_idx[l], c, to_json(v)])
+    entries = [
+        [r, c, to_json(v)] for c, col in enumerate(A.pcols) for r, v in sorted(col.items())
+    ]
     return {
         "kind": "linear_map",
         "ring": A.ring.to_json(),
@@ -80,10 +78,10 @@ def linear_map_from_json(data) -> LinearMap:
             and 0 <= json_int(c, "an entry column") < len(dom)
         ):
             raise ValueError(f"entry ({r}, {c}) is outside the matrix")
-        if cod[r] in cols[c]:
+        if r in cols[c]:
             raise ValueError(f"entry ({r}, {c}) is given twice")
-        cols[c][cod[r]] = ring.payload_from_json(v)
-    return LinearMap(domain, codomain, ring, cols)
+        cols[c][r] = ring.payload_from_json(v)
+    return LinearMap.from_positions(domain, codomain, ring, cols)
 
 
 def _json_list(data: dict, key: str) -> list:
@@ -97,9 +95,9 @@ def linear_map_to_csv(A: LinearMap) -> str:
     return csv_text(
         [""] + [A.domain.label_str(l) for l in basis(A.domain)],
         (
-            [A.codomain.label_str(row_label)]
-            + [A.ring.to_str(col.get(row_label, A.ring.zero)) for col in A.cols]
-            for row_label in basis(A.codomain)
+            [A.codomain.label_str(label)]
+            + [A.ring.to_str(col.get(r, A.ring.zero)) for col in A.pcols]
+            for r, label in enumerate(basis(A.codomain))
         ),
     )
 

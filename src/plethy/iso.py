@@ -41,8 +41,9 @@ the routes to the work their claims need:
     code.
   * no certificate builds a whole product map.  Each commutation phi A =
     B phi, the swap's sign law included, is checked one domain column at a
-    time, both sides summed raw into one dict that is settled once and
-    dropped, and the first nonzero entry ends the check.  The inverse round
+    time, both sides summed raw into one dict keyed by basis position and
+    dropped, and the first entry that stays nonzero once reduced ends the
+    check.  The inverse round
     trips run one Y-degree block at a time, on pair positions.  Only the
     swaps' involutions still compose whole maps.
   * no unipotent route builds a tensor action whole.  Both spaces are
@@ -51,7 +52,7 @@ the routes to the work their claims need:
     built only when read.  _commutes applies it one factor at a time, as
     A (x) B = (A (x) 1)(1 (x) B): on the domain side phi(l' (x) B r) is
     summed once and reused for every left label l, and on the codomain
-    side A (x) 1 goes first, equal labels merge, and the Sym table of B
+    side A (x) 1 goes first, equal positions merge, and the Sym table of B
     follows.  A route holds the factor actions only, the largest on
     Wedge(N+1, Sym(d+1)); the swaps, composed with themselves, are built.
 
@@ -81,7 +82,6 @@ from .spaces import (
     Sym,
     Tensor,
     Wedge,
-    _settled,
     basis,
     basis_index,
     dim,
@@ -151,15 +151,17 @@ class IsoContext:
             )
 
         mu = multiplication_map(ZZ, N, d)
-        self.matrix = LinearMap.from_function(
-            ZZ, self.domain, self.hook.ambient, lambda lab: basis_image(ZZ, N, d, *lab)
-        )
         coord_cols = []
-        for label, col in zip(basis(self.domain), self.matrix.cols):
-            img = ModuleElement(self.hook.ambient, ZZ, col)
+
+        def image(label):
+            # each column is checked and given its coordinates as it is built
+            img = basis_image(ZZ, N, d, *label)
             if not mu.apply(img).is_zero():
                 raise ConsistencyError(f"image of {label} is outside the kernel")
             coord_cols.append(self.hook.coordinates(img).coeffs)
+            return img
+
+        self.matrix = LinearMap.from_function(ZZ, self.domain, self.hook.ambient, image)
         self.columns_in_kernel = True
         self.coord_matrix = LinearMap(self.domain, self.hook.coords, ZZ, coord_cols)
 
@@ -169,6 +171,8 @@ class IsoContext:
             basis(self.domain)
         ):
             raise ConsistencyError("witness labels do not biject onto the domain basis")
+        dom_idx = basis_index(self.domain)
+        self._witness_positions = [dom_idx[w] for w in self.witnesses]
         # built once and read by every check, the inverse and the digests
         self.paired_columns = self._paired_columns()
         self.diagonal = [col.get(m, 0) for m, col in enumerate(self.paired_columns)]
@@ -183,16 +187,12 @@ class IsoContext:
     # ------------------------------------------------------------ structure
 
     def _paired_columns(self):
-        """Coordinate columns reordered so column m belongs to pair m,
-        keyed by pair position.  Construction stores the result as
-        paired_columns, which everything else reads."""
-        pos = self.hook.pair_index
-        dom_idx = basis_index(self.domain)
-        out = []
-        for w in self.witnesses:
-            col = self.coord_matrix.cols[dom_idx[w]]
-            out.append({pos[p]: v for p, v in col.items()})
-        return out
+        """Coordinate columns reordered so column m belongs to pair m; they
+        are the coordinate matrix's own columns, keyed by pair position.
+        Construction stores the result as paired_columns, which everything
+        else reads."""
+        cols = self.coord_matrix.pcols
+        return [cols[j] for j in self._witness_positions]
 
     def _check_unitriangular(self):
         for m, (col, diag) in enumerate(zip(self.paired_columns, self.diagonal)):
@@ -244,7 +244,8 @@ class IsoContext:
         cancelled to zero is skipped, so the scatter work is proportional to
         the nonzeros reached.  Both round trips are checked against the
         identity one block at a time, on pair positions, before anything is
-        returned.
+        returned.  The rows of the inverse are then moved from pair
+        positions to the domain positions of their witnesses.
         """
         if self._inverse is not None:
             return self._inverse
@@ -276,11 +277,10 @@ class IsoContext:
                 raise ConsistencyError("inverse round trip failed on the pair side")
             if not _is_block_identity(inv_cols_by_pos, paired, idxs):
                 raise ConsistencyError("inverse round trip failed on the domain side")
-        # a generator: LinearMap settles one relabelled column at a time
-        cols = (
-            {self.witnesses[c]: val for c, val in x.items()} for x in inv_cols_by_pos
-        )
-        inv = LinearMap(self.hook.coords, self.domain, ZZ, cols)
+        # a generator: the map settles one moved column at a time
+        wpos = self._witness_positions
+        cols = ({wpos[c]: val for c, val in x.items()} for x in inv_cols_by_pos)
+        inv = LinearMap.from_positions(self.hook.coords, self.domain, ZZ, cols)
         self.inverse_round_trip = True
         self._inverse = inv
         return inv
@@ -326,7 +326,7 @@ def verify_structure(N: int, d: int) -> dict:
     }
     inv = ctx.inverse()
     report["inverse_integral"] = all(
-        isinstance(v, int) for col in inv.cols for v in col.values()
+        isinstance(v, int) for col in inv.pcols for v in col.values()
     )
     report["inverse_round_trip"] = ctx.inverse_round_trip
     return report
@@ -357,7 +357,7 @@ def _commutes(phi: LinearMap, dom: LinearMap, amb: LinearMap) -> bool:
     """Whether phi dom == amb phi, for dom acting on phi's domain and amb on
     its codomain, checked one domain column at a time; no product map is
     built.  Column j of phi dom minus amb phi is summed raw into one dict,
-    settled once, and the first column that keeps an entry ends the check.
+    and the first column that keeps an entry once reduced ends the check.
     Each side is formed by the map's own method, so a tensor action, a
     KroneckerMap, is applied one factor at a time and never built whole.
     """
@@ -370,10 +370,13 @@ def _commutes(phi: LinearMap, dom: LinearMap, amb: LinearMap) -> bool:
     ):
         raise ValueError("commutation mismatch")
     ring = phi.ring
-    rows = phi._position_items()
-    for j, acc in dom._columns_after(rows):
-        amb._add_image(acc, [(row, -c) for row, c in rows[j]])
-        if _settled(ring, acc):
+    # the residues are reduced only up to the first nonzero one, and not at
+    # all when reduce is the identity
+    reduce = None if type(ring).reduce is Ring.reduce else ring.reduce
+    rows = phi.pcols
+    for j, acc in dom._columns_after(phi):
+        amb._add_image(acc, ((row, -c) for row, c in rows[j].items()))
+        if any(map(reduce, acc.values()) if reduce else acc.values()):
             return False
     return True
 
@@ -382,10 +385,10 @@ def _shifts_y_degree(phi: LinearMap, shift: int) -> bool:
     """Whether each column of phi of Y-degree w lands only on rows of
     Y-degree w - shift."""
     dom_ydeg = phi.domain.ydegree
-    ydeg = phi.codomain.ydegree
-    for label, col in zip(basis(phi.domain), phi.cols):
+    ydeg = [phi.codomain.ydegree(label) for label in basis(phi.codomain)]
+    for label, col in zip(basis(phi.domain), phi.pcols):
         target = dom_ydeg(label) - shift
-        if any(ydeg(row) != target for row in col):
+        if any(ydeg[row] != target for row in col):
             return False
     return True
 
@@ -398,8 +401,9 @@ def _sym_tables_are_monomial(spaces, transpose: bool) -> bool:
     g1 = _unipotent(ZZ, 1, transpose)
     sign = -1 if transpose else 1
     for atom in frozenset().union(*(space.sym_atoms() for space in spaces)):
-        polys = group_action_map(ZGAMMA, g, atom).cols
-        ints = group_action_map(ZZ, g1, atom).cols
+        # a Sym label is its basis position
+        polys = group_action_map(ZGAMMA, g, atom).pcols
+        ints = group_action_map(ZZ, g1, atom).pcols
         for a, (pcol, icol) in enumerate(zip(polys, ints)):
             if pcol.keys() != icol.keys():
                 return False

@@ -6,7 +6,8 @@ polynomial.  Floating point never appears.  A Ring instance interprets raw
 payloads; elements and matrices carry the ring alongside the payloads.
 
 A ring's JSON form is its kind and the constructor arguments named in
-json_fields; payload_to_json and payload_from_json convert its payloads.
+json_fields, each of its declared type; payload_to_json and
+payload_from_json convert its payloads.
 To add a ring, write one Ring subclass and add it to the ring_from_json
 kind table, _KINDS.
 """
@@ -198,7 +199,7 @@ class Ring:
     """Base interface: exact operations on raw scalar payloads."""
 
     name: str
-    json_fields: tuple[str, ...] = ()
+    json_fields: dict[str, type] = {}
     is_field = False
 
     def add(self, a, b):
@@ -302,7 +303,7 @@ class PrimeField(Ring):
     """GF(p) for p prime, p < 2**16.  Payloads are ints in [0, p)."""
 
     kind = "fp"
-    json_fields = ("p",)
+    json_fields = {"p": int}
     is_field = True
 
     def __init__(self, p: int):
@@ -354,7 +355,7 @@ class IntPolynomialRing(Ring):
     """Z[var] with IntPoly payloads, in JSON as coefficient lists."""
 
     kind = "poly"
-    json_fields = ("var",)
+    json_fields = {"var": str}
 
     def __init__(self, var: str):
         self.var = var
@@ -402,10 +403,15 @@ _KINDS = {
 
 
 def ring_from_json(data) -> Ring:
+    """The ring that Ring.to_json wrote as data, or ValueError: the keys are
+    kind and the kind's json_fields, each of its type (an int not a bool)."""
     cls = json_kind(data, _KINDS)
     if cls is None:
         raise ValueError(f"not a ring of a known kind: {data!r}")
-    return cls(*(data[f] for f in cls.json_fields))
+    fields = cls.json_fields
+    if set(data) != {"kind", *fields} or any(type(data[f]) is not t for f, t in fields.items()):
+        raise ValueError(f"not a {cls.kind} ring with the fields {list(fields)}: {data!r}")
+    return cls(*(data[f] for f in fields))
 
 
 def ring_by_name(name: str, p: int | None = None) -> Ring:
@@ -415,4 +421,4 @@ def ring_by_name(name: str, p: int | None = None) -> Ring:
         return ZGAMMA
     if name == "fp" and p is None:
         raise ValueError("ring fp needs a prime")
-    return ring_from_json({"kind": name, "p": p})
+    return ring_from_json({"kind": name, **({"p": p} if name == "fp" else {})})

@@ -13,11 +13,17 @@ Y-degree of a label and the total degree, the label format, and its group
 and Lie action matrices, built from its factors' matrices the way the
 functors are: Sym^c(g), then Wedge^r, Sym^r and tensor products of those.
 A tensor's group action is kept as the Kronecker product of its factors'
-matrices, built whole only when something reads its columns.  JSON forms
+matrices, formed whole only when something reads its columns.  JSON forms
 come from the dataclass fields.  The module functions basis, basis_index
 and dim hold the one cache that all equal spaces share.  To add a kind,
 write one Space subclass with its fields, basis, dim, degrees, label_str
 and actions, and add it to the space_from_json kind table, _KINDS.
+
+A map's columns are keyed by codomain basis position, the one form maps
+take between layers.  Labels are taken and shown only at the edges: the
+LinearMap constructor and from_function translate them once and reject a
+row label outside the basis, apply and column work on ModuleElements, and
+cols is a label view built on first read.
 
 The two-by-two matrix g = ((g11, g12), (g21, g22)) acts on the left by
 g.X = g11 X + g21 Y and g.Y = g12 X + g22 Y, so columns of g are the
@@ -48,10 +54,11 @@ class Space:
     sym_atoms() is the set of Sym atoms it is built from.
 
     _action_map(ring, g) is the matrix of g, a LinearMap; by default it
-    holds _action_columns(ring, g), the columns in basis order, a list or
-    a one-pass iterator whose entries may be unreduced.  A Tensor instead
-    keeps its factors' maps in a KroneckerMap.  _lie_columns(which) is
-    the list of the integer columns of e or f.  A kind builds both from
+    holds _action_columns(ring, g), the columns in basis order keyed by
+    basis position, a list or a one-pass iterator whose entries may be
+    unreduced.  A Tensor instead keeps its factors' maps in a
+    KroneckerMap.  _lie_columns(which) is the list of the integer columns
+    of e or f, keyed by position.  A kind builds both from
     its factors' columns: a divided power D^r(Sym c), say, would expand
     each label's image from the columns of Sym(c), as _Power does, with
     its own coefficients.  A kind that is not a polynomial space inherits
@@ -87,7 +94,7 @@ class Space:
         )
 
     def _action_map(self, ring: Ring, g) -> "LinearMap":
-        return LinearMap(self, self, ring, self._action_columns(ring, g))
+        return LinearMap.from_positions(self, self, ring, self._action_columns(ring, g))
 
     def _action_columns(self, ring: Ring, g):
         raise TypeError(f"the group action is undefined on {self!r}")
@@ -163,59 +170,66 @@ class _Power(Space):
         return "(" + ",".join(map(str, label)) + ")"
 
     def _action_columns(self, ring, g):
-        """Each label's image is the image of its prefix label[:-1] times
-        the inner column of label[-1].  A new factor b is placed with
-        bisect; in a wedge, moving it past the len(t) - pos larger factors
-        gives the sign (-1)^(len(t) - pos), and a repeated factor gives
-        zero.  Prefix images live in a dict local to this call, filled by a
-        loop: a recursive closure would be a reference cycle that kept them
-        alive until the cyclic collector ran."""
+        """Each label's image, in basis order, keyed by basis position: the
+        image of its prefix label[:-1] times the inner column of label[-1].
+        A new factor b is placed with bisect; in a wedge, moving it past
+        the k - pos larger factors of a k-tuple gives the sign
+        (-1)^(k - pos), and a repeated factor gives zero.  Labels that
+        share a prefix are contiguous in lexicographic order, so only the
+        images of the current label's prefixes are kept, as a stack keyed
+        by tuples."""
         strict = self.strict
         inner = [col.items() for col in self.inner._action_columns(ring, g)]
+        idx = basis_index(self)
         zero = ring.zero
-        images = {(): {(): ring.one}}
+        images = [{(): ring.one}]  # images[k] is the image of label[:k]
+        prev = ()
         for label in basis(self):
-            for k in range(1, len(label) + 1):
-                if label[:k] in images:
-                    continue
+            k = 0
+            while k < len(images) - 1 and label[k] == prev[k]:
+                k += 1
+            del images[k + 1 :]
+            for k in range(k, self.r):
                 out: dict = {}
                 get = out.get
-                for t, v in images[label[: k - 1]].items():
-                    n = len(t)
-                    for b, cb in inner[label[k - 1]]:
+                for t, v in images[k].items():
+                    for b, cb in inner[label[k]]:
                         pos = bisect_left(t, b)
-                        if strict and pos < n and t[pos] == b:
+                        if strict and pos < k and t[pos] == b:
                             continue
                         new = t[:pos] + (b,) + t[pos:]
-                        if strict and (n - pos) & 1:
+                        if strict and (k - pos) & 1:
                             out[new] = get(new, zero) - v * cb
                         else:
                             out[new] = get(new, zero) + v * cb
-                images[label[:k]] = _settled(ring, out)
-        return [images[label] for label in basis(self)]
+                images.append(_settled(ring, out))
+            yield {idx[t]: v for t, v in images.pop().items()}
+            prev = label
 
     def _lie_columns(self, which):
         c = self.inner.c
+        idx = basis_index(self)
         cols = []
         for label in basis(self):
             out: dict = {}
-            for idx, a in enumerate(label):
+            for i, a in enumerate(label):
                 if which == "e":
                     if a < 1:
                         continue
-                    new = label[:idx] + (a - 1,) + label[idx + 1 :]
+                    new = label[:i] + (a - 1,) + label[i + 1 :]
                     coeff = a
                 else:
                     if a > c - 1:
                         continue
-                    new = label[:idx] + (a + 1,) + label[idx + 1 :]
+                    new = label[:i] + (a + 1,) + label[i + 1 :]
                     coeff = c - a
                 if self.strict:
                     if any(x == y for x, y in zip(new, new[1:])):
                         continue
                 else:
                     new = tuple(sorted(new))
-                out[new] = out.get(new, 0) + coeff
+                row = idx[new]
+                out[row] = out.get(row, 0) + coeff
             cols.append(out)
         return cols
 
@@ -276,13 +290,15 @@ class Tensor(Space):
         )
 
     def _lie_columns(self, which):
-        rcols = list(zip(basis(self.right), self.right._lie_columns(which)))
+        # position (l, r) is l * m + r, with m the right factor's dimension
+        m = dim(self.right)
+        rcols = self.right._lie_columns(which)
         cols = []
-        for l0, lcol in zip(basis(self.left), self.left._lie_columns(which)):
-            for l1, rcol in rcols:
-                out = {(ll, l1): lv for ll, lv in lcol.items()}
+        for l, lcol in enumerate(self.left._lie_columns(which)):
+            for r, rcol in enumerate(rcols):
+                out = {ll * m + r: lv for ll, lv in lcol.items()}
                 for rl, rv in rcol.items():
-                    key = (l0, rl)
+                    key = l * m + rl
                     out[key] = out.get(key, 0) + rv
                 cols.append(out)
         return cols
@@ -461,106 +477,117 @@ def _settled(ring: Ring, acc: dict) -> dict:
     return {k: r for k, v in acc.items() if (r := reduce(v))}
 
 
+def _labelled(space: Space, col: dict) -> dict:
+    """A column keyed by basis position of space, rekeyed by label."""
+    labels = basis(space)
+    return {labels[r]: v for r, v in col.items()}
+
+
 class LinearMap:
-    """Sparse matrix between two spaces, columns in domain basis order.
+    """Sparse matrix between two spaces: pcols[j], the column of domain
+    position j, maps codomain positions to nonzero entries.
 
-    Columns may be handed in as raw accumulations, from any iterable; each
-    entry is reduced once here and zeros are dropped, so a generator of
-    raw columns never holds more than one of them."""
+    The constructor and from_function take columns keyed by codomain
+    label, translate them once, and reject a label outside the basis with
+    ValueError; from_positions takes them keyed by position.  Either way
+    columns may be raw accumulations, from any iterable: each entry is
+    reduced once here and zeros are dropped, so a generator of raw columns
+    never holds more than one of them.  cols is the label view."""
 
-    __slots__ = ("domain", "codomain", "ring", "cols")
+    __slots__ = ("domain", "codomain", "ring", "pcols", "_cols")
 
     def __init__(self, domain: Space, codomain: Space, ring: Ring, cols):
-        self.cols = [_settled(ring, col) for col in cols]
-        if len(self.cols) != dim(domain):
+        idx = basis_index(codomain)
+
+        def positions(col):
+            try:
+                return {idx[label]: v for label, v in col.items()}
+            except KeyError as e:
+                raise ValueError(
+                    f"row label {e.args[0]!r} is not in the basis of {codomain}"
+                ) from None
+
+        self._fill(domain, codomain, ring, map(positions, cols))
+
+    def _fill(self, domain: Space, codomain: Space, ring: Ring, pcols) -> None:
+        self.pcols = [_settled(ring, col) for col in pcols]
+        if len(self.pcols) != dim(domain):
             raise ValueError("column count does not match the domain dimension")
         self.domain = domain
         self.codomain = codomain
         self.ring = ring
+        self._cols = None
+
+    @classmethod
+    def from_positions(cls, domain: Space, codomain: Space, ring: Ring, pcols) -> "LinearMap":
+        """The map whose columns, keyed by codomain position, are pcols."""
+        A = LinearMap.__new__(LinearMap)
+        A._fill(domain, codomain, ring, pcols)
+        return A
 
     @classmethod
     def from_function(cls, ring: Ring, domain: Space, codomain: Space, fn) -> "LinearMap":
-        """fn maps a domain basis label to a coefficient dict or element."""
-        cols = []
-        for label in basis(domain):
+        """fn maps a domain basis label to a coefficient dict or element,
+        keyed by codomain label."""
+
+        def image(label):
             img = fn(label)
             if isinstance(img, ModuleElement):
                 if img.space != codomain or img.ring != ring:
                     raise ValueError("image space or ring mismatch")
-                img = img.coeffs
-            cols.append(img)
-        return cls(domain, codomain, ring, cols)
+                return img.coeffs
+            return img
+
+        return cls(domain, codomain, ring, map(image, basis(domain)))
+
+    @property
+    def cols(self) -> list:
+        """The columns keyed by codomain label, built on first read."""
+        if self._cols is None:
+            self._cols = self._label_cols()
+        return self._cols
+
+    def _label_cols(self) -> list:
+        return [_labelled(self.codomain, col) for col in self.pcols]
 
     def column(self, label) -> ModuleElement:
-        return ModuleElement(
-            self.codomain, self.ring, self.cols[basis_index(self.domain)[label]]
-        )
+        col = self.pcols[basis_index(self.domain)[label]]
+        return ModuleElement(self.codomain, self.ring, _labelled(self.codomain, col))
 
     def apply(self, v: ModuleElement) -> ModuleElement:
         if v.space != self.domain or v.ring != self.ring:
             raise ValueError("space or ring mismatch")
-        out = self._combine(v.coeffs, basis_index(self.domain))
-        return ModuleElement(self.codomain, self.ring, out)
+        idx = basis_index(self.domain)
+        out = self._add_image({}, ((idx[l], c) for l, c in v.coeffs.items()))
+        return ModuleElement(self.codomain, self.ring, _labelled(self.codomain, out))
 
-    def _combine(self, coeffs: dict, idx: dict) -> dict:
-        """The raw sum of coeffs[l] times column idx[l], entries not yet
-        reduced."""
-        cols = self.cols
-        zero = self.ring.zero
-        out: dict = {}
-        get = out.get
-        for dl, c in coeffs.items():
-            for cl, m in cols[idx[dl]].items():
-                out[cl] = get(cl, zero) + c * m
-        return out
+    # The raw image of a vector, and the columns of phi after this map, one
+    # method per map kind: a KroneckerMap overrides both to work from its
+    # factors.  phi A == B phi is checked by the pair of them.
 
-    # A map's entries, and the two sides of a commutation check
-    # phi A == B phi, in basis positions, one method per map kind: a
-    # KroneckerMap overrides all three to work from its factors.
-
-    def _position_items(self) -> list:
-        """Each column as a list of (row key, entry), the key being the
-        codomain basis position of the row label, or (None, label) for a
-        label outside the basis."""
-        idx = basis_index(self.codomain)
-        return [
-            [(_row_key(idx, label), v) for label, v in col.items()]
-            for col in self.cols
-        ]
-
-    def _columns_after(self, rows: list):
-        """Given rows, phi._position_items() of a map phi from this map's
-        codomain, the pairs (j, column j of phi after self, raw and keyed
-        by row key), one for every column j, in some order."""
-        idx = basis_index(self.codomain)
-        zero = self.ring.zero
-        for j, col in enumerate(self.cols):
-            acc: dict = {}
-            get = acc.get
-            for label, c in col.items():
-                for row, m in rows[idx[label]]:
-                    acc[row] = get(row, zero) + c * m
-            yield j, acc
-
-    def _add_image(self, acc: dict, items) -> None:
-        """Add to acc, keyed by row key, the raw image of the vector given
-        as (domain basis position, coefficient) pairs."""
-        cols = self.cols
-        idx = basis_index(self.codomain)
+    def _add_image(self, acc: dict, items) -> dict:
+        """Add to acc, keyed by codomain position, the raw image of the
+        vector given as (domain position, coefficient) pairs; return acc."""
+        cols = self.pcols
         zero = self.ring.zero
         get = acc.get
         for pos, c in items:
-            for label, m in cols[pos].items():
-                row = _row_key(idx, label)
+            for row, m in cols[pos].items():
                 acc[row] = get(row, zero) + c * m
+        return acc
+
+    def _columns_after(self, phi: "LinearMap"):
+        """The pairs (j, column j of phi after self, raw), one for every
+        column j, in some order."""
+        for j, col in enumerate(self.pcols):
+            yield j, phi._add_image({}, col.items())
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
         if other.codomain != self.domain or other.ring != self.ring:
             raise ValueError("composition mismatch")
-        idx = basis_index(self.domain)
-        cols = (self._combine(col, idx) for col in other.cols)
-        return LinearMap(other.domain, self.codomain, self.ring, cols)
+        cols = (self._add_image({}, col.items()) for col in other.pcols)
+        return LinearMap.from_positions(other.domain, self.codomain, self.ring, cols)
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
         if (
@@ -571,12 +598,12 @@ class LinearMap:
             raise ValueError("map mismatch")
         zero = self.ring.zero
         cols = []
-        for a, b in zip(self.cols, other.cols):
+        for a, b in zip(self.pcols, other.pcols):
             out = dict(a)
-            for l, v in b.items():
-                out[l] = out.get(l, zero) - v
+            for r, v in b.items():
+                out[r] = out.get(r, zero) - v
             cols.append(out)
-        return LinearMap(self.domain, self.codomain, self.ring, cols)
+        return LinearMap.from_positions(self.domain, self.codomain, self.ring, cols)
 
     def __eq__(self, other):
         return (
@@ -584,36 +611,35 @@ class LinearMap:
             and self.domain == other.domain
             and self.codomain == other.codomain
             and self.ring == other.ring
-            and self.cols == other.cols
+            and self.pcols == other.pcols
         )
 
     def map_entries(self, ring2: Ring, fn) -> "LinearMap":
         """Push every entry through fn into ring2 (e.g. reduce mod p)."""
-        return LinearMap(
+        return LinearMap.from_positions(
             self.domain,
             self.codomain,
             ring2,
-            ({l: fn(v) for l, v in col.items()} for col in self.cols),
+            ({r: fn(v) for r, v in col.items()} for col in self.pcols),
         )
 
     def entry_count(self) -> int:
-        return sum(len(col) for col in self.cols)
+        return sum(len(col) for col in self.pcols)
 
 
 class KroneckerMap(LinearMap):
     """The Kronecker product A (x) B of two maps over one ring, from
     Tensor(A.domain, B.domain) to Tensor(A.codomain, B.codomain): column
     (l, r) holds a b at (l', r') for each entry a at l' of column l of A
-    and b at r' of column r of B.
+    and b at r' of column r of B.  Position (l, r) of a tensor basis is
+    l * n + r, with n the dimension of the right factor.
 
-    It keeps its two factors, and builds its columns, settled as any
-    LinearMap's, only when something first reads cols.  The commutation
-    check and the Jordan fingerprint never read them: _position_items
-    forms the same entries by position from the factors', and, with
-    A (x) B = (A (x) 1)(1 (x) B), _add_image and _columns_after apply one
-    factor at a time."""
+    It keeps its two factors, and forms its columns, settled as any
+    LinearMap's, only when something first reads pcols.  The commutation
+    check never does: with A (x) B = (A (x) 1)(1 (x) B), _add_image and
+    _columns_after apply one factor at a time."""
 
-    __slots__ = ("left", "right", "_cols", "_items")
+    __slots__ = ("left", "right", "_pcols")
 
     def __init__(self, left: LinearMap, right: LinearMap):
         if left.ring != right.ring:
@@ -623,54 +649,32 @@ class KroneckerMap(LinearMap):
         self.ring = left.ring
         self.left = left
         self.right = right
+        self._pcols = None
         self._cols = None
-        self._items = None
 
     @property
-    def cols(self) -> list:
-        if self._cols is None:
-            self._cols = self._build_cols()
-        return self._cols
+    def pcols(self) -> list:
+        if self._pcols is None:
+            self._pcols = self._product_columns()
+        return self._pcols
 
-    def _build_cols(self) -> list:
+    def _product_columns(self) -> list:
         ring = self.ring
-        rcols = [col.items() for col in self.right.cols]
+        m = dim(self.right.codomain)
+        rcols = [col.items() for col in self.right.pcols]
         return [
-            _settled(
-                ring, {(ll, rl): lv * rv for ll, lv in lcol.items() for rl, rv in rcol}
-            )
-            for lcol in self.left.cols
+            _settled(ring, {ll * m + rl: a * b for ll, a in lcol.items() for rl, b in rcol})
+            for lcol in self.left.pcols
             for rcol in rcols
         ]
 
-    def _factor_items(self) -> tuple:
-        """The two factors' _position_items(), made on first use."""
-        if self._items is None:
-            self._items = (self.left._position_items(), self.right._position_items())
-        return self._items
-
-    # Position (l, r) of a tensor basis is l * n + r, with n the dimension
-    # of the right factor, so the loops below key on ints, not label pairs.
-
-    def _position_items(self):
-        # the entries of the built columns, keyed by position
-        left, right = self._factor_items()
-        ring = self.ring
-        m = dim(self.right.codomain)
-        return [
-            list(
-                _settled(ring, {ll * m + rl: a * b for ll, a in lcol for rl, b in rcol})
-                .items()
-            )
-            for lcol in left
-            for rcol in right
-        ]
-
-    def _columns_after(self, rows):
+    def _columns_after(self, phi):
         # column (l, r) of phi (A (x) B) is the sum over l' of A[l', l]
         # phi(l' (x) B r); right label outermost, each phi(l' (x) B r) is
         # summed once and reused for every l
-        left, right = self._factor_items()
+        rows = phi.pcols
+        left = self.left.pcols
+        right = self.right.pcols
         zero = self.ring.zero
         n = len(right)
         m = dim(self.right.codomain)
@@ -679,14 +683,14 @@ class KroneckerMap(LinearMap):
             for l, lcol in enumerate(left):
                 acc: dict = {}
                 get = acc.get
-                for ll, a in lcol:
+                for ll, a in lcol.items():
                     part = sums.get(ll)
                     if part is None:
                         part = sums[ll] = {}
                         pget = part.get
                         base = ll * m
-                        for rl, b in rcol:
-                            for row, v in rows[base + rl]:
+                        for rl, b in rcol.items():
+                            for row, v in rows[base + rl].items():
                                 part[row] = pget(row, zero) + b * v
                     for row, v in part.items():
                         acc[row] = get(row, zero) + a * v
@@ -694,7 +698,8 @@ class KroneckerMap(LinearMap):
 
     def _add_image(self, acc, items):
         # A (x) 1 first; its raw sums merge equal positions before 1 (x) B
-        left, right = self._factor_items()
+        left = self.left.pcols
+        right = self.right.pcols
         zero = self.ring.zero
         n = len(right)
         m = dim(self.right.codomain)
@@ -702,7 +707,7 @@ class KroneckerMap(LinearMap):
         get = mid.get
         for pos, c in items:
             l, r = divmod(pos, n)
-            for ll, a in left[l]:
+            for ll, a in left[l].items():
                 key = ll * n + r
                 mid[key] = get(key, zero) + c * a
         get = acc.get
@@ -710,19 +715,16 @@ class KroneckerMap(LinearMap):
             if v:
                 ll, r = divmod(key, n)
                 base = ll * m
-                for rl, b in right[r]:
+                for rl, b in right[r].items():
                     row = base + rl
                     acc[row] = get(row, zero) + v * b
-
-
-def _row_key(idx: dict, label):
-    """The basis position of a label, or (None, label) outside the basis."""
-    pos = idx.get(label)
-    return (None, label) if pos is None else pos
+        return acc
 
 
 def identity_map(ring: Ring, space: Space) -> LinearMap:
-    return LinearMap(space, space, ring, [{l: ring.one} for l in basis(space)])
+    return LinearMap.from_positions(
+        space, space, ring, ({j: ring.one} for j in range(dim(space)))
+    )
 
 
 # ---------------------------------------------------------------- group action
@@ -778,7 +780,7 @@ def lie_action_map(which: str, space: Space) -> LinearMap:
     or of f = Y d/dX, which raises it."""
     if which not in ("e", "f"):
         raise ValueError(f"unknown generator {which!r}")
-    return LinearMap(space, space, ZZ, space._lie_columns(which))
+    return LinearMap.from_positions(space, space, ZZ, space._lie_columns(which))
 
 
 # ------------------------------------------------------- multiplication map
@@ -850,13 +852,8 @@ def _echelon(cols, ring: Ring, track: bool):
     return pivots, kernel
 
 
-def _indexed_cols(A: LinearMap):
-    idx = basis_index(A.codomain)
-    return [{idx[l]: v for l, v in col.items()} for col in A.cols]
-
-
 def rank(A: LinearMap) -> int:
-    pivots, _ = _echelon(_indexed_cols(A), A.ring, track=False)
+    pivots, _ = _echelon(A.pcols, A.ring, track=False)
     return len(pivots)
 
 
@@ -877,12 +874,10 @@ def rank_of_vectors(vectors: list[ModuleElement]) -> int:
 
 def kernel_basis(A: LinearMap) -> list[ModuleElement]:
     """A basis of ker A as domain elements, each verified to map to zero."""
-    _, combos = _echelon(_indexed_cols(A), A.ring, track=True)
-    dom = basis(A.domain)
+    _, combos = _echelon(A.pcols, A.ring, track=True)
     out = []
     for combo in combos:
-        v = ModuleElement(A.domain, A.ring, {dom[j]: c for j, c in combo.items()})
-        if not A.apply(v).is_zero():
+        if _settled(A.ring, A._add_image({}, combo.items())):
             raise ConsistencyError("kernel vector failed the zero check")
-        out.append(v)
+        out.append(ModuleElement(A.domain, A.ring, _labelled(A.domain, combo)))
     return out

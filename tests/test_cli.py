@@ -220,6 +220,31 @@ def test_output_bytes_are_pinned(argv, digest, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_no_command_path_builds_a_label_view(monkeypatch, tmp_path, capsys):
+    # maps are keyed by basis position between layers; the label view is
+    # for callers at the edge, so refusing it for every map changes nothing
+    from plethy import scan_one, spaces
+    from test_inverse_oracle import DUMP_DIGESTS
+
+    def refuse(self):
+        raise AssertionError("a label view was built")
+
+    monkeypatch.setattr(spaces.LinearMap, "_label_cols", refuse)
+    assert main(["verify", "--N", "2", "--d", "3", "--p", "2,3"]) == 0
+    out = tmp_path / "inverse.json"
+    argv = ["dump", "--N", "3", "--d", "6", "--what", "inverse", "--format", "json"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_DIGESTS["json"]
+    r = scan_one(3, 2, 4, (2, 3))
+    two, three = r.primes
+    assert two.jordan_lhs == (2,) * 51 + (1,) * 3
+    assert two.jordan_rhs == (2,) * 49 + (1,) * 7
+    assert three.jordan_lhs == three.jordan_rhs == (3,) * 35
+    capsys.readouterr()
+    with pytest.raises(AssertionError, match="label view"):
+        iso_context(2, 3).matrix.cols
+
+
 def test_consistency_error_fails_one_group_and_the_run_goes_on(
     monkeypatch, tmp_path, capsys
 ):

@@ -268,11 +268,11 @@ def test_three_row_larger_point_agrees():
 
 def test_scan_never_builds_a_tensor_action_whole(monkeypatch):
     # both sides' unipotents are tensor actions, read by position from
-    # their factors; building one whole would raise here
+    # their factors; building one whole, as the label view, would raise here
     def refuse(self):
         raise AssertionError("a tensor action was built whole")
 
-    monkeypatch.setattr(spaces.KroneckerMap, "_build_cols", refuse)
+    monkeypatch.setattr(spaces.LinearMap, "_label_cols", refuse)
     r = scan_one(3, 2, 4, (2, 3))
     two, three = r.primes
     assert two.jordan_lhs == (2,) * 51 + (1,) * 3

@@ -37,7 +37,25 @@ def test_ring_serialization_rejects_unknown():
         ring_from_json({"kind": "surreal"})
 
 
-@pytest.mark.parametrize("data", [{"kind": [1]}, ["int"], None])
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"kind": [1]},
+        ["int"],
+        None,
+        # the fields of a known kind: exactly its json_fields, p an int and
+        # var a string
+        {"kind": "fp", "p": 7.0},
+        {"kind": "fp", "p": "7"},
+        {"kind": "fp", "p": True},
+        {"kind": "fp"},
+        {"kind": "poly"},
+        {"kind": "poly", "var": 1},
+        {"kind": "fp", "p": 7, "var": "q"},
+        {"kind": "int", "p": None},
+        {"kind": "rat", "extra": 1},
+    ],
+)
 def test_ring_serialization_rejects_a_kind_that_is_not_a_name(data):
     with pytest.raises(ValueError):
         ring_from_json(data)

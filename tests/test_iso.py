@@ -462,10 +462,10 @@ def test_poly_route_compares_every_gamma_degree(monkeypatch):
 
 def test_poly_route_compares_every_y_degree_change(monkeypatch):
     # add 1 to one entry of the integer U(1) on the ambient side, at Y-degree
-    # change k, for every k that occurs and one more: the route must fail
-    # each time.  The corrupted column is reached by phi; its row is a basis
-    # label k steps down (up, for the transpose) when there is one, else a
-    # label one step outside the basis.
+    # change k, for every k that occurs: the route must fail each time.  The
+    # corrupted column is reached by phi; its row is a basis label k steps
+    # down (up, for the transpose).  One more k puts the row one step
+    # outside the basis, and that map is refused where it is built.
     N, d = 2, 3
     ctx = iso_context(N, d)
     amb = ctx.hook.ambient
@@ -494,6 +494,12 @@ def test_poly_route_compares_every_y_degree_change(monkeypatch):
             col[row] = col.get(row, 0) + 1
             return LinearMap(space, space, ring, cols)
 
+        if k > top:
+            for transpose in (False, True):
+                g = iso._unipotent(ZZ, 1, transpose)
+                with pytest.raises(ValueError, match="not in the basis"):
+                    corrupted(ZZ, g, amb)
+            continue
         with monkeypatch.context() as m:
             m.setattr(iso, "group_action_map", corrupted)
             assert verify_group_equivariance_poly(N, d) == {
@@ -550,7 +556,8 @@ def test_unipotent_routes_never_build_a_tensor_action_whole(monkeypatch, N, d):
     def refuse(self):
         raise AssertionError("a tensor action was built whole")
 
-    monkeypatch.setattr(spaces.KroneckerMap, "_build_cols", refuse)
+    monkeypatch.setattr(spaces.LinearMap, "_label_cols", refuse)
+    monkeypatch.setattr(spaces.KroneckerMap, "_product_columns", refuse)
     reports = [verify_group_equivariance_poly(N, d)]
     reports += [verify_group_equivariance_fp(N, d, p) for p in (2, 3)]
     for report in reports:
@@ -558,6 +565,8 @@ def test_unipotent_routes_never_build_a_tensor_action_whole(monkeypatch, N, d):
     U = group_action_map(ZZ, ((1, 1), (0, 1)), iso_context(N, d).domain)
     with pytest.raises(AssertionError, match="built whole"):
         U.cols
+    with pytest.raises(AssertionError, match="built whole"):
+        U.pcols
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

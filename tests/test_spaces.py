@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from plethy import (
     QQ,
+    ZGAMMA,
     ZZ,
     KroneckerMap,
     LinearMap,
@@ -306,8 +307,9 @@ def test_action_is_multiplicative_mod_p():
 
 @pytest.mark.parametrize("ring", [ZZ, PrimeField(2), PrimeField(3), PrimeField(7)])
 def test_kronecker_position_items_are_the_built_columns(ring):
-    # the entries a b formed by position from the factors equal the built
-    # label-keyed columns, reduced, mapped to positions, column for column
+    # the entries a b formed by position from the factors equal the
+    # Kronecker product of the factors' label views, reduced, mapped to
+    # positions, column for column
     g = tuple(tuple(map(ring.from_int, row)) for row in ((2, 5), (3, 4)))
     maps = [
         group_action_map(ring, g, space)
@@ -323,11 +325,69 @@ def test_kronecker_position_items_are_the_built_columns(ring):
     )
     for A in maps:
         assert isinstance(A, KroneckerMap)
-        items = A._position_items()
         idx = basis_index(A.codomain)
-        built = [{idx[l]: v for l, v in col.items()} for col in A.cols]
-        assert [dict(col) for col in items] == built
-        assert all(len(dict(col)) == len(col) for col in items)
+        built = [
+            {
+                idx[(ll, rl)]: r
+                for ll, lv in lcol.items()
+                for rl, rv in rcol.items()
+                if (r := ring.reduce(lv * rv))
+            }
+            for lcol in A.left.cols
+            for rcol in A.right.cols
+        ]
+        assert A.pcols == built
+        assert A.cols == [{basis(A.codomain)[r]: v for r, v in col.items()} for col in built]
+
+
+LABEL_VIEW_RINGS = (ZZ, PrimeField(2), PrimeField(3), ZGAMMA)
+LABEL_VIEW_SPACES = (
+    Sym(0),
+    Sym(3),
+    Wedge(2, Sym(3)),
+    Wedge(3, Sym(4)),
+    SymPower(2, Sym(2)),
+    Tensor(Sym(1), Wedge(2, Sym(2))),
+    Tensor(SymPower(2, Sym(1)), Tensor(Sym(1), Sym(0))),
+)
+
+
+@st.composite
+def label_view_maps(draw):
+    """A map over one of LABEL_VIEW_RINGS between LABEL_VIEW_SPACES, made by
+    the constructor, from_function, compose or group_action_map."""
+    ring = draw(st.sampled_from(LABEL_VIEW_RINGS))
+    spaces = st.sampled_from(LABEL_VIEW_SPACES)
+
+    def random_map(domain, codomain):
+        rows = st.sampled_from(basis(codomain))
+        entries = st.dictionaries(rows, st.integers(-3, 3).map(ring.from_int), max_size=3)
+        return LinearMap(domain, codomain, ring, [draw(entries) for _ in basis(domain)])
+
+    source = draw(st.sampled_from(("constructor", "from_function", "compose", "action")))
+    X, Y = draw(spaces), draw(spaces)
+    if source == "constructor":
+        return random_map(X, Y)
+    if source == "from_function":
+        A = random_map(X, Y)
+        return LinearMap.from_function(ring, X, Y, A.column)
+    if source == "compose":
+        mid = draw(spaces)
+        return random_map(mid, Y).compose(random_map(X, mid))
+    g = tuple(
+        tuple(ring.from_int(draw(st.integers(-2, 2))) for _ in range(2)) for _ in range(2)
+    )
+    return group_action_map(ring, g, X)
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_view_maps())
+def test_label_view_is_the_position_columns_through_the_basis(A):
+    labels = basis(A.codomain)
+    assert len(A.cols) == len(A.pcols) == dim(A.domain)
+    for col, pcol in zip(A.cols, A.pcols):
+        assert col == {labels[r]: v for r, v in pcol.items()}
+    assert LinearMap(A.domain, A.codomain, A.ring, A.cols) == A
 
 
 def test_wedge_action_picks_up_signs():

@@ -288,8 +288,9 @@ def tensor_commutation_cases(draw):
 def commutation_cases(draw):
     """(phi, A, B, transpose) for the question phi A == B phi.  The maps
     commute by construction in most draws, before one entry of phi, A or B
-    may be changed; B may then have a row label outside the basis.  A
-    quarter of the draws are tensor_commutation_cases."""
+    may be changed.  A row label outside the basis is refused where a map
+    is built (test_a_row_outside_the_basis_is_refused_where_the_map_is_built).
+    A quarter of the draws are tensor_commutation_cases."""
     transpose = draw(st.booleans())
     source = draw(st.sampled_from(("action", "random", "independent", "tensor")))
     if source == "tensor":
@@ -298,13 +299,12 @@ def commutation_cases(draw):
     x_pair = draw(st.sampled_from(SPACE_PAIRS))
     X = x_pair[0]
     if source == "independent":
-        y_pair = draw(st.sampled_from(SPACE_PAIRS))
-        Y = y_pair[0]
+        Y = draw(st.sampled_from(SPACE_PAIRS))[0]
         phi = draw(sparse_maps(ring, X, Y))
         A = draw(sparse_maps(ring, X, X))
         B = draw(sparse_maps(ring, Y, Y))
     else:
-        y_pair, Y = x_pair, X
+        Y = X
         if source == "action":
             A = group_action_map(ring, iso._unipotent(ring, ring.one, transpose), X)
         else:
@@ -324,9 +324,8 @@ def commutation_cases(draw):
     target = draw(st.sampled_from(("none", "phi", "A", "B")))
     if target != "none":
         M = {"phi": phi, "A": A, "B": B}[target]
-        rows = basis(M.codomain) + (_outside(y_pair) if target == "B" else ())
         j = draw(st.integers(0, len(M.cols) - 1))
-        row = draw(st.sampled_from(rows))
+        row = draw(st.sampled_from(basis(M.codomain)))
         M = _changed(ring, M, j, row, draw(st.integers(1, 4)))
         if target == "phi":
             phi = M
@@ -435,6 +434,7 @@ def test_factored_commutes_matches_the_whole_map_oracle_on_tensor_actions(case):
     phi, A, B = case
     assert isinstance(A, KroneckerMap) and isinstance(B, KroneckerMap)
     result = iso._commutes(phi, A, B)
+    assert A._pcols is None and B._pcols is None
     assert A._cols is None and B._cols is None
     built = [LinearMap(M.domain, M.codomain, M.ring, M.cols) for M in (A, B)]
     assert result == oracle_commutes(phi, *built)
@@ -471,8 +471,9 @@ def test_commutes_matches_the_per_k_oracle_on_y_homogeneous_maps(case):
 @pytest.mark.parametrize("transpose", [False, True])
 def test_commutes_by_ychange_sees_negative_changes_and_outside_rows(transpose):
     # U(1) on Sym(3) commutes with e (f, for the transpose), which shifts
-    # Y-degree by one; one entry of B that moves the wrong way, or leaves the
-    # basis, breaks it, and the route and the per-k oracle both see it
+    # Y-degree by one; one entry of B that moves the wrong way breaks it,
+    # and the route and the per-k oracle both see it.  An entry that leaves
+    # the basis is refused where B is built
     X = Sym(3)
     A = group_action_map(ZZ, iso._unipotent(ZZ, 1, transpose), X)
     phi = lie_action_map("f" if transpose else "e", X)
@@ -483,6 +484,10 @@ def test_commutes_by_ychange_sees_negative_changes_and_outside_rows(transpose):
     for row in (1, 2, -1, 4):  # k < 0 at 1 and 2; -1 and 4 are outside
         cols = [dict(c) for c in A.cols]
         cols[col][row] = cols[col].get(row, 0) + 1
+        if row not in basis(X):
+            with pytest.raises(ValueError, match="not in the basis"):
+                LinearMap(X, X, ZZ, cols)
+            continue
         B = LinearMap(X, X, ZZ, cols)
         assert iso._commutes(phi, A, B) is False, row
         assert oracle_commutes_by_ychange(phi, A, B, transpose) is False, row
@@ -490,15 +495,43 @@ def test_commutes_by_ychange_sees_negative_changes_and_outside_rows(transpose):
 
 def test_two_rows_outside_the_basis_do_not_cancel():
     # opposite entries at two different labels outside the basis of Sym(3)
-    # are two nonzero rows of phi A - B phi, not one that sums to zero
+    # would be two nonzero rows of phi A - B phi, not one that sums to zero;
+    # the map that holds them is refused where it is built
     X = Sym(3)
     A = identity_map(ZZ, X)
     cols = [dict(c) for c in A.cols]
     cols[0][-1] = 1
     cols[0][4] = -1
-    B = LinearMap(X, X, ZZ, cols)
-    assert oracle_commutes(A, A, B) is False
-    assert iso._commutes(A, A, B) is False
+    with pytest.raises(ValueError, match="not in the basis"):
+        LinearMap(X, X, ZZ, cols)
+
+
+@pytest.mark.parametrize("pair", SPACE_PAIRS, ids=lambda pair: repr(pair[0]))
+@pytest.mark.parametrize("ring", MAP_RINGS, ids=str)
+def test_a_row_outside_the_basis_is_refused_where_the_map_is_built(pair, ring):
+    # each label of the wider space that is not in the basis is refused as
+    # a row: in any column of a copy of an action map (the constructor),
+    # through from_function, and in a factor of a KroneckerMap
+    X = pair[0]
+    A = group_action_map(ring, iso._unipotent(ring, ring.one, False), X)
+    outside = _outside(pair)
+    assert outside
+    for row in outside:
+        for j in range(len(A.cols)):
+            with pytest.raises(ValueError, match="not in the basis"):
+                _changed(ring, A, j, row, 1)
+        with pytest.raises(ValueError, match="not in the basis"):
+            LinearMap.from_function(ring, X, X, lambda label: {row: ring.one})
+        with pytest.raises(ValueError, match="not in the basis"):
+            KroneckerMap(A, LinearMap(X, X, ring, [{row: ring.one}] * len(A.cols)))
+
+
+def test_kronecker_factor_with_a_row_outside_its_basis_is_refused():
+    # a factor whose row lies outside its basis is refused where the factor
+    # is built, so KroneckerMap's position arithmetic sees only positions
+    with pytest.raises(ValueError, match="not in the basis"):
+        A = LinearMap(Sym(1), Sym(1), ZZ, [{5: 1}, {1: 1}])
+        KroneckerMap(A, A)
 
 
 def test_poly_route_rejects_a_y_inhomogeneous_map_the_per_k_oracle_passes():
