@@ -178,10 +178,12 @@ def jordan_fingerprint(p: int, space: Space, vectors=None) -> tuple[int, ...]:
     On a whole Tensor the type comes from its factors' types by the tensor
     rule of the cyclic group of order p, _tensor_jordan_type; pass the
     full basis as vectors to compute it directly.  Otherwise U is built
-    once and S = U - 1 is written in coordinates on the given vectors, a
-    square matrix of the span's dimension.  The ranks of the powers of S
-    then come from image bases, im S^(m+1) = S(im S^m), so only a basis of
-    the current image goes through S again.
+    once, and S = U - 1 is formed whole only on a whole space that is not a
+    tensor; on given vectors each S v = U v - v is applied through U, one
+    factor at a time on a tensor, and S is written in coordinates on the
+    vectors, a square matrix of the span's dimension.  The ranks of the
+    powers of S then come from image bases, im S^(m+1) = S(im S^m), so only
+    a basis of the current image goes through S again.
     """
     if vectors is None and type(space) is Tensor:
         return _tensor_jordan_type(
@@ -191,8 +193,8 @@ def jordan_fingerprint(p: int, space: Space, vectors=None) -> tuple[int, ...]:
     U = group_action_map(
         ring, ((ring.one, ring.one), (ring.zero, ring.one)), space
     )
-    shift = (U - identity_map(ring, space)).pcols  # S, keyed by position
     if vectors is None:
+        shift = (U - identity_map(ring, space)).pcols  # S, keyed by position
         return jordan_type_from_ranks(_power_ranks(p, shift))
     idx = basis_index(space)
     ambient = []
@@ -201,7 +203,7 @@ def jordan_fingerprint(p: int, space: Space, vectors=None) -> tuple[int, ...]:
             raise ValueError("vectors do not match the space or field")
         ambient.append({idx[l]: c for l, c in v.coeffs.items()})
     return jordan_type_from_ranks(
-        _power_ranks(p, _span_coordinates(p, shift, ambient))
+        _power_ranks(p, _span_coordinates(p, U, ambient))
     )
 
 
@@ -363,15 +365,16 @@ def _combine(p: int, terms, combos: dict) -> dict:
     return {m: r for m, c in out.items() if (r := c % p)}
 
 
-def _span_coordinates(p: int, shift: list, vectors: list) -> list:
-    """Columns of S in coordinates on the given vectors.
+def _span_coordinates(p: int, U: LinearMap, vectors: list) -> list:
+    """Columns of S = U - 1 in coordinates on the given vectors.
 
     The vectors are echelonized once, keeping the combination of the
-    vectors that gives each pivot row.  Each S v, a sum of packed columns
-    of S, is then eliminated against that echelon; the steps taken give
-    its coordinates, and a nonzero remainder witnesses a span that S does
-    not preserve."""
-    rows = _Rows(p, len(shift), shift)
+    vectors that gives each pivot row.  Each S v = U v - v, with U v
+    summed by U's own method (one factor at a time on a tensor), is then
+    eliminated against that echelon; the steps taken give its
+    coordinates, and a nonzero remainder witnesses a span that S does not
+    preserve."""
+    rows = _Rows(p, dim(U.domain))
     combos: dict[int, dict] = {}
     packed = [rows.pack(v) for v in vectors]
     for j, v in enumerate(packed):
@@ -385,9 +388,11 @@ def _span_coordinates(p: int, shift: list, vectors: list) -> list:
         combo[j] = 1
         combos[lead] = {m: c * inv % p for m, c in combo.items()}
     coords = []
-    for v in packed:
+    for v in vectors:
+        image = U._add_image({i: -c for i, c in v.items()}, v.items())
+        x = rows.pack({i: r for i, c in image.items() if (r := c % p)})
         steps = []
-        if rows.reduce(rows.image(v), steps):
+        if rows.reduce(x, steps):
             raise ConsistencyError("span is not invariant under the unipotent")
         coords.append(_combine(p, steps, combos))
     return coords

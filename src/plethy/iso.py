@@ -6,11 +6,14 @@ gaps between consecutive entries), of the ambient canonical vectors labeled
 (i, s + |k| - N - |i|).  All coefficients are one, so the matrix lives over
 the integers and reduces to any ring.
 
-Certificates produced here:
-  * every column lands in the kernel of the multiplication map, exactly;
-  * in kernel-basis coordinates, with rows sorted by the pair order and
-    column m paired to the witness of pair m, the matrix is lower
-    unitriangular, hence has determinant one over the integers;
+Certificates produced here, over the kernel basis B, the coordinate map
+K and the multiplication map mu of the hook space:
+  * mu phi = 0, checked column by column, exactly;
+  * phi = B C for the coordinate matrix C = K phi, checked column by
+    column, so C holds phi's coordinates in the kernel basis;
+  * with rows sorted by the pair order and column m paired to the witness
+    of pair m, C is lower unitriangular, hence has determinant one over
+    the integers;
   * an exact integer inverse, with both round trips checked against the
     identity one Y-degree block at a time;
   * equivariance three ways: Lie generators over the integers, a one-
@@ -75,7 +78,7 @@ from .rings import (
     PrimeField,
     Ring,
 )
-from .schur import HookSchurSpace, hook_schur_space
+from .schur import hook_schur_space
 from .spaces import (
     LinearMap,
     ModuleElement,
@@ -88,7 +91,6 @@ from .spaces import (
     group_action_map,
     identity_map,
     lie_action_map,
-    multiplication_map,
 )
 
 # the X/Y swap w, of determinant -1
@@ -142,28 +144,31 @@ class IsoContext:
             raise ValueError(f"bad (N, d) = ({N}, {d})")
         self.N = N
         self.d = d
-        self.hook: HookSchurSpace = hook_schur_space(N, d)
+        self.hook = hook = hook_schur_space(N, d)
         self.domain = Tensor(Sym(N - 1), Wedge(N + 1, Sym(d + 1)))
         n = dim(self.domain)
-        if n != len(self.hook.pairs):
+        if n != len(hook.pairs):
             raise ConsistencyError(
-                f"domain dimension {n} differs from pair count {len(self.hook.pairs)}"
+                f"domain dimension {n} differs from pair count {len(hook.pairs)}"
             )
 
-        mu = multiplication_map(ZZ, N, d)
-        coord_cols = []
-
-        def image(label):
-            # each column is checked and given its coordinates as it is built
-            img = basis_image(ZZ, N, d, *label)
-            if not mu.apply(img).is_zero():
+        # phi = B C with C = K phi: each column of phi is checked to lie in
+        # the kernel and to be B times its coordinates, by position
+        self.matrix = LinearMap.from_function(
+            ZZ, self.domain, hook.ambient, lambda label: basis_image(ZZ, N, d, *label)
+        )
+        self.coord_matrix = hook.K.compose(self.matrix)
+        mu, B = hook.mu, hook.B
+        for label, col, coords in zip(
+            basis(self.domain), self.matrix.pcols, self.coord_matrix.pcols
+        ):
+            if any(mu._add_image({}, col.items()).values()):
                 raise ConsistencyError(f"image of {label} is outside the kernel")
-            coord_cols.append(self.hook.coordinates(img).coeffs)
-            return img
-
-        self.matrix = LinearMap.from_function(ZZ, self.domain, self.hook.ambient, image)
+            if any(B._add_image({r: -c for r, c in col.items()}, coords.items()).values()):
+                raise ConsistencyError(
+                    f"image of {label} is not in the span of the kernel basis"
+                )
         self.columns_in_kernel = True
-        self.coord_matrix = LinearMap(self.domain, self.hook.coords, ZZ, coord_cols)
 
         # witness pairing: column of pair m is the image of witness(pair m)
         self.witnesses = [triangular_witness(p) for p in self.hook.pairs]

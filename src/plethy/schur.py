@@ -1,15 +1,23 @@
 """The hook-shape Schur space: kernel of the multiplication map.
 
 For parameters (N, d) the ambient space is Wedge(N, Sym(d)) (x) Sym(d) and
-the multiplication map appends the loose factor to the wedge.  Its kernel
-carries a distinguished basis indexed by semistandard pairs: the vector of
-a pair (i, j) is the ambient basis vector labeled (i, j), plus the one
-labeled by the neighbour pair whenever j does not occur in i.  Both
-coefficients are one, so the same labels serve over every ring.
+the multiplication map mu appends the loose factor to the wedge.  Its
+kernel carries a distinguished basis indexed by semistandard pairs: the
+vector of a pair (i, j) is the ambient basis vector labeled (i, j), plus
+the one labeled by the neighbour pair whenever j does not occur in i.  Both
+coefficients are one, so the basis matrix B is an integer map.
 
-Construction self-verifies: the pair count matches the closed formula, every
-basis vector maps to zero exactly over the integers, and rank computations
-over the rationals confirm linear independence and spanning.
+Coordinates in that basis are one integer map K: ambient -> pair
+coordinates, a left inverse of B read off the content chains.  Along a
+chain p_0, ..., p_(N-1) the basis vectors overlap in single labels, so the
+coordinate of p_t is the alternating sum of the entries at p_t, ..., p_0:
+K[p_t, p_s] = (-1)^(t-s) for s <= t.  The chain's terminal label gets a
+zero column and a fixed pair, j in i, its own entry.  An element v lies in
+the kernel span exactly when B K v = v, which is checked over every ring.
+
+Construction self-verifies: the pair count matches the closed formula, mu B
+is zero over the integers, column by column, and ranks over the rationals
+confirm linear independence and spanning.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from .spaces import (
     Sym,
     Tensor,
     Wedge,
+    _settled,
     basis,
     basis_index,
     dim,
@@ -35,7 +44,8 @@ from .spaces import (
 
 class HookSchurSpace:
     """Kernel of Wedge(N, Sym(d)) (x) Sym(d) -> Wedge(N+1, Sym(d)) with its
-    semistandard-pair basis."""
+    semistandard-pair basis B, its coordinate map K and the map mu, all
+    over the integers."""
 
     def __init__(self, N: int, d: int):
         if N < 1 or d < 0:
@@ -45,28 +55,28 @@ class HookSchurSpace:
         self.ambient = Tensor(Wedge(N, Sym(d)), Sym(d))
         self.coords = PairCoords(N, d)
         self.pairs = basis(self.coords)
-        self.pair_index = basis_index(self.coords)
-        self._chains, self._class_of = self._content_classes()
+        self.mu = multiplication_map(ZZ, N, d)
+        self.B = self.basis_matrix(ZZ)
+        self.K = self._coordinate_map()
         self._verify()
 
-    def _content_classes(self):
-        """The content classes of the ambient basis, built once.
-
-        A class of N + 1 distinct values is its content chain followed by
-        its terminal label (i, j) with j the least value; a class with one
-        repeated value holds a single fixed pair.  Returns the classes as
-        tuples of ambient labels, terminal last, and the map from each
-        ambient label to (class number, position in its class)."""
+    def _coordinate_map(self) -> LinearMap:
+        """K, the left inverse of B that the content chains give: column p_s
+        of a chain holds (-1)^(t-s) at each p_t with t >= s, the terminal's
+        column is zero, and a fixed pair's column is one at itself."""
         N, d = self.N, self.d
-        chains = []
+        amb = basis_index(self.ambient)
+        pos = basis_index(self.coords)
+        cols: list = [{}] * dim(self.ambient)  # a terminal keeps this zero column
         for vals in tableaux.increasing_tuples(d, N + 1):
-            chains.append((*tableaux.content_chain(vals), (vals[1:], vals[0])))
+            chain = tableaux.content_chain(vals)
+            rows = [pos[pair] for pair in chain]
+            for s, pair in enumerate(chain):
+                cols[amb[pair]] = {r: (-1) ** (t - s) for t, r in enumerate(rows[s:], s)}
         for i in tableaux.increasing_tuples(d, N):
-            chains.extend(((i, j),) for j in i)
-        class_of = {
-            label: (c, t) for c, chain in enumerate(chains) for t, label in enumerate(chain)
-        }
-        return chains, class_of
+            for j in i:
+                cols[amb[(i, j)]] = {pos[(i, j)]: 1}
+        return LinearMap.from_positions(self.ambient, self.coords, ZZ, cols)
 
     # ------------------------------------------------------------- vectors
 
@@ -95,48 +105,24 @@ class HookSchurSpace:
     # --------------------------------------------------------- coordinates
 
     def coordinates(self, v: ModuleElement) -> ModuleElement:
-        """Express an ambient element in the kernel basis.
-
-        Each entry of v is sent to its content class by one lookup in the
-        table built with the space.  Along a chain the basis vectors overlap
-        in single canonical labels, so the coordinates fall out of the
-        two-term recurrence c_t = v_t - c_(t-1), summed with native - and
-        reduced once; the terminal label must then carry c_(N-1).  A fixed
-        pair's class holds that pair alone, whose coordinate is its entry.
-        A label in no class, or a failed terminal check, means v is outside
-        the kernel, and every ring then raises ValueError.
+        """Express an ambient element in the kernel basis: K v, accepted
+        when B K v = v.  The entries of K are integers, so K v and B K v are
+        summed with the payloads' native + and * and reduced once.  A label
+        outside the ambient basis, or B K v != v, means v is outside the
+        kernel span, and every ring then raises ValueError.
         """
         if v.space != self.ambient:
             raise ValueError("element does not live in the ambient space")
-        ring = v.ring
-        zero = ring.zero
-        class_of = self._class_of
-        classes: dict = {}
-        for label, val in v.coeffs.items():
-            where = class_of.get(label)
-            if where is None:
-                return self._coordinates_fallback(v)
-            c, t = where
-            members = classes.get(c)
-            if members is None:
-                members = classes[c] = {}
-            members[t] = val
-        chains = self._chains
-        reduce = ring.reduce
-        coords: dict = {}
-        for c, members in classes.items():
-            chain = chains[c]
-            last = len(chain) - 1
-            if not last:  # a fixed pair
-                coords[chain[0]] = members[0]
-                continue
-            running = zero
-            for t in range(last):
-                running = members.get(t, zero) - running
-                coords[chain[t]] = running
-            if reduce(members.get(last, zero) - running):
-                return self._coordinates_fallback(v)
-        return ModuleElement(self.coords, ring, coords)
+        amb = basis_index(self.ambient)
+        try:
+            items = [(amb[label], c) for label, c in v.coeffs.items()]
+        except KeyError:
+            return self._coordinates_fallback(v)
+        coords = self.K._add_image({}, items)
+        if _settled(v.ring, self.B._add_image({}, coords.items())) != dict(items):
+            return self._coordinates_fallback(v)
+        pairs = self.pairs
+        return ModuleElement(self.coords, v.ring, {pairs[r]: c for r, c in coords.items()})
 
     def _coordinates_fallback(self, v: ModuleElement) -> ModuleElement:
         raise ValueError("element is not in the kernel span")
@@ -149,14 +135,13 @@ class HookSchurSpace:
             raise ConsistencyError(
                 f"pair enumeration at (N={self.N}, d={self.d}) does not match the count formula"
             )
-        mu = multiplication_map(ZZ, self.N, self.d)
-        for pair in self.pairs:
-            if not mu.apply(self.kernel_basis_vector(ZZ, pair)).is_zero():
+        mu, B = self.mu, self.B
+        for pair, col in zip(self.pairs, B.pcols):
+            if any(mu._add_image({}, col.items()).values()):
                 raise ConsistencyError(f"basis vector of {pair} is outside the kernel")
-        if rank(self.basis_matrix(QQ)) != n:
+        if rank(B.map_entries(QQ, QQ.from_int)) != n:
             raise ConsistencyError("kernel basis vectors are linearly dependent")
-        mu_rank = rank(multiplication_map(QQ, self.N, self.d))
-        if dim(mu.domain) - mu_rank != n:
+        if dim(mu.domain) - rank(mu.map_entries(QQ, QQ.from_int)) != n:
             raise ConsistencyError("kernel dimension does not match the pair count")
 
 

@@ -207,29 +207,21 @@ class _Power(Space):
             prev = label
 
     def _lie_columns(self, which):
-        c = self.inner.c
+        """e and f move one factor by one step, as on the inner Sym, whose
+        labels are its positions.  A wedge label stays sorted unless the
+        moved factor repeats another, which gives zero."""
+        inner = self.inner._lie_columns(which)
         idx = basis_index(self)
         cols = []
         for label in basis(self):
             out: dict = {}
             for i, a in enumerate(label):
-                if which == "e":
-                    if a < 1:
+                for b, coeff in inner[a].items():
+                    if self.strict and b in label:
                         continue
-                    new = label[:i] + (a - 1,) + label[i + 1 :]
-                    coeff = a
-                else:
-                    if a > c - 1:
-                        continue
-                    new = label[:i] + (a + 1,) + label[i + 1 :]
-                    coeff = c - a
-                if self.strict:
-                    if any(x == y for x, y in zip(new, new[1:])):
-                        continue
-                else:
-                    new = tuple(sorted(new))
-                row = idx[new]
-                out[row] = out.get(row, 0) + coeff
+                    new = label[:i] + (b,) + label[i + 1 :]
+                    row = idx[new if self.strict else tuple(sorted(new))]
+                    out[row] = out.get(row, 0) + coeff
             cols.append(out)
         return cols
 

@@ -267,12 +267,13 @@ def test_three_row_larger_point_agrees():
 
 
 def test_scan_never_builds_a_tensor_action_whole(monkeypatch):
-    # both sides' unipotents are tensor actions, read by position from
-    # their factors; building one whole, as the label view, would raise here
+    # both sides' unipotents are tensor actions, applied one factor at a
+    # time; building one whole, by position or as the label view, raises
     def refuse(self):
         raise AssertionError("a tensor action was built whole")
 
     monkeypatch.setattr(spaces.LinearMap, "_label_cols", refuse)
+    monkeypatch.setattr(spaces.KroneckerMap, "_product_columns", refuse)
     r = scan_one(3, 2, 4, (2, 3))
     two, three = r.primes
     assert two.jordan_lhs == (2,) * 51 + (1,) * 3

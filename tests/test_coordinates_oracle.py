@@ -1,6 +1,6 @@
-"""Differential tests: kernel coordinates from the per-space content-class
-tables against the original chain walk, kept here as a reference oracle
-only."""
+"""Differential tests: kernel coordinates from the coordinate map K, with
+the check B K v = v, against the original chain walk, kept here as a
+reference oracle only."""
 
 import pytest
 from hypothesis import given, settings

@@ -14,8 +14,10 @@ from plethy import (
     ZGAMMA,
     ZZ,
     ConsistencyError,
+    HookSchurSpace,
     IsoContext,
     LinearMap,
+    ModuleElement,
     Sym,
     basis,
     basis_index,
@@ -24,6 +26,7 @@ from plethy import (
     dim,
     gl2_scalar_exponents,
     group_action_map,
+    hook_schur_space,
     identity_map,
     increasing_tuples,
     iso_context,
@@ -228,6 +231,56 @@ def test_factorization_through_coordinates():
         assert comp == phi
 
 
+def test_an_image_outside_the_kernel_fails_structure_and_names_its_label(monkeypatch):
+    real = iso.basis_image
+
+    def leaving(ring, N, d, s, k):
+        img = real(ring, N, d, s, k)
+        if (s, k) == (1, (0, 2, 4)):
+            # a bare canonical vector with j outside i is never in the kernel
+            img = img + ModuleElement.basis_vector(img.space, ring, ((0, 1), 3))
+        return img
+
+    monkeypatch.setattr(iso, "basis_image", leaving)
+    iso_context.cache_clear()
+    try:
+        point = verify_point(2, 3, (2,))
+    finally:
+        iso_context.cache_clear()  # drop the contexts built under the patch
+    assert point["checks"]["structure.consistency"] is False
+    assert point["data"]["structure.consistency_error"] == (
+        "image of (1, (0, 2, 4)) is outside the kernel"
+    )
+
+
+def test_coordinates_that_do_not_rebuild_the_image_fail_construction(monkeypatch):
+    # K with one entry off: mu phi = 0 still holds, but B K phi != phi
+    hook = copy.copy(hook_schur_space(2, 3))
+    cols = [dict(col) for col in hook.K.pcols]
+    label = ((0, 1), 2)
+    cols[basis_index(hook.ambient)[label]][0] = 7
+    hook.K = LinearMap.from_positions(hook.ambient, hook.coords, ZZ, cols)
+    monkeypatch.setattr(iso, "hook_schur_space", lambda N, d: hook)
+    with pytest.raises(ConsistencyError, match="not in the span of the kernel basis"):
+        IsoContext(2, 3)
+
+
+def test_structure_needs_no_apply_and_no_coordinates_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a column went through apply or coordinates")
+
+    monkeypatch.setattr(LinearMap, "apply", refuse)
+    monkeypatch.setattr(HookSchurSpace, "coordinates", refuse)
+    iso_context.cache_clear()
+    hook_schur_space.cache_clear()
+    try:
+        report = verify_structure(4, 6)
+    finally:
+        iso_context.cache_clear()
+        hook_schur_space.cache_clear()
+    assert report and all(v is True for v in report.values())
+
+
 def test_inverse_round_trips_explicitly():
     for N, d in ((2, 4), (3, 5)):
         ctx = iso_context(N, d)
@@ -279,7 +332,7 @@ def test_determinant_is_one():
 def _fresh_paired_structure(ctx):
     """The paired columns and weight blocks rebuilt from the coordinate
     matrix and the witnesses, independently of the stored copies."""
-    pos = ctx.hook.pair_index
+    pos = basis_index(ctx.hook.coords)
     dom_idx = basis_index(ctx.domain)
     paired = [
         {pos[p]: v for p, v in ctx.coord_matrix.cols[dom_idx[w]].items()}

@@ -12,7 +12,9 @@ from plethy import (
     ZZ,
     ModuleElement,
     PrimeField,
+    basis_index,
     hook_schur_space,
+    identity_map,
     multiplication_map,
     neighbour,
     rank_of_vectors,
@@ -113,6 +115,12 @@ def test_coordinates_of_basis_vectors_are_unit():
         assert coords.coeffs == {pair: 1}
 
 
+@pytest.mark.parametrize("N, d", [(N, d) for d in range(8) for N in range(1, d + 3)])
+def test_coordinate_map_is_a_left_inverse_of_the_basis_matrix(N, d):
+    hook = hook_schur_space(N, d)
+    assert hook.K.compose(hook.B) == identity_map(ZZ, hook.coords)
+
+
 def test_basis_matrix_columns_are_kernel_vectors():
     hook = hook_schur_space(2, 3)
     B = hook.basis_matrix(ZZ)
@@ -145,4 +153,4 @@ def test_pair_order_matches_basis_listing(data):
     d = data.draw(st.integers(min_value=max(0, N - 1), max_value=6))
     hook = hook_schur_space(N, d)
     assert list(hook.pairs) == semistandard_pairs(N, d)
-    assert all(hook.pair_index[p] == n for n, p in enumerate(hook.pairs))
+    assert all(basis_index(hook.coords)[p] == n for n, p in enumerate(hook.pairs))
