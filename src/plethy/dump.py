@@ -15,6 +15,8 @@ import csv
 import hashlib
 import io
 import json
+import sys
+from itertools import chain
 
 from .iso import IsoContext
 from .rings import json_int, ring_from_json
@@ -22,9 +24,80 @@ from .schur import HookSchurSpace
 from .spaces import LinearMap, basis, space_from_json
 
 
+# Before CPython 3.13 any indent sends json.dumps through its pure-Python
+# encoder, which json_text outruns; from 3.13 on the C encoder takes the
+# indent and is the faster of the two.
+_INDENT_IN_C = sys.version_info >= (3, 13) and json.encoder.c_make_encoder is not None
+
+
 def json_text(payload) -> str:
-    """A payload as JSON text: indent 2, one trailing newline."""
-    return json.dumps(payload, indent=2) + "\n"
+    """A payload as JSON text: exactly json.dumps(payload, indent=2) and one
+    trailing newline.
+
+    Where json.dumps would indent in pure Python, the text is built here
+    from C-level string work: a plain int is its int.__repr__, as json
+    writes it, a list of plain ints is one str.join of those, and a list of
+    non-empty lists of plain ints (a map's entries) is its repr with the
+    separators replaced.  A dict with no container inside goes whole to
+    json.dumps, its item separator set to the indent.  Other dicts and
+    lists recurse; every other key, scalar and empty container goes to
+    json.dumps, so json's own rules decide it."""
+    if _INDENT_IN_C:
+        return json.dumps(payload, indent=2) + "\n"
+    out: list = []
+    _write_json(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, nl: str, out: list) -> None:
+    """Append to out the indent-2 JSON text of value, whose closing bracket
+    goes after nl, a newline and the indent of value's own line."""
+    if type(value) is int:
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict) and value:
+        inner = nl + "  "
+        if not any(isinstance(v, (dict, list, tuple)) for v in value.values()):
+            # no container inside: json.dumps writes it whole, keys and all
+            text = json.dumps(value, separators=("," + inner, ": "))
+            out.append("{" + inner + text[1:-1] + nl + "}")
+            return
+        sep = "{" + inner
+        for k, v in value.items():
+            # a key that is not a str json.dumps writes, or rejects, by its rules
+            key = json.dumps(k) if isinstance(k, str) else json.dumps({k: None})[1:-7]
+            out.append(sep + key + ": ")
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = nl + "  "
+        types = set(map(type, value))
+        if types == {int}:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]")
+        elif (
+            type(value) is list
+            and types == {list}
+            and all(value)
+            and set(map(type, chain.from_iterable(value))) == {int}
+        ):
+            # the repr is "[[a, b], [c, d]]": only the separators change
+            deeper = inner + "  "
+            rows = (
+                repr(value)[2:-2]
+                .replace("], [", inner + "]," + inner + "[" + deeper)
+                .replace(", ", "," + deeper)
+            )
+            out.append("[" + inner + "[" + deeper + rows + inner + "]" + nl + "]")
+        else:
+            sep = "[" + inner
+            for v in value:
+                out.append(sep)
+                _write_json(v, inner, out)
+                sep = "," + inner
+            out.append(nl + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def csv_text(header: list, rows) -> str:

@@ -2,9 +2,14 @@
 
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import plethy.cli as cli
+import plethy.dump as dump
 from plethy import (
     QQ,
     ZGAMMA,
@@ -17,12 +22,14 @@ from plethy import (
     group_action_map,
     hook_schur_space,
     iso_context,
+    json_text,
     linear_map_from_json,
     linear_map_to_csv,
     linear_map_to_json,
     multiplication_map,
     ring_from_json,
 )
+from plethy.cli import main
 
 
 @pytest.mark.parametrize(
@@ -258,3 +265,119 @@ def test_fraction_payloads_survive():
     B = linear_map_from_json(data)
     assert B == A
     assert "-3/7" in linear_map_to_csv(A)
+
+
+# json_text is exactly json.dumps(payload, indent=2) and a newline, on both
+# of its paths: the writer of its own that runs before CPython 3.13, and
+# json.dumps itself, which 3.13 and later indent in C.
+WRITER_PATHS = pytest.mark.parametrize(
+    "indent_in_c", [False, True], ids=["own writer", "json.dumps"]
+)
+
+
+def _written(payload, indent_in_c: bool) -> str:
+    with mock.patch.object(dump, "_INDENT_IN_C", indent_in_c):
+        return json_text(payload)
+
+
+_CHARS = st.one_of(
+    st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u00e9\u20ac\u2028\ud83d\U0001f600'),
+    st.characters(),
+)
+_INTS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(),
+    st.integers(min_value=2**64),
+    st.integers(max_value=-(2**64)),
+)
+_KEYS = st.one_of(
+    st.text(_CHARS, max_size=4), _INTS, st.booleans(), st.none(), st.floats()
+)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), _INTS, st.floats(), st.text(_CHARS, max_size=6)
+)
+_LEAVES = st.one_of(
+    _SCALARS,
+    st.lists(_INTS, max_size=5),
+    st.lists(st.one_of(_INTS, st.booleans()), max_size=4),
+    st.lists(st.lists(_INTS, min_size=1, max_size=3), max_size=4),
+    st.lists(st.lists(_INTS, max_size=2), max_size=3),
+    st.lists(st.tuples(_INTS, _INTS), max_size=3),
+)
+
+
+def _nested(depth: int):
+    """Payloads with dicts, lists and tuples nested up to depth deep over
+    the leaves."""
+    if depth == 0:
+        return _LEAVES
+    inner = _nested(depth - 1)
+    return st.one_of(
+        _LEAVES,
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+    )
+
+
+@WRITER_PATHS
+@settings(max_examples=300, deadline=None)
+@given(_nested(4))
+def test_json_text_is_json_dumps_with_indent_two(indent_in_c, payload):
+    assert _written(payload, indent_in_c) == json.dumps(payload, indent=2) + "\n"
+
+
+@WRITER_PATHS
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"entries": [[0, 0, 1], [1, 1, -2**70]], "empty": [[], {}, ()]},
+        {"row": [0, True], "rows": [[1, 2], [3, False]], "tuples": [(1, 2), (3,)]},
+        {1: [float("nan"), float("inf"), -0.0], None: [[]], False: [[1], []]},
+        {2.5: "quote \" backslash \\ nul \x00 astral \U0001f600"},
+    ],
+)
+def test_json_text_edge_cases(indent_in_c, payload):
+    assert _written(payload, indent_in_c) == json.dumps(payload, indent=2) + "\n"
+
+
+@WRITER_PATHS
+@pytest.mark.parametrize(
+    "payload", [{(1, 2): 0}, [object()], {"a": [{1j: 0}]}, [[1, 2], [3, {4}]]], ids=repr
+)
+def test_json_text_rejects_what_json_dumps_rejects(indent_in_c, payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, indent=2)
+    with pytest.raises(TypeError):
+        _written(payload, indent_in_c)
+
+
+CLI_JSON_COMMANDS = [
+    ["verify", "--N", "1..2", "--d", "0..3", "--p", "2,3"],
+    ["scan", "--M", "2..3", "--N", "2", "--d", "2..3", "--p", "2,3", "--format", "json"],
+    ["qchar", "--N", "1..3", "--d", "0..4", "--format", "json"],
+    ["dump", "--N", "2", "--d", "3", "--what", "basis", "--format", "json"],
+] + [
+    ["dump", "--N", "2", "--d", "3", "--what", what, "--format", "json",
+     "--ring", ring, "--p", "7"]
+    for what in ("map", "coords", "inverse")
+    for ring in ("int", "rat", "fp", "polygamma")
+]
+
+
+@pytest.mark.parametrize("argv", CLI_JSON_COMMANDS, ids=" ".join)
+def test_every_cli_payload_is_written_as_json_dumps_writes_it(argv, monkeypatch, capsys):
+    payloads = []
+
+    def record(payload):
+        payloads.append(payload)
+        return ""
+
+    monkeypatch.setattr(dump, "json_text", record)
+    monkeypatch.setattr(cli, "json_text", record)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(payloads) == 1
+    expected = json.dumps(payloads[0], indent=2) + "\n"
+    for indent_in_c in (False, True):
+        assert _written(payloads[0], indent_in_c) == expected
