@@ -36,8 +36,6 @@ from .spaces import (
     SymPower,
     Tensor,
     Wedge,
-    basis,
-    basis_index,
     dim,
     group_action_map,
     identity_map,
@@ -102,7 +100,10 @@ def hook_kernel_vectors(ring: Ring, M: int, N: int, d: int) -> list[ModuleElemen
     """Basis of the hook kernel over a field; the whole wedge space at M=1."""
     if M == 1:
         space = hook_domain(M, N, d)
-        return [ModuleElement.basis_vector(space, ring, l) for l in basis(space)]
+        return [
+            ModuleElement.from_positions(space, ring, {r: ring.one})
+            for r in range(dim(space))
+        ]
     return kernel_basis(hook_kernel_map(ring, M, N, d))
 
 
@@ -179,11 +180,12 @@ def jordan_fingerprint(p: int, space: Space, vectors=None) -> tuple[int, ...]:
     rule of the cyclic group of order p, _tensor_jordan_type; pass the
     full basis as vectors to compute it directly.  Otherwise U is built
     once, and S = U - 1 is formed whole only on a whole space that is not a
-    tensor; on given vectors each S v = U v - v is applied through U, one
-    factor at a time on a tensor, and S is written in coordinates on the
-    vectors, a square matrix of the span's dimension.  The ranks of the
-    powers of S then come from image bases, im S^(m+1) = S(im S^m), so only
-    a basis of the current image goes through S again.
+    tensor.  On given vectors, read by basis position, S is written on an
+    echelon basis of their span, a square matrix of the span's dimension:
+    each S b = U b - b is applied through U, one factor at a time on a
+    tensor.  The ranks of the powers of S then come from image bases,
+    im S^(m+1) = S(im S^m), so only a basis of the current image goes
+    through S again.
     """
     if vectors is None and type(space) is Tensor:
         return _tensor_jordan_type(
@@ -196,15 +198,10 @@ def jordan_fingerprint(p: int, space: Space, vectors=None) -> tuple[int, ...]:
     if vectors is None:
         shift = (U - identity_map(ring, space)).pcols  # S, keyed by position
         return jordan_type_from_ranks(_power_ranks(p, shift))
-    idx = basis_index(space)
-    ambient = []
-    for v in vectors:
-        if v.space != space or v.ring != ring:
-            raise ValueError("vectors do not match the space or field")
-        ambient.append({idx[l]: c for l, c in v.coeffs.items()})
-    return jordan_type_from_ranks(
-        _power_ranks(p, _span_coordinates(p, U, ambient))
-    )
+    if any(v.space != space or v.ring != ring for v in vectors):
+        raise ValueError("vectors do not match the space or field")
+    coords = _span_coordinates(p, U, [v.pcoeffs for v in vectors])
+    return jordan_type_from_ranks(_power_ranks(p, coords))
 
 
 def _tensor_jordan_type(p: int, left: tuple, right: tuple) -> tuple[int, ...]:
@@ -232,6 +229,15 @@ def _tensor_jordan_type(p: int, left: tuple, right: tuple) -> tuple[int, ...]:
 # -------------------------------------------------------- packed GF(p) rows
 
 _WORDS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _set_bits(x: int):
+    """The indices of the set bits of x, low first, found by str.find."""
+    bits = bin(x)[:1:-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
 
 
 class _Rows:
@@ -286,16 +292,20 @@ class _Rows:
         size = -(-x.bit_length() // self.w) * (self.w // 8)
         return memoryview(bytearray(x.to_bytes(size, sys.byteorder))).cast(self.fmt)
 
+    def unpack(self, x: int) -> dict:
+        """The nonzero slots of a packed vector of reduced residues, keyed
+        by slot index."""
+        if self.p == 2:
+            return dict.fromkeys(_set_bits(x), 1)
+        return {i: v for i, v in enumerate(self.slots(x)) if v}
+
     def image(self, x: int) -> int:
         """The matrix `cols` applied to a packed vector of residues."""
         cols = self.cols
         y = 0
         if self.p == 2:
-            bits = bin(x)[:1:-1]
-            i = bits.find("1")
-            while i >= 0:
+            for i in _set_bits(x):
                 y ^= cols[i]
-                i = bits.find("1", i + 1)
             return y
         for c, col in zip(self.slots(x), cols):
             if c:
@@ -356,45 +366,32 @@ class _Rows:
         return at, inv
 
 
-def _combine(p: int, terms, combos: dict) -> dict:
-    """Sum of r * combos[at] over (at, r) terms, reduced, zeros dropped."""
-    out: dict = {}
-    for at, r in terms:
-        for m, c in combos[at].items():
-            out[m] = out.get(m, 0) + r * c
-    return {m: r for m, c in out.items() if (r := c % p)}
-
-
 def _span_coordinates(p: int, U: LinearMap, vectors: list) -> list:
-    """Columns of S = U - 1 in coordinates on the given vectors.
+    """Columns of S = U - 1 on the span of the given vectors, in
+    coordinates on an echelon basis of that span.
 
-    The vectors are echelonized once, keeping the combination of the
-    vectors that gives each pivot row.  Each S v = U v - v, with U v
-    summed by U's own method (one factor at a time on a tensor), is then
-    eliminated against that echelon; the steps taken give its
-    coordinates, and a nonzero remainder witnesses a span that S does not
-    preserve."""
+    The Jordan type of S on the span does not depend on the basis, so the
+    vectors are echelonized once, and a dependent one is a ValueError.
+    Each stored row b is unpacked, S b = U b - b is summed by U's own
+    method (one factor at a time on a tensor) and eliminated against the
+    echelon: the steps taken are its coordinates, and a nonzero remainder
+    witnesses a span that S does not preserve."""
     rows = _Rows(p, dim(U.domain))
-    combos: dict[int, dict] = {}
-    packed = [rows.pack(v) for v in vectors]
-    for j, v in enumerate(packed):
-        steps: list = []
-        x = rows.reduce(v, steps)
+    for v in vectors:
+        x = rows.reduce(rows.pack(v))
         if not x:
             raise ValueError("vectors are not linearly independent")
-        # x = v - sum of r * pivot rows, and insert scales x by inv
-        lead, inv = rows.insert(x)
-        combo = _combine(p, [(at, p - r) for at, r in steps], combos)
-        combo[j] = 1
-        combos[lead] = {m: c * inv % p for m, c in combo.items()}
+        rows.insert(x)
+    index = {at: j for j, at in enumerate(rows.pivots)}
     coords = []
-    for v in vectors:
-        image = U._add_image({i: -c for i, c in v.items()}, v.items())
+    for b in rows.pivots.values():
+        items = rows.unpack(b).items()
+        image = U._add_image({i: -c for i, c in items}, items)
         x = rows.pack({i: r for i, c in image.items() if (r := c % p)})
-        steps = []
+        steps: list = []
         if rows.reduce(x, steps):
             raise ConsistencyError("span is not invariant under the unipotent")
-        coords.append(_combine(p, steps, combos))
+        coords.append({index[at]: r for at, r in steps})
     return coords
 
 

@@ -132,6 +132,9 @@ def linear_map_from_json(data) -> LinearMap:
     """The map that linear_map_to_json wrote as data, or ValueError."""
     if not isinstance(data, dict) or data.get("kind") != "linear_map":
         raise ValueError("not a serialized linear map")
+    keys = ["kind", "ring", "domain", "codomain", "domain_basis", "codomain_basis", "entries"]
+    if set(data) != set(keys):
+        raise ValueError(f"a linear map has the keys {keys}, got {sorted(data)}")
     ring = ring_from_json(data["ring"])
     domain = space_from_json(data["domain"])
     codomain = space_from_json(data["codomain"])

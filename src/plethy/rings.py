@@ -15,6 +15,7 @@ kind table, _KINDS.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 
@@ -294,9 +295,16 @@ class RationalField(Ring):
         return str(Fraction(a))
 
     def payload_from_json(self, data) -> Fraction:
-        if type(data) not in (int, str):
-            raise ValueError(f"a QQ payload is an int or a string, got {data!r}")
-        return Fraction(data)
+        """An int, or a string as payload_to_json writes it, str of a
+        Fraction.  The pattern is matched before Fraction parses the string,
+        so no exponent is ever expanded and no denominator is zero."""
+        if type(data) is int:
+            return Fraction(data)
+        if type(data) is str and re.fullmatch(r"-?[0-9]+(/[1-9][0-9]*)?", data):
+            value = Fraction(data)
+            if str(value) == data:
+                return value
+        raise ValueError(f"a QQ payload is an int or str of a Fraction, got {data!r}")
 
 
 class PrimeField(Ring):

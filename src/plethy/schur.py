@@ -107,22 +107,17 @@ class HookSchurSpace:
     def coordinates(self, v: ModuleElement) -> ModuleElement:
         """Express an ambient element in the kernel basis: K v, accepted
         when B K v = v.  The entries of K are integers, so K v and B K v are
-        summed with the payloads' native + and * and reduced once.  A label
-        outside the ambient basis, or B K v != v, means v is outside the
-        kernel span, and every ring then raises ValueError.
+        summed with the payloads' native + and * and reduced once, all keyed
+        by basis position.  B K v != v means v is outside the kernel span,
+        and every ring then raises ValueError.  (A label outside the ambient
+        basis is refused where the element is built.)
         """
         if v.space != self.ambient:
             raise ValueError("element does not live in the ambient space")
-        amb = basis_index(self.ambient)
-        try:
-            items = [(amb[label], c) for label, c in v.coeffs.items()]
-        except KeyError:
+        coords = self.K._add_image({}, v.pcoeffs.items())
+        if _settled(v.ring, self.B._add_image({}, coords.items())) != v.pcoeffs:
             return self._coordinates_fallback(v)
-        coords = self.K._add_image({}, items)
-        if _settled(v.ring, self.B._add_image({}, coords.items())) != dict(items):
-            return self._coordinates_fallback(v)
-        pairs = self.pairs
-        return ModuleElement(self.coords, v.ring, {pairs[r]: c for r, c in coords.items()})
+        return ModuleElement.from_positions(self.coords, v.ring, coords)
 
     def _coordinates_fallback(self, v: ModuleElement) -> ModuleElement:
         raise ValueError("element is not in the kernel span")

@@ -19,11 +19,12 @@ and dim hold the one cache that all equal spaces share.  To add a kind,
 write one Space subclass with its fields, basis, dim, degrees, label_str
 and actions, and add it to the space_from_json kind table, _KINDS.
 
-A map's columns are keyed by codomain basis position, the one form maps
-take between layers.  Labels are taken and shown only at the edges: the
-LinearMap constructor and from_function translate them once and reject a
-row label outside the basis, apply and column work on ModuleElements, and
-cols is a label view built on first read.
+A map's columns and a vector's coefficients are keyed by basis position,
+the one form maps and vectors take between layers.  Labels are taken and
+shown only at the edges: the LinearMap and ModuleElement constructors and
+from_function translate them once, through one helper, and reject a label
+outside the basis; from_positions takes positions as they are; cols and
+coeffs are label views.
 
 The two-by-two matrix g = ((g11, g12), (g21, g22)) acts on the left by
 g.X = g11 X + g21 Y and g.Y = g12 X + g22 Y, so columns of g are the
@@ -388,24 +389,40 @@ def wedge_normalize(factors, top: int):
 
 
 class ModuleElement:
-    """Sparse vector in a space: nonzero coefficients keyed by basis label."""
+    """Sparse vector in a space: pcoeffs maps basis positions to nonzero
+    coefficients.
 
-    __slots__ = ("space", "ring", "coeffs")
+    The constructor takes coefficients keyed by basis label, translates
+    them once and rejects a label outside the basis with ValueError;
+    from_positions takes them keyed by position.  coeffs is the label
+    view."""
+
+    __slots__ = ("space", "ring", "pcoeffs")
 
     def __init__(self, space: Space, ring: Ring, coeffs=None):
         self.space = space
         self.ring = ring
-        self.coeffs = _settled(ring, coeffs or {})
+        self.pcoeffs = _settled(ring, _to_positions(space)(coeffs or {}))
+
+    @classmethod
+    def from_positions(cls, space: Space, ring: Ring, pcoeffs) -> "ModuleElement":
+        """The element whose coefficients, keyed by basis position, are pcoeffs."""
+        v = cls.__new__(cls)
+        v.space, v.ring, v.pcoeffs = space, ring, _settled(ring, pcoeffs)
+        return v
 
     @classmethod
     def basis_vector(cls, space: Space, ring: Ring, label) -> "ModuleElement":
-        if label not in basis_index(space):
-            raise ValueError(f"label {label!r} not in the basis of {space}")
         return cls(space, ring, {label: ring.one})
 
     @classmethod
     def zero(cls, space: Space, ring: Ring) -> "ModuleElement":
         return cls(space, ring, {})
+
+    @property
+    def coeffs(self) -> dict:
+        """The coefficients keyed by basis label."""
+        return _labelled(self.space, self.pcoeffs)
 
     def _match(self, other: "ModuleElement"):
         if self.space != other.space or self.ring != other.ring:
@@ -413,48 +430,47 @@ class ModuleElement:
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         self._match(other)
-        out = dict(self.coeffs)
+        out = dict(self.pcoeffs)
         zero = self.ring.zero
-        for label, val in other.coeffs.items():
-            out[label] = out.get(label, zero) + val
-        return ModuleElement(self.space, self.ring, out)
+        for r, val in other.pcoeffs.items():
+            out[r] = out.get(r, zero) + val
+        return ModuleElement.from_positions(self.space, self.ring, out)
 
     def __neg__(self) -> "ModuleElement":
-        return ModuleElement(
-            self.space, self.ring, {l: -v for l, v in self.coeffs.items()}
-        )
+        return self.scale(-self.ring.one)
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         return self + (-other)
 
     def scale(self, s) -> "ModuleElement":
-        return ModuleElement(
-            self.space, self.ring, {l: s * v for l, v in self.coeffs.items()}
+        return ModuleElement.from_positions(
+            self.space, self.ring, {r: s * v for r, v in self.pcoeffs.items()}
         )
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.pcoeffs
 
     def __eq__(self, other):
         return (
             isinstance(other, ModuleElement)
             and self.space == other.space
             and self.ring == other.ring
-            and self.coeffs == other.coeffs
+            and self.pcoeffs == other.pcoeffs
         )
 
     def homogeneous_ydegree(self):
         """The common Y-degree of the support, or None if mixed or zero."""
-        degs = set(map(self.space.ydegree, self.coeffs))
+        labels = basis(self.space)
+        degs = {self.space.ydegree(labels[r]) for r in self.pcoeffs}
         return degs.pop() if len(degs) == 1 else None
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.pcoeffs:
             return "0"
-        idx = basis_index(self.space)
+        labels = basis(self.space)
         parts = [
-            f"{self.ring.to_str(v)}*{self.space.label_str(l)}"
-            for l, v in sorted(self.coeffs.items(), key=lambda kv: idx[kv[0]])
+            f"{self.ring.to_str(v)}*{self.space.label_str(labels[r])}"
+            for r, v in sorted(self.pcoeffs.items())
         ]
         return " + ".join(parts)
 
@@ -470,9 +486,26 @@ def _settled(ring: Ring, acc: dict) -> dict:
 
 
 def _labelled(space: Space, col: dict) -> dict:
-    """A column keyed by basis position of space, rekeyed by label."""
+    """A dict keyed by basis position of space, rekeyed by label."""
     labels = basis(space)
     return {labels[r]: v for r, v in col.items()}
+
+
+def _to_positions(space: Space):
+    """The one translation from labels: a function that rekeys a dict keyed
+    by basis label of space by basis position, and raises ValueError on a
+    label outside the basis."""
+    idx = basis_index(space)
+
+    def positions(coeffs: dict) -> dict:
+        try:
+            return {idx[label]: v for label, v in coeffs.items()}
+        except KeyError as e:
+            raise ValueError(
+                f"label {e.args[0]!r} is not in the basis of {space}"
+            ) from None
+
+    return positions
 
 
 class LinearMap:
@@ -489,17 +522,7 @@ class LinearMap:
     __slots__ = ("domain", "codomain", "ring", "pcols", "_cols")
 
     def __init__(self, domain: Space, codomain: Space, ring: Ring, cols):
-        idx = basis_index(codomain)
-
-        def positions(col):
-            try:
-                return {idx[label]: v for label, v in col.items()}
-            except KeyError as e:
-                raise ValueError(
-                    f"row label {e.args[0]!r} is not in the basis of {codomain}"
-                ) from None
-
-        self._fill(domain, codomain, ring, map(positions, cols))
+        self._fill(domain, codomain, ring, map(_to_positions(codomain), cols))
 
     def _fill(self, domain: Space, codomain: Space, ring: Ring, pcols) -> None:
         self.pcols = [_settled(ring, col) for col in pcols]
@@ -519,18 +542,19 @@ class LinearMap:
 
     @classmethod
     def from_function(cls, ring: Ring, domain: Space, codomain: Space, fn) -> "LinearMap":
-        """fn maps a domain basis label to a coefficient dict or element,
-        keyed by codomain label."""
+        """fn maps a domain basis label to an element, or to a coefficient
+        dict keyed by codomain label."""
+        positions = _to_positions(codomain)
 
         def image(label):
             img = fn(label)
             if isinstance(img, ModuleElement):
                 if img.space != codomain or img.ring != ring:
                     raise ValueError("image space or ring mismatch")
-                return img.coeffs
-            return img
+                return img.pcoeffs
+            return positions(img)
 
-        return cls(domain, codomain, ring, map(image, basis(domain)))
+        return cls.from_positions(domain, codomain, ring, map(image, basis(domain)))
 
     @property
     def cols(self) -> list:
@@ -544,14 +568,13 @@ class LinearMap:
 
     def column(self, label) -> ModuleElement:
         col = self.pcols[basis_index(self.domain)[label]]
-        return ModuleElement(self.codomain, self.ring, _labelled(self.codomain, col))
+        return ModuleElement.from_positions(self.codomain, self.ring, col)
 
     def apply(self, v: ModuleElement) -> ModuleElement:
         if v.space != self.domain or v.ring != self.ring:
             raise ValueError("space or ring mismatch")
-        idx = basis_index(self.domain)
-        out = self._add_image({}, ((idx[l], c) for l, c in v.coeffs.items()))
-        return ModuleElement(self.codomain, self.ring, _labelled(self.codomain, out))
+        out = self._add_image({}, v.pcoeffs.items())
+        return ModuleElement.from_positions(self.codomain, self.ring, out)
 
     # The raw image of a vector, and the columns of phi after this map, one
     # method per map kind: a KroneckerMap overrides both to work from its
@@ -853,14 +876,10 @@ def rank_of_vectors(vectors: list[ModuleElement]) -> int:
     """Rank of the span of elements of one space over one field."""
     if not vectors:
         return 0
-    space, ring = vectors[0].space, vectors[0].ring
-    idx = basis_index(space)
-    cols = []
+    first = vectors[0]
     for v in vectors:
-        if v.space != space or v.ring != ring:
-            raise ValueError("space or ring mismatch")
-        cols.append({idx[l]: c for l, c in v.coeffs.items()})
-    pivots, _ = _echelon(cols, ring, track=False)
+        first._match(v)
+    pivots, _ = _echelon([v.pcoeffs for v in vectors], first.ring, track=False)
     return len(pivots)
 
 
@@ -871,5 +890,5 @@ def kernel_basis(A: LinearMap) -> list[ModuleElement]:
     for combo in combos:
         if _settled(A.ring, A._add_image({}, combo.items())):
             raise ConsistencyError("kernel vector failed the zero check")
-        out.append(ModuleElement(A.domain, A.ring, _labelled(A.domain, combo)))
+        out.append(ModuleElement.from_positions(A.domain, A.ring, combo))
     return out

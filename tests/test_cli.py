@@ -221,8 +221,8 @@ def test_output_bytes_are_pinned(argv, digest, tmp_path, capsys):
 
 
 def test_no_command_path_builds_a_label_view(monkeypatch, tmp_path, capsys):
-    # maps are keyed by basis position between layers; the label view is
-    # for callers at the edge, so refusing it for every map changes nothing
+    # maps and vectors are keyed by basis position between layers; the label
+    # views are for callers at the edge, so refusing them changes nothing
     from plethy import scan_one, spaces
     from test_inverse_oracle import DUMP_DIGESTS
 
@@ -230,6 +230,7 @@ def test_no_command_path_builds_a_label_view(monkeypatch, tmp_path, capsys):
         raise AssertionError("a label view was built")
 
     monkeypatch.setattr(spaces.LinearMap, "_label_cols", refuse)
+    monkeypatch.setattr(spaces.ModuleElement, "coeffs", property(refuse))
     assert main(["verify", "--N", "2", "--d", "3", "--p", "2,3"]) == 0
     out = tmp_path / "inverse.json"
     argv = ["dump", "--N", "3", "--d", "6", "--what", "inverse", "--format", "json"]
@@ -243,6 +244,8 @@ def test_no_command_path_builds_a_label_view(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
     with pytest.raises(AssertionError, match="label view"):
         iso_context(2, 3).matrix.cols
+    with pytest.raises(AssertionError, match="label view"):
+        spaces.ModuleElement.basis_vector(spaces.Sym(1), ZZ, 0).coeffs
 
 
 def test_consistency_error_fails_one_group_and_the_run_goes_on(

@@ -150,6 +150,23 @@ def test_jordan_fingerprint_rejects_dependent_vectors():
         jordan_fingerprint(3, Sym(2), [ModuleElement.zero(Sym(2), ring)])
 
 
+def test_kernel_vectors_are_their_own_echelon_rows():
+    # each kernel_basis vector has its own free column as its highest
+    # position, with coefficient one, so echelonizing the scan's vectors
+    # stores each one as it is
+    from plethy.conjecture import _Rows
+
+    for M, N, d in ((2, 1, 3), (3, 1, 3), (3, 2, 4), (4, 1, 2)):
+        for p in (2, 3, 5):
+            vectors = hook_kernel_vectors(PrimeField(p), M, N, d)
+            rows = _Rows(p, dim(hook_domain(M, N, d)))
+            for v in vectors:
+                x = rows.pack(v.pcoeffs)
+                assert rows.reduce(x) == x
+                rows.insert(x)
+            assert list(rows.pivots.values()) == [rows.pack(v.pcoeffs) for v in vectors]
+
+
 # ------------------------------------------------------------------- reports
 
 

@@ -102,9 +102,10 @@ def test_terminal_mismatch_is_caught_over_every_ring():
         v = ModuleElement(hook.ambient, ring, {pair: ring.one})
         assert outcome(hook.coordinates, v) == ValueError
         assert outcome(oracle_coordinates, hook, v) == ValueError
-        # a label outside the ambient basis (9 > d)
-        v = ModuleElement(hook.ambient, ring, {((0, 1), 9): ring.one})
-        assert outcome(hook.coordinates, v) == ValueError
+        # a label outside the ambient basis (9 > d) is refused where the
+        # element is built
+        with pytest.raises(ValueError, match="not in the basis"):
+            ModuleElement(hook.ambient, ring, {((0, 1), 9): ring.one})
 
 
 @pytest.mark.parametrize("N, d", GRID)

@@ -166,6 +166,15 @@ def _drop_entries(data):
     del data["entries"]
 
 
+def _drop(key):
+    """A mutation of a map's JSON form that deletes a top-level key."""
+
+    def mutate(data):
+        del data[key]
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -179,11 +188,16 @@ def _drop_entries(data):
         _set(("entries", 0), [0, 0, 1, 1]),
         _set(("entries", 0), 5),
         _set(("entries", 0), "abc"),
+        _drop("ring"),
+        _drop("domain"),
+        _drop("codomain"),
+        _set(("extra",), 1),
     ],
     ids=[
         "top level a list", "top level null", "entries a dict",
         "entries an int", "entries missing", "basis a string",
         "entry of two", "entry of four", "entry an int", "entry a string",
+        "ring missing", "domain missing", "codomain missing", "extra key",
     ],
 )
 def test_map_json_rejects_malformed_containers(data):
@@ -201,6 +215,12 @@ def test_map_json_rejects_malformed_containers(data):
         (QQ, 0.1),
         (QQ, True),
         (QQ, None),
+        # the writer writes str(Fraction(v)) and nothing else
+        (QQ, "1/0"),
+        (QQ, "2/4"),
+        (QQ, "0.5"),
+        (QQ, " 1/2"),
+        (QQ, "1e3"),
         (PrimeField(7), 7),
         (PrimeField(7), -1),
         (ZGAMMA, 1),

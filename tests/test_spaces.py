@@ -390,6 +390,56 @@ def test_label_view_is_the_position_columns_through_the_basis(A):
     assert LinearMap(A.domain, A.codomain, A.ring, A.cols) == A
 
 
+@st.composite
+def label_view_vectors(draw):
+    """A vector over one of LABEL_VIEW_RINGS in one of LABEL_VIEW_SPACES,
+    made by the constructor, from_positions, apply, column, kernel_basis,
+    + or scale."""
+    ring = draw(st.sampled_from(LABEL_VIEW_RINGS))
+    spaces = st.sampled_from(LABEL_VIEW_SPACES)
+    scalars = st.integers(-3, 3).map(ring.from_int)
+
+    def random_vector(space):
+        labels = st.sampled_from(basis(space))
+        return ModuleElement(space, ring, draw(st.dictionaries(labels, scalars, max_size=4)))
+
+    def random_map(domain, codomain):
+        cols = [random_vector(codomain).pcoeffs for _ in basis(domain)]
+        return LinearMap.from_positions(domain, codomain, ring, cols)
+
+    sources = ["constructor", "from_positions", "apply", "column", "sum", "scale"]
+    if ring.is_field:
+        sources.append("kernel_basis")
+    source = draw(st.sampled_from(sources))
+    X, Y = draw(spaces), draw(spaces)
+    if source == "constructor":
+        return random_vector(X)
+    if source == "from_positions":
+        positions = st.integers(0, dim(X) - 1)
+        return ModuleElement.from_positions(
+            X, ring, draw(st.dictionaries(positions, scalars, max_size=4))
+        )
+    if source == "apply":
+        return random_map(X, Y).apply(random_vector(X))
+    if source == "column":
+        return random_map(X, Y).column(draw(st.sampled_from(basis(X))))
+    if source == "sum":
+        return random_vector(X) + random_vector(X)
+    if source == "scale":
+        return random_vector(X).scale(draw(scalars))
+    kernel = kernel_basis(random_map(X, Y))
+    return draw(st.sampled_from(kernel)) if kernel else ModuleElement.zero(X, ring)
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_view_vectors())
+def test_vector_label_view_is_the_positions_through_the_basis(v):
+    labels = basis(v.space)
+    assert all(0 <= r < dim(v.space) for r in v.pcoeffs)
+    assert v.coeffs == {labels[r]: c for r, c in v.pcoeffs.items()}
+    assert ModuleElement(v.space, v.ring, v.coeffs) == v
+
+
 def test_wedge_action_picks_up_signs():
     # swapping both basis lines through the antidiagonal reverses wedge order
     g = ((QQ.zero, QQ.one), (QQ.one, QQ.zero))
