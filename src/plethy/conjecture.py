@@ -231,13 +231,17 @@ def _tensor_jordan_type(p: int, left: tuple, right: tuple) -> tuple[int, ...]:
 _WORDS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
-def _set_bits(x: int):
-    """The indices of the set bits of x, low first, found by str.find."""
-    bits = bin(x)[:1:-1]
-    i = bits.find("1")
+def _found(seq, item):
+    """The indices of item in seq, a str or bytes, found by its find."""
+    i = seq.find(item)
     while i >= 0:
         yield i
-        i = bits.find("1", i + 1)
+        i = seq.find(item, i + 1)
+
+
+def _set_bits(x: int):
+    """The indices of the set bits of x, low first."""
+    return _found(bin(x)[:1:-1], "1")
 
 
 class _Rows:
@@ -272,6 +276,10 @@ class _Rows:
             self.w = next(w for w in _WORDS if bound < 1 << w)
             self.fmt = _WORDS[self.w]
             self.nbytes = length * self.w // 8
+            # the lowest bit of every slot
+            self.lows = int.from_bytes(
+                (1).to_bytes(self.w // 8, sys.byteorder) * length, sys.byteorder
+            )
         self.cols = [self.pack(col) for col in cols]
 
     def pack(self, entries: dict) -> int:
@@ -294,10 +302,20 @@ class _Rows:
 
     def unpack(self, x: int) -> dict:
         """The nonzero slots of a packed vector of reduced residues, keyed
-        by slot index."""
+        by slot index.  At odd p each slot's bits are folded onto its lowest
+        bit, so a slot's bytes hold a set bit only where the slot is
+        nonzero, and those bytes are found by bytes.find."""
         if self.p == 2:
             return dict.fromkeys(_set_bits(x), 1)
-        return {i: v for i, v in enumerate(self.slots(x)) if v}
+        w = self.w
+        folded, shift = x, 1
+        while shift < w:
+            folded |= folded >> shift
+            shift *= 2
+        slots = self.slots(x)
+        flags = (folded & self.lows).to_bytes(slots.nbytes, sys.byteorder)
+        step = w // 8
+        return {i: slots[i] for i in (at // step for at in _found(flags, 1))}
 
     def image(self, x: int) -> int:
         """The matrix `cols` applied to a packed vector of residues."""

@@ -41,7 +41,13 @@ the routes to the work their claims need:
   * fp: generators.  Over GF(p), U(gamma) = U(1)^gamma, and U(1) with its
     transpose generates every unipotent, so two action pairs cover them all;
     for p > 2 one spot check at gamma = p - 1 cross-checks the group-action
-    code.
+    code.  Both generator pairs are still built over GF(p), but when the
+    poly route has just found phi A = B phi over ZZ for U(1) or its
+    transpose, and the GF(p) pair equals A and B reduced mod p entry by
+    entry, the GF(p) comparison is skipped: reduction ZZ -> GF(p) is a ring
+    map and the fp route's phi is phi reduced, so the reduced identity is
+    the one the comparison would test.  Without such a record, or when any
+    entry differs, the pair is compared directly; the spot check always is.
   * no certificate builds a whole product map.  Each commutation phi A =
     B phi, the swap's sign law included, is checked one domain column at a
     time, both sides summed raw into one dict keyed by basis position and
@@ -62,7 +68,9 @@ the routes to the work their claims need:
 Since phi is integral and k! E^(k) = E^k for the divided powers that make
 up the unipotents, the Lie check already implies the polynomial identity;
 the group routes add value by cross-checking separately written action
-code.
+code.  Over GF(p) that cross-check is the entry-by-entry comparison of the
+GF(p) generator actions with the integer ones, plus the spot check's direct
+comparison at gamma = p - 1.
 """
 
 from __future__ import annotations
@@ -80,6 +88,7 @@ from .rings import (
 )
 from .schur import hook_schur_space
 from .spaces import (
+    KroneckerMap,
     LinearMap,
     ModuleElement,
     Sym,
@@ -419,6 +428,13 @@ def _sym_tables_are_monomial(spaces, transpose: bool) -> bool:
     return True
 
 
+# The poly route's last integer comparison of phi with U(1), one slot per
+# transpose: (phi, domain action, ambient action, result) over ZZ.  The fp
+# route reads it in _passed_over_zz.  Every poly call clears both slots
+# first, so they hold the maps of one point at most.
+_zz_unipotent_checks: dict = {}
+
+
 def verify_group_equivariance_poly(N: int, d: int) -> dict:
     """Commutation with the generic unipotent and its transpose over the
     polynomial ring Z[gamma] in one variable.
@@ -436,25 +452,59 @@ def verify_group_equivariance_poly(N: int, d: int) -> dict:
     for every k.  Each key is the three checks together: the Sym tables over
     Z[gamma], from which the action code multiplies out every other entry,
     follow the rule; phi shifts Y-degree by N; and phi commutes with U(1),
-    or its transpose, over ZZ.
+    or its transpose, over ZZ.  Each comparison over ZZ that runs is
+    recorded for the fp route to reuse.
     """
     ctx = iso_context(N, d)
     phi = ctx.matrix
     spaces = (ctx.domain, ctx.hook.ambient)
     homogeneous = _shifts_y_degree(phi, N)
+    _zz_unipotent_checks.clear()
     out = {}
     for transpose, name in ((False, "upper"), (True, "lower")):
-        g = _unipotent(ZZ, 1, transpose)
-        out[f"commutes_with_{name}_unipotent"] = (
-            _sym_tables_are_monomial(spaces, transpose)
-            and homogeneous
-            and _commutes(
-                phi,
-                group_action_map(ZZ, g, ctx.domain),
-                group_action_map(ZZ, g, ctx.hook.ambient),
-            )
-        )
+        ok = _sym_tables_are_monomial(spaces, transpose) and homogeneous
+        if ok:
+            g = _unipotent(ZZ, 1, transpose)
+            dom = group_action_map(ZZ, g, ctx.domain)
+            amb = group_action_map(ZZ, g, ctx.hook.ambient)
+            ok = _commutes(phi, dom, amb)
+            _zz_unipotent_checks[transpose] = (phi, dom, amb, ok)
+        out[f"commutes_with_{name}_unipotent"] = ok
     return out
+
+
+def _reduces_to(A: LinearMap, B: LinearMap) -> bool:
+    """Whether B, a map over GF(p), is the integer map A reduced mod p.  A
+    Kronecker map is compared factor by factor, so its columns are never
+    built, and no reduced copy of A is made."""
+    if A.domain != B.domain or A.codomain != B.codomain:
+        return False
+    if isinstance(A, KroneckerMap) or isinstance(B, KroneckerMap):
+        return (
+            type(A) is type(B)
+            and _reduces_to(A.left, B.left)
+            and _reduces_to(A.right, B.right)
+        )
+    p = B.ring.p
+    return all(
+        col_p == {r: m for r, v in col.items() if (m := v % p)}
+        for col, col_p in zip(A.pcols, B.pcols)
+    )
+
+
+def _passed_over_zz(phi: LinearMap, transpose: bool, dom, amb) -> bool:
+    """Whether the poly route's record shows phi dom_p == amb_p phi over
+    GF(p) without a comparison: it compared this very phi (checked with
+    is) with integer maps A and B, found phi A == B phi, and dom_p and amb_p
+    are A and B reduced mod p.  Reducing that identity mod p is the
+    identity over GF(p), since the fp route's phi is phi reduced."""
+    record = _zz_unipotent_checks.get(transpose)
+    if record is None:
+        return False
+    phi_zz, A, B, result = record
+    return (
+        phi_zz is phi and result and _reduces_to(A, dom) and _reduces_to(B, amb)
+    )
 
 
 def verify_group_equivariance_fp(N: int, d: int, p: int) -> dict:
@@ -466,6 +516,13 @@ def verify_group_equivariance_fp(N: int, d: int, p: int) -> dict:
     them once it commutes with those two.  For p > 2 one more element, the
     upper unipotent at gamma = p - 1, is checked as a cross-check on the
     group-action code; at p = 2 that element is U(1) itself.
+
+    Every action pair is built over GF(p).  For U(1) and its transpose the
+    comparison is skipped when the poly route has found phi A == B phi over
+    ZZ for this phi, and the GF(p) actions equal A and B reduced mod p,
+    entry by entry: reduction is a ring map, so the identity holds over
+    GF(p) too.  Otherwise, and always at the spot check, phi is compared
+    with the GF(p) pair directly, so the keys are the same either way.
     """
     ring = PrimeField(p)
     ctx = iso_context(N, d)
@@ -473,12 +530,14 @@ def verify_group_equivariance_fp(N: int, d: int, p: int) -> dict:
     elements = [(1, False), (1, True)] + ([(p - 1, False)] if p > 2 else [])
     ok = True
     for gamma, transpose in elements:
+        if not ok:
+            break
         g = _unipotent(ring, ring.from_int(gamma), transpose)
-        ok = ok and _commutes(
-            phi,
-            group_action_map(ring, g, ctx.domain),
-            group_action_map(ring, g, ctx.hook.ambient),
-        )
+        dom = group_action_map(ring, g, ctx.domain)
+        amb = group_action_map(ring, g, ctx.hook.ambient)
+        ok = (
+            gamma == 1 and _passed_over_zz(ctx.matrix, transpose, dom, amb)
+        ) or _commutes(phi, dom, amb)
     return {
         "commutes_with_all_unipotents": ok,
         "determinant_unit_mod_p": prod(ctx.diagonal) % p == 1 % p,

@@ -44,8 +44,29 @@ from .rings import ConsistencyError, Ring, ZZ, binomial, json_int, json_kind
 from . import tableaux
 
 
+def _frozen_space(cls):
+    """cls as a frozen dataclass whose hash, the dataclass hash of its
+    fields, is taken once per space and kept.  Equal spaces built apart
+    hash equal; the basis, basis_index and dim caches hash a space on every
+    lookup, and the field hash of a nested space recurses through it."""
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 class Space:
-    """The interface of a space kind, a frozen dataclass with a JSON kind.
+    """The interface of a space kind, a frozen dataclass (made by
+    _frozen_space, which keeps its hash) with a JSON kind.
 
     A kind writes its fields and these: _basis() and _dim() enumerate and
     count the basis (call basis and dim, which cache them); ydegree(label)
@@ -104,7 +125,7 @@ class Space:
         raise TypeError(f"the Lie action is undefined on {self!r}")
 
 
-@dataclass(frozen=True)
+@_frozen_space
 class Sym(Space):
     """Sym^c E, dimension c + 1."""
 
@@ -144,7 +165,7 @@ class Sym(Space):
         return [{a + 1: c - a} if a <= c - 1 else {} for a in range(c + 1)]
 
 
-@dataclass(frozen=True)
+@_frozen_space
 class _Power(Space):
     """The r-th power of a Sym atom: labels are strictly (Wedge) or weakly
     (SymPower) increasing tuples of inner labels."""
@@ -255,7 +276,7 @@ class SymPower(_Power):
         return binomial(self.inner.c + self.r, self.r)
 
 
-@dataclass(frozen=True)
+@_frozen_space
 class Tensor(Space):
     left: Space
     right: Space
@@ -297,7 +318,7 @@ class Tensor(Space):
         return cols
 
 
-@dataclass(frozen=True)
+@_frozen_space
 class PairCoords(Space):
     """Coordinate space whose basis is the sorted semistandard pairs.
 

@@ -3,6 +3,8 @@
 import concurrent.futures
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plethy import spaces
 from plethy import (
@@ -165,6 +167,24 @@ def test_kernel_vectors_are_their_own_echelon_rows():
                 assert rows.reduce(x) == x
                 rows.insert(x)
             assert list(rows.pivots.values()) == [rows.pack(v.pcoeffs) for v in vectors]
+
+
+@pytest.mark.parametrize("p, w", [(3, 8), (17, 16), (257, 32), (65521, 64)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_unpack_walks_the_nonzero_slots_as_slot_enumeration_does(p, w, data):
+    # slot values reach the top bit of a slot, so folding a slot onto its
+    # lowest bit must see every bit of it
+    from plethy.conjecture import _Rows
+
+    length = data.draw(st.integers(1, 30))
+    rows = _Rows(p, length)
+    assert rows.w == w
+    values = st.one_of(st.integers(0, p - 1), st.integers(0, 2**w - 1))
+    entries = data.draw(st.dictionaries(st.integers(0, length - 1), values))
+    x = rows.pack(entries)
+    by_slot = {i: v for i, v in enumerate(rows.slots(x)) if v}
+    assert rows.unpack(x) == by_slot == {i: v for i, v in entries.items() if v}
 
 
 # ------------------------------------------------------------------- reports

@@ -1,5 +1,6 @@
 """Spaces, actions, and exact sparse elimination."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -193,6 +194,43 @@ def test_wedge_and_sympower_stay_distinct():
     assert basis_index(wedge) != basis_index(sympower)
     assert wedge.to_json()["kind"] == "wedge"
     assert sympower.to_json()["kind"] == "sympower"
+
+
+def _build_space(recipe):
+    """A new space object from a nested recipe, sharing no part with any
+    other build."""
+    kind = recipe[0]
+    if kind == "sym":
+        return Sym(recipe[1])
+    if kind == "pair":
+        return PairCoords(recipe[1], recipe[2])
+    if kind == "tensor":
+        return Tensor(_build_space(recipe[1]), _build_space(recipe[2]))
+    return (Wedge if kind == "wedge" else SymPower)(recipe[1], Sym(recipe[2]))
+
+
+SPACE_RECIPES = st.recursive(
+    st.one_of(
+        st.tuples(st.just("sym"), st.integers(0, 4)),
+        st.tuples(st.sampled_from(("wedge", "sympower")), st.integers(0, 2), st.integers(0, 3)),
+        st.tuples(st.just("pair"), st.integers(1, 2), st.integers(0, 2)),
+    ),
+    lambda inner: st.tuples(st.just("tensor"), inner, inner),
+    max_leaves=3,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SPACE_RECIPES)
+def test_equal_spaces_built_apart_hash_equal_and_share_one_basis_index(recipe):
+    # a space keeps its hash once taken; it is the dataclass hash of its
+    # fields, so equal spaces built apart still meet in every cache
+    a, b = _build_space(recipe), _build_space(recipe)
+    assert a == b and a is not b
+    field_hash = hash(tuple(getattr(a, f.name) for f in dataclasses.fields(a)))
+    assert hash(a) == hash(a) == hash(b) == field_hash
+    assert basis_index(a) is basis_index(b)
+    assert basis_index(a) == {label: n for n, label in enumerate(basis(b))}
 
 
 @pytest.mark.parametrize(

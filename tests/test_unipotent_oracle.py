@@ -15,6 +15,12 @@ action map into one map per Y-degree change k: a per-k pass implies a
 whole pass, and on a Y-homogeneous map the two agree, which is what lets
 the polynomial route compare once after checking homogeneity.  Those oracles run on
 random sparse maps and on the routes themselves.
+
+The prime-field route skips its GF(p) comparison for U(1) and its
+transpose when the polynomial route's record shows the same phi commuting
+with integer maps that reduce to the GF(p) ones.  The last tests count the
+GF(p) comparisons that remain, and poison the record, to show that the
+route's keys equal the direct oracle's whatever the record holds.
 """
 
 import copy
@@ -47,6 +53,7 @@ from plethy import (
     verify_lie_equivariance,
 )
 from oracles import gamma_coefficients
+from plethy.cli import verify_point
 
 PRIMES = (2, 3, 5, 7)
 GRID = [(N, d) for d in range(6) for N in range(1, 4)]
@@ -609,3 +616,133 @@ def test_broken_maps_match_the_whole_map_oracles(N, d, p, kind, j, r, delta):
         assert verify_group_equivariance_fp(N, d, p) == oracle_fp_generators(
             broken, p
         )
+
+
+# ------------------------------------------------- the fp route's shortcut
+
+
+def _counting_fp_commutes(monkeypatch) -> dict:
+    """Patch iso._commutes to count its calls over each GF(p), keyed by p."""
+    counts: dict = {}
+    real = iso._commutes
+
+    def counting(phi, dom, amb):
+        if isinstance(phi.ring, PrimeField):
+            counts[phi.ring.p] = counts.get(phi.ring.p, 0) + 1
+        return real(phi, dom, amb)
+
+    monkeypatch.setattr(iso, "_commutes", counting)
+    return counts
+
+
+@pytest.mark.parametrize("N, d", [(1, 3), (2, 4), (3, 5)])
+def test_verify_point_compares_over_gf_p_only_at_the_spot_check(monkeypatch, N, d):
+    # the poly route runs first and leaves its integer comparisons, so the
+    # generators need no GF(p) comparison, and the spot check at p - 1 has one
+    counts = _counting_fp_commutes(monkeypatch)
+    point = verify_point(N, d, (2, 3, 5))
+    assert all(point["checks"].values())
+    assert counts == {3: 1, 5: 1}
+
+
+@pytest.mark.parametrize("N, d", GRID)
+def test_fp_route_alone_equals_fp_route_after_poly(monkeypatch, N, d):
+    ctx = iso_context(N, d)
+    for p in PRIMES:
+        monkeypatch.setattr(iso, "_zz_unipotent_checks", {})
+        counts = _counting_fp_commutes(monkeypatch)
+        alone = verify_group_equivariance_fp(N, d, p)
+        assert counts.get(p) == (3 if p > 2 else 2)
+        counts.clear()
+        verify_group_equivariance_poly(N, d)
+        after = verify_group_equivariance_fp(N, d, p)
+        assert counts.get(p, 0) == (1 if p > 2 else 0)
+        assert alone == after == oracle_fp(ctx, p), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_reduces_to_matches_the_reduced_copy_of_each_factor(data):
+    # an integer action and a GF(p) one of the same matrix g on a tensor
+    # space, one factor entry of either possibly changed, by a multiple of
+    # p or not; a plain map is compared whole
+    p = data.draw(st.sampled_from(PRIMES))
+    ring = PrimeField(p)
+    g = tuple(tuple(data.draw(st.integers(-2, 2)) for _ in range(2)) for _ in range(2))
+    X = Tensor(*(data.draw(st.sampled_from(TENSOR_FACTORS)) for _ in range(2)))
+    A = group_action_map(ZZ, g, X)
+    B = group_action_map(ring, tuple(tuple(map(ring.from_int, row)) for row in g), X)
+    target = data.draw(st.sampled_from(("none", "A", "B")))
+    if target != "none":
+        M, R = (A, ZZ) if target == "A" else (B, ring)
+        side = data.draw(st.sampled_from(("left", "right")))
+        F = getattr(M, side)
+        j = data.draw(st.integers(0, len(F.cols) - 1))
+        row = data.draw(st.sampled_from(basis(F.codomain)))
+        F = _changed(R, F, j, row, data.draw(st.sampled_from((1, 2, p, 2 * p))))
+        M = KroneckerMap(F, M.right) if side == "left" else KroneckerMap(M.left, F)
+        A, B = (M, B) if target == "A" else (A, M)
+    if data.draw(st.booleans()):
+        A, B = A.right, B.right
+        factors = [(A, B)]
+    else:
+        factors = [(A.left, B.left), (A.right, B.right)]
+    reduced = all(F.map_entries(ring, ring.from_int) == G for F, G in factors)
+    assert iso._reduces_to(A, B) == reduced
+    if isinstance(A, KroneckerMap):
+        assert A._pcols is None and B._pcols is None
+
+
+def _poisoned(kind: str, broken, other):
+    """A record for the fp route on broken that no honest poly run on
+    broken leaves: phi with identity maps, Kronecker products like the
+    actions, which it commutes with but whose reductions are not the GF(p)
+    actions, or with the integer actions of another point."""
+    if kind == "identity":
+        dom, amb = (
+            KroneckerMap(identity_map(ZZ, space.left), identity_map(ZZ, space.right))
+            for space in (broken.domain, broken.hook.ambient)
+        )
+        assert iso._commutes(broken.matrix, dom, amb)
+        return {t: (broken.matrix, dom, amb, True) for t in (False, True)}
+    return {
+        t: (
+            broken.matrix,
+            group_action_map(ZZ, iso._unipotent(ZZ, 1, t), other.domain),
+            group_action_map(ZZ, iso._unipotent(ZZ, 1, t), other.hook.ambient),
+            True,
+        )
+        for t in (False, True)
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.integers(1, 3),
+    d=st.integers(1, 4),
+    p=st.sampled_from(PRIMES),
+    kind=st.sampled_from(("shift", "drop", "add_same_degree", "move_degree")),
+    j=st.integers(0, 10**6),
+    r=st.integers(0, 10**6),
+    delta=st.sampled_from((1, -1, 2, 3, 5, 7, 10)),
+)
+def test_a_poisoned_record_cannot_change_the_fp_keys(N, d, p, kind, j, r, delta):
+    ctx = iso_context(N, d)
+    nonzero = [m for m, col in enumerate(ctx.matrix.cols) if col]
+    if not nonzero:
+        return
+    broken = _broken(ctx, kind, nonzero[j % len(nonzero)], r, delta)
+    expected = {c: oracle_fp(c, p) for c in (ctx, broken)}
+    other = iso_context(N, d + 1)
+    with pytest.MonkeyPatch.context() as m:
+        for poison in ("identity", "other_point"):
+            m.setattr(iso, "_zz_unipotent_checks", _poisoned(poison, broken, other))
+            m.setattr(iso, "iso_context", lambda N, d: broken)
+            assert verify_group_equivariance_fp(N, d, p) == expected[broken], poison
+        # the record of one copy's phi, read by a route on the other copy
+        for recorded, checked in ((ctx, broken), (broken, ctx)):
+            m.setattr(iso, "_zz_unipotent_checks", {})
+            m.setattr(iso, "iso_context", lambda N, d: recorded)
+            verify_group_equivariance_poly(N, d)
+            m.setattr(iso, "iso_context", lambda N, d: checked)
+            assert verify_group_equivariance_fp(N, d, p) == expected[checked]
