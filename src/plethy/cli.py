@@ -391,7 +391,8 @@ def cmd_scan(args) -> int:
         payload = {
             "kind": "conjecture_scan",
             "convention": CONVENTION,
-            "grid": {"M": Ms, "N": Ns, "d": ds, "p": list(primes)},
+            # scan runs the primes sorted, and the grid says so
+            "grid": {"M": Ms, "N": Ns, "d": ds, "p": sorted(primes)},
             "dim_cap": cap,
             "reports": [r.to_json() for r in reports],
             "skipped": skipped,

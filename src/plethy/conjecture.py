@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .characters import _count_qpoly, hook_schur_polynomial, qchar
-from .rings import QQ, ConsistencyError, PrimeField, Ring
+from .rings import QQ, ZZ, ConsistencyError, PrimeField, Ring
 from .spaces import (
     LinearMap,
     ModuleElement,
@@ -71,10 +71,32 @@ def hook_domain(M: int, N: int, d: int) -> Space:
 
 
 def hook_kernel_map(ring: Ring, M: int, N: int, d: int) -> LinearMap:
-    """The defining map of the hook kernel, M >= 2."""
+    """The defining map of the hook kernel, M >= 2: the integer map of the
+    point, built once, reduced into ring."""
+    A = _integer_kernel_map(M, N, d)
+    if ring == ZZ:
+        return A
+    # map_entries reduces each entry and drops the zeros, so a multiplicity
+    # divisible by p vanishes here
+    return A.map_entries(ring, ring.from_int)
+
+
+# The integer kernel map of the last point asked for, keyed by (M, N, d):
+# kernel_qchar and every prime of a scan point reduce the same map.  A new
+# point empties the slot before its map is built, so it holds the map of
+# one point at most.
+_integer_kernel_maps: dict = {}
+
+
+def _integer_kernel_map(M: int, N: int, d: int) -> LinearMap:
     _check_mnd(M, N, d)
     if M < 2:
         raise ValueError("the kernel map needs M >= 2")
+    point = (M, N, d)
+    A = _integer_kernel_maps.get(point)
+    if A is not None:
+        return A
+    _integer_kernel_maps.clear()
     domain = hook_domain(M, N, d)
     codomain = Tensor(Wedge(N + 1, Sym(d)), SymPower(M - 2, Sym(d)))
 
@@ -89,15 +111,15 @@ def hook_kernel_map(ring: Ring, M: int, N: int, d: int) -> LinearMap:
             pos = m.index(x)
             key = (lab, m[:pos] + m[pos + 1 :])
             out[key] = out.get(key, 0) + m.count(x) * sgn
-        # the LinearMap constructor reduces each entry and drops the zeros,
-        # so a multiplicity divisible by p vanishes there
-        return {key: ring.from_int(n) for key, n in out.items()}
+        return out
 
-    return LinearMap.from_function(ring, domain, codomain, fn)
+    A = _integer_kernel_maps[point] = LinearMap.from_function(ZZ, domain, codomain, fn)
+    return A
 
 
 def hook_kernel_vectors(ring: Ring, M: int, N: int, d: int) -> list[ModuleElement]:
-    """Basis of the hook kernel over a field; the whole wedge space at M=1."""
+    """Basis of the hook kernel over a field, or over QQ made of primitive
+    integer vectors when ring is ZZ; the whole wedge space at M=1."""
     if M == 1:
         space = hook_domain(M, N, d)
         return [
@@ -116,11 +138,15 @@ def _check_mnd(M: int, N: int, d: int):
 
 
 def kernel_qchar(ring: Ring, M: int, N: int, d: int):
-    """Graded dimension of the hook kernel over a field.
+    """Graded dimension of the hook kernel over GF(p), or in characteristic
+    zero, over QQ or ZZ, where it is read off the integer kernel vectors,
+    each checked to map to zero over ZZ, so no Fraction is formed.
 
     Kernel vectors produced by the elimination are automatically
     Y-homogeneous because columns of different degree never share a pivot
-    row."""
+    row; each one is checked."""
+    if ring == QQ:
+        ring = ZZ
     degrees = []
     for v in hook_kernel_vectors(ring, M, N, d):
         w = v.homogeneous_ydegree()
@@ -180,10 +206,11 @@ def jordan_fingerprint(p: int, space: Space, vectors=None) -> tuple[int, ...]:
     rule of the cyclic group of order p, _tensor_jordan_type; pass the
     full basis as vectors to compute it directly.  Otherwise U is built
     once, and S = U - 1 is formed whole only on a whole space that is not a
-    tensor.  On given vectors, read by basis position, S is written on an
-    echelon basis of their span, a square matrix of the span's dimension:
-    each S b = U b - b is applied through U, one factor at a time on a
-    tensor.  The ranks of the powers of S then come from image bases,
+    tensor.  On given vectors, read by basis position, S is written on the
+    reduced echelon basis of their span, a square matrix of the span's
+    dimension: each S b = U b - b is applied through U, one factor at a
+    time on a tensor, and its coordinates are its entries at the basis's
+    leads.  The ranks of the powers of S then come from image bases,
     im S^(m+1) = S(im S^m), so only a basis of the current image goes
     through S again.
     """
@@ -231,17 +258,13 @@ def _tensor_jordan_type(p: int, left: tuple, right: tuple) -> tuple[int, ...]:
 _WORDS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
-def _found(seq, item):
-    """The indices of item in seq, a str or bytes, found by its find."""
-    i = seq.find(item)
-    while i >= 0:
-        yield i
-        i = seq.find(item, i + 1)
-
-
 def _set_bits(x: int):
     """The indices of the set bits of x, low first."""
-    return _found(bin(x)[:1:-1], "1")
+    bits = bin(x)[:1:-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
 
 
 class _Rows:
@@ -276,10 +299,6 @@ class _Rows:
             self.w = next(w for w in _WORDS if bound < 1 << w)
             self.fmt = _WORDS[self.w]
             self.nbytes = length * self.w // 8
-            # the lowest bit of every slot
-            self.lows = int.from_bytes(
-                (1).to_bytes(self.w // 8, sys.byteorder) * length, sys.byteorder
-            )
         self.cols = [self.pack(col) for col in cols]
 
     def pack(self, entries: dict) -> int:
@@ -300,23 +319,6 @@ class _Rows:
         size = -(-x.bit_length() // self.w) * (self.w // 8)
         return memoryview(bytearray(x.to_bytes(size, sys.byteorder))).cast(self.fmt)
 
-    def unpack(self, x: int) -> dict:
-        """The nonzero slots of a packed vector of reduced residues, keyed
-        by slot index.  At odd p each slot's bits are folded onto its lowest
-        bit, so a slot's bytes hold a set bit only where the slot is
-        nonzero, and those bytes are found by bytes.find."""
-        if self.p == 2:
-            return dict.fromkeys(_set_bits(x), 1)
-        w = self.w
-        folded, shift = x, 1
-        while shift < w:
-            folded |= folded >> shift
-            shift *= 2
-        slots = self.slots(x)
-        flags = (folded & self.lows).to_bytes(slots.nbytes, sys.byteorder)
-        step = w // 8
-        return {i: slots[i] for i in (at // step for at in _found(flags, 1))}
-
     def image(self, x: int) -> int:
         """The matrix `cols` applied to a packed vector of residues."""
         cols = self.cols
@@ -330,13 +332,9 @@ class _Rows:
                 y += c * col
         return y
 
-    def reduce(self, x: int, steps: list | None = None) -> int:
+    def reduce(self, x: int) -> int:
         """Eliminate x against the pivots, leading slot first, down to zero
-        or to a leading slot with no pivot, whose residue is nonzero.
-
-        Each elimination subtracts r times the pivot row at bit offset at;
-        (at, r) is appended to `steps` when it is given.
-        """
+        or to a leading slot with no pivot, whose residue is nonzero."""
         pivots = self.pivots
         top = x.bit_length()
         if self.p == 2:
@@ -345,8 +343,6 @@ class _Rows:
                 if row is None:
                     return x
                 x ^= row
-                if steps is not None:
-                    steps.append((top - 1, 1))
                 top = x.bit_length()
             return x
         p, w = self.p, self.w
@@ -359,19 +355,16 @@ class _Rows:
                 if row is None:
                     return x
                 x += (p - r) * row - ((s + p - r) << at)
-                if steps is not None:
-                    steps.append((at, r))
             else:
                 x -= s << at
             top = x.bit_length()
         return x
 
-    def insert(self, x: int) -> tuple[int, int]:
+    def insert(self, x: int) -> None:
         """Store a nonzero remainder left by `reduce` as a pivot row,
-        reduced with leading entry one; returns the bit offset of its lead
-        and the factor that scaled x to it."""
+        reduced with leading entry one, keyed by the bit offset of its
+        lead."""
         at = (x.bit_length() - 1) & -self.w
-        inv = 1
         if self.p != 2:
             slots = self.slots(x)
             inv = pow(slots[-1], -1, self.p)
@@ -381,35 +374,86 @@ class _Rows:
                         slots[i] = v * inv % self.p
                 x = int.from_bytes(slots, sys.byteorder)
         self.pivots[at] = x
-        return at, inv
+
+
+# ------------------------------------------------------ sparse span rows
+
+
+def _cleared(p: int, v: dict, rows: dict, own=None) -> dict:
+    """v, a sparse GF(p) vector, less v[i] times the row at lead i for every
+    lead i of rows but own at which v is nonzero, until v is zero at all of
+    them; changed in place and returned.
+
+    Each row is zero above its lead, so subtracting it brings in only lower
+    positions: within a round the leads are taken highest first, and a
+    lead that a row brings in is taken in the next round."""
+    while True:
+        hits = sorted((i for i in v if i in rows and i != own), reverse=True)
+        if not hits:
+            return v
+        get = v.get
+        for lead in hits:
+            c = get(lead)
+            if c is None:
+                continue
+            for i, a in rows[lead].items():
+                x = (get(i, 0) - c * a) % p
+                if x:
+                    v[i] = x
+                else:
+                    del v[i]
+
+
+def _reduced_rows(p: int, vectors) -> dict:
+    """Sparse rows over GF(p) in reduced echelon form spanning the given
+    vectors, keyed by lead, in the order the vectors gave them; a dependent
+    vector is a ValueError.
+
+    A row's lead is its highest position, where it is one and every other
+    row is zero.  Each vector is cleared of the leads before it and stored
+    scaled; then each row, lowest lead first, is cleared of the leads below
+    its own, whose rows are reduced by then.  Vectors in that form already,
+    as the scan's kernel vectors are, stay as they are, at the cost of one
+    lookup per entry in each pass."""
+    rows: dict = {}
+    for v in vectors:
+        v = _cleared(p, dict(v), rows)
+        if not v:
+            raise ValueError("vectors are not linearly independent")
+        lead = max(v)
+        inv = pow(v[lead], -1, p)
+        rows[lead] = {i: c * inv % p for i, c in v.items()} if inv != 1 else v
+    for lead in sorted(rows):
+        _cleared(p, rows[lead], rows, lead)
+    return rows
 
 
 def _span_coordinates(p: int, U: LinearMap, vectors: list) -> list:
     """Columns of S = U - 1 on the span of the given vectors, in
-    coordinates on an echelon basis of that span.
+    coordinates on its reduced echelon basis, _reduced_rows.
 
-    The Jordan type of S on the span does not depend on the basis, so the
-    vectors are echelonized once, and a dependent one is a ValueError.
-    Each stored row b is unpacked, S b = U b - b is summed by U's own
-    method (one factor at a time on a tensor) and eliminated against the
-    echelon: the steps taken are its coordinates, and a nonzero remainder
-    witnesses a span that S does not preserve."""
-    rows = _Rows(p, dim(U.domain))
-    for v in vectors:
-        x = rows.reduce(rows.pack(v))
-        if not x:
-            raise ValueError("vectors are not linearly independent")
-        rows.insert(x)
-    index = {at: j for j, at in enumerate(rows.pivots)}
+    The Jordan type of S on the span does not depend on the basis, so no
+    change of basis back to the vectors is kept.  For each row b, S b =
+    U b - b is summed by U's own method (one factor at a time on a tensor).
+    A vector y of the span is the sum over leads i of y[i] times the row at
+    i, so its coordinates are read off at the leads, and the residual
+    y - sum y[i] row(i) is summed into y itself.  It is zero mod p at every
+    lead by construction, so an entry that is not, at one of the other
+    positions, witnesses a span that S does not preserve."""
+    rows = _reduced_rows(p, vectors)
+    index = {lead: j for j, lead in enumerate(rows)}
     coords = []
-    for b in rows.pivots.values():
-        items = rows.unpack(b).items()
-        image = U._add_image({i: -c for i, c in items}, items)
-        x = rows.pack({i: r for i, c in image.items() if (r := c % p)})
-        steps: list = []
-        if rows.reduce(x, steps):
+    for b in rows.values():
+        items = b.items()
+        y = U._add_image({i: -c for i, c in items}, items)
+        at_leads = [(i, r) for i, c in y.items() if i in index and (r := c % p)]
+        get = y.get
+        for i, r in at_leads:
+            for k, a in rows[i].items():
+                y[k] = get(k, 0) - r * a
+        if any(c % p for c in y.values()):
             raise ConsistencyError("span is not invariant under the unipotent")
-        coords.append({index[at]: r for at, r in steps})
+        coords.append({index[i]: r for i, r in at_leads})
     return coords
 
 

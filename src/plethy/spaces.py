@@ -38,6 +38,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import cache, lru_cache
+from math import gcd
 from typing import ClassVar
 
 from .rings import ConsistencyError, Ring, ZZ, binomial, json_int, json_kind
@@ -904,9 +905,64 @@ def rank_of_vectors(vectors: list[ModuleElement]) -> int:
     return len(pivots)
 
 
+def _combined(s: int, x: dict, t: int, y: dict) -> dict:
+    """s x + t y for integer vectors, with the zeros dropped."""
+    out = {k: s * c for k, c in x.items()} if s != 1 else dict(x)
+    get = out.get
+    for k, c in y.items():
+        out[k] = get(k, 0) + t * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _divided(x: dict, g: int) -> dict:
+    return {k: c // g for k, c in x.items()} if g != 1 else x
+
+
+def _integer_kernel(cols) -> list[dict]:
+    """The kernel combinations of _echelon over QQ, each scaled to a
+    primitive integer vector with positive trailing coefficient, by
+    fraction-free column reduction with the same pivoting.
+
+    A step with entry a at the pivot row r and pivot entry b replaces v by
+    (b/g) v - (a/g) pv, g = gcd(a, b), and its combination likewise, so
+    each v and each combination is a nonzero integer multiple of the one
+    over QQ, and the same rows become pivots.  Each stored pivot, with its
+    combination, and each kernel combination is divided by its content."""
+    pivots: dict = {}
+    kernel = []
+    for j, col in enumerate(cols):
+        v = dict(col)
+        combo = {j: 1}
+        while v:
+            r = min(v)
+            hit = pivots.get(r)
+            if hit is None:
+                g = gcd(*v.values(), *combo.values())
+                pivots[r] = (_divided(v, g), _divided(combo, g))
+                break
+            pv, pc = hit
+            a, b = v[r], pv[r]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            v = _combined(b, v, -a, pv)
+            combo = _combined(b, combo, -a, pc)
+        else:
+            g = gcd(*combo.values())
+            kernel.append(_divided(combo, g if combo[j] > 0 else -g))
+    return kernel
+
+
 def kernel_basis(A: LinearMap) -> list[ModuleElement]:
-    """A basis of ker A as domain elements, each verified to map to zero."""
-    _, combos = _echelon(A.pcols, A.ring, track=True)
+    """A basis of ker A as domain elements, each verified to map to zero.
+
+    Over a field the vectors come from _echelon.  Over ZZ they are a basis
+    over QQ of the kernel made of primitive integer vectors, from
+    _integer_kernel (not always a basis of the integer kernel lattice): no
+    Fraction is formed, and the zero check runs over ZZ."""
+    if A.ring == ZZ:
+        combos = _integer_kernel(A.pcols)
+    else:
+        _, combos = _echelon(A.pcols, A.ring, track=True)
     out = []
     for combo in combos:
         if _settled(A.ring, A._add_image({}, combo.items())):

@@ -1,6 +1,7 @@
 """Helpers shared by the oracle tests; nothing in the package uses them."""
 
-from plethy import ZZ, LinearMap, pair_sort_key
+from plethy import ZZ, ConsistencyError, LinearMap, dim, pair_sort_key
+from plethy.conjecture import _Rows
 from plethy.tableaux import Pair, is_increasing
 
 
@@ -36,3 +37,54 @@ def increasing_to_pair(alpha: int, k: tuple[int, ...]) -> Pair:
     i = k[:alpha] + tuple(v - 1 for v in k[alpha + 1 :])
     j = k[alpha] - 1
     return i, j
+
+
+def packed_span_coordinates(p: int, U: LinearMap, vectors: list) -> list:
+    """The packed algorithm that conjecture._span_coordinates replaced.
+
+    The vectors are echelonized in packed _Rows, leading slot first, and a
+    dependent one is a ValueError.  Each stored row b is unpacked by slot
+    enumeration, S b = U b - b is eliminated against the echelon, and the
+    steps taken are its coordinates; a nonzero remainder is the
+    ConsistencyError of a span that S does not preserve."""
+    rows = _Rows(p, dim(U.domain))
+    for v in vectors:
+        x = rows.reduce(rows.pack(v))
+        if not x:
+            raise ValueError("vectors are not linearly independent")
+        rows.insert(x)
+    index = {at: j for j, at in enumerate(rows.pivots)}
+    coords = []
+    for b in rows.pivots.values():
+        if p == 2:
+            items = {i: 1 for i in range(b.bit_length()) if b >> i & 1}.items()
+        else:
+            items = {i: c for i, c in enumerate(rows.slots(b)) if c}.items()
+        image = U._add_image({i: -c for i, c in items}, items)
+        x = rows.pack({i: r for i, c in image.items() if (r := c % p)})
+        steps: list = []
+        if _reduce_with_steps(rows, x, steps):
+            raise ConsistencyError("span is not invariant under the unipotent")
+        coords.append({index[at]: r for at, r in steps})
+    return coords
+
+
+def _reduce_with_steps(rows, x: int, steps: list) -> int:
+    """rows.reduce(x), appending (bit offset, r) for each step that
+    subtracts r times the pivot row at that offset."""
+    pivots, p, w = rows.pivots, rows.p, rows.w
+    top = x.bit_length()
+    while top:
+        at = (top - 1) & -w
+        s = x >> at
+        r = s % p
+        if r:
+            row = pivots.get(at)
+            if row is None:
+                return x
+            x = x ^ row if p == 2 else x + (p - r) * row - ((s + p - r) << at)
+            steps.append((at, r))
+        else:
+            x -= s << at
+        top = x.bit_length()
+    return x

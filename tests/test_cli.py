@@ -406,6 +406,18 @@ def test_scan_json_is_reproducible(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_scan_json_does_not_depend_on_the_order_of_the_primes(tmp_path, capsys):
+    # the reports list the primes sorted, and so does the grid
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    args = ["scan", "--M", "2", "--N", "1", "--d", "1"]
+    main(args + ["--p", "2,3", "--out", str(a)])
+    main(args + ["--p", "3,2", "--out", str(b)])
+    capsys.readouterr()
+    assert a.read_bytes() == b.read_bytes()
+    assert json.loads(a.read_bytes())["grid"]["p"] == [2, 3]
+    assert hashlib.sha256(a.read_bytes()).hexdigest().startswith("2565d9b4")
+
+
 def test_scan_rejects_bad_grid(capsys):
     assert main(["scan", "--M", "0", "--N", "1", "--d", "0"]) == 2
     assert "usage error" in capsys.readouterr().err

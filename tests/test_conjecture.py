@@ -1,16 +1,18 @@
 """The general-parameter comparison grid and its modular fingerprints."""
 
 import concurrent.futures
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plethy import spaces
+from plethy import conjecture, spaces
 from plethy import (
     QQ,
     ZZ,
     ConsistencyError,
+    LinearMap,
     ModuleElement,
     PrimeField,
     Sym,
@@ -25,6 +27,7 @@ from plethy import (
     hook_schur_polynomial,
     jordan_fingerprint,
     jordan_type_from_ranks,
+    kernel_basis,
     kernel_qchar,
     lhs_space,
     multiplication_map,
@@ -32,6 +35,7 @@ from plethy import (
     scan,
     scan_one,
 )
+from plethy.characters import _count_qpoly
 
 # ------------------------------------------------------------------- the map
 
@@ -94,6 +98,87 @@ def test_qchar_shift_matches_degree_bookkeeping():
         assert result["qchar_shift"] == expected
 
 
+# ------------------------------------------------------------ integer kernel
+
+SMALL_POINTS = st.tuples(st.integers(2, 4), st.integers(1, 3), st.integers(0, 4)).filter(
+    lambda mnd: dim(hook_domain(*mnd)) <= 400
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SMALL_POINTS)
+def test_integer_kernel_is_the_rational_kernel_scaled(point):
+    # the rational kernel_basis is the oracle: each integer vector is its
+    # vector times the trailing coefficient, primitive, and maps to zero
+    # over ZZ, so the graded dimensions agree
+    A = hook_kernel_map(ZZ, *point)
+    integer = kernel_basis(A)
+    rational = kernel_basis(hook_kernel_map(QQ, *point))
+    assert len(integer) == len(rational)
+    for v, w in zip(integer, rational):
+        assert v.ring == ZZ and A.apply(v).is_zero()
+        trailing = v.pcoeffs[max(v.pcoeffs)]
+        assert trailing > 0 and gcd(*v.pcoeffs.values()) == 1
+        assert v.pcoeffs == {r: trailing * c for r, c in w.pcoeffs.items()}
+    degrees = [w.homogeneous_ydegree() for w in rational]
+    assert kernel_qchar(ZZ, *point) == kernel_qchar(QQ, *point) == _count_qpoly(degrees)
+
+
+def test_a_skipped_combination_step_fails_the_zero_check(monkeypatch):
+    # each step combines v and then its combination; leaving the pivot's
+    # part out of every combination leaves v's relation to it broken
+    calls = []
+    real = spaces._combined
+
+    def skipping(s, x, t, y):
+        calls.append(1)
+        return real(s, x, t if len(calls) % 2 else 0, y)
+
+    monkeypatch.setattr(spaces, "_combined", skipping)
+    with pytest.raises(ConsistencyError, match="kernel vector failed the zero check"):
+        kernel_qchar(QQ, 3, 2, 3)
+    assert calls
+
+
+def test_the_scan_forms_no_fraction(monkeypatch):
+    # the characteristic-zero dims come from integer kernel vectors
+    import fractions
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was formed")
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", refuse)
+    with pytest.raises(AssertionError, match="a Fraction was formed"):
+        fractions.Fraction(1)
+    for M, N, d in ((1, 2, 3), (2, 2, 3), (3, 2, 4), (4, 1, 3)):
+        report = scan_one(M, N, d, (2, 3))
+        assert report.kernel_matches_tableaux
+
+
+def test_the_kernel_map_is_built_once_per_point_and_reduced(monkeypatch):
+    # the integer map is built once per point, and each field's map is its
+    # reduction, with the entries divisible by p dropped
+    builds = []
+    real = LinearMap.from_function.__func__
+
+    def counting(cls, ring, domain, codomain, fn):
+        builds.append(ring)
+        return real(cls, ring, domain, codomain, fn)
+
+    monkeypatch.setattr(LinearMap, "from_function", classmethod(counting))
+    conjecture._integer_kernel_maps.clear()
+    scan_one(4, 1, 2, (2, 3, 5))
+    assert builds == [ZZ]
+    A = hook_kernel_map(ZZ, 4, 1, 2)
+    assert 3 in {c for col in A.pcols for c in col.values()}
+    for p in (2, 3, 5):
+        ring = PrimeField(p)
+        assert hook_kernel_map(ring, 4, 1, 2) == A.map_entries(ring, lambda n: n % p)
+    assert builds == [ZZ]
+    hook_kernel_map(ZZ, 4, 1, 3)
+    assert list(conjecture._integer_kernel_maps) == [(4, 1, 3)]
+
+
 # ------------------------------------------------------------------- fingerprints
 
 
@@ -154,37 +239,23 @@ def test_jordan_fingerprint_rejects_dependent_vectors():
 
 def test_kernel_vectors_are_their_own_echelon_rows():
     # each kernel_basis vector has its own free column as its highest
-    # position, with coefficient one, so echelonizing the scan's vectors
-    # stores each one as it is
-    from plethy.conjecture import _Rows
+    # position, its lead, with coefficient one, and every other vector is
+    # zero there: the reduced echelon form that _span_coordinates reads the
+    # coordinates off, so _reduced_rows stores each one as it is
+    from plethy.conjecture import _reduced_rows
 
     for M, N, d in ((2, 1, 3), (3, 1, 3), (3, 2, 4), (4, 1, 2)):
         for p in (2, 3, 5):
             vectors = hook_kernel_vectors(PrimeField(p), M, N, d)
-            rows = _Rows(p, dim(hook_domain(M, N, d)))
-            for v in vectors:
-                x = rows.pack(v.pcoeffs)
-                assert rows.reduce(x) == x
-                rows.insert(x)
-            assert list(rows.pivots.values()) == [rows.pack(v.pcoeffs) for v in vectors]
-
-
-@pytest.mark.parametrize("p, w", [(3, 8), (17, 16), (257, 32), (65521, 64)])
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_unpack_walks_the_nonzero_slots_as_slot_enumeration_does(p, w, data):
-    # slot values reach the top bit of a slot, so folding a slot onto its
-    # lowest bit must see every bit of it
-    from plethy.conjecture import _Rows
-
-    length = data.draw(st.integers(1, 30))
-    rows = _Rows(p, length)
-    assert rows.w == w
-    values = st.one_of(st.integers(0, p - 1), st.integers(0, 2**w - 1))
-    entries = data.draw(st.dictionaries(st.integers(0, length - 1), values))
-    x = rows.pack(entries)
-    by_slot = {i: v for i, v in enumerate(rows.slots(x)) if v}
-    assert rows.unpack(x) == by_slot == {i: v for i, v in entries.items() if v}
+            leads = [max(v.pcoeffs) for v in vectors]
+            assert all(v.pcoeffs[lead] == 1 for v, lead in zip(vectors, leads))
+            assert len(set(leads)) == len(leads)
+            for v, lead in zip(vectors, leads):
+                assert v.pcoeffs.keys() & set(leads) == {lead}
+            reduced = _reduced_rows(p, [v.pcoeffs for v in vectors])
+            assert list(reduced.items()) == [
+                (lead, v.pcoeffs) for v, lead in zip(vectors, leads)
+            ]
 
 
 # ------------------------------------------------------------------- reports

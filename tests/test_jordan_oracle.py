@@ -1,5 +1,6 @@
 """Differential tests: the packed Jordan fingerprint against the original
-dict-elimination algorithm, kept here as a reference oracle only, and the
+dict-elimination algorithm, kept here as a reference oracle only, the
+sparse span coordinates against the packed ones they replaced, and the
 tensor rule against the direct fingerprint of the whole tensor."""
 
 import pytest
@@ -25,7 +26,9 @@ from plethy import (
     lhs_space,
     rank_of_vectors,
 )
-from plethy.conjecture import _tensor_jordan_type
+from plethy.conjecture import _power_ranks, _span_coordinates, _tensor_jordan_type
+
+from oracles import packed_span_coordinates
 
 PRIMES = st.sampled_from((2, 3, 5, 7))
 
@@ -140,6 +143,47 @@ def test_span_fingerprint_matches_oracle(case):
     assert outcome(jordan_fingerprint, p, space, vectors) == outcome(
         oracle_fingerprint, p, space, vectors
     )
+
+
+# ------------------------------------------------------ span coordinates
+
+
+def span_outcome(span, p, space, vectors):
+    """The Jordan type of S on the span from span's coordinates, or the
+    exception type."""
+    ring = PrimeField(p)
+    U = group_action_map(ring, ((ring.one, ring.one), (ring.zero, ring.one)), space)
+    try:
+        coords = span(p, U, [v.pcoeffs for v in vectors])
+        return jordan_type_from_ranks(_power_ranks(p, coords))
+    except (ValueError, ConsistencyError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(vector_sets())
+def test_span_coordinates_match_the_packed_oracle(case):
+    p, space, vectors = case
+    assert span_outcome(_span_coordinates, p, space, vectors) == span_outcome(
+        packed_span_coordinates, p, space, vectors
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    PRIMES,
+    st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(0, 5)).filter(
+        lambda mnd: dim(hook_domain(*mnd)) <= 600
+    ),
+)
+def test_span_coordinates_of_kernel_vectors_equal_the_packed_ones(p, point):
+    # on kernel vectors the reduced echelon basis is the vectors
+    # themselves, as the packed echelon was, so the columns are identical
+    ring = PrimeField(p)
+    space = hook_domain(*point)
+    vectors = [v.pcoeffs for v in hook_kernel_vectors(ring, *point)]
+    U = group_action_map(ring, ((ring.one, ring.one), (ring.zero, ring.one)), space)
+    assert _span_coordinates(p, U, vectors) == packed_span_coordinates(p, U, vectors)
 
 
 # ----------------------------------------------------------- the tensor rule

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -592,6 +593,40 @@ def test_rank_of_vectors():
     ]
     assert rank_of_vectors(vs) == 2
     assert rank_of_vectors([]) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda c: st.lists(
+            st.dictionaries(st.integers(0, 4), st.integers(-4, 4), max_size=4),
+            min_size=c + 1,
+            max_size=c + 1,
+        )
+    )
+)
+def test_integer_kernel_is_the_rational_kernel_scaled_to_primitive(cols):
+    # over ZZ each kernel vector is the one over QQ times its trailing
+    # coefficient, which is positive, and its entries have no common factor
+    domain, codomain = Sym(len(cols) - 1), Sym(4)
+    A = LinearMap.from_positions(domain, codomain, ZZ, cols)
+    B = LinearMap.from_positions(
+        domain, codomain, QQ, ({r: Fraction(c) for r, c in col.items()} for col in cols)
+    )
+    integer, rational = kernel_basis(A), kernel_basis(B)
+    assert len(integer) == len(rational)
+    for v, w in zip(integer, rational):
+        assert v.ring == ZZ and A.apply(v).is_zero()
+        trailing = v.pcoeffs[max(v.pcoeffs)]
+        assert trailing > 0 and gcd(*v.pcoeffs.values()) == 1
+        assert v.pcoeffs == {r: trailing * c for r, c in w.pcoeffs.items()}
+
+
+def test_integer_kernel_turns_a_negative_trailing_coefficient_positive():
+    # columns -1 and 1: the elimination ends at -(e0 + e1)
+    A = LinearMap.from_positions(Sym(1), Sym(0), ZZ, [{0: -1}, {0: 1}])
+    (v,) = kernel_basis(A)
+    assert v.pcoeffs == {0: 1, 1: 1}
 
 
 def test_kernel_vectors_annihilate_map():
