@@ -363,7 +363,15 @@ def test_json_text_edge_cases(indent_in_c, payload):
 
 @WRITER_PATHS
 @pytest.mark.parametrize(
-    "payload", [{(1, 2): 0}, [object()], {"a": [{1j: 0}]}, [[1, 2], [3, {4}]]], ids=repr
+    "payload",
+    # repr(object()) holds an address, so that case gets a fixed id
+    [
+        {(1, 2): 0},
+        pytest.param([object()], id="[object()]"),
+        {"a": [{1j: 0}]},
+        [[1, 2], [3, {4}]],
+    ],
+    ids=repr,
 )
 def test_json_text_rejects_what_json_dumps_rejects(indent_in_c, payload):
     with pytest.raises(TypeError):
