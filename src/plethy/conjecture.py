@@ -25,6 +25,7 @@ import concurrent.futures
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .characters import _count_qpoly, hook_schur_polynomial, qchar
 from .rings import QQ, ZZ, ConsistencyError, PrimeField, Ring
@@ -72,7 +73,8 @@ def hook_domain(M: int, N: int, d: int) -> Space:
 
 def hook_kernel_map(ring: Ring, M: int, N: int, d: int) -> LinearMap:
     """The defining map of the hook kernel, M >= 2: the integer map of the
-    point, built once, reduced into ring."""
+    point, built once and held until another point's is asked for, reduced
+    into ring."""
     A = _integer_kernel_map(M, N, d)
     if ring == ZZ:
         return A
@@ -81,22 +83,11 @@ def hook_kernel_map(ring: Ring, M: int, N: int, d: int) -> LinearMap:
     return A.map_entries(ring, ring.from_int)
 
 
-# The integer kernel map of the last point asked for, keyed by (M, N, d):
-# kernel_qchar and every prime of a scan point reduce the same map.  A new
-# point empties the slot before its map is built, so it holds the map of
-# one point at most.
-_integer_kernel_maps: dict = {}
-
-
+@lru_cache(maxsize=1)
 def _integer_kernel_map(M: int, N: int, d: int) -> LinearMap:
     _check_mnd(M, N, d)
     if M < 2:
         raise ValueError("the kernel map needs M >= 2")
-    point = (M, N, d)
-    A = _integer_kernel_maps.get(point)
-    if A is not None:
-        return A
-    _integer_kernel_maps.clear()
     domain = hook_domain(M, N, d)
     codomain = Tensor(Wedge(N + 1, Sym(d)), SymPower(M - 2, Sym(d)))
 
@@ -113,8 +104,7 @@ def _integer_kernel_map(M: int, N: int, d: int) -> LinearMap:
             out[key] = out.get(key, 0) + m.count(x) * sgn
         return out
 
-    A = _integer_kernel_maps[point] = LinearMap.from_function(ZZ, domain, codomain, fn)
-    return A
+    return LinearMap.from_function(ZZ, domain, codomain, fn)
 
 
 def hook_kernel_vectors(ring: Ring, M: int, N: int, d: int) -> list[ModuleElement]:

@@ -26,7 +26,7 @@ K and the multiplication map mu of the hook space:
     the twist det^N, so the two swaps agree through phi up to (-1)^N.
 
 The map is one integer matrix, so each route keeps its arithmetic on
-integers or on residues reduced once per entry.  Three design notes keep
+integers or on residues reduced once per entry.  Four design notes keep
 the routes to the work their claims need:
 
   * poly: the exponent is fixed by weight.  Every entry of the upper
@@ -52,9 +52,8 @@ the routes to the work their claims need:
     B phi, the swap's sign law included, is checked one domain column at a
     time, both sides summed raw into one dict keyed by basis position and
     dropped, and the first entry that stays nonzero once reduced ends the
-    check.  The inverse round
-    trips run one Y-degree block at a time, on pair positions.  Only the
-    swaps' involutions still compose whole maps.
+    check.  The inverse round trips run one Y-degree block at a time, on
+    pair positions.  Only the swaps' involutions still compose whole maps.
   * no unipotent route builds a tensor action whole.  Both spaces are
     tensor products, and group_action_map gives the action of g on one as
     a KroneckerMap of its factors' actions A (x) B, whose columns are
@@ -75,7 +74,7 @@ comparison at gamma = p - 1.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from math import prod
 
 from . import tableaux
@@ -317,8 +316,10 @@ def _is_block_identity(left: list, right: list, idxs) -> bool:
     return True
 
 
-@cache
+@lru_cache(maxsize=1)
 def iso_context(N: int, d: int) -> IsoContext:
+    """Shared context for the last (N, d) asked for: a command certifies one
+    point at a time, so one is held."""
     return IsoContext(N, d)
 
 
@@ -431,7 +432,9 @@ def _sym_tables_are_monomial(spaces, transpose: bool) -> bool:
 # The poly route's last integer comparison of phi with U(1), one slot per
 # transpose: (phi, domain action, ambient action, result) over ZZ.  The fp
 # route reads it in _passed_over_zz.  Every poly call clears both slots
-# first, so they hold the maps of one point at most.
+# first, so they hold the maps of one point at most.  The record is not kept
+# on the context: copies of a context (copy.copy) would share it, and the is
+# check on phi is what keeps one copy from reading another copy's result.
 _zz_unipotent_checks: dict = {}
 
 

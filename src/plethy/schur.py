@@ -22,7 +22,7 @@ confirm linear independence and spanning.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 
 from . import tableaux
 from .rings import QQ, ZZ, ConsistencyError, Ring
@@ -140,7 +140,8 @@ class HookSchurSpace:
             raise ConsistencyError("kernel dimension does not match the pair count")
 
 
-@cache
+@lru_cache(maxsize=1)
 def hook_schur_space(N: int, d: int) -> HookSchurSpace:
-    """Shared, construction-verified instance for (N, d)."""
+    """Shared, construction-verified instance for the last (N, d) asked
+    for; one point is held at a time."""
     return HookSchurSpace(N, d)

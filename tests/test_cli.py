@@ -1,13 +1,21 @@
 """Command line behavior: exit codes, artifacts, and reproducibility."""
 
 import csv
+import gc
 import hashlib
 import io
 import json
+import weakref
 
 import pytest
 
-from plethy import ZZ, ConsistencyError, iso_context, linear_map_from_json
+from plethy import (
+    ZZ,
+    ConsistencyError,
+    hook_schur_space,
+    iso_context,
+    linear_map_from_json,
+)
 from plethy.cli import main, parse_primes, parse_range
 from plethy.cli import UsageError
 
@@ -289,6 +297,24 @@ def test_verify_skips_out_of_range_points(capsys):
     assert "skip (N=4, d=0)" in err
     assert "skip (N=4, d=1)" in err
     assert "(N=4, d=2)" in err  # the boundary point runs
+
+
+def test_verify_holds_one_grid_point_at_a_time(capsys):
+    # the first point's context and hook space are gone once the grid has
+    # moved on, and no point's objects are built twice
+    iso_context.cache_clear()
+    hook_schur_space.cache_clear()
+    ctx = iso_context(1, 0)  # the grid's first point, which the run reuses
+    dead_ctx, dead_hook = weakref.ref(ctx), weakref.ref(ctx.hook)
+    del ctx
+    assert main(["verify", "--N", "1..2", "--d", "0..3", "--p", "2"]) == 0
+    capsys.readouterr()
+    gc.collect()
+    assert dead_ctx() is None
+    assert dead_hook() is None
+    for cached in (iso_context, hook_schur_space):
+        info = cached.cache_info()
+        assert (info.currsize, info.misses) == (1, 8)
 
 
 # ---------------------------------------------------------------------- dump

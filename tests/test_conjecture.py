@@ -166,7 +166,8 @@ def test_the_kernel_map_is_built_once_per_point_and_reduced(monkeypatch):
         return real(cls, ring, domain, codomain, fn)
 
     monkeypatch.setattr(LinearMap, "from_function", classmethod(counting))
-    conjecture._integer_kernel_maps.clear()
+    cached = conjecture._integer_kernel_map
+    cached.cache_clear()
     scan_one(4, 1, 2, (2, 3, 5))
     assert builds == [ZZ]
     A = hook_kernel_map(ZZ, 4, 1, 2)
@@ -175,8 +176,12 @@ def test_the_kernel_map_is_built_once_per_point_and_reduced(monkeypatch):
         ring = PrimeField(p)
         assert hook_kernel_map(ring, 4, 1, 2) == A.map_entries(ring, lambda n: n % p)
     assert builds == [ZZ]
-    hook_kernel_map(ZZ, 4, 1, 3)
-    assert list(conjecture._integer_kernel_maps) == [(4, 1, 3)]
+    B = hook_kernel_map(ZZ, 4, 1, 3)
+    assert builds == [ZZ, ZZ]
+    # the one slot holds (4, 1, 3): asking for it again builds nothing
+    assert cached.cache_info().currsize == 1
+    assert cached(4, 1, 3) is B
+    assert builds == [ZZ, ZZ]
 
 
 # ------------------------------------------------------------------- fingerprints
