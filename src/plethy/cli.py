@@ -44,6 +44,12 @@ from .rings import ZZ, ConsistencyError, PrimeField, ring_by_name
 from .schur import hook_schur_space
 
 
+# The one-point caches that verify clears between grid points, bound at
+# import: a tracer such as perfbench/spans.py rebinds the public names to
+# plain wrappers, which have no cache_clear.
+_POINT_CACHES = (iso_context, hook_schur_space)
+
+
 class UsageError(Exception):
     pass
 
@@ -250,7 +256,9 @@ def verify_point(N: int, d: int, primes: tuple[int, ...]) -> dict:
 
 def cmd_verify(args) -> int:
     Ns, ds = parse_grid(args)
-    primes = parse_primes(args.p)
+    # sorted, as scan runs them, so the report's bytes do not depend on the
+    # order the primes were given in
+    primes = tuple(sorted(parse_primes(args.p)))
     if all(N > d + 2 for N in Ns for d in ds):
         raise UsageError(f"no grid point has N <= d + 2 in --N {args.N} --d {args.d}")
     points = []
@@ -259,6 +267,11 @@ def cmd_verify(args) -> int:
             if N > d + 2:
                 note(f"skip (N={N}, d={d}): rank exceeds degree + 2, no such map")
                 continue
+            if points:
+                # drop the last point's context and hook space before this
+                # point's are built, so the run peaks at its largest point
+                for cached in _POINT_CACHES:
+                    cached.cache_clear()
             point = verify_point(N, d, primes)
             points.append(point)
             failed = [k for k, v in point["checks"].items() if not v]

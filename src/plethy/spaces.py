@@ -195,17 +195,19 @@ class _Power(Space):
     def _action_columns(self, ring, g):
         """Each label's image, in basis order, keyed by basis position: the
         image of its prefix label[:-1] times the inner column of label[-1].
-        A new factor b is placed with bisect; in a wedge, moving it past
-        the k - pos larger factors of a k-tuple gives the sign
-        (-1)^(k - pos), and a repeated factor gives zero.  Labels that
-        share a prefix are contiguous in lexicographic order, so only the
-        images of the current label's prefixes are kept, as a stack keyed
-        by tuples."""
-        strict = self.strict
+        Labels that share a prefix are contiguous in lexicographic order,
+        so only the images of the current label's prefixes are kept, as a
+        stack: images[k] is the image of label[:k], keyed by position in
+        the k-th power.  Placing one more factor b reads the level-k table
+        of _insertions, which gives the position in the (k+1)-th power, as
+        ~pos when the wedge sign is -1 and None for a repeated wedge
+        factor; the tables are pure space data, cached across points.  The
+        last level is yielded raw, as the LinearMap settles each column."""
         inner = [col.items() for col in self.inner._action_columns(ring, g)]
-        idx = basis_index(self)
+        tables = [_insertions(type(self), self.inner, k) for k in range(self.r)]
+        last = self.r - 1
         zero = ring.zero
-        images = [{(): ring.one}]  # images[k] is the image of label[:k]
+        images = [{0: ring.one}]
         prev = ()
         for label in basis(self):
             k = 0
@@ -213,20 +215,23 @@ class _Power(Space):
                 k += 1
             del images[k + 1 :]
             for k in range(k, self.r):
+                table = tables[k]
+                terms = inner[label[k]]
                 out: dict = {}
                 get = out.get
                 for t, v in images[k].items():
-                    for b, cb in inner[label[k]]:
-                        pos = bisect_left(t, b)
-                        if strict and pos < k and t[pos] == b:
+                    row = table[t]
+                    for b, cb in terms:
+                        j = row[b]
+                        if j is None:
                             continue
-                        new = t[:pos] + (b,) + t[pos:]
-                        if strict and (k - pos) & 1:
-                            out[new] = get(new, zero) - v * cb
+                        if j < 0:
+                            j = ~j
+                            out[j] = get(j, zero) - v * cb
                         else:
-                            out[new] = get(new, zero) + v * cb
-                images.append(_settled(ring, out))
-            yield {idx[t]: v for t, v in images.pop().items()}
+                            out[j] = get(j, zero) + v * cb
+                images.append(out if k == last else _settled(ring, out))
+            yield images.pop()
             prev = label
 
     def _lie_columns(self, which):
@@ -385,6 +390,31 @@ def basis_index(space: Space) -> dict:
 @cache
 def dim(space: Space) -> int:
     return space._dim()
+
+
+@cache
+def _insertions(kind: type, inner: Sym, k: int) -> list:
+    """The table that places one more factor into kind(k, inner): entry
+    [t][b] is the position in kind(k + 1, inner) of the label at position
+    t with the inner label b placed by bisect.  In a wedge, moving b past
+    the k - pos larger factors gives the sign (-1)^(k - pos), stored as
+    ~position when it is -1, and a repeated factor is None.  Every caller
+    shares one table, so it is read-only.  The two levels' bases are
+    enumerated here and not cached, so a table keeps no label tuples."""
+    strict = kind.strict
+    place = {u: j for j, u in enumerate(kind(k + 1, inner)._basis())}
+    table = []
+    for t in kind(k, inner)._basis():
+        row = []
+        for b in range(inner.c + 1):
+            pos = bisect_left(t, b)
+            if strict and pos < k and t[pos] == b:
+                row.append(None)
+                continue
+            j = place[t[:pos] + (b,) + t[pos:]]
+            row.append(~j if strict and (k - pos) & 1 else j)
+        table.append(row)
+    return table
 
 
 def wedge_normalize(factors, top: int):

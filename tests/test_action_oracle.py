@@ -9,6 +9,7 @@ the same per product.  Both drop zeros as they go.  The oracle Lie action
 applies e or f to one basis label at a time, factor by factor.
 """
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -224,6 +225,15 @@ SPACES = st.recursive(
 
 SMALL_SPACES = SPACES.filter(lambda s: dim(s) <= 8)
 
+# single powers deep enough to read every level k < r <= 5 of the insertion
+# tables, bounded by dimension and by the oracle's product count
+DEEP_POWERS = st.one_of(
+    st.integers(3, 5).flatmap(
+        lambda r: st.builds(Wedge, st.just(r), st.integers(r - 1, 7).map(Sym))
+    ),
+    st.builds(SymPower, st.integers(3, 5), st.integers(0, 3).map(Sym)),
+).filter(lambda s: dim(s) <= 40 and dim(s) * (s.inner.c + 1) ** s.r <= 50_000)
+
 
 def scalars(ring):
     """Small payloads of a ring, zero included, so sums can cancel."""
@@ -280,6 +290,54 @@ def test_action_map_matches_oracle(ring_g, space):
     ring, g = ring_g
     A = group_action_map(ring, g, space)
     assert A.cols == oracle_action_cols(ring, g, space)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ring_and_matrix(), DEEP_POWERS)
+def test_deep_power_action_matches_oracle(ring_g, space):
+    ring, g = ring_g
+    A = group_action_map(ring, g, space)
+    assert A.cols == oracle_action_cols(ring, g, space)
+
+
+@pytest.mark.parametrize("kind", [Wedge, SymPower])
+def test_insertion_tables_place_a_factor_as_sorting_does(kind):
+    # entry [t][b] against sorting t + (b,): its position in the next
+    # power, ~position for a wedge sign of -1, None for a repeated factor
+    for c in range(7):
+        inner = Sym(c)
+        for k in range(6):
+            table = spaces._insertions(kind, inner, k)
+            assert table is spaces._insertions(kind, inner, k)
+            labels = basis(kind(k, inner))
+            assert len(table) == len(labels)
+            idx = basis_index(kind(k + 1, inner))
+            for t, row in zip(labels, table):
+                assert len(row) == c + 1
+                for b, entry in enumerate(row):
+                    if kind is SymPower:
+                        assert entry == idx[tuple(sorted(t + (b,)))]
+                        continue
+                    placed = wedge_normalize(t + (b,), c)
+                    if placed is None:
+                        assert entry is None
+                    else:
+                        label, sign = placed
+                        assert entry == (idx[label] if sign == 1 else ~idx[label])
+
+
+@pytest.mark.parametrize(
+    "ring,digest",
+    [
+        (ZZ, "3051f4cb2aa87a5f6390f99d8b3a5ea993dd45ab360b00ce6cd125e99ba93034"),
+        (PrimeField(3), "b011a3e2663c2b8379d83dc44f548737ee6c00a904c96afcc7e8d6c36f0b5d84"),
+    ],
+)
+def test_unipotent_on_wedge_5_sym_11_is_pinned(ring, digest):
+    # the columns, their keys in order, of the builder that placed each
+    # factor by bisect into label tuples and translated them at the end
+    A = group_action_map(ring, ((1, 1), (0, 1)), Wedge(5, Sym(11)))
+    assert hashlib.sha256(repr(A.pcols).encode()).hexdigest() == digest
 
 
 def test_action_oracle_covers_a_wedge_sign():

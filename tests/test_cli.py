@@ -12,6 +12,8 @@ import pytest
 from plethy import (
     ZZ,
     ConsistencyError,
+    HookSchurSpace,
+    IsoContext,
     hook_schur_space,
     iso_context,
     linear_map_from_json,
@@ -299,9 +301,22 @@ def test_verify_skips_out_of_range_points(capsys):
     assert "(N=4, d=2)" in err  # the boundary point runs
 
 
-def test_verify_holds_one_grid_point_at_a_time(capsys):
+def test_verify_holds_one_grid_point_at_a_time(capsys, monkeypatch):
     # the first point's context and hook space are gone once the grid has
-    # moved on, and no point's objects are built twice
+    # moved on, and already when the next point's are built; the pre-built
+    # first point is reused, and every point's objects are built once.
+    # Constructions are counted, as cache_clear resets cache_info
+    built = {IsoContext: [], HookSchurSpace: []}
+    live = {IsoContext: [], HookSchurSpace: []}  # earlier objects alive at each build
+    refs = {IsoContext: [], HookSchurSpace: []}
+    for cls in built:
+        def counting(self, N, d, cls=cls, init=cls.__init__):
+            gc.collect()
+            live[cls].append(sum(ref() is not None for ref in refs[cls]))
+            built[cls].append((N, d))
+            refs[cls].append(weakref.ref(self))
+            init(self, N, d)
+        monkeypatch.setattr(cls, "__init__", counting)
     iso_context.cache_clear()
     hook_schur_space.cache_clear()
     ctx = iso_context(1, 0)  # the grid's first point, which the run reuses
@@ -312,9 +327,22 @@ def test_verify_holds_one_grid_point_at_a_time(capsys):
     gc.collect()
     assert dead_ctx() is None
     assert dead_hook() is None
+    points = [(N, d) for N in (1, 2) for d in range(4)]
+    assert built == {IsoContext: points, HookSchurSpace: points}
+    assert live == {IsoContext: [0] * 8, HookSchurSpace: [0] * 8}
     for cached in (iso_context, hook_schur_space):
-        info = cached.cache_info()
-        assert (info.currsize, info.misses) == (1, 8)
+        assert cached.cache_info().currsize == 1
+
+
+def test_verify_report_bytes_do_not_depend_on_the_order_of_the_primes(tmp_path, capsys):
+    outs = []
+    for primes in ("3,2", "2,3"):
+        out = tmp_path / f"verify-{primes}.json"
+        assert main(["verify", "--N", "1", "--d", "1", "--p", primes, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    capsys.readouterr()
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["grid"]["p"] == [2, 3]
 
 
 # ---------------------------------------------------------------------- dump
