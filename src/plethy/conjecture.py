@@ -21,7 +21,6 @@ types over small prime fields, and reports what it finds.
 
 from __future__ import annotations
 
-import concurrent.futures
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -603,6 +602,10 @@ def scan(
                     continue
                 jobs.append((M, N, d, primes))
     if workers > 1 and len(jobs) > 1:
+        # imported here: only a parallel scan needs the pool, and the import
+        # costs every command several milliseconds
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(workers, len(jobs))
         ) as pool:

@@ -26,8 +26,20 @@ K and the multiplication map mu of the hook space:
     the twist det^N, so the two swaps agree through phi up to (-1)^N.
 
 The map is one integer matrix, so each route keeps its arithmetic on
-integers or on residues reduced once per entry.  Four design notes keep
+integers or on residues reduced once per entry.  Five design notes keep
 the routes to the work their claims need:
+
+  * structure: positions, not labels.  The N columns (s, k) that share a
+    wedge label k share one walk of box(k): each member i gives its row
+    pos(i) (d + 1) + t(i), with t(i) = |k| - N - |i|, so the rows are
+    column k of psi: Wedge(N+1, Sym(d+1)) -> Wedge(N, Sym d) (x) Sym(d+1-N),
+    k -> sum over box(k) of i (x) t(i), and column (s, k) is those rows
+    shifted by s, keyed by the ambient's own position ints.  The least
+    and largest t(i) of each k are checked against 0..N-1, so a Y-exponent
+    outside 0..d is still a ConsistencyError; basis_image is the per-label
+    view of the same rows.  mu comes from the wedge insertion table and B
+    from the kernel supports, so no structure map builds an element per
+    label.
 
   * poly: the exponent is fixed by weight.  Every entry of the upper
     unipotent U(gamma) is c gamma^k, where k is the drop in Y-degree (the
@@ -53,7 +65,8 @@ the routes to the work their claims need:
     time, both sides summed raw into one dict keyed by basis position and
     dropped, and the first entry that stays nonzero once reduced ends the
     check.  The inverse round trips run one Y-degree block at a time, on
-    pair positions.  Only the swaps' involutions still compose whole maps.
+    positions local to the block.  Only the swaps' involutions still
+    compose whole maps.
   * no unipotent route builds a tensor action whole.  Both spaces are
     tensor products, and group_action_map gives the action of g on one as
     a KroneckerMap of its factors' actions A (x) B, whose columns are
@@ -113,7 +126,8 @@ def reversal_sign(R: int) -> int:
 
 
 def basis_image(ring: Ring, N: int, d: int, s: int, k: tuple) -> ModuleElement:
-    """Image of the domain basis vector (s, k) in the ambient space.
+    """Image of the domain basis vector (s, k) in the ambient space: the
+    rows of _image_rows for k, shifted by s.
 
     The Y-exponent attached to each box member i is s + |k| - N - |i|; it
     always lands in {0, ..., d}, and a violation would falsify the
@@ -125,17 +139,43 @@ def basis_image(ring: Ring, N: int, d: int, s: int, k: tuple) -> ModuleElement:
         raise ValueError(f"k = {k} is not strictly increasing of length {N + 1}")
     if k[0] < 0 or k[-1] > d + 1:
         raise ValueError(f"k = {k} out of range 0..{d + 1}")
-    hook = hook_schur_space(N, d)
-    total = s + sum(k) - N
-    coeffs = {}
-    for i in tableaux.box(k):
-        j = total - sum(i)
-        if not 0 <= j <= d:
-            raise ConsistencyError(
-                f"Y-exponent {j} escaped 0..{d} at (s={s}, k={k}, i={i})"
-            )
-        coeffs[(i, j)] = ring.one
-    return ModuleElement(hook.ambient, ring, coeffs)
+    coeffs = {r + s: ring.one for r in _image_rows(N, d, k, s, s)}
+    ambient = Tensor(Wedge(N, Sym(d)), Sym(d))
+    return ModuleElement.from_positions(ambient, ring, coeffs)
+
+
+def _image_rows(N: int, d: int, k: tuple, s_lo: int, s_hi: int) -> list:
+    """psi's column k on ambient positions: for each member i of box(k), in
+    box order, the position of (i, t(i)) with t(i) = |k| - N - |i|, that is
+    pos(i) (d + 1) + t(i).  Column (s, k) of phi is these rows shifted by s.
+
+    The Y-exponent s + t(i) is checked to land in 0..d for every s in
+    s_lo..s_hi; the least and largest t(i) decide it, and an escape names
+    the first s and member at which it happens."""
+    total = sum(k) - N
+    members = list(tableaux.box(k))
+    ts = [total - sum(i) for i in members]
+    if ts and (min(ts) + s_lo < 0 or max(ts) + s_hi > d):
+        for s in range(s_lo, s_hi + 1):
+            for i, t in zip(members, ts):
+                if not 0 <= s + t <= d:
+                    raise ConsistencyError(
+                        f"Y-exponent {s + t} escaped 0..{d} at (s={s}, k={k}, i={i})"
+                    )
+    pos = basis_index(Wedge(N, Sym(d)))
+    return [pos[i] * (d + 1) + t for i, t in zip(members, ts)]
+
+
+def _phi_columns(N: int, d: int, ambient: Tensor):
+    """The columns of phi in domain order, (s, k) with s outermost: column
+    (s, k) is psi's column k shifted by s, so each box is walked once, for
+    every s at once.  The keys are the ambient's own position ints, read
+    from its basis index, so the map makes no int per entry."""
+    rows = [_image_rows(N, d, k, 0, N - 1) for k in basis(Wedge(N + 1, Sym(d + 1)))]
+    keys = list(basis_index(ambient).values())
+    for s in range(N):
+        for col in rows:
+            yield {keys[r + s]: 1 for r in col}
 
 
 def triangular_witness(pair) -> tuple:
@@ -162,8 +202,8 @@ class IsoContext:
 
         # phi = B C with C = K phi: each column of phi is checked to lie in
         # the kernel and to be B times its coordinates, by position
-        self.matrix = LinearMap.from_function(
-            ZZ, self.domain, hook.ambient, lambda label: basis_image(ZZ, N, d, *label)
+        self.matrix = LinearMap.from_positions(
+            self.domain, hook.ambient, ZZ, _phi_columns(N, d, hook.ambient)
         )
         self.coord_matrix = hook.K.compose(self.matrix)
         mu, B = hook.mu, hook.B
@@ -256,9 +296,9 @@ class IsoContext:
         is kept as x[c] and scattered down the sparse column c, and one that
         cancelled to zero is skipped, so the scatter work is proportional to
         the nonzeros reached.  Both round trips are checked against the
-        identity one block at a time, on pair positions, before anything is
-        returned.  The rows of the inverse are then moved from pair
-        positions to the domain positions of their witnesses.
+        identity one block at a time, on block-local positions, before
+        anything is returned.  The rows of the inverse are then moved from
+        pair positions to the domain positions of their witnesses.
         """
         if self._inverse is not None:
             return self._inverse
@@ -304,15 +344,24 @@ def _is_block_identity(left: list, right: list, idxs) -> bool:
     one block.  Both are lists of integer columns keyed by pair position,
     with column m of the product the sum over c of right[m][c] left[c]; a
     paired column and an inverse column each stay inside their block, so
-    one block is checked without the rest."""
-    for m in idxs:
-        acc: dict = {}
-        get = acc.get
-        for c, v in right[m].items():
-            for r, u in left[c].items():
-                acc[r] = get(r, 0) + v * u
-        if acc.pop(m, 0) != 1 or any(acc.values()):
-            return False
+    one block is checked without the rest.  The sums run on block-local
+    positions: left's columns are translated once per block, and an entry
+    outside the block fails the check."""
+    local = {m: k for k, m in enumerate(idxs)}
+    try:
+        cols = [[(local[r], u) for r, u in left[c].items()] for c in idxs]
+        for k, m in enumerate(idxs):
+            acc = [0] * len(idxs)
+            for c, v in right[m].items():
+                for r, u in cols[local[c]]:
+                    acc[r] += v * u
+            if acc[k] != 1:
+                return False
+            acc[k] = 0
+            if any(acc):
+                return False
+    except KeyError:
+        return False
     return True
 
 

@@ -94,13 +94,15 @@ class HookSchurSpace:
         return ModuleElement(self.ambient, ring, coeffs)
 
     def basis_matrix(self, ring: Ring) -> LinearMap:
-        """Columns are the kernel basis vectors, domain the pair coordinates."""
-        return LinearMap.from_function(
-            ring,
-            self.coords,
-            self.ambient,
-            lambda pair: self.kernel_basis_vector(ring, pair),
+        """Columns are the kernel basis vectors, domain the pair coordinates;
+        each column is its kernel support, keyed by ambient position."""
+        amb = basis_index(self.ambient)
+        one = ring.one
+        cols = (
+            {amb[label]: one for label in self.kernel_support(pair)}
+            for pair in self.pairs
         )
+        return LinearMap.from_positions(self.coords, self.ambient, ring, cols)
 
     # --------------------------------------------------------- coordinates
 

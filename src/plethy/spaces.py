@@ -398,9 +398,11 @@ def _insertions(kind: type, inner: Sym, k: int) -> list:
     [t][b] is the position in kind(k + 1, inner) of the label at position
     t with the inner label b placed by bisect.  In a wedge, moving b past
     the k - pos larger factors gives the sign (-1)^(k - pos), stored as
-    ~position when it is -1, and a repeated factor is None.  Every caller
-    shares one table, so it is read-only.  The two levels' bases are
-    enumerated here and not cached, so a table keeps no label tuples."""
+    ~position when it is -1, and a repeated factor is None.  The power
+    actions read one table per level; multiplication_map reads the wedge
+    table at level N whole, as the columns of mu.  Every caller shares one
+    table, so it is read-only.  The two levels' bases are enumerated here
+    and not cached, so a table keeps no label tuples."""
     strict = kind.strict
     place = {u: j for j, u in enumerate(kind(k + 1, inner)._basis())}
     table = []
@@ -855,21 +857,21 @@ def lie_action_map(which: str, space: Space) -> LinearMap:
 
 def multiplication_map(ring: Ring, N: int, d: int) -> LinearMap:
     """Append the loose tensor factor to the wedge:
-    Wedge(N, Sym(d)) (x) Sym(d) -> Wedge(N+1, Sym(d))."""
+    Wedge(N, Sym(d)) (x) Sym(d) -> Wedge(N+1, Sym(d)).  The column of (k, a),
+    at position t (d + 1) + a for k at position t, is entry [t][a] of the
+    insertion table that places a into k: zero for a repeated factor, else
+    the sign at the position it gives."""
     if N < 1 or d < 0:
         raise ValueError(f"bad (N, d) = ({N}, {d})")
     domain = Tensor(Wedge(N, Sym(d)), Sym(d))
     codomain = Wedge(N + 1, Sym(d))
-
-    def fn(label):
-        k, a = label
-        norm = wedge_normalize(k + (a,), d)
-        if norm is None:
-            return {}
-        lab, sgn = norm
-        return {lab: ring.from_int(sgn)}
-
-    return LinearMap.from_function(ring, domain, codomain, fn)
+    one, minus = ring.one, ring.from_int(-1)
+    cols = (
+        {} if j is None else {~j: minus} if j < 0 else {j: one}
+        for row in _insertions(Wedge, Sym(d), N)
+        for j in row
+    )
+    return LinearMap.from_positions(domain, codomain, ring, cols)
 
 
 # ------------------------------------------------------------- linear algebra

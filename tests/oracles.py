@@ -1,6 +1,17 @@
 """Helpers shared by the oracle tests; nothing in the package uses them."""
 
-from plethy import ZZ, ConsistencyError, LinearMap, dim, pair_sort_key
+from plethy import (
+    ZZ,
+    ConsistencyError,
+    LinearMap,
+    ModuleElement,
+    Sym,
+    Tensor,
+    Wedge,
+    box,
+    dim,
+    pair_sort_key,
+)
 from plethy.conjecture import _Rows
 from plethy.tableaux import Pair, is_increasing
 
@@ -21,6 +32,31 @@ def gamma_coefficients(A: LinearMap) -> dict:
     return {
         k: LinearMap(A.domain, A.codomain, ZZ, parts[k]) for k in sorted(parts)
     }
+
+
+def basis_image_oracle(ring, N: int, d: int, s: int, k: tuple) -> ModuleElement:
+    """The per-label loop that iso.basis_image ran before phi was built from
+    one box walk per wedge label: the image of (s, k) summed label by label,
+    (i, s + |k| - N - |i|) for each i in box(k), each exponent checked."""
+    total = s + sum(k) - N
+    coeffs = {}
+    for i in box(k):
+        j = total - sum(i)
+        if not 0 <= j <= d:
+            raise ConsistencyError(
+                f"Y-exponent {j} escaped 0..{d} at (s={s}, k={k}, i={i})"
+            )
+        coeffs[(i, j)] = ring.one
+    return ModuleElement(Tensor(Wedge(N, Sym(d)), Sym(d)), ring, coeffs)
+
+
+def phi_oracle(N: int, d: int) -> LinearMap:
+    """phi over ZZ, one basis_image_oracle call per domain label."""
+    domain = Tensor(Sym(N - 1), Wedge(N + 1, Sym(d + 1)))
+    ambient = Tensor(Wedge(N, Sym(d)), Sym(d))
+    return LinearMap.from_function(
+        ZZ, domain, ambient, lambda label: basis_image_oracle(ZZ, N, d, *label)
+    )
 
 
 def pair_precedes(p: Pair, q: Pair) -> bool:

@@ -1,7 +1,7 @@
 """Differential tests: the native-arithmetic group action, Lie action and
-compose against the original per-label algorithms, kept here as reference
-oracles only.  The hand-written X/Y flip maps are kept as the oracle for the
-group action at the swap matrix.
+compose, and the structure maps mu and B, against the original per-label
+algorithms, kept here as reference oracles only.  The hand-written X/Y flip
+maps are kept as the oracle for the group action at the swap matrix.
 
 The oracle action multiplies out every product of single-factor images and
 makes one Ring method call per scalar operation; the oracle compose does
@@ -36,6 +36,7 @@ from plethy import (
     hook_schur_space,
     iso_context,
     lie_action_map,
+    multiplication_map,
     wedge_normalize,
 )
 import plethy.spaces as spaces
@@ -212,6 +213,28 @@ def oracle_compose_cols(A, B):
     return cols
 
 
+def oracle_multiplication_map(ring, N, d):
+    """mu one label at a time: sort k + (a,) by wedge_normalize."""
+
+    def fn(label):
+        k, a = label
+        norm = wedge_normalize(k + (a,), d)
+        if norm is None:
+            return {}
+        lab, sgn = norm
+        return {lab: ring.from_int(sgn)}
+
+    domain = Tensor(Wedge(N, Sym(d)), Sym(d))
+    return LinearMap.from_function(ring, domain, Wedge(N + 1, Sym(d)), fn)
+
+
+def oracle_basis_matrix(hook, ring):
+    """B one kernel basis vector, a label-keyed element, per pair."""
+    return LinearMap.from_function(
+        ring, hook.coords, hook.ambient, lambda p: hook.kernel_basis_vector(ring, p)
+    )
+
+
 # --------------------------------------------------------------- strategies
 
 _atoms = st.one_of(
@@ -324,6 +347,30 @@ def test_insertion_tables_place_a_factor_as_sorting_does(kind):
                     else:
                         label, sign = placed
                         assert entry == (idx[label] if sign == 1 else ~idx[label])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((ZZ, QQ, PrimeField(2), PrimeField(3), ZGAMMA)),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=7),
+)
+def test_multiplication_map_matches_the_sorting_oracle(ring, N, d):
+    # GF(2) is drawn because -1 = 1 there; N > d + 1 gives empty spaces
+    mu = multiplication_map(ring, N, d)
+    oracle = oracle_multiplication_map(ring, N, d)
+    assert mu == oracle
+    assert mu.cols == oracle.cols
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_basis_matrix_matches_the_kernel_vector_oracle(ring):
+    for N, d in ((1, 0), (1, 4), (2, 4), (3, 5), (4, 4), (3, 1)):
+        hook = hook_schur_space(N, d)
+        B = hook.basis_matrix(ring)
+        oracle = oracle_basis_matrix(hook, ring)
+        assert B == oracle
+        assert [list(col) for col in B.pcols] == [list(col) for col in oracle.pcols]
 
 
 @pytest.mark.parametrize(

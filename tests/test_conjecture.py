@@ -1,7 +1,11 @@
 """The general-parameter comparison grid and its modular fingerprints."""
 
 import concurrent.futures
+import os
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -445,6 +449,24 @@ def test_scan_starts_at_most_one_worker_per_grid_point(monkeypatch):
     serial, _ = scan(*grid, workers=1)
     assert seen == [2]
     assert [r.to_json() for r in reports] == [r.to_json() for r in serial]
+
+
+def test_importing_the_cli_does_not_import_the_pool():
+    # only scan --workers > 1 uses the pool, so only it pays for the import
+    src = Path(conjecture.__file__).resolve().parent.parent
+    code = (
+        "import sys; before = set(sys.modules); import plethy.cli; "
+        "print('concurrent.futures' in set(sys.modules) - before)"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        check=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.stdout.strip() == "False"
 
 
 def test_scan_validates_primes():

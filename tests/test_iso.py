@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plethy import (
@@ -17,8 +17,10 @@ from plethy import (
     HookSchurSpace,
     IsoContext,
     LinearMap,
-    ModuleElement,
+    PrimeField,
     Sym,
+    Tensor,
+    Wedge,
     basis,
     basis_index,
     basis_image,
@@ -40,8 +42,9 @@ from plethy import (
     verify_structure,
     weight_block_digests,
 )
-from oracles import gamma_coefficients
+from oracles import basis_image_oracle, gamma_coefficients, phi_oracle
 import plethy.iso as iso
+import plethy.tableaux as tableaux
 import plethy.spaces as spaces
 from plethy.cli import verify_point
 
@@ -232,16 +235,20 @@ def test_factorization_through_coordinates():
 
 
 def test_an_image_outside_the_kernel_fails_structure_and_names_its_label(monkeypatch):
-    real = iso.basis_image
+    real = iso._image_rows
+    hook = hook_schur_space(2, 3)
+    row = basis_index(hook.ambient)[((0, 1), 1)]
 
-    def leaving(ring, N, d, s, k):
-        img = real(ring, N, d, s, k)
-        if (s, k) == (1, (0, 2, 4)):
-            # a bare canonical vector with j outside i is never in the kernel
-            img = img + ModuleElement.basis_vector(img.space, ring, ((0, 1), 3))
-        return img
+    def leaving(N, d, k, s_lo, s_hi):
+        rows = real(N, d, k, s_lo, s_hi)
+        if (N, d, k) == (2, 3, (0, 2, 4)):
+            # the extra row is ((0, 1), s + 1) in column (s, k): at s = 0 a
+            # vector with j in i, which is in the kernel; at s = 1 a bare
+            # canonical vector with j outside i, which never is
+            rows = rows + [row]
+        return rows
 
-    monkeypatch.setattr(iso, "basis_image", leaving)
+    monkeypatch.setattr(iso, "_image_rows", leaving)
     iso_context.cache_clear()
     try:
         point = verify_point(2, 3, (2,))
@@ -251,6 +258,22 @@ def test_an_image_outside_the_kernel_fails_structure_and_names_its_label(monkeyp
     assert point["data"]["structure.consistency_error"] == (
         "image of (1, (0, 2, 4)) is outside the kernel"
     )
+
+
+def test_an_escaped_exponent_fails_both_the_image_and_the_context(monkeypatch):
+    # a corrupted box that also yields (2, 3): for k = (0, 1, 2) its exponent
+    # is |k| - N - |i| = 3 - 2 - 5 = -4, outside 0..d
+    real = tableaux.box
+    monkeypatch.setattr(tableaux, "box", lambda k: [*real(k), (2, 3)])
+    message = r"Y-exponent -4 escaped 0\.\.3 at \(s=0, k=\(0, 1, 2\), i=\(2, 3\)\)"
+    with pytest.raises(ConsistencyError, match=message):
+        basis_image(ZZ, 2, 3, 0, (0, 1, 2))
+    with pytest.raises(ConsistencyError, match=message):
+        IsoContext(2, 3)
+    # above the range: (0, 1) in the box of (2, 3, 4) gets 9 - 2 - 1 = 6
+    monkeypatch.setattr(tableaux, "box", lambda k: [*real(k), (0, 1)])
+    with pytest.raises(ConsistencyError, match=r"Y-exponent 7 escaped 0\.\.3 at \(s=1"):
+        basis_image(ZZ, 2, 3, 1, (2, 3, 4))
 
 
 def test_coordinates_that_do_not_rebuild_the_image_fail_construction(monkeypatch):
@@ -279,6 +302,48 @@ def test_structure_needs_no_apply_and_no_coordinates_call(monkeypatch):
         iso_context.cache_clear()
         hook_schur_space.cache_clear()
     assert report and all(v is True for v in report.values())
+
+
+def test_the_structure_maps_are_built_on_positions(monkeypatch):
+    # phi from one box walk per wedge label, mu from the insertion tables,
+    # B from the kernel supports: no per-label image or element is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a structure map was built label by label")
+
+    hook_schur_space.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(LinearMap, "from_function", refuse)
+            m.setattr(iso, "basis_image", refuse)
+            m.setattr(HookSchurSpace, "kernel_basis_vector", refuse)
+            m.setattr(spaces, "wedge_normalize", refuse)
+            ctx = IsoContext(4, 6)
+            ctx.inverse()
+    finally:
+        hook_schur_space.cache_clear()
+    assert ctx.columns_in_kernel and ctx.unitriangular and ctx.inverse_round_trip
+    assert ctx.matrix == phi_oracle(4, 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=9))
+@example(3, 1)  # N = d + 2: every space is zero dimensional
+@example(5, 3)
+@example(5, 9)
+@example(1, 0)
+def test_phi_built_on_positions_equals_the_per_label_loop(N, d):
+    ambient = Tensor(Wedge(N, Sym(d)), Sym(d))
+    domain = Tensor(Sym(N - 1), Wedge(N + 1, Sym(d + 1)))
+    phi = LinearMap.from_positions(
+        domain, ambient, ZZ, iso._phi_columns(N, d, ambient)
+    )
+    oracle = phi_oracle(N, d)
+    assert phi == oracle
+    # the same key order, so every digest of the columns is unchanged
+    assert [list(col) for col in phi.pcols] == [list(col) for col in oracle.pcols]
+    for s, k in basis(domain)[:: max(1, dim(domain) // 7)]:
+        for ring in (ZZ, PrimeField(2), ZGAMMA):
+            assert basis_image(ring, N, d, s, k) == basis_image_oracle(ring, N, d, s, k)
 
 
 def test_inverse_round_trips_explicitly():
