@@ -96,6 +96,7 @@ from .dump import (
     linear_map_to_json,
     weight_block_digest,
     weight_block_digests,
+    write_json,
 )
 
 __version__ = "0.1.0"

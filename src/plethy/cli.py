@@ -12,8 +12,8 @@ Subcommands:
 * ``scan`` sweeps the general-parameter comparison grid and writes a
   machine-readable report; inequalities are findings, not errors.
 
-Machine payloads go to --out when given, otherwise to stdout; progress and
-summaries go to stderr.  An --out that cannot be written is a usage error
+Machine payloads go to --out when given, otherwise to stdout, a JSON one
+streamed piece by piece; progress and summaries go to stderr.  An --out that cannot be written is a usage error
 found before any work starts.  Files written via --out carry no timings, so
 repeated runs produce identical bytes.
 
@@ -30,7 +30,14 @@ import time
 
 from .characters import verify_qchar_identity
 from .conjecture import CONVENTION, CSV_HEADER, DIM_CAP, scan
-from .dump import basis_to_json, csv_text, dump_payload, json_text, weight_block_digests
+from .dump import (
+    basis_to_json,
+    csv_text,
+    linear_map_to_csv,
+    linear_map_to_json,
+    weight_block_digests,
+    write_json,
+)
 from .iso import (
     gl2_scalar_exponents,
     iso_context,
@@ -42,12 +49,18 @@ from .iso import (
 )
 from .rings import ZZ, ConsistencyError, PrimeField, ring_by_name
 from .schur import hook_schur_space
+from .spaces import LinearMap
 
 
 # The one-point caches that verify clears between grid points, bound at
 # import: a tracer such as perfbench/spans.py rebinds the public names to
 # plain wrappers, which have no cache_clear.
 _POINT_CACHES = (iso_context, hook_schur_space)
+
+
+def _release_point():
+    for cached in _POINT_CACHES:
+        cached.cache_clear()
 
 
 class UsageError(Exception):
@@ -161,13 +174,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def emit(text: str, out: str | None):
+def emit(payload, out: str | None):
+    """Write a payload to the file out, or to stdout when out is None: a str
+    as it is, anything else as its JSON text, which write_json sends piece
+    by piece."""
+
+    def send(write):
+        if isinstance(payload, str):
+            write(payload)
+        else:
+            write_json(payload, write)
+
     if out is None:
-        sys.stdout.write(text)
+        send(sys.stdout.write)
     else:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                send(fh.write)
         except OSError as exc:
             raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
 
@@ -270,8 +293,7 @@ def cmd_verify(args) -> int:
             if points:
                 # drop the last point's context and hook space before this
                 # point's are built, so the run peaks at its largest point
-                for cached in _POINT_CACHES:
-                    cached.cache_clear()
+                _release_point()
             point = verify_point(N, d, primes)
             points.append(point)
             failed = [k for k, v in point["checks"].items() if not v]
@@ -300,7 +322,7 @@ def cmd_verify(args) -> int:
         # the file drops the timings, so its bytes are reproducible
         for pt in points:
             del pt["timings_ms"]
-    emit(json_text(report), args.out)
+    emit(report, args.out)
     if args.out:
         note(f"report written to {args.out}")
     note(
@@ -322,6 +344,8 @@ def cmd_dump(args) -> int:
         raise UsageError(f"need 1 <= N <= d + 2, got (N={N}, d={d})")
     p = parse_primes(args.p)[0]
 
+    # the point's structure is released once what is written is in hand,
+    # so the payload is built and streamed without it
     if args.what == "basis":
         if args.format != "json":
             raise UsageError("the kernel basis dump is JSON only")
@@ -331,21 +355,25 @@ def cmd_dump(args) -> int:
             "d": d,
             "vectors": basis_to_json(hook_schur_space(N, d)),
         }
-        emit(json_text(payload), args.out)
-        return 0
-
-    ring = ring_by_name(args.ring, p)
-    ctx = iso_context(N, d)
-    if args.what == "map":
-        A = ctx.matrix_over(ring)
-    elif args.what == "coords":
-        A = ctx.coord_matrix_over(ring)
+        _release_point()
     else:
-        A = ctx.inverse()
-        if ring != ZZ:
-            A = A.map_entries(ring, ring.from_int)
-    emit(dump_payload(A, args.format), args.out)
+        A = _map_to_dump(N, d, args.what, ring_by_name(args.ring, p))
+        _release_point()
+        payload = linear_map_to_json(A) if args.format == "json" else linear_map_to_csv(A)
+    emit(payload, args.out)
     return 0
+
+
+def _map_to_dump(N: int, d: int, what: str, ring) -> LinearMap:
+    """The map that dump --what writes, over ring; the inverse is returned
+    once its round trips have passed."""
+    ctx = iso_context(N, d)
+    if what == "map":
+        return ctx.matrix_over(ring)
+    if what == "coords":
+        return ctx.coord_matrix_over(ring)
+    A = ctx.inverse()
+    return A if ring == ZZ else A.map_entries(ring, ring.from_int)
 
 
 # --------------------------------------------------------------------- qchar
@@ -367,7 +395,7 @@ def cmd_qchar(args) -> int:
             "points": rows,
             "all_pass": not failures,
         }
-        emit(json_text(payload), args.out)
+        emit(payload, args.out)
     else:
         emit(csv_text(list(rows[0]), ([r[k] for k in rows[0]] for r in rows)), args.out)
     note(f"qchar: {len(rows) - len(failures)}/{len(rows)} grid points pass")
@@ -411,7 +439,7 @@ def cmd_scan(args) -> int:
             "skipped": skipped,
             "disagreements": len(disagreements),
         }
-        emit(json_text(payload), args.out)
+        emit(payload, args.out)
     else:
         rows = [row for r in reports for row in r.csv_rows()]
         emit(csv_text(CSV_HEADER, rows), args.out)

@@ -1,10 +1,10 @@
 """Exact, byte-reproducible serialization of maps and bases.
 
-json_text and csv_text are the one JSON layout and the one CSV dialect
-of every payload the command line writes.  CSV: one header row of domain
-labels, then one row per codomain basis label with entries rendered
-exactly as strings.  JSON: explicit basis label arrays plus sparse
-entries; payloads stay exact, in the ring's own JSON form (ints as ints,
+write_json and csv_text are the one JSON layout and the one CSV dialect
+of every payload the command line writes; json_text joins the pieces that
+write_json sends.  CSV: one header row of domain labels, then one row per
+codomain basis label with entries rendered exactly as strings.  JSON:
+explicit basis label arrays plus sparse entries; payloads stay exact, in the ring's own JSON form (ints as ints,
 rationals as "p/q" strings, polynomials as coefficient lists), so a dump
 parses back to an equal LinearMap.  Nothing here writes timestamps.
 """
@@ -20,84 +20,108 @@ from itertools import chain
 
 from .iso import IsoContext
 from .rings import json_int, ring_from_json
-from .schur import HookSchurSpace
+from .schur import HookSchurSpace, _support
 from .spaces import LinearMap, basis, space_from_json
 
 
 # Before CPython 3.13 any indent sends json.dumps through its pure-Python
-# encoder, which json_text outruns; from 3.13 on the C encoder takes the
+# encoder, which write_json outruns; from 3.13 on the C encoder takes the
 # indent and is the faster of the two.
 _INDENT_IN_C = sys.version_info >= (3, 13) and json.encoder.c_make_encoder is not None
 
 
+# Rows of a map's entries that one repr renders: the text of a slice is
+# made and written at once, so no text of the whole list is.
+_ROWS_PER_SLICE = 1024
+# The piece size in which the text that json.dumps indents in C is written.
+_CHARS_PER_WRITE = 1 << 16
+
+
 def json_text(payload) -> str:
     """A payload as JSON text: exactly json.dumps(payload, indent=2) and one
-    trailing newline.
-
-    Where json.dumps would indent in pure Python, the text is built here
-    from C-level string work: a plain int is its int.__repr__, as json
-    writes it, a list of plain ints is one str.join of those, and a list of
-    non-empty lists of plain ints (a map's entries) is its repr with the
-    separators replaced.  A dict with no container inside goes whole to
-    json.dumps, its item separator set to the indent.  Other dicts and
-    lists recurse; every other key, scalar and empty container goes to
-    json.dumps, so json's own rules decide it."""
-    if _INDENT_IN_C:
-        return json.dumps(payload, indent=2) + "\n"
+    trailing newline, joined from the pieces that write_json makes."""
     out: list = []
-    _write_json(payload, "\n", out)
-    out.append("\n")
+    write_json(payload, out.append)
     return "".join(out)
 
 
-def _write_json(value, nl: str, out: list) -> None:
-    """Append to out the indent-2 JSON text of value, whose closing bracket
+def write_json(payload, write) -> None:
+    """Send the text json_text(payload) to write, one piece at a time.
+
+    Where json.dumps would indent in pure Python, the text is built here,
+    and never whole, from C-level string work: a plain int is its
+    int.__repr__, as json writes it, a list of plain ints is one str.join
+    of those, and a list of non-empty lists of plain ints (a map's entries)
+    is the repr of each slice of _ROWS_PER_SLICE rows with the separators
+    replaced.  A dict with no container inside goes whole to json.dumps,
+    its item separator set to the indent.  Other dicts and lists recurse;
+    every other key, scalar and empty container goes to json.dumps, so
+    json's own rules decide it.
+    Where json.dumps indents in C, it makes the whole text, which is sent
+    in pieces of _CHARS_PER_WRITE characters, so that a file encodes one
+    piece at a time."""
+    if _INDENT_IN_C:
+        text = json.dumps(payload, indent=2)
+        for lo in range(0, len(text), _CHARS_PER_WRITE):
+            write(text[lo : lo + _CHARS_PER_WRITE])
+    else:
+        _write_json(payload, "\n", write)
+    write("\n")
+
+
+def _write_json(value, nl: str, write) -> None:
+    """Send to write the indent-2 JSON text of value, whose closing bracket
     goes after nl, a newline and the indent of value's own line."""
     if type(value) is int:
-        out.append(int.__repr__(value))
+        write(int.__repr__(value))
     elif isinstance(value, dict) and value:
         inner = nl + "  "
         if not any(isinstance(v, (dict, list, tuple)) for v in value.values()):
             # no container inside: json.dumps writes it whole, keys and all
             text = json.dumps(value, separators=("," + inner, ": "))
-            out.append("{" + inner + text[1:-1] + nl + "}")
+            write("{" + inner + text[1:-1] + nl + "}")
             return
         sep = "{" + inner
         for k, v in value.items():
             # a key that is not a str json.dumps writes, or rejects, by its rules
             key = json.dumps(k) if isinstance(k, str) else json.dumps({k: None})[1:-7]
-            out.append(sep + key + ": ")
-            _write_json(v, inner, out)
+            write(sep + key + ": ")
+            _write_json(v, inner, write)
             sep = "," + inner
-        out.append(nl + "}")
+        write(nl + "}")
     elif isinstance(value, (list, tuple)) and value:
         inner = nl + "  "
         types = set(map(type, value))
         if types == {int}:
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]")
+            write("[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]")
         elif (
             type(value) is list
             and types == {list}
             and all(value)
             and set(map(type, chain.from_iterable(value))) == {int}
         ):
-            # the repr is "[[a, b], [c, d]]": only the separators change
+            # a slice's repr is "[[a, b], [c, d]]": only the separators change
             deeper = inner + "  "
-            rows = (
-                repr(value)[2:-2]
-                .replace("], [", inner + "]," + inner + "[" + deeper)
-                .replace(", ", "," + deeper)
-            )
-            out.append("[" + inner + "[" + deeper + rows + inner + "]" + nl + "]")
+            between = inner + "]," + inner + "[" + deeper
+            sep = "[" + inner + "[" + deeper
+            for lo in range(0, len(value), _ROWS_PER_SLICE):
+                rows = (
+                    repr(value[lo : lo + _ROWS_PER_SLICE])[2:-2]
+                    .replace("], [", between)
+                    .replace(", ", "," + deeper)
+                )
+                write(sep + rows)
+                sep = between
+            write(inner + "]" + nl + "]")
         else:
             sep = "[" + inner
             for v in value:
-                out.append(sep)
-                _write_json(v, inner, out)
+                write(sep)
+                _write_json(v, inner, write)
                 sep = "," + inner
-            out.append(nl + "]")
+            write(nl + "]")
     else:
-        out.append(json.dumps(value))
+        write(json.dumps(value))
 
 
 def csv_text(header: list, rows) -> str:
@@ -186,7 +210,7 @@ def basis_to_json(hook: HookSchurSpace) -> list:
                 "pair": hook.coords.label_to_json(pair),
                 "support": [
                     [hook.ambient.label_to_json(lab), 1]
-                    for lab in hook.kernel_support(pair)
+                    for lab in _support(pair)
                 ],
             }
         )

@@ -153,7 +153,7 @@ def _image_rows(N: int, d: int, k: tuple, s_lo: int, s_hi: int) -> list:
     s_lo..s_hi; the least and largest t(i) decide it, and an escape names
     the first s and member at which it happens."""
     total = sum(k) - N
-    members = list(tableaux.box(k))
+    members = list(tableaux._box(k))
     ts = [total - sum(i) for i in members]
     if ts and (min(ts) + s_lo < 0 or max(ts) + s_hi > d):
         for s in range(s_lo, s_hi + 1):
@@ -180,7 +180,13 @@ def _phi_columns(N: int, d: int, ambient: Tensor):
 
 def triangular_witness(pair) -> tuple:
     """Domain label (s, k) whose image leads with the given pair."""
-    alpha, k = tableaux.pair_to_increasing(*pair)
+    tableaux._check_semistandard(*pair)
+    return _witness(pair)
+
+
+def _witness(pair) -> tuple:
+    """triangular_witness of a semistandard pair."""
+    alpha, k = tableaux._to_increasing(*pair)
     return alpha - 1, k
 
 
@@ -219,7 +225,7 @@ class IsoContext:
         self.columns_in_kernel = True
 
         # witness pairing: column of pair m is the image of witness(pair m)
-        self.witnesses = [triangular_witness(p) for p in self.hook.pairs]
+        self.witnesses = [_witness(p) for p in self.hook.pairs]
         if len(set(self.witnesses)) != n or set(self.witnesses) != set(
             basis(self.domain)
         ):
@@ -330,10 +336,16 @@ class IsoContext:
                 raise ConsistencyError("inverse round trip failed on the pair side")
             if not _is_block_identity(inv_cols_by_pos, paired, idxs):
                 raise ConsistencyError("inverse round trip failed on the domain side")
-        # a generator: the map settles one moved column at a time
+        # a generator: the map settles one moved column at a time, and each
+        # pair-keyed column is dropped as it is moved
         wpos = self._witness_positions
-        cols = ({wpos[c]: val for c, val in x.items()} for x in inv_cols_by_pos)
-        inv = LinearMap.from_positions(self.hook.coords, self.domain, ZZ, cols)
+
+        def moved():
+            for m, x in enumerate(inv_cols_by_pos):
+                inv_cols_by_pos[m] = None
+                yield {wpos[c]: val for c, val in x.items()}
+
+        inv = LinearMap.from_positions(self.hook.coords, self.domain, ZZ, moved())
         self.inverse_round_trip = True
         self._inverse = inv
         return inv

@@ -82,16 +82,8 @@ class HookSchurSpace:
 
     def kernel_support(self, pair) -> tuple:
         """Ambient labels carrying the pair's kernel basis vector."""
-        i, j = pair
-        if not tableaux.is_semistandard(i, j):
-            raise ValueError(f"pair ({i}, {j}) is not semistandard")
-        if j in i:
-            return (pair,)
-        return (pair, tableaux.neighbour(i, j))
-
-    def kernel_basis_vector(self, ring: Ring, pair) -> ModuleElement:
-        coeffs = {label: ring.one for label in self.kernel_support(pair)}
-        return ModuleElement(self.ambient, ring, coeffs)
+        tableaux._check_semistandard(*pair)
+        return _support(pair)
 
     def basis_matrix(self, ring: Ring) -> LinearMap:
         """Columns are the kernel basis vectors, domain the pair coordinates;
@@ -99,7 +91,7 @@ class HookSchurSpace:
         amb = basis_index(self.ambient)
         one = ring.one
         cols = (
-            {amb[label]: one for label in self.kernel_support(pair)}
+            {amb[label]: one for label in _support(pair)}
             for pair in self.pairs
         )
         return LinearMap.from_positions(self.coords, self.ambient, ring, cols)
@@ -140,6 +132,14 @@ class HookSchurSpace:
             raise ConsistencyError("kernel basis vectors are linearly dependent")
         if dim(mu.domain) - rank(mu.map_entries(QQ, QQ.from_int)) != n:
             raise ConsistencyError("kernel dimension does not match the pair count")
+
+
+def _support(pair) -> tuple:
+    """kernel_support of a semistandard pair."""
+    i, j = pair
+    if j in i:
+        return (pair,)
+    return (pair, tableaux._neighbour(i, j))
 
 
 @lru_cache(maxsize=1)

@@ -10,6 +10,7 @@ N + 1 entries, kept as a sorted tuple.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 
 from .rings import ConsistencyError, binomial
 
@@ -42,13 +43,41 @@ def pair_alpha(i: tuple[int, ...], j: int) -> int:
     Defined exactly for semistandard pairs; drives both the neighbour map
     and the triangular column pairing.
     """
+    _check_semistandard(i, j)
+    return _alpha(i, j)
+
+
+# The structure of a point reads only pairs that semistandard_pairs or a
+# content chain made, and wedge labels of a basis, so it takes the helpers
+# below, which skip the checks that the public functions make.
+
+
+def _check_semistandard(i: tuple[int, ...], j: int) -> None:
     if not is_semistandard(i, j):
         raise ValueError(f"pair ({i}, {j}) is not semistandard")
-    alpha = 1
-    for t in range(2, len(i) + 1):
-        if i[t - 1] <= j:
-            alpha = t
-    return alpha
+
+
+def _alpha(i: tuple[int, ...], j: int) -> int:
+    """pair_alpha of a semistandard pair: i is increasing, so the entries
+    not exceeding j are its first alpha."""
+    return bisect_right(i, j)
+
+
+def _neighbour(i: tuple[int, ...], j: int) -> Pair:
+    """neighbour of a semistandard pair."""
+    alpha = _alpha(i, j)
+    return i[: alpha - 1] + (j,) + i[alpha:], i[alpha - 1]
+
+
+def _to_increasing(i: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]]:
+    """pair_to_increasing of a semistandard pair, whose k is increasing."""
+    alpha = _alpha(i, j)
+    return alpha, i[:alpha] + (j + 1,) + tuple(v + 1 for v in i[alpha:])
+
+
+def _box(k: tuple[int, ...]):
+    """box of a strictly increasing k."""
+    return itertools.product(*(range(k[a], k[a + 1]) for a in range(len(k) - 1)))
 
 
 def neighbour(i: tuple[int, ...], j: int) -> Pair:
@@ -59,9 +88,8 @@ def neighbour(i: tuple[int, ...], j: int) -> Pair:
     semistandard pairs sharing one content; the walk leaves semistandard
     territory after N steps.
     """
-    alpha = pair_alpha(i, j)
-    i2 = i[: alpha - 1] + (j,) + i[alpha:]
-    return i2, i[alpha - 1]
+    _check_semistandard(i, j)
+    return _neighbour(i, j)
 
 
 def content_chain(values) -> list[Pair]:
@@ -75,7 +103,7 @@ def content_chain(values) -> list[Pair]:
     pair: Pair = (vals[:-1], vals[-1])
     out = [pair]
     for _ in range(len(vals) - 2):
-        pair = neighbour(*pair)
+        pair = _neighbour(*pair)
         out.append(pair)
     seconds = [j for _, j in out]
     if seconds != sorted(set(seconds), reverse=True):
@@ -92,7 +120,7 @@ def box(k: tuple[int, ...]):
     """
     if not is_increasing(k):
         raise ValueError(f"box needs a strictly increasing tuple, got {k}")
-    return itertools.product(*(range(k[a], k[a + 1]) for a in range(len(k) - 1)))
+    return _box(k)
 
 
 def pair_sort_key(pair: Pair):
@@ -128,8 +156,8 @@ def count_hook_tableaux(N: int, d: int) -> int:
 def pair_to_increasing(i: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]]:
     """Map a semistandard pair to (alpha, k): insert j + 1 after position
     alpha and shift the tail up by one."""
-    alpha = pair_alpha(i, j)
-    k = i[:alpha] + (j + 1,) + tuple(v + 1 for v in i[alpha:])
+    _check_semistandard(i, j)
+    alpha, k = _to_increasing(i, j)
     if not is_increasing(k):
         raise ConsistencyError(f"pair ({i}, {j}) gave {k}, not increasing")
     return alpha, k

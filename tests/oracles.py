@@ -50,6 +50,14 @@ def basis_image_oracle(ring, N: int, d: int, s: int, k: tuple) -> ModuleElement:
     return ModuleElement(Tensor(Wedge(N, Sym(d)), Sym(d)), ring, coeffs)
 
 
+def kernel_basis_vector(hook, ring, pair) -> ModuleElement:
+    """The kernel basis vector of a pair as a label-keyed element, one at
+    each label of hook.kernel_support(pair): the oracle for the columns of
+    hook.basis_matrix."""
+    coeffs = {label: ring.one for label in hook.kernel_support(pair)}
+    return ModuleElement(hook.ambient, ring, coeffs)
+
+
 def phi_oracle(N: int, d: int) -> LinearMap:
     """phi over ZZ, one basis_image_oracle call per domain label."""
     domain = Tensor(Sym(N - 1), Wedge(N + 1, Sym(d + 1)))

@@ -40,7 +40,7 @@ from plethy import (
     wedge_normalize,
 )
 import plethy.spaces as spaces
-from oracles import gamma_coefficients
+from oracles import gamma_coefficients, kernel_basis_vector
 
 RINGS = (ZZ, QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), ZGAMMA)
 
@@ -231,7 +231,7 @@ def oracle_multiplication_map(ring, N, d):
 def oracle_basis_matrix(hook, ring):
     """B one kernel basis vector, a label-keyed element, per pair."""
     return LinearMap.from_function(
-        ring, hook.coords, hook.ambient, lambda p: hook.kernel_basis_vector(ring, p)
+        ring, hook.coords, hook.ambient, lambda p: kernel_basis_vector(hook, ring, p)
     )
 
 

@@ -1,6 +1,9 @@
 """Serialization round trips for maps, rings, and bases."""
 
+import io
 import json
+import os
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -28,6 +31,7 @@ from plethy import (
     linear_map_to_json,
     multiplication_map,
     ring_from_json,
+    write_json,
 )
 from plethy.cli import main
 
@@ -395,17 +399,118 @@ CLI_JSON_COMMANDS = [
 
 @pytest.mark.parametrize("argv", CLI_JSON_COMMANDS, ids=" ".join)
 def test_every_cli_payload_is_written_as_json_dumps_writes_it(argv, monkeypatch, capsys):
+    # write_json is the streamed entry point, and json_text joins its pieces,
+    # so a payload that takes either way is recorded here
     payloads = []
 
-    def record(payload):
+    def record(payload, write):
         payloads.append(payload)
-        return ""
 
-    monkeypatch.setattr(dump, "json_text", record)
-    monkeypatch.setattr(cli, "json_text", record)
+    monkeypatch.setattr(dump, "write_json", record)
+    monkeypatch.setattr(cli, "write_json", record)
     assert main(argv) == 0
     capsys.readouterr()
+    monkeypatch.undo()
     assert len(payloads) == 1
     expected = json.dumps(payloads[0], indent=2) + "\n"
     for indent_in_c in (False, True):
         assert _written(payloads[0], indent_in_c) == expected
+        assert "".join(_pieces(payloads[0], indent_in_c)) == expected
+
+
+def _pieces(payload, indent_in_c: bool) -> list:
+    """The pieces that write_json sends, in order."""
+    out: list = []
+    with mock.patch.object(dump, "_INDENT_IN_C", indent_in_c):
+        write_json(payload, out.append)
+    return out
+
+
+_SLICE = dump._ROWS_PER_SLICE
+
+
+@WRITER_PATHS
+@pytest.mark.parametrize("n", [_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 3])
+def test_entries_across_slice_boundaries_are_json_dumps(indent_in_c, n):
+    # rows of one to three ints, big and negative among them, so a slice
+    # boundary falls between rows of every width
+    big = [0, -1, 7, -(2**70), 2**64 + 5, 10**30, -12345]
+    entries = [[big[(r + t) % len(big)] * (r - t) for t in range(r % 3 + 1)] for r in range(n)]
+    payload = {"kind": "linear_map", "entries": entries, "after": [entries[:2], -3]}
+    expected = json.dumps(payload, indent=2) + "\n"
+    assert _written(payload, indent_in_c) == expected
+    pieces = _pieces(payload, indent_in_c)
+    assert "".join(pieces) == expected
+    if indent_in_c:
+        # json.dumps's whole text is sent in pieces
+        assert max(map(len, pieces)) <= dump._CHARS_PER_WRITE
+    else:
+        # streamed: no piece holds more rows than one slice
+        assert max(piece.count("[") for piece in pieces) <= _SLICE + 1
+
+
+STREAMED_DUMPS = [(what, ring) for what in ("map", "coords", "inverse") for ring in ("int", "fp", "polygamma")]
+
+
+@WRITER_PATHS
+@pytest.mark.parametrize("what, ring_name", STREAMED_DUMPS)
+def test_a_streamed_dump_file_is_json_text_of_the_map(indent_in_c, what, ring_name, tmp_path):
+    N, d, p = 3, 7, 7
+    out = tmp_path / "dump.json"
+    argv = ["dump", "--N", str(N), "--d", str(d), "--what", what, "--ring", ring_name,
+            "--p", str(p), "--format", "json", "--out", str(out)]
+    with mock.patch.object(dump, "_INDENT_IN_C", indent_in_c):
+        assert main(argv) == 0
+    ring = {"int": ZZ, "fp": PrimeField(p), "polygamma": ZGAMMA}[ring_name]
+    ctx = iso_context(N, d)
+    if what == "map":
+        A = ctx.matrix_over(ring)
+    elif what == "coords":
+        A = ctx.coord_matrix_over(ring)
+    else:
+        A = ctx.inverse().map_entries(ring, ring.from_int)
+    payload = linear_map_to_json(A)
+    # the entries cross slice boundaries
+    assert len(payload["entries"]) > _SLICE
+    assert out.read_bytes() == json_text(payload).encode()
+    assert out.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
+
+
+class _FirstWrite(io.StringIO):
+    """A stream that records, at its first write, how many points the two
+    one-point caches hold."""
+
+    held = None
+
+    def write(self, text):
+        if self.held is None:
+            self.held = (
+                iso_context.cache_info().currsize,
+                hook_schur_space.cache_info().currsize,
+            )
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "what, fmt",
+    [(what, "json") for what in ("map", "coords", "inverse", "basis")]
+    + [(what, "csv") for what in ("map", "coords", "inverse")],
+)
+def test_dump_releases_the_point_before_its_first_write(what, fmt, monkeypatch):
+    iso_context(3, 5)  # a point held from before is released too
+    stream = _FirstWrite()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(["dump", "--N", "3", "--d", "5", "--what", what, "--format", fmt]) == 0
+    assert stream.held == (0, 0)
+    assert stream.getvalue()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_streamed_dump_that_cannot_be_written_is_a_usage_error(monkeypatch, capsys):
+    # the up-front --out check is skipped, so the failure comes from the
+    # writes of the stream itself, after the file is open
+    monkeypatch.setattr(cli, "check_out", lambda out: None)
+    argv = ["dump", "--N", "4", "--d", "6", "--what", "inverse", "--format", "json",
+            "--out", "/dev/full"]
+    assert main(argv) == 2
+    assert "cannot write /dev/full" in capsys.readouterr().err

@@ -262,16 +262,17 @@ def test_an_image_outside_the_kernel_fails_structure_and_names_its_label(monkeyp
 
 def test_an_escaped_exponent_fails_both_the_image_and_the_context(monkeypatch):
     # a corrupted box that also yields (2, 3): for k = (0, 1, 2) its exponent
-    # is |k| - N - |i| = 3 - 2 - 5 = -4, outside 0..d
-    real = tableaux.box
-    monkeypatch.setattr(tableaux, "box", lambda k: [*real(k), (2, 3)])
+    # is |k| - N - |i| = 3 - 2 - 5 = -4, outside 0..d.  The box patched is
+    # the unchecked one that the structure and basis_image walk
+    real = tableaux._box
+    monkeypatch.setattr(tableaux, "_box", lambda k: [*real(k), (2, 3)])
     message = r"Y-exponent -4 escaped 0\.\.3 at \(s=0, k=\(0, 1, 2\), i=\(2, 3\)\)"
     with pytest.raises(ConsistencyError, match=message):
         basis_image(ZZ, 2, 3, 0, (0, 1, 2))
     with pytest.raises(ConsistencyError, match=message):
         IsoContext(2, 3)
     # above the range: (0, 1) in the box of (2, 3, 4) gets 9 - 2 - 1 = 6
-    monkeypatch.setattr(tableaux, "box", lambda k: [*real(k), (0, 1)])
+    monkeypatch.setattr(tableaux, "_box", lambda k: [*real(k), (0, 1)])
     with pytest.raises(ConsistencyError, match=r"Y-exponent 7 escaped 0\.\.3 at \(s=1"):
         basis_image(ZZ, 2, 3, 1, (2, 3, 4))
 
@@ -315,7 +316,7 @@ def test_the_structure_maps_are_built_on_positions(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(LinearMap, "from_function", refuse)
             m.setattr(iso, "basis_image", refuse)
-            m.setattr(HookSchurSpace, "kernel_basis_vector", refuse)
+            m.setattr(HookSchurSpace, "kernel_support", refuse)
             m.setattr(spaces, "wedge_normalize", refuse)
             ctx = IsoContext(4, 6)
             ctx.inverse()
@@ -323,6 +324,25 @@ def test_the_structure_maps_are_built_on_positions(monkeypatch):
         hook_schur_space.cache_clear()
     assert ctx.columns_in_kernel and ctx.unitriangular and ctx.inverse_round_trip
     assert ctx.matrix == phi_oracle(4, 6)
+
+
+def test_the_structure_checks_no_pair_or_wedge_label_again(monkeypatch):
+    # every pair comes from semistandard_pairs or a content chain and every
+    # k from a wedge basis, so the structure takes the unchecked helpers
+    def refuse(*args):
+        raise AssertionError("a pair or a wedge label was checked again")
+
+    hook_schur_space.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(tableaux, "is_semistandard", refuse)
+            m.setattr(tableaux, "is_increasing", refuse)
+            ctx = IsoContext(4, 6)
+            ctx.inverse()
+    finally:
+        hook_schur_space.cache_clear()
+    assert ctx.columns_in_kernel and ctx.unitriangular and ctx.inverse_round_trip
+    assert ctx.witnesses == [triangular_witness(p) for p in ctx.hook.pairs]
 
 
 @settings(max_examples=40, deadline=None)

@@ -21,6 +21,8 @@ from plethy import (
     semistandard_pairs,
 )
 
+from oracles import kernel_basis_vector
+
 
 def test_kernel_membership_all_pairs():
     hook = hook_schur_space(2, 4)
@@ -28,7 +30,7 @@ def test_kernel_membership_all_pairs():
     for ring in (ZZ, PrimeField(2), PrimeField(3)):
         mu = multiplication_map(ring, 2, 4)
         for pair in hook.pairs:
-            assert mu.apply(hook.kernel_basis_vector(ring, pair)).is_zero()
+            assert mu.apply(kernel_basis_vector(hook, ring, pair)).is_zero()
 
 
 def test_kernel_support_shapes():
@@ -57,7 +59,7 @@ def test_basis_is_independent_and_spans_kernel():
     for N, d in ((1, 4), (2, 4), (3, 5)):
         hook = hook_schur_space(N, d)
         mu = multiplication_map(QQ, N, d)
-        vectors = [hook.kernel_basis_vector(QQ, p) for p in hook.pairs]
+        vectors = [kernel_basis_vector(hook, QQ, p) for p in hook.pairs]
         assert rank_of_vectors(vectors) == len(vectors)
         from plethy import dim, rank
 
@@ -72,7 +74,7 @@ def test_coordinates_round_trip_over_zz():
         coeffs = {p: rng.randint(-5, 5) for p in chosen}
         v = ModuleElement.zero(hook.ambient, ZZ)
         for p, c in coeffs.items():
-            v = v + hook.kernel_basis_vector(ZZ, p).scale(c)
+            v = v + kernel_basis_vector(hook, ZZ, p).scale(c)
         coords = hook.coordinates(v)
         assert {p: c for p, c in coords.coeffs.items()} == {
             p: c for p, c in coeffs.items() if c
@@ -87,11 +89,11 @@ def test_coordinates_round_trip_mod_p():
         coeffs = {p: rng.randrange(5) for p in rng.sample(hook.pairs, 6)}
         v = ModuleElement.zero(hook.ambient, ring)
         for p, c in coeffs.items():
-            v = v + hook.kernel_basis_vector(ring, p).scale(c)
+            v = v + kernel_basis_vector(hook, ring, p).scale(c)
         coords = hook.coordinates(v)
         recovered = ModuleElement.zero(hook.ambient, ring)
         for p, c in coords.coeffs.items():
-            recovered = recovered + hook.kernel_basis_vector(ring, p).scale(c)
+            recovered = recovered + kernel_basis_vector(hook, ring, p).scale(c)
         assert recovered == v
 
 
@@ -111,7 +113,7 @@ def test_coordinates_reject_non_kernel_elements():
 def test_coordinates_of_basis_vectors_are_unit():
     hook = hook_schur_space(2, 4)
     for pair in hook.pairs:
-        coords = hook.coordinates(hook.kernel_basis_vector(ZZ, pair))
+        coords = hook.coordinates(kernel_basis_vector(hook, ZZ, pair))
         assert coords.coeffs == {pair: 1}
 
 
@@ -127,7 +129,7 @@ def test_basis_matrix_columns_are_kernel_vectors():
     assert B.domain == hook.coords
     assert B.codomain == hook.ambient
     for pair in hook.pairs:
-        assert B.column(pair) == hook.kernel_basis_vector(ZZ, pair)
+        assert B.column(pair) == kernel_basis_vector(hook, ZZ, pair)
 
 
 def test_degenerate_sizes():
