@@ -13,9 +13,10 @@ Subcommands:
   machine-readable report; inequalities are findings, not errors.
 
 Machine payloads go to --out when given, otherwise to stdout, a JSON one
-streamed piece by piece; progress and summaries go to stderr.  An --out that cannot be written is a usage error
-found before any work starts.  Files written via --out carry no timings, so
-repeated runs produce identical bytes.
+streamed piece by piece; progress and summaries go to stderr.  An --out
+that cannot be written is a usage error found before any work starts.
+Files written via --out carry no timings, so repeated runs produce
+identical bytes.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage.
 """
@@ -198,13 +199,13 @@ def emit(payload, out: str | None):
 def check_out(out: str | None):
     """Fail fast, before any work, when --out cannot be written: its
     directory must exist and be writable, and it must not be a directory
-    itself.  Nothing is created."""
+    itself.  An empty path names no file.  Nothing is created."""
     if out is None:
         return
     folder = os.path.dirname(out) or "."
     if os.path.isdir(out):
         reason = errno.EISDIR
-    elif not os.path.isdir(folder):
+    elif not out or not os.path.isdir(folder):
         reason = errno.ENOENT
     elif not os.access(folder, os.W_OK | os.X_OK) or (
         os.path.exists(out) and not os.access(out, os.W_OK)

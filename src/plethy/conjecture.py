@@ -36,6 +36,8 @@ from .spaces import (
     SymPower,
     Tensor,
     Wedge,
+    _eliminate,
+    _step,
     dim,
     group_action_map,
     identity_map,
@@ -368,52 +370,26 @@ class _Rows:
 # ------------------------------------------------------ sparse span rows
 
 
-def _cleared(p: int, v: dict, rows: dict, own=None) -> dict:
-    """v, a sparse GF(p) vector, less v[i] times the row at lead i for every
-    lead i of rows but own at which v is nonzero, until v is zero at all of
-    them; changed in place and returned.
-
-    Each row is zero above its lead, so subtracting it brings in only lower
-    positions: within a round the leads are taken highest first, and a
-    lead that a row brings in is taken in the next round."""
-    while True:
-        hits = sorted((i for i in v if i in rows and i != own), reverse=True)
-        if not hits:
-            return v
-        get = v.get
-        for lead in hits:
-            c = get(lead)
-            if c is None:
-                continue
-            for i, a in rows[lead].items():
-                x = (get(i, 0) - c * a) % p
-                if x:
-                    v[i] = x
-                else:
-                    del v[i]
-
-
 def _reduced_rows(p: int, vectors) -> dict:
     """Sparse rows over GF(p) in reduced echelon form spanning the given
     vectors, keyed by lead, in the order the vectors gave them; a dependent
     vector is a ValueError.
 
     A row's lead is its highest position, where it is one and every other
-    row is zero.  Each vector is cleared of the leads before it and stored
-    scaled; then each row, lowest lead first, is cleared of the leads below
-    its own, whose rows are reduced by then.  Vectors in that form already,
-    as the scan's kernel vectors are, stay as they are, at the cost of one
-    lookup per entry in each pass."""
-    rows: dict = {}
-    for v in vectors:
-        v = _cleared(p, dict(v), rows)
-        if not v:
-            raise ValueError("vectors are not linearly independent")
-        lead = max(v)
-        inv = pow(v[lead], -1, p)
-        rows[lead] = {i: c * inv % p for i, c in v.items()} if inv != 1 else v
+    row is zero.  The forward pass is _eliminate's; then each row, lowest
+    lead first, is cleared of the leads below its own.  Their rows are
+    reduced by then, so no step brings a lead back.  Vectors in that form
+    already, as the scan's kernel vectors are, stay as they are, at the
+    cost of one lookup per entry in the back pass."""
+    ring = PrimeField(p)
+    pivots, dependent = _eliminate(vectors, ring, track=False)
+    if dependent:
+        raise ValueError("vectors are not linearly independent")
+    rows = {lead: row for lead, (row, _) in pivots.items()}
     for lead in sorted(rows):
-        _cleared(p, rows[lead], rows, lead)
+        row = rows[lead]
+        for i in [i for i in row if i != lead and i in rows]:
+            _step(row, 1, row[i], rows[i], ring)
     return rows
 
 

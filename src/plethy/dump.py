@@ -4,9 +4,10 @@ write_json and csv_text are the one JSON layout and the one CSV dialect
 of every payload the command line writes; json_text joins the pieces that
 write_json sends.  CSV: one header row of domain labels, then one row per
 codomain basis label with entries rendered exactly as strings.  JSON:
-explicit basis label arrays plus sparse entries; payloads stay exact, in the ring's own JSON form (ints as ints,
-rationals as "p/q" strings, polynomials as coefficient lists), so a dump
-parses back to an equal LinearMap.  Nothing here writes timestamps.
+explicit basis label arrays plus sparse entries; payloads stay exact, in
+the ring's own JSON form (ints as ints, rationals as "p/q" strings,
+polynomials as coefficient lists), so a dump parses back to an equal
+LinearMap.  Nothing here writes timestamps.
 """
 
 from __future__ import annotations

@@ -877,124 +877,116 @@ def multiplication_map(ring: Ring, N: int, d: int) -> LinearMap:
 # ------------------------------------------------------------- linear algebra
 
 
-def _sub_scaled(target: dict, source: dict, factor, ring: Ring):
-    """target -= factor * source, in place: each touched entry is reduced
-    once and dropped when zero."""
-    reduce = ring.reduce
-    zero = ring.zero
-    for k, val in source.items():
-        s = reduce(target.get(k, zero) - factor * val)
-        if s:
-            target[k] = s
+def _step(v: dict, s, t, pv: dict, ring: Ring):
+    """v := s v - t pv, in place, with s one over a field: each entry that
+    pv touches is reduced once and dropped when zero."""
+    if s != 1:
+        for k in v:
+            v[k] *= s
+    reduce, get, pop = ring.reduce, v.get, v.pop
+    for k, c in pv.items():
+        x = reduce(get(k, 0) - t * c)
+        if x:
+            v[k] = x
         else:
-            target.pop(k, None)
+            pop(k, None)
 
 
-def _echelon(cols, ring: Ring, track: bool):
-    """Column reduction with deterministic smallest-row pivoting.
+def _over(x: dict, g, ring: Ring) -> dict:
+    """x / g: exactly over ZZ, else times the inverse of g; x itself when
+    g is one."""
+    if g == 1:
+        return x
+    if ring == ZZ:
+        return {k: c // g for k, c in x.items()}
+    inv = ring.div(ring.one, g)
+    return {k: ring.reduce(c * inv) for k, c in x.items()}
 
-    cols: dicts keyed by row index.  Returns (pivots, kernel_combos) where
-    pivots maps a row index to (reduced column, combination) and each
-    kernel combination expresses 0 as a combination of original columns
-    with the trailing coefficient equal to one.
-    """
-    if not ring.is_field:
-        raise ValueError(f"elimination needs a field, not {ring.name}")
+
+def _eliminate(cols, ring: Ring, track: bool):
+    """Exact column reduction over a field or over ZZ; any other ring is a
+    ValueError.
+
+    cols: dicts keyed by row index.  Returns (pivots, kernel).  pivots maps
+    the lead of each independent column, in column order, to (reduced
+    column, combination).  kernel holds, for each dependent column j, e_j
+    less the unique combination of the earlier independent columns that
+    equals column j, scaled to entry one at j over a field, and over ZZ to
+    a primitive vector with a positive entry at j; so it does not depend on
+    the pivot rule.  The combinations are None unless track.
+
+    A column's highest row is its lead.  While a pivot pv has the same
+    lead r, with a the column's entry there and b the pivot's, one step
+    takes v := s v - t pv, and the same on the combinations: (s, t) is
+    (1, a) over a field, where b is one, and (b/g, a/g) over ZZ, with
+    g = gcd(a, b).  A pivot is stored with lead one over a field, and over
+    ZZ divided, with its combination, by their content; so every vector
+    over ZZ is an integer multiple of the one over QQ, and no Fraction is
+    formed (Bareiss 1968; Cohen, GTM 138, ch. 2)."""
+    integral = ring == ZZ
+    if not (integral or ring.is_field):
+        raise ValueError(f"elimination needs a field or ZZ, not {ring.name}")
+    one = ring.one
     pivots: dict = {}
     kernel = []
     for j, col in enumerate(cols):
         v = dict(col)
-        combo = {j: ring.one} if track else None
+        combo = {j: one} if track else None
         while v:
-            r = min(v)
+            r = max(v)
             hit = pivots.get(r)
             if hit is None:
-                pivots[r] = (v, combo)
+                if integral:
+                    g = gcd(*v.values(), *(combo.values() if track else ()))
+                else:
+                    g = v[r]
+                pivots[r] = (_over(v, g, ring), combo and _over(combo, g, ring))
                 break
             pv, pc = hit
-            f = ring.div(v[r], pv[r])
-            _sub_scaled(v, pv, f, ring)
+            a = v[r]
+            if integral:
+                g = gcd(a, pv[r])
+                s, t = pv[r] // g, a // g
+            else:
+                s, t = one, a
+            _step(v, s, t, pv, ring)
             if track:
-                _sub_scaled(combo, pc, f, ring)
+                _step(combo, s, t, pc, ring)
         else:
+            if integral and track:
+                g = gcd(*combo.values())
+                combo = _over(combo, g if combo[j] > 0 else -g, ring)
             kernel.append(combo)
     return pivots, kernel
 
 
 def rank(A: LinearMap) -> int:
-    pivots, _ = _echelon(A.pcols, A.ring, track=False)
+    """Rank of A over its field, or over QQ for a map over ZZ, with no
+    Fraction formed; any other ring is a ValueError.  From _eliminate."""
+    pivots, _ = _eliminate(A.pcols, A.ring, track=False)
     return len(pivots)
 
 
 def rank_of_vectors(vectors: list[ModuleElement]) -> int:
-    """Rank of the span of elements of one space over one field."""
+    """Rank of the span of elements of one space over one field, or over
+    QQ for elements over ZZ.  From _eliminate."""
     if not vectors:
         return 0
     first = vectors[0]
     for v in vectors:
         first._match(v)
-    pivots, _ = _echelon([v.pcoeffs for v in vectors], first.ring, track=False)
+    pivots, _ = _eliminate([v.pcoeffs for v in vectors], first.ring, track=False)
     return len(pivots)
 
 
-def _combined(s: int, x: dict, t: int, y: dict) -> dict:
-    """s x + t y for integer vectors, with the zeros dropped."""
-    out = {k: s * c for k, c in x.items()} if s != 1 else dict(x)
-    get = out.get
-    for k, c in y.items():
-        out[k] = get(k, 0) + t * c
-    return {k: c for k, c in out.items() if c}
-
-
-def _divided(x: dict, g: int) -> dict:
-    return {k: c // g for k, c in x.items()} if g != 1 else x
-
-
-def _integer_kernel(cols) -> list[dict]:
-    """The kernel combinations of _echelon over QQ, each scaled to a
-    primitive integer vector with positive trailing coefficient, by
-    fraction-free column reduction with the same pivoting.
-
-    A step with entry a at the pivot row r and pivot entry b replaces v by
-    (b/g) v - (a/g) pv, g = gcd(a, b), and its combination likewise, so
-    each v and each combination is a nonzero integer multiple of the one
-    over QQ, and the same rows become pivots.  Each stored pivot, with its
-    combination, and each kernel combination is divided by its content."""
-    pivots: dict = {}
-    kernel = []
-    for j, col in enumerate(cols):
-        v = dict(col)
-        combo = {j: 1}
-        while v:
-            r = min(v)
-            hit = pivots.get(r)
-            if hit is None:
-                g = gcd(*v.values(), *combo.values())
-                pivots[r] = (_divided(v, g), _divided(combo, g))
-                break
-            pv, pc = hit
-            a, b = v[r], pv[r]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            v = _combined(b, v, -a, pv)
-            combo = _combined(b, combo, -a, pc)
-        else:
-            g = gcd(*combo.values())
-            kernel.append(_divided(combo, g if combo[j] > 0 else -g))
-    return kernel
-
-
 def kernel_basis(A: LinearMap) -> list[ModuleElement]:
-    """A basis of ker A as domain elements, each verified to map to zero.
+    """A basis of ker A as domain elements, from _eliminate, each verified
+    to map to zero.
 
-    Over a field the vectors come from _echelon.  Over ZZ they are a basis
-    over QQ of the kernel made of primitive integer vectors, from
-    _integer_kernel (not always a basis of the integer kernel lattice): no
+    Over ZZ they are a basis over QQ of the kernel made of primitive
+    integer vectors (not always a basis of the integer kernel lattice): no
     Fraction is formed, and the zero check runs over ZZ."""
-    if A.ring == ZZ:
-        combos = _integer_kernel(A.pcols)
-    else:
-        _, combos = _echelon(A.pcols, A.ring, track=True)
+    _, combos = _eliminate(A.pcols, A.ring, track=True)
     out = []
     for combo in combos:
         if _settled(A.ring, A._add_image({}, combo.items())):

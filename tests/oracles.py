@@ -1,5 +1,7 @@
 """Helpers shared by the oracle tests; nothing in the package uses them."""
 
+from math import gcd
+
 from plethy import (
     ZZ,
     ConsistencyError,
@@ -12,6 +14,7 @@ from plethy import (
     dim,
     pair_sort_key,
 )
+from plethy.rings import Ring
 from plethy.conjecture import _Rows
 from plethy.tableaux import Pair, is_increasing
 
@@ -132,3 +135,150 @@ def _reduce_with_steps(rows, x: int, steps: list) -> int:
             x -= s << at
         top = x.bit_length()
     return x
+
+
+# ------------------------------------------------------------------------
+# The eliminations that spaces._eliminate replaced, as they were: _echelon
+# (smallest-row pivoting, a division per step) for fields, _integer_kernel
+# for ZZ, and _reduced_rows, whose forward pass cleared each vector of every
+# lead before it.
+
+
+def _sub_scaled(target: dict, source: dict, factor, ring: Ring):
+    """target -= factor * source, in place: each touched entry is reduced
+    once and dropped when zero."""
+    reduce = ring.reduce
+    zero = ring.zero
+    for k, val in source.items():
+        s = reduce(target.get(k, zero) - factor * val)
+        if s:
+            target[k] = s
+        else:
+            target.pop(k, None)
+
+
+def _echelon(cols, ring: Ring, track: bool):
+    """Column reduction with deterministic smallest-row pivoting.
+
+    cols: dicts keyed by row index.  Returns (pivots, kernel_combos) where
+    pivots maps a row index to (reduced column, combination) and each
+    kernel combination expresses 0 as a combination of original columns
+    with the trailing coefficient equal to one.
+    """
+    if not ring.is_field:
+        raise ValueError(f"elimination needs a field, not {ring.name}")
+    pivots: dict = {}
+    kernel = []
+    for j, col in enumerate(cols):
+        v = dict(col)
+        combo = {j: ring.one} if track else None
+        while v:
+            r = min(v)
+            hit = pivots.get(r)
+            if hit is None:
+                pivots[r] = (v, combo)
+                break
+            pv, pc = hit
+            f = ring.div(v[r], pv[r])
+            _sub_scaled(v, pv, f, ring)
+            if track:
+                _sub_scaled(combo, pc, f, ring)
+        else:
+            kernel.append(combo)
+    return pivots, kernel
+
+
+def _combined(s: int, x: dict, t: int, y: dict) -> dict:
+    """s x + t y for integer vectors, with the zeros dropped."""
+    out = {k: s * c for k, c in x.items()} if s != 1 else dict(x)
+    get = out.get
+    for k, c in y.items():
+        out[k] = get(k, 0) + t * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _divided(x: dict, g: int) -> dict:
+    return {k: c // g for k, c in x.items()} if g != 1 else x
+
+
+def _integer_kernel(cols) -> list[dict]:
+    """The kernel combinations of _echelon over QQ, each scaled to a
+    primitive integer vector with positive trailing coefficient, by
+    fraction-free column reduction with the same pivoting.
+
+    A step with entry a at the pivot row r and pivot entry b replaces v by
+    (b/g) v - (a/g) pv, g = gcd(a, b), and its combination likewise, so
+    each v and each combination is a nonzero integer multiple of the one
+    over QQ, and the same rows become pivots.  Each stored pivot, with its
+    combination, and each kernel combination is divided by its content."""
+    pivots: dict = {}
+    kernel = []
+    for j, col in enumerate(cols):
+        v = dict(col)
+        combo = {j: 1}
+        while v:
+            r = min(v)
+            hit = pivots.get(r)
+            if hit is None:
+                g = gcd(*v.values(), *combo.values())
+                pivots[r] = (_divided(v, g), _divided(combo, g))
+                break
+            pv, pc = hit
+            a, b = v[r], pv[r]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            v = _combined(b, v, -a, pv)
+            combo = _combined(b, combo, -a, pc)
+        else:
+            g = gcd(*combo.values())
+            kernel.append(_divided(combo, g if combo[j] > 0 else -g))
+    return kernel
+
+
+def _cleared(p: int, v: dict, rows: dict, own=None) -> dict:
+    """v, a sparse GF(p) vector, less v[i] times the row at lead i for every
+    lead i of rows but own at which v is nonzero, until v is zero at all of
+    them; changed in place and returned.
+
+    Each row is zero above its lead, so subtracting it brings in only lower
+    positions: within a round the leads are taken highest first, and a
+    lead that a row brings in is taken in the next round."""
+    while True:
+        hits = sorted((i for i in v if i in rows and i != own), reverse=True)
+        if not hits:
+            return v
+        get = v.get
+        for lead in hits:
+            c = get(lead)
+            if c is None:
+                continue
+            for i, a in rows[lead].items():
+                x = (get(i, 0) - c * a) % p
+                if x:
+                    v[i] = x
+                else:
+                    del v[i]
+
+
+def _reduced_rows(p: int, vectors) -> dict:
+    """Sparse rows over GF(p) in reduced echelon form spanning the given
+    vectors, keyed by lead, in the order the vectors gave them; a dependent
+    vector is a ValueError.
+
+    A row's lead is its highest position, where it is one and every other
+    row is zero.  Each vector is cleared of the leads before it and stored
+    scaled; then each row, lowest lead first, is cleared of the leads below
+    its own, whose rows are reduced by then.  Vectors in that form already,
+    as the scan's kernel vectors are, stay as they are, at the cost of one
+    lookup per entry in each pass."""
+    rows: dict = {}
+    for v in vectors:
+        v = _cleared(p, dict(v), rows)
+        if not v:
+            raise ValueError("vectors are not linearly independent")
+        lead = max(v)
+        inv = pow(v[lead], -1, p)
+        rows[lead] = {i: c * inv % p for i, c in v.items()} if inv != 1 else v
+    for lead in sorted(rows):
+        _cleared(p, rows[lead], rows, lead)
+    return rows

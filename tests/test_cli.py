@@ -92,7 +92,7 @@ def test_an_out_that_is_a_directory_fails_first_and_creates_nothing(tmp_path, ca
         ["qchar", "--N", "1", "--d", "0..2"],
         ["dump", "--N", "1", "--d", "0"],
     ):
-        for out in (tmp_path, missing):
+        for out in (tmp_path, missing, ""):
             assert main([*command, "--out", str(out)]) == 2, (command, out)
             err = capsys.readouterr().err
             assert f"cannot write {out}" in err

@@ -129,19 +129,22 @@ def test_integer_kernel_is_the_rational_kernel_scaled(point):
 
 
 def test_a_skipped_combination_step_fails_the_zero_check(monkeypatch):
-    # each step combines v and then its combination; leaving the pivot's
-    # part out of every combination leaves v's relation to it broken
+    # each step updates v and then its combination; leaving the pivot's
+    # part out of every combination leaves v's relation to it broken, in
+    # the integer arithmetic (kernel_qchar reads QQ as ZZ) and over GF(3)
     calls = []
-    real = spaces._combined
+    real = spaces._step
 
-    def skipping(s, x, t, y):
+    def skipping(v, s, t, pv, ring):
         calls.append(1)
-        return real(s, x, t if len(calls) % 2 else 0, y)
+        real(v, s, t if len(calls) % 2 else 0, pv, ring)
 
-    monkeypatch.setattr(spaces, "_combined", skipping)
-    with pytest.raises(ConsistencyError, match="kernel vector failed the zero check"):
-        kernel_qchar(QQ, 3, 2, 3)
-    assert calls
+    monkeypatch.setattr(spaces, "_step", skipping)
+    for ring in (QQ, PrimeField(3)):
+        calls.clear()
+        with pytest.raises(ConsistencyError, match="kernel vector failed the zero check"):
+            kernel_qchar(ring, 3, 2, 3)
+        assert calls
 
 
 def test_the_scan_forms_no_fraction(monkeypatch):
@@ -373,6 +376,24 @@ def test_four_row_first_odd_prime_finding_regression():
     assert three.jordan_lhs == (3,) * 23 + (1,)
     assert three.jordan_rhs == (3,) * 22 + (2, 1, 1)
     assert not three.jordan_equal
+    assert not r.all_equal
+
+
+def test_six_row_kernel_jumps_at_two_primes_regression():
+    # the one known point whose rhs kernel is larger than in characteristic
+    # zero at two primes, so the elimination over ZZ and over each GF(p)
+    # is pinned where their kernels differ
+    r = scan_one(6, 1, 2, (2, 3, 5))
+    assert r.dim_lhs == r.dim_rhs_char0 == 28
+    assert r.qchar_equal and r.qchar_shift == 25
+    two, three, five = r.primes
+    assert [f.dim_rhs for f in r.primes] == [36, 31, 28]
+    assert len(hook_kernel_vectors(PrimeField(7), 6, 1, 2)) == 28
+    assert two.jordan_lhs == (2,) * 12 + (1,) * 4
+    assert two.jordan_rhs == (2,) * 16 + (1,) * 4
+    assert three.jordan_lhs == (3,) * 9 + (1,)
+    assert three.jordan_rhs == (3,) * 10 + (1,)
+    assert five.jordan_lhs == five.jordan_rhs == (5,) * 5 + (3,)
     assert not r.all_equal
 
 

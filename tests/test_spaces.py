@@ -595,6 +595,31 @@ def test_rank_of_vectors():
     assert rank_of_vectors([]) == 0
 
 
+def test_rank_over_zz_is_the_rational_rank_and_forms_no_fraction(monkeypatch):
+    # the columns 2 e0 + 4 e1, 3 e0 + 6 e1 and 5 e1 have rank 2 over QQ
+    cols = [{0: 2, 1: 4}, {0: 3, 1: 6}, {1: 5}]
+    A = LinearMap.from_positions(Sym(2), Sym(1), ZZ, cols)
+    vectors = [ModuleElement.from_positions(Sym(1), ZZ, col) for col in cols]
+    assert rank(A.map_entries(QQ, QQ.from_int)) == 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was formed")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    assert rank(A) == rank_of_vectors(vectors) == 2
+    (v,) = kernel_basis(A)
+    assert v.pcoeffs == {0: -3, 1: 2}
+
+
+def test_rank_over_z_gamma_is_a_value_error():
+    mu = multiplication_map(ZGAMMA, 2, 3)
+    for run in (rank, kernel_basis):
+        with pytest.raises(ValueError, match="needs a field or ZZ, not ZZ\\[gamma\\]"):
+            run(mu)
+    with pytest.raises(ValueError, match="needs a field or ZZ"):
+        rank_of_vectors([ModuleElement.from_positions(mu.domain, ZGAMMA, {0: ZGAMMA.one})])
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(0, 5).flatmap(
