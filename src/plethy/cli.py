@@ -178,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
 def emit(payload, out: str | None):
     """Write a payload to the file out, or to stdout when out is None: a str
     as it is, anything else as its JSON text, which write_json sends piece
-    by piece."""
+    by piece.  A write that fails, to either, is a usage error; a reader
+    that closed the pipe early is one too."""
 
     def send(write):
         if isinstance(payload, str):
@@ -187,13 +188,32 @@ def emit(payload, out: str | None):
             write_json(payload, write)
 
     if out is None:
-        send(sys.stdout.write)
+        try:
+            send(sys.stdout.write)
+            sys.stdout.flush()
+        except OSError as exc:
+            _silence_stdout()
+            raise UsageError(f"cannot write to stdout: {exc.strerror or exc}") from None
     else:
         try:
             with open(out, "w", encoding="utf-8") as fh:
                 send(fh.write)
         except OSError as exc:
             raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
+
+
+def _silence_stdout():
+    """Point the stdout descriptor at os.devnull, as the signal module's
+    docs advise after a BrokenPipeError: what the interpreter still holds
+    for stdout is then flushed there at exit, with no second error.  A
+    stdout with no descriptor is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def check_out(out: str | None):

@@ -7,7 +7,8 @@ gaps between consecutive entries), of the ambient canonical vectors labeled
 the integers and reduces to any ring.
 
 Certificates produced here, over the kernel basis B, the coordinate map
-K and the multiplication map mu of the hook space:
+K and the multiplication map mu of the hook space, all at construction and
+one Y-degree block at a time:
   * mu phi = 0, checked column by column, exactly;
   * phi = B C for the coordinate matrix C = K phi, checked column by
     column, so C holds phi's coordinates in the kernel basis;
@@ -15,7 +16,7 @@ K and the multiplication map mu of the hook space:
     of pair m, C is lower unitriangular, hence has determinant one over
     the integers;
   * an exact integer inverse, with both round trips checked against the
-    identity one Y-degree block at a time;
+    identity;
   * equivariance three ways: Lie generators over the integers, a one-
     parameter unipotent family over a polynomial ring (which certifies the
     statement over every coefficient ring at once), and unipotent checks
@@ -29,17 +30,22 @@ The map is one integer matrix, so each route keeps its arithmetic on
 integers or on residues reduced once per entry.  Five design notes keep
 the routes to the work their claims need:
 
-  * structure: positions, not labels.  The N columns (s, k) that share a
-    wedge label k share one walk of box(k): each member i gives its row
-    pos(i) (d + 1) + t(i), with t(i) = |k| - N - |i|, so the rows are
-    column k of psi: Wedge(N+1, Sym(d+1)) -> Wedge(N, Sym d) (x) Sym(d+1-N),
-    k -> sum over box(k) of i (x) t(i), and column (s, k) is those rows
-    shifted by s, keyed by the ambient's own position ints.  The least
-    and largest t(i) of each k are checked against 0..N-1, so a Y-exponent
-    outside 0..d is still a ConsistencyError; basis_image is the per-label
-    view of the same rows.  mu comes from the wedge insertion table and B
-    from the kernel supports, so no structure map builds an element per
-    label.
+  * structure: positions, not labels, one block at a time.  The N
+    columns (s, k) that share a wedge label k share one walk of box(k):
+    each member i gives its row pos(i) (d + 1) + t(i), with t(i) = |k| - N
+    - |i|, so the rows are column k of psi: Wedge(N+1, Sym(d+1)) ->
+    Wedge(N, Sym d) (x) Sym(d+1-N), k -> sum over box(k) of i (x) t(i), and
+    column (s, k) of phi is those rows shifted by s.  The least and largest
+    t(i) of each k are checked against 0..N-1, so a Y-exponent outside 0..d
+    is still a ConsistencyError; basis_image is the per-label view of the
+    same rows.  phi and C couple only equal Y-degrees, so the context holds
+    psi, 1/N of phi's entries, and checks each block from the columns of
+    its witnesses: membership, coordinates, triangularity, the inverse and
+    both round trips.  It keeps only the inverse; phi, C and the paired
+    columns are views built whole on first read, for the equivariance
+    routes, the block digests and dump --what map|coords.  mu comes from
+    the wedge insertion table and B from the kernel supports, so no
+    structure map builds an element per label.
 
   * poly: the exponent is fixed by weight.  Every entry of the upper
     unipotent U(gamma) is c gamma^k, where k is the drop in Y-degree (the
@@ -87,7 +93,7 @@ comparison at gamma = p - 1.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 
 from . import tableaux
@@ -106,6 +112,7 @@ from .spaces import (
     Sym,
     Tensor,
     Wedge,
+    _settled,
     basis,
     basis_index,
     dim,
@@ -166,15 +173,21 @@ def _image_rows(N: int, d: int, k: tuple, s_lo: int, s_hi: int) -> list:
     return [pos[i] * (d + 1) + t for i, t in zip(members, ts)]
 
 
-def _phi_columns(N: int, d: int, ambient: Tensor):
+def _psi_columns(N: int, d: int) -> list:
+    """psi's columns, the _image_rows of each wedge label k of Wedge(N+1,
+    Sym(d+1)) in basis order, with every Y-exponent checked for s in
+    0..N-1."""
+    return [_image_rows(N, d, k, 0, N - 1) for k in basis(Wedge(N + 1, Sym(d + 1)))]
+
+
+def _phi_columns(psi: list, N: int, ambient: Tensor):
     """The columns of phi in domain order, (s, k) with s outermost: column
     (s, k) is psi's column k shifted by s, so each box is walked once, for
     every s at once.  The keys are the ambient's own position ints, read
     from its basis index, so the map makes no int per entry."""
-    rows = [_image_rows(N, d, k, 0, N - 1) for k in basis(Wedge(N + 1, Sym(d + 1)))]
     keys = list(basis_index(ambient).values())
     for s in range(N):
-        for col in rows:
+        for col in psi:
             yield {keys[r + s]: 1 for r in col}
 
 
@@ -191,7 +204,9 @@ def _witness(pair) -> tuple:
 
 
 class IsoContext:
-    """The map for one (N, d), with its triangular certificate."""
+    """The map for one (N, d), with its triangular certificate, checked one
+    Y-degree block at a time; phi, its coordinates and the paired columns
+    are views built on first read."""
 
     def __init__(self, N: int, d: int):
         if N < 1 or d < 0:
@@ -205,62 +220,93 @@ class IsoContext:
             raise ConsistencyError(
                 f"domain dimension {n} differs from pair count {len(hook.pairs)}"
             )
-
-        # phi = B C with C = K phi: each column of phi is checked to lie in
-        # the kernel and to be B times its coordinates, by position
-        self.matrix = LinearMap.from_positions(
-            self.domain, hook.ambient, ZZ, _phi_columns(N, d, hook.ambient)
-        )
-        self.coord_matrix = hook.K.compose(self.matrix)
-        mu, B = hook.mu, hook.B
-        for label, col, coords in zip(
-            basis(self.domain), self.matrix.pcols, self.coord_matrix.pcols
-        ):
-            if any(mu._add_image({}, col.items()).values()):
-                raise ConsistencyError(f"image of {label} is outside the kernel")
-            if any(B._add_image({r: -c for r, c in col.items()}, coords.items()).values()):
-                raise ConsistencyError(
-                    f"image of {label} is not in the span of the kernel basis"
-                )
-        self.columns_in_kernel = True
+        # psi's columns, 1/N of phi's entries, kept for the view of phi:
+        # column (s, k) of phi is column k shifted by s
+        self._psi = psi = _psi_columns(N, d)
 
         # witness pairing: column of pair m is the image of witness(pair m)
-        self.witnesses = [_witness(p) for p in self.hook.pairs]
+        self.witnesses = [_witness(p) for p in hook.pairs]
         if len(set(self.witnesses)) != n or set(self.witnesses) != set(
             basis(self.domain)
         ):
             raise ConsistencyError("witness labels do not biject onto the domain basis")
         dom_idx = basis_index(self.domain)
         self._witness_positions = [dom_idx[w] for w in self.witnesses]
-        # built once and read by every check, the inverse and the digests
-        self.paired_columns = self._paired_columns()
-        self.diagonal = [col.get(m, 0) for m, col in enumerate(self.paired_columns)]
         self._blocks: dict = {}
-        for m, pair in enumerate(self.hook.pairs):
-            self._blocks.setdefault(self.hook.coords.ydegree(pair), []).append(m)
-        self._check_unitriangular()
+        for m, pair in enumerate(hook.pairs):
+            self._blocks.setdefault(hook.coords.ydegree(pair), []).append(m)
+
+        # one pass over the blocks: phi = B C with C = K phi and mu phi = 0
+        # for each witness's column, C unitriangular, then the block's
+        # inverse and both round trips; of a block, only its inverse is kept
+        k_pos = basis_index(self.domain.right)
+        self.diagonal = [0] * n
+        self._pair_inverse: list | None = [None] * n
+        for idxs in self.weight_blocks().values():
+            paired = {}
+            for m in idxs:
+                s, k = self.witnesses[m]
+                col = {r + s: 1 for r in psi[k_pos[k]]}
+                paired[m] = self._coordinates((s, k), col)
+            self._check_unitriangular(paired)
+            inv = _block_inverse(paired, idxs)
+            if not _is_block_identity(paired, inv, idxs):
+                raise ConsistencyError("inverse round trip failed on the pair side")
+            if not _is_block_identity(inv, paired, idxs):
+                raise ConsistencyError("inverse round trip failed on the domain side")
+            for m in idxs:
+                self._pair_inverse[m] = inv[m]
+        self.columns_in_kernel = True
         self.unitriangular = True
-        self.inverse_round_trip = False  # set by inverse() once both trips pass
+        self.inverse_round_trip = True
         self._inverse = None
 
     # ------------------------------------------------------------ structure
 
-    def _paired_columns(self):
-        """Coordinate columns reordered so column m belongs to pair m; they
-        are the coordinate matrix's own columns, keyed by pair position.
-        Construction stores the result as paired_columns, which everything
-        else reads."""
-        cols = self.coord_matrix.pcols
-        return [cols[j] for j in self._witness_positions]
+    def _coordinates(self, label, col: dict) -> dict:
+        """C's column K col of a domain label with phi column col, keyed by
+        ambient position, once mu col = 0 and B K col = col have held."""
+        hook = self.hook
+        if any(hook.mu._add_image({}, col.items()).values()):
+            raise ConsistencyError(f"image of {label} is outside the kernel")
+        coords = _settled(ZZ, hook.K._add_image({}, col.items()))
+        if any(hook.B._add_image({r: -c for r, c in col.items()}, coords.items()).values()):
+            raise ConsistencyError(
+                f"image of {label} is not in the span of the kernel basis"
+            )
+        return coords
 
-    def _check_unitriangular(self):
-        for m, (col, diag) in enumerate(zip(self.paired_columns, self.diagonal)):
-            if diag != 1:
+    def _check_unitriangular(self, paired: dict):
+        """Column m of one block, keyed by pair position, has one at m and
+        nothing above it; the diagonal entry is recorded."""
+        for m, col in paired.items():
+            self.diagonal[m] = col.get(m, 0)
+            if self.diagonal[m] != 1:
                 raise ConsistencyError(f"diagonal entry at position {m} is not one")
             if min(col) < m:
                 raise ConsistencyError(
                     f"column {m} has support above the diagonal: not triangular"
                 )
+
+    @cached_property
+    def matrix(self) -> LinearMap:
+        """phi, whole, built on first read from psi's columns."""
+        ambient = self.hook.ambient
+        return LinearMap.from_positions(
+            self.domain, ambient, ZZ, _phi_columns(self._psi, self.N, ambient)
+        )
+
+    @cached_property
+    def coord_matrix(self) -> LinearMap:
+        """C = K phi, whole, built on first read."""
+        return self.hook.K.compose(self.matrix)
+
+    @cached_property
+    def paired_columns(self) -> list:
+        """The coordinate columns with column m that of pair m's witness,
+        keyed by pair position; built on first read."""
+        cols = self.coord_matrix.pcols
+        return [cols[j] for j in self._witness_positions]
 
     @property
     def determinant(self) -> int:
@@ -293,69 +339,61 @@ class IsoContext:
     # --------------------------------------------------------------- inverse
 
     def inverse(self) -> LinearMap:
-        """Exact integer inverse of the coordinate matrix.
+        """Exact integer inverse of the coordinate matrix.  Construction
+        solved it and checked both round trips one block at a time, keyed by
+        pair position; the first call moves its rows to the domain positions
+        of their witnesses, dropping each pair-keyed column as it is moved."""
+        if self._inverse is None:
+            cols, wpos = self._pair_inverse, self._witness_positions
+            self._pair_inverse = None
 
-        Unitriangularity makes the inverse integral; the matrix only couples
-        equal Y-degrees, so substitution runs block by block, on block-local
-        positions.  Solving against e_m visits the block's positions c >= m in
-        ascending order.  There the pending sum for c is final: a nonzero one
-        is kept as x[c] and scattered down the sparse column c, and one that
-        cancelled to zero is skipped, so the scatter work is proportional to
-        the nonzeros reached.  Both round trips are checked against the
-        identity one block at a time, on block-local positions, before
-        anything is returned.  The rows of the inverse are then moved from
-        pair positions to the domain positions of their witnesses.
-        """
-        if self._inverse is not None:
-            return self._inverse
-        paired = self.paired_columns
-        inv_cols_by_pos: list = [None] * len(paired)
-        for idxs in self.weight_blocks().values():
-            b = len(idxs)
-            local = {m: k for k, m in enumerate(idxs)}
-            try:
-                below = [
-                    [(local[r], v) for r, v in paired[c].items() if r != c]
-                    for c in idxs
-                ]
-            except KeyError:
-                raise ConsistencyError("a column couples two Y-degrees") from None
-            for i, m in enumerate(idxs):
-                pending = [0] * b
-                pending[i] = 1
-                x = {}
-                for k in range(i, b):
-                    xc = pending[k]
-                    if not xc:
-                        continue
-                    x[idxs[k]] = xc
-                    for r, v in below[k]:
-                        pending[r] -= v * xc
-                inv_cols_by_pos[m] = x
-            if not _is_block_identity(paired, inv_cols_by_pos, idxs):
-                raise ConsistencyError("inverse round trip failed on the pair side")
-            if not _is_block_identity(inv_cols_by_pos, paired, idxs):
-                raise ConsistencyError("inverse round trip failed on the domain side")
-        # a generator: the map settles one moved column at a time, and each
-        # pair-keyed column is dropped as it is moved
-        wpos = self._witness_positions
+            def moved():
+                for m, x in enumerate(cols):
+                    cols[m] = None
+                    yield {wpos[c]: v for c, v in x.items()}
 
-        def moved():
-            for m, x in enumerate(inv_cols_by_pos):
-                inv_cols_by_pos[m] = None
-                yield {wpos[c]: val for c, val in x.items()}
-
-        inv = LinearMap.from_positions(self.hook.coords, self.domain, ZZ, moved())
-        self.inverse_round_trip = True
-        self._inverse = inv
-        return inv
+            self._inverse = LinearMap.from_positions(
+                self.hook.coords, self.domain, ZZ, moved()
+            )
+        return self._inverse
 
 
-def _is_block_identity(left: list, right: list, idxs) -> bool:
+def _block_inverse(paired: dict, idxs: list) -> dict:
+    """The inverse columns of one unitriangular block, keyed by pair
+    position, by sparse forward substitution on block-local positions.
+    Solving against e_m visits the block's positions c >= m in ascending
+    order.  There the pending sum for c is final: a nonzero one is kept as
+    x[c] and scattered down the sparse column c, and one that cancelled to
+    zero is skipped, so the scatter work is proportional to the nonzeros
+    reached."""
+    b = len(idxs)
+    local = {m: k for k, m in enumerate(idxs)}
+    try:
+        below = [[(local[r], v) for r, v in paired[c].items() if r != c] for c in idxs]
+    except KeyError:
+        raise ConsistencyError("a column couples two Y-degrees") from None
+    inv = {}
+    for i, m in enumerate(idxs):
+        pending = [0] * b
+        pending[i] = 1
+        x = {}
+        for k in range(i, b):
+            xc = pending[k]
+            if not xc:
+                continue
+            x[idxs[k]] = xc
+            for r, v in below[k]:
+                pending[r] -= v * xc
+        inv[m] = x
+    return inv
+
+
+def _is_block_identity(left, right, idxs) -> bool:
     """Whether column m of left times right is e_m at every position m of
-    one block.  Both are lists of integer columns keyed by pair position,
-    with column m of the product the sum over c of right[m][c] left[c]; a
-    paired column and an inverse column each stay inside their block, so
+    one block.  Both hold integer columns keyed by pair position, and each
+    column is read at its own pair position (a list or a dict of them will
+    do), with column m of the product the sum over c of right[m][c] left[c];
+    a paired column and an inverse column each stay inside their block, so
     one block is checked without the rest.  The sums run on block-local
     positions: left's columns are translated once per block, and an entry
     outside the block fails the check."""
@@ -388,9 +426,10 @@ def iso_context(N: int, d: int) -> IsoContext:
 
 
 def verify_structure(N: int, d: int) -> dict:
-    """Isomorphism certificate: dimensions, kernel membership and
-    unitriangularity (checked at construction), determinant, inverse round
-    trip.  The three checked claims report the flags their checks set."""
+    """Isomorphism certificate: dimensions, kernel membership,
+    unitriangularity and the inverse round trips (checked at construction),
+    determinant, integral inverse.  The three checked claims report the
+    flags their checks set."""
     ctx = iso_context(N, d)
     report = {
         "dims_equal": dim(ctx.domain) == len(ctx.hook.pairs),
@@ -646,6 +685,8 @@ def verify_duality(N: int, d: int) -> dict:
 
 def gl2_scalar_exponents(N: int, d: int) -> tuple[int, int]:
     """Scalar matrices act on both sides by the same power: the domain's
-    homogeneous degree versus the kernel's degree plus the twist 2N."""
-    ctx = iso_context(N, d)
-    return ctx.domain.total_degree(), ctx.hook.ambient.total_degree() + 2 * N
+    homogeneous degree versus the kernel's degree plus the twist 2N.  Only
+    the two spaces are built, no context."""
+    domain = Tensor(Sym(N - 1), Wedge(N + 1, Sym(d + 1)))
+    ambient = Tensor(Wedge(N, Sym(d)), Sym(d))
+    return domain.total_degree(), ambient.total_degree() + 2 * N

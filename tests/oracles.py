@@ -16,6 +16,9 @@ from plethy import (
 )
 from plethy.rings import Ring
 from plethy.conjecture import _Rows
+from plethy.iso import _is_block_identity, _phi_columns, _psi_columns, _witness
+from plethy.schur import hook_schur_space
+from plethy.spaces import basis, basis_index
 from plethy.tableaux import Pair, is_increasing
 
 
@@ -68,6 +71,100 @@ def phi_oracle(N: int, d: int) -> LinearMap:
     return LinearMap.from_function(
         ZZ, domain, ambient, lambda label: basis_image_oracle(ZZ, N, d, *label)
     )
+
+
+class WholeMapContext:
+    """The structure as IsoContext built it before it ran one Y-degree
+    block at a time: phi whole from _phi_columns, C = K phi by compose, the
+    membership loop over every column in domain order, the paired columns,
+    the unitriangular check, and the inverse built on first call by block
+    substitution, with both round trips.  It has the attributes that
+    weight_block_digests reads, so the digests of both can be compared."""
+
+    def __init__(self, N: int, d: int):
+        self.N = N
+        self.d = d
+        self.hook = hook = hook_schur_space(N, d)
+        self.domain = Tensor(Sym(N - 1), Wedge(N + 1, Sym(d + 1)))
+        n = dim(self.domain)
+        if n != len(hook.pairs):
+            raise ConsistencyError("domain dimension differs from pair count")
+        self.matrix = LinearMap.from_positions(
+            self.domain, hook.ambient, ZZ, _phi_columns(_psi_columns(N, d), N, hook.ambient)
+        )
+        self.coord_matrix = hook.K.compose(self.matrix)
+        mu, B = hook.mu, hook.B
+        for label, col, coords in zip(
+            basis(self.domain), self.matrix.pcols, self.coord_matrix.pcols
+        ):
+            if any(mu._add_image({}, col.items()).values()):
+                raise ConsistencyError(f"image of {label} is outside the kernel")
+            if any(B._add_image({r: -c for r, c in col.items()}, coords.items()).values()):
+                raise ConsistencyError(
+                    f"image of {label} is not in the span of the kernel basis"
+                )
+        self.witnesses = [_witness(p) for p in hook.pairs]
+        if set(self.witnesses) != set(basis(self.domain)) or len(self.witnesses) != n:
+            raise ConsistencyError("witness labels do not biject onto the domain basis")
+        dom_idx = basis_index(self.domain)
+        self._witness_positions = [dom_idx[w] for w in self.witnesses]
+        cols = self.coord_matrix.pcols
+        self.paired_columns = [cols[j] for j in self._witness_positions]
+        self.diagonal = [col.get(m, 0) for m, col in enumerate(self.paired_columns)]
+        self._blocks: dict = {}
+        for m, pair in enumerate(hook.pairs):
+            self._blocks.setdefault(hook.coords.ydegree(pair), []).append(m)
+        for m, (col, diag) in enumerate(zip(self.paired_columns, self.diagonal)):
+            if diag != 1:
+                raise ConsistencyError(f"diagonal entry at position {m} is not one")
+            if min(col) < m:
+                raise ConsistencyError(
+                    f"column {m} has support above the diagonal: not triangular"
+                )
+        self._inverse = None
+
+    def weight_blocks(self) -> dict:
+        return self._blocks
+
+    def inverse(self) -> LinearMap:
+        if self._inverse is not None:
+            return self._inverse
+        paired = self.paired_columns
+        inv_cols_by_pos: list = [None] * len(paired)
+        for idxs in self.weight_blocks().values():
+            b = len(idxs)
+            local = {m: k for k, m in enumerate(idxs)}
+            try:
+                below = [
+                    [(local[r], v) for r, v in paired[c].items() if r != c]
+                    for c in idxs
+                ]
+            except KeyError:
+                raise ConsistencyError("a column couples two Y-degrees") from None
+            for i, m in enumerate(idxs):
+                pending = [0] * b
+                pending[i] = 1
+                x = {}
+                for k in range(i, b):
+                    xc = pending[k]
+                    if not xc:
+                        continue
+                    x[idxs[k]] = xc
+                    for r, v in below[k]:
+                        pending[r] -= v * xc
+                inv_cols_by_pos[m] = x
+            if not _is_block_identity(paired, inv_cols_by_pos, idxs):
+                raise ConsistencyError("inverse round trip failed on the pair side")
+            if not _is_block_identity(inv_cols_by_pos, paired, idxs):
+                raise ConsistencyError("inverse round trip failed on the domain side")
+        wpos = self._witness_positions
+        self._inverse = LinearMap.from_positions(
+            self.hook.coords,
+            self.domain,
+            ZZ,
+            ({wpos[c]: v for c, v in x.items()} for x in inv_cols_by_pos),
+        )
+        return self._inverse
 
 
 def pair_precedes(p: Pair, q: Pair) -> bool:

@@ -5,7 +5,11 @@ import gc
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -480,3 +484,60 @@ def test_scan_rejects_bad_grid(capsys):
 def test_scan_rejects_negative_dim_cap(capsys):
     assert main(["scan", "--dim-cap", "-1"]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- stdout
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dump", "--N", "4", "--d", "4", "--what", "inverse", "--format", "json"],
+        ["dump", "--N", "2", "--d", "3", "--what", "map"],
+        ["verify", "--N", "1", "--d", "1", "--p", "2"],
+        ["qchar", "--N", "1", "--d", "1"],
+        ["qchar", "--N", "1", "--d", "1", "--format", "csv"],
+        ["scan", "--M", "1", "--N", "1", "--d", "1", "--p", "2"],
+    ],
+)
+def test_a_closed_stdout_is_a_usage_error(argv, monkeypatch, capsys):
+    # exit 1 is kept for a failed certified claim: a reader that stopped
+    # reading is exit 2, one usage error line and no traceback
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if "error" in line]
+    assert lines == ["usage error: cannot write to stdout: Broken pipe"]
+    assert "Traceback" not in err
+
+
+def test_a_pipe_closed_by_its_reader_exits_two_with_one_line():
+    # the read end is closed before the command writes, so every write to
+    # stdout fails; the interpreter's flush at exit must not fail again
+    src = Path(__file__).resolve().parent.parent / "src"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "plethy.cli", "dump", "--N", "2", "--d", "3",
+             "--what", "inverse", "--format", "json"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert run.returncode == 2
+    assert run.stderr == "usage error: cannot write to stdout: Broken pipe\n"

@@ -7,14 +7,16 @@ import pytest
 
 from plethy import iso_context
 from plethy.cli import main
+from oracles import WholeMapContext
 
 GRID = [(N, d) for d in range(8) for N in range(1, d + 3)]
 
 
 def oracle_inverse_cols(ctx):
     """The original algorithm: for every later row r of the block, sum
-    paired[c][r] * x[c] over every column c of the block."""
-    paired = ctx._paired_columns()
+    paired[c][r] * x[c] over every column c of the block.  The paired
+    columns come from the whole-map oracle, not from ctx."""
+    paired = WholeMapContext(ctx.N, ctx.d).paired_columns
     inv_cols_by_pos = [None] * len(paired)
     for idxs in ctx.weight_blocks().values():
         for m in idxs:

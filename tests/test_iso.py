@@ -17,6 +17,7 @@ from plethy import (
     HookSchurSpace,
     IsoContext,
     LinearMap,
+    PairCoords,
     PrimeField,
     Sym,
     Tensor,
@@ -208,17 +209,29 @@ def test_structure_certificate(N, d):
     }
 
 
-def test_structure_flags_are_set_by_the_checks():
+def test_structure_flags_are_set_by_the_checks(monkeypatch):
+    # construction runs both round trips of every block, so a context exists
+    # only once every check has passed; inverse() runs no check again
+    trips = []
+    real = iso._is_block_identity
+
+    def counted(left, right, idxs):
+        trips.append(list(idxs))
+        return real(left, right, idxs)
+
+    monkeypatch.setattr(iso, "_is_block_identity", counted)
     ctx = IsoContext(2, 3)
     assert ctx.columns_in_kernel is True and ctx.unitriangular is True
-    assert ctx.inverse_round_trip is False  # the inverse has not run yet
-    ctx.inverse()
     assert ctx.inverse_round_trip is True
+    blocks = list(ctx.weight_blocks().values())
+    assert trips == [idxs for idxs in blocks for _ in range(2)]
+    ctx.inverse()
+    assert len(trips) == 2 * len(blocks)
 
 
 def test_structure_report_reads_the_flags(monkeypatch):
     ctx = iso_context(2, 3)
-    ctx.inverse()  # cached, so the report does not run the round trip again
+    ctx.inverse()  # cached, so the report reads this very inverse
     for flag in ("columns_in_kernel", "unitriangular", "inverse_round_trip"):
         with monkeypatch.context() as m:
             m.setattr(ctx, flag, False)
@@ -234,17 +247,32 @@ def test_factorization_through_coordinates():
         assert comp == phi
 
 
-def test_an_image_outside_the_kernel_fails_structure_and_names_its_label(monkeypatch):
+@pytest.mark.parametrize(
+    "k, extra, message",
+    [
+        # the extra row is ((1, 2), s + 2) in column (s, k): at s = 0 the
+        # kernel vector of the fixed pair ((1, 2), 2), in the block of column
+        # (0, k) and below its diagonal; at s = 1 the bare canonical vector
+        # ((1, 2), 3), with j outside i, which is never in the kernel
+        ((0, 3, 4), ((1, 2), 2), "image of (1, (0, 3, 4)) is outside the kernel"),
+        # ((0, 1), s + 1): at s = 0 a kernel vector too, but at pair position
+        # 3, in the block of Y-degree 2, while column (0, k) is paired with
+        # position 7, in the block of Y-degree 4, so it leaves its block above
+        # the diagonal.  The blocks run in ascending Y-degree, so that is found
+        # before column (1, k) leaves the kernel in the block of Y-degree 5
+        ((0, 2, 4), ((0, 1), 1), "column 7 has support above the diagonal: not triangular"),
+    ],
+)
+def test_an_image_outside_the_kernel_fails_structure_and_names_its_label(
+    monkeypatch, k, extra, message
+):
     real = iso._image_rows
     hook = hook_schur_space(2, 3)
-    row = basis_index(hook.ambient)[((0, 1), 1)]
+    row = basis_index(hook.ambient)[extra]
 
-    def leaving(N, d, k, s_lo, s_hi):
-        rows = real(N, d, k, s_lo, s_hi)
-        if (N, d, k) == (2, 3, (0, 2, 4)):
-            # the extra row is ((0, 1), s + 1) in column (s, k): at s = 0 a
-            # vector with j in i, which is in the kernel; at s = 1 a bare
-            # canonical vector with j outside i, which never is
+    def leaving(N, d, kk, s_lo, s_hi):
+        rows = real(N, d, kk, s_lo, s_hi)
+        if (N, d, kk) == (2, 3, k):
             rows = rows + [row]
         return rows
 
@@ -255,9 +283,7 @@ def test_an_image_outside_the_kernel_fails_structure_and_names_its_label(monkeyp
     finally:
         iso_context.cache_clear()  # drop the contexts built under the patch
     assert point["checks"]["structure.consistency"] is False
-    assert point["data"]["structure.consistency_error"] == (
-        "image of (1, (0, 2, 4)) is outside the kernel"
-    )
+    assert point["data"]["structure.consistency_error"] == message
 
 
 def test_an_escaped_exponent_fails_both_the_image_and_the_context(monkeypatch):
@@ -355,7 +381,7 @@ def test_phi_built_on_positions_equals_the_per_label_loop(N, d):
     ambient = Tensor(Wedge(N, Sym(d)), Sym(d))
     domain = Tensor(Sym(N - 1), Wedge(N + 1, Sym(d + 1)))
     phi = LinearMap.from_positions(
-        domain, ambient, ZZ, iso._phi_columns(N, d, ambient)
+        domain, ambient, ZZ, iso._phi_columns(iso._psi_columns(N, d), N, ambient)
     )
     oracle = phi_oracle(N, d)
     assert phi == oracle
@@ -377,36 +403,44 @@ def test_inverse_round_trips_explicitly():
 
 
 def test_inverse_rejects_a_column_that_leaves_its_block(monkeypatch):
-    ctx = IsoContext(2, 3)
-    n = len(ctx.hook.pairs)
-    # singleton blocks: every off-diagonal entry now leaves its block
-    monkeypatch.setattr(ctx, "weight_blocks", lambda: {m: [m] for m in range(n)})
+    n = len(hook_schur_space(2, 3).pairs)
+    # singleton blocks: every off-diagonal entry now leaves its block, below
+    # the diagonal, so the triangular check passes and the substitution,
+    # which runs on block-local positions, is the check that refuses it
+    monkeypatch.setattr(
+        IsoContext, "weight_blocks", lambda self: {m: [m] for m in range(n)}
+    )
     with pytest.raises(ConsistencyError, match="couples two Y-degrees"):
-        ctx.inverse()
+        IsoContext(2, 3)
 
 
 @pytest.mark.parametrize("side", ["pair", "domain"])
 def test_inverse_round_trip_catches_one_corrupted_entry(monkeypatch, side):
     # the check of the named side gets the inverse with one entry off by one,
-    # in the largest block; the other side gets the exact inverse
-    ctx = IsoContext(3, 5)
-    idxs = max(ctx.weight_blocks().values(), key=len)
-    assert len(idxs) > 1
+    # in the largest block; the other side gets the exact inverse.  The
+    # block and its paired columns come from an unpatched context
+    ref = IsoContext(3, 5)
+    idxs = max(ref.weight_blocks().values(), key=len)
+    paired = {m: ref.paired_columns[m] for m in idxs}
+    # a unitriangular block with an entry off the diagonal is not its own
+    # inverse, so the paired side is told apart by its columns
+    assert len(idxs) > 1 and any(len(paired[m]) > 1 for m in idxs)
     real = iso._is_block_identity
 
     def corrupting(left, right, block):
-        pair_side = left is ctx.paired_columns
-        if block != idxs or pair_side != (side == "pair"):
+        if block != idxs:
             return real(left, right, block)
-        inv = list(right if pair_side else left)
+        pair_side = all(left[m] == paired[m] for m in idxs)
+        if pair_side != (side == "pair"):
+            return real(left, right, block)
+        inv = copy.copy(right if pair_side else left)
         inv[idxs[0]] = dict(inv[idxs[0]])
         inv[idxs[0]][idxs[-1]] = inv[idxs[0]].get(idxs[-1], 0) + 1
         return real(left, inv, block) if pair_side else real(inv, right, block)
 
     monkeypatch.setattr(iso, "_is_block_identity", corrupting)
     with pytest.raises(ConsistencyError, match=f"failed on the {side} side"):
-        ctx.inverse()
-    assert ctx.inverse_round_trip is False
+        IsoContext(3, 5)
 
 
 def test_determinant_is_one():
@@ -478,14 +512,17 @@ def test_stored_paired_structure_matches_a_fresh_rebuild(N, d):
 
 
 def test_verify_point_builds_the_paired_columns_once(monkeypatch):
+    # the paired columns are a view of the coordinate matrix K phi, which
+    # the block digests read; it is composed once for the whole point
     builds = []
-    build = IsoContext._paired_columns
+    compose = LinearMap.compose
 
-    def counted(self):
-        builds.append((self.N, self.d))
-        return build(self)
+    def counted(self, other):
+        if self.codomain == PairCoords(2, 3):
+            builds.append((2, 3))
+        return compose(self, other)
 
-    monkeypatch.setattr(IsoContext, "_paired_columns", counted)
+    monkeypatch.setattr(LinearMap, "compose", counted)
     iso_context.cache_clear()
     try:
         point = verify_point(2, 3, (2, 3))
@@ -821,6 +858,25 @@ def test_gl2_scalar_exponents_golden():
 def test_gl2_scalar_exponents_balance(N, d):
     a, b = gl2_scalar_exponents(N, d)
     assert a == b
+
+
+def test_gl2_scalar_exponents_build_no_context(monkeypatch):
+    grid = [(N, d) for d in range(9) for N in range(1, min(4, d + 2) + 1)]
+    # the degrees as read off a context's own spaces
+    expected = {}
+    for N, d in grid:
+        ctx = iso_context(N, d)
+        expected[N, d] = (
+            ctx.domain.total_degree(),
+            ctx.hook.ambient.total_degree() + 2 * N,
+        )
+
+    def refuse(self, N, d):
+        raise AssertionError("a context was built for the scalar exponents")
+
+    monkeypatch.setattr(IsoContext, "__init__", refuse)
+    iso_context.cache_clear()
+    assert {(N, d): gl2_scalar_exponents(N, d) for N, d in grid} == expected
 
 
 # ------------------------------------------------------------------ properties
