@@ -87,11 +87,13 @@ from .conjecture import (
     scan_one,
 )
 from .dump import (
+    JsonArray,
     basis_to_json,
     csv_text,
     dump_payload,
     json_text,
     linear_map_from_json,
+    linear_map_stream,
     linear_map_to_csv,
     linear_map_to_json,
     weight_block_digest,

@@ -34,8 +34,8 @@ from .conjecture import CONVENTION, CSV_HEADER, DIM_CAP, scan
 from .dump import (
     basis_to_json,
     csv_text,
+    linear_map_stream,
     linear_map_to_csv,
-    linear_map_to_json,
     weight_block_digests,
     write_json,
 )
@@ -380,7 +380,8 @@ def cmd_dump(args) -> int:
     else:
         A = _map_to_dump(N, d, args.what, ring_by_name(args.ring, p))
         _release_point()
-        payload = linear_map_to_json(A) if args.format == "json" else linear_map_to_csv(A)
+        # a JSON map streams its label arrays and entries, never held whole
+        payload = linear_map_stream(A) if args.format == "json" else linear_map_to_csv(A)
     emit(payload, args.out)
     return 0
 

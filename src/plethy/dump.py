@@ -4,8 +4,9 @@ write_json and csv_text are the one JSON layout and the one CSV dialect
 of every payload the command line writes; json_text joins the pieces that
 write_json sends.  CSV: one header row of domain labels, then one row per
 codomain basis label with entries rendered exactly as strings.  JSON:
-explicit basis label arrays plus sparse entries; payloads stay exact, in
-the ring's own JSON form (ints as ints, rationals as "p/q" strings,
+explicit basis label arrays plus sparse entries, which the command line
+streams as JsonArrays (linear_map_stream); payloads stay exact, in the
+ring's own JSON form (ints as ints, rationals as "p/q" strings,
 polynomials as coefficient lists), so a dump parses back to an equal
 LinearMap.  Nothing here writes timestamps.
 """
@@ -38,9 +39,24 @@ _ROWS_PER_SLICE = 1024
 _CHARS_PER_WRITE = 1 << 16
 
 
+class JsonArray:
+    """A JSON array that write_json sends a slice at a time, so that it is
+    never held whole: slices() yields its elements as lists, afresh on every
+    call.  Iterating it yields the elements, so list() makes the array."""
+
+    __slots__ = ("slices",)
+
+    def __init__(self, slices):
+        self.slices = slices
+
+    def __iter__(self):
+        return chain.from_iterable(self.slices())
+
+
 def json_text(payload) -> str:
     """A payload as JSON text: exactly json.dumps(payload, indent=2) and one
-    trailing newline, joined from the pieces that write_json makes."""
+    trailing newline, joined from the pieces that write_json makes; a
+    JsonArray in it is written as the list of its elements."""
     out: list = []
     write_json(payload, out.append)
     return "".join(out)
@@ -49,35 +65,55 @@ def json_text(payload) -> str:
 def write_json(payload, write) -> None:
     """Send the text json_text(payload) to write, one piece at a time.
 
-    Where json.dumps would indent in pure Python, the text is built here,
-    and never whole, from C-level string work: a plain int is its
-    int.__repr__, as json writes it, a list of plain ints is one str.join
-    of those, and a list of non-empty lists of plain ints (a map's entries)
-    is the repr of each slice of _ROWS_PER_SLICE rows with the separators
-    replaced.  A dict with no container inside goes whole to json.dumps,
-    its item separator set to the indent.  Other dicts and lists recurse;
-    every other key, scalar and empty container goes to json.dumps, so
-    json's own rules decide it.
-    Where json.dumps indents in C, it makes the whole text, which is sent
-    in pieces of _CHARS_PER_WRITE characters, so that a file encodes one
-    piece at a time."""
-    if _INDENT_IN_C:
-        text = json.dumps(payload, indent=2)
-        for lo in range(0, len(text), _CHARS_PER_WRITE):
-            write(text[lo : lo + _CHARS_PER_WRITE])
-    else:
-        _write_json(payload, "\n", write)
+    An array is written a slice at a time: a list by slices of
+    _ROWS_PER_SLICE elements, a JsonArray by the slices it yields.  A slice
+    of non-empty lists of plain ints (a map's entries) is the repr of the
+    slice with the separators replaced, on every interpreter.  Any other
+    slice goes, where json.dumps indents in C, to json.dumps whole, its
+    lines indented in place; where it would indent in pure Python, the text
+    is built here from C-level string work: a plain int is its
+    int.__repr__, as json writes it, and a list of plain ints is one
+    str.join of those.  A dict with no container inside goes whole to
+    json.dumps, its item separator set to the indent.  Other dicts and lists
+    recurse; every other key, scalar and empty container goes to json.dumps,
+    so json's own rules decide it.
+    Where json.dumps indents in C, a value that is not a JsonArray and has
+    none as a value or an element, a payload with none included, goes to
+    json.dumps whole, and its text is sent in pieces of _CHARS_PER_WRITE
+    characters, so that a file encodes one piece at a time; so there a
+    JsonArray deeper in such a value is a TypeError."""
+    _write_json(payload, "\n", write)
     write("\n")
+
+
+def _streams(value) -> bool:
+    """Whether value is a JsonArray or a dict, list or tuple with one as a
+    value or an element."""
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return isinstance(value, JsonArray)
+    return any(isinstance(v, JsonArray) for v in value)
 
 
 def _write_json(value, nl: str, write) -> None:
     """Send to write the indent-2 JSON text of value, whose closing bracket
     goes after nl, a newline and the indent of value's own line."""
-    if type(value) is int:
+    if _INDENT_IN_C and not _streams(value):
+        text = json.dumps(value, indent=2)
+        if nl != "\n":
+            # json.dumps writes no newline inside a string, so each newline
+            # it writes starts an indented line
+            text = text.replace("\n", nl)
+        for lo in range(0, len(text), _CHARS_PER_WRITE):
+            write(text[lo : lo + _CHARS_PER_WRITE])
+    elif type(value) is int:
         write(int.__repr__(value))
+    elif isinstance(value, JsonArray):
+        _write_array(value.slices(), nl, write)
     elif isinstance(value, dict) and value:
         inner = nl + "  "
-        if not any(isinstance(v, (dict, list, tuple)) for v in value.values()):
+        if not any(isinstance(v, (dict, list, tuple, JsonArray)) for v in value.values()):
             # no container inside: json.dumps writes it whole, keys and all
             text = json.dumps(value, separators=("," + inner, ": "))
             write("{" + inner + text[1:-1] + nl + "}")
@@ -91,38 +127,49 @@ def _write_json(value, nl: str, write) -> None:
             sep = "," + inner
         write(nl + "}")
     elif isinstance(value, (list, tuple)) and value:
-        inner = nl + "  "
-        types = set(map(type, value))
-        if types == {int}:
+        if set(map(type, value)) == {int}:
+            inner = nl + "  "
             write("[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]")
-        elif (
-            type(value) is list
-            and types == {list}
-            and all(value)
-            and set(map(type, chain.from_iterable(value))) == {int}
+        else:
+            size = _ROWS_PER_SLICE
+            _write_array((value[lo : lo + size] for lo in range(0, len(value), size)), nl, write)
+    else:
+        write(json.dumps(value))
+
+
+def _write_array(slices, nl: str, write) -> None:
+    """Send to write the indent-2 JSON text of the array whose elements the
+    slices give in order, a slice's text at a time."""
+    inner = nl + "  "
+    first = sep = "[" + inner
+    for piece in slices:
+        if not piece:
+            continue
+        if (
+            type(piece) is list
+            and set(map(type, piece)) == {list}
+            and all(piece)
+            and set(map(type, chain.from_iterable(piece))) == {int}
         ):
             # a slice's repr is "[[a, b], [c, d]]": only the separators change
             deeper = inner + "  "
-            between = inner + "]," + inner + "[" + deeper
-            sep = "[" + inner + "[" + deeper
-            for lo in range(0, len(value), _ROWS_PER_SLICE):
-                rows = (
-                    repr(value[lo : lo + _ROWS_PER_SLICE])[2:-2]
-                    .replace("], [", between)
-                    .replace(", ", "," + deeper)
-                )
-                write(sep + rows)
-                sep = between
-            write(inner + "]" + nl + "]")
+            rows = (
+                repr(piece)[2:-2]
+                .replace("], [", inner + "]," + inner + "[" + deeper)
+                .replace(", ", "," + deeper)
+            )
+            write(sep + "[" + deeper + rows + inner + "]")
+        elif _INDENT_IN_C and not _streams(piece):
+            # "[" nl e1 "," nl e2 nl "]" with nl the newline and two spaces
+            write(sep + json.dumps(piece, indent=2)[4:-2].replace("\n", nl))
         else:
-            sep = "[" + inner
-            for v in value:
+            for v in piece:
                 write(sep)
                 _write_json(v, inner, write)
                 sep = "," + inner
-            write(nl + "]")
-    else:
-        write(json.dumps(value))
+            continue
+        sep = "," + inner
+    write("[]" if sep is first else nl + "]")
 
 
 def csv_text(header: list, rows) -> str:
@@ -136,21 +183,52 @@ def csv_text(header: list, rows) -> str:
 
 
 def linear_map_to_json(A: LinearMap) -> dict:
-    dom = basis(A.domain)
-    cod = basis(A.codomain)
+    """The JSON form of A: linear_map_stream(A) with its arrays made."""
+    return {
+        k: list(v) if isinstance(v, JsonArray) else v
+        for k, v in linear_map_stream(A).items()
+    }
+
+
+def linear_map_stream(A: LinearMap) -> dict:
+    """The JSON form of A with its two label arrays and its entries as
+    JsonArrays, which write_json sends _ROWS_PER_SLICE elements at a time:
+    an entry [r, c, v] for each nonzero v at row r of column c, by column
+    and then by row."""
     to_json = A.ring.payload_to_json
-    entries = [
-        [r, c, to_json(v)] for c, col in enumerate(A.pcols) for r, v in sorted(col.items())
-    ]
+    size = _ROWS_PER_SLICE
+
+    def entries():
+        rows: list = []
+        for c, col in enumerate(A.pcols):
+            for r, v in sorted(col.items()):
+                rows.append([r, c, to_json(v)])
+                if len(rows) == size:
+                    yield rows
+                    rows = []
+        if rows:
+            yield rows
+
     return {
         "kind": "linear_map",
         "ring": A.ring.to_json(),
         "domain": A.domain.to_json(),
         "codomain": A.codomain.to_json(),
-        "domain_basis": [A.domain.label_to_json(l) for l in dom],
-        "codomain_basis": [A.codomain.label_to_json(l) for l in cod],
-        "entries": entries,
+        "domain_basis": _label_array(A.domain),
+        "codomain_basis": _label_array(A.codomain),
+        "entries": JsonArray(entries),
     }
+
+
+def _label_array(space) -> JsonArray:
+    """The JSON labels of a space's basis, in order, as a JsonArray."""
+
+    def slices():
+        labels, to_json = basis(space), space.label_to_json
+        for lo in range(0, len(labels), _ROWS_PER_SLICE):
+            yield [to_json(l) for l in labels[lo : lo + _ROWS_PER_SLICE]]
+
+    return JsonArray(slices)
 
 
 def linear_map_from_json(data) -> LinearMap:
@@ -218,13 +296,13 @@ def basis_to_json(hook: HookSchurSpace) -> list:
     return out
 
 
-def _block_text(ctx: IsoContext, idxs: list) -> str:
-    """Canonical text form of the Y-degree block of the paired coordinate
-    matrix at pair positions idxs (ctx.weight_block_matrix): row labels,
-    column labels, then dense integer rows.  The sparse paired columns are
-    scattered into rows of decimal strings, so only the nonzero entries are
-    converted."""
-    paired = ctx.paired_columns
+def _block_text(ctx: IsoContext, w: int) -> str:
+    """Canonical text form of the Y-degree block w of the paired coordinate
+    matrix (ctx.weight_block_matrix): row labels, column labels, then dense
+    integer rows.  The block's sparse paired columns are scattered into
+    rows of decimal strings, so only the nonzero entries are converted."""
+    idxs = ctx.weight_blocks().get(w, [])
+    paired = ctx.weight_block_columns(w)
     local = {m: k for k, m in enumerate(idxs)}
     rows = [["0"] * len(idxs) for _ in idxs]
     for k, c in enumerate(idxs):
@@ -243,8 +321,7 @@ def _block_text(ctx: IsoContext, idxs: list) -> str:
 
 def weight_block_digest(ctx: IsoContext, w: int) -> str:
     """sha256 of the canonical text of the Y-degree block w."""
-    idxs = ctx.weight_blocks().get(w, [])
-    return hashlib.sha256(_block_text(ctx, idxs).encode()).hexdigest()
+    return hashlib.sha256(_block_text(ctx, w).encode()).hexdigest()
 
 
 def weight_block_digests(ctx: IsoContext) -> dict:
@@ -254,7 +331,7 @@ def weight_block_digests(ctx: IsoContext) -> dict:
 
 def dump_payload(A: LinearMap, fmt: str) -> str:
     if fmt == "json":
-        return json_text(linear_map_to_json(A))
+        return json_text(linear_map_stream(A))
     if fmt == "csv":
         return linear_map_to_csv(A)
     raise ValueError(f"unknown format {fmt!r}")

@@ -40,10 +40,12 @@ the routes to the work their claims need:
     is still a ConsistencyError; basis_image is the per-label view of the
     same rows.  phi and C couple only equal Y-degrees, so the context holds
     psi, 1/N of phi's entries, and checks each block from the columns of
-    its witnesses: membership, coordinates, triangularity, the inverse and
-    both round trips.  It keeps only the inverse; phi, C and the paired
-    columns are views built whole on first read, for the equivariance
-    routes, the block digests and dump --what map|coords.  mu comes from
+    its witnesses against the hook space's mu, B and K of that block:
+    membership, coordinates, triangularity, the inverse and both round
+    trips.  It keeps only the inverse; phi, C and the paired columns are
+    views built whole on first read, for the equivariance routes and dump
+    --what map|coords.  The block digests read each block's paired
+    columns, from psi and the block's K, and nothing whole.  mu comes from
     the wedge insertion table and B from the kernel supports, so no
     structure map builds an element per label.
 
@@ -112,6 +114,7 @@ from .spaces import (
     Sym,
     Tensor,
     Wedge,
+    _add_columns,
     _settled,
     basis,
     basis_index,
@@ -222,7 +225,7 @@ class IsoContext:
             )
         # psi's columns, 1/N of phi's entries, kept for the view of phi:
         # column (s, k) of phi is column k shifted by s
-        self._psi = psi = _psi_columns(N, d)
+        self._psi = _psi_columns(N, d)
 
         # witness pairing: column of pair m is the image of witness(pair m)
         self.witnesses = [_witness(p) for p in hook.pairs]
@@ -232,22 +235,19 @@ class IsoContext:
             raise ConsistencyError("witness labels do not biject onto the domain basis")
         dom_idx = basis_index(self.domain)
         self._witness_positions = [dom_idx[w] for w in self.witnesses]
-        self._blocks: dict = {}
-        for m, pair in enumerate(hook.pairs):
-            self._blocks.setdefault(hook.coords.ydegree(pair), []).append(m)
 
-        # one pass over the blocks: phi = B C with C = K phi and mu phi = 0
-        # for each witness's column, C unitriangular, then the block's
-        # inverse and both round trips; of a block, only its inverse is kept
-        k_pos = basis_index(self.domain.right)
+        # one pass over the blocks, each with the hook space's mu, B and K
+        # of its Y-degree: phi = B C with C = K phi and mu phi = 0 for each
+        # witness's column, C unitriangular, then the block's inverse and
+        # both round trips; of a block, only its inverse is kept
         self.diagonal = [0] * n
         self._pair_inverse: list | None = [None] * n
-        for idxs in self.weight_blocks().values():
-            paired = {}
-            for m in idxs:
-                s, k = self.witnesses[m]
-                col = {r + s: 1 for r in psi[k_pos[k]]}
-                paired[m] = self._coordinates((s, k), col)
+        for w, idxs in self.weight_blocks().items():
+            maps = hook.mu_block(w), hook.basis_block(w), hook.coordinate_block(w)
+            paired = {
+                m: self._coordinates(label, col, w, *maps)
+                for m, label, col in self._witness_columns(idxs)
+            }
             self._check_unitriangular(paired)
             inv = _block_inverse(paired, idxs)
             if not _is_block_identity(paired, inv, idxs):
@@ -263,14 +263,39 @@ class IsoContext:
 
     # ------------------------------------------------------------ structure
 
-    def _coordinates(self, label, col: dict) -> dict:
+    def _witness_columns(self, idxs):
+        """(m, witness label, phi column) for each pair position m of one
+        block: the witness (s, k)'s column is psi's column k shifted by s,
+        keyed by ambient position."""
+        k_pos = basis_index(self.domain.right)
+        psi = self._psi
+        for m in idxs:
+            s, k = self.witnesses[m]
+            yield m, (s, k), {r + s: 1 for r in psi[k_pos[k]]}
+
+    def _coordinates(self, label, col: dict, w: int, mu, B, K) -> dict:
         """C's column K col of a domain label with phi column col, keyed by
-        ambient position, once mu col = 0 and B K col = col have held."""
-        hook = self.hook
-        if any(hook.mu._add_image({}, col.items()).values()):
+        pair position, once mu col = 0 and B K col = col have held; mu, B
+        and K are the hook space's maps of the Y-degree block w, and an
+        entry of col or of K col outside it fails."""
+        try:
+            kernel = _add_columns({}, mu, col.items())
+        except KeyError as exc:
+            at = basis(self.hook.ambient)[exc.args[0]]
+            raise ConsistencyError(
+                f"image of {label} leaves the Y-degree block {w} at {at}"
+            ) from None
+        if any(kernel.values()):
             raise ConsistencyError(f"image of {label} is outside the kernel")
-        coords = _settled(ZZ, hook.K._add_image({}, col.items()))
-        if any(hook.B._add_image({r: -c for r, c in col.items()}, coords.items()).values()):
+        coords = _settled(ZZ, _add_columns({}, K, col.items()))
+        try:
+            rebuilt = _add_columns({r: -c for r, c in col.items()}, B, coords.items())
+        except KeyError as exc:
+            at = self.hook.pairs[exc.args[0]]
+            raise ConsistencyError(
+                f"coordinates of {label} leave the Y-degree block {w} at {at}"
+            ) from None
+        if any(rebuilt.values()):
             raise ConsistencyError(
                 f"image of {label} is not in the span of the kernel basis"
             )
@@ -314,15 +339,26 @@ class IsoContext:
         return prod(self.diagonal)
 
     def weight_blocks(self) -> dict:
-        """Pair positions grouped by Y-degree, ascending within each block;
-        built once with the context, so callers must not modify it."""
-        return self._blocks
+        """Pair positions grouped by Y-degree, ascending within each block:
+        the hook space's pair_blocks, so callers must not modify it."""
+        return self.hook.pair_blocks
+
+    def weight_block_columns(self, w: int) -> dict:
+        """The paired coordinate columns of the Y-degree block w, keyed by
+        pair position: column m is K phi at pair m's witness, from psi and
+        the hook space's K of that block, so no whole map is read."""
+        K = self.hook.coordinate_block(w)
+        idxs = self.weight_blocks().get(w, [])
+        return {
+            m: _settled(ZZ, _add_columns({}, K, col.items()))
+            for m, _, col in self._witness_columns(idxs)
+        }
 
     def weight_block_matrix(self, w: int):
         """Dense integer block of the paired coordinate matrix for one
         Y-degree: (row pairs, column witness labels, rows of entries)."""
         idxs = self.weight_blocks().get(w, [])
-        cols = self.paired_columns
+        cols = self.weight_block_columns(w)
         rows = [[cols[c].get(r, 0) for c in idxs] for r in idxs]
         return (
             [self.hook.pairs[m] for m in idxs],

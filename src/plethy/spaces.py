@@ -539,6 +539,18 @@ def _settled(ring: Ring, acc: dict) -> dict:
     return {k: r for k, v in acc.items() if (r := reduce(v))}
 
 
+def _add_columns(acc: dict, cols, items, zero=0) -> dict:
+    """Add to acc the raw image of the vector given as (position,
+    coefficient) pairs under cols, the columns by position: a list, or a
+    dict that holds one Y-degree block of them, where a position outside
+    the block is a KeyError.  Return acc."""
+    get = acc.get
+    for pos, c in items:
+        for row, m in cols[pos].items():
+            acc[row] = get(row, zero) + c * m
+    return acc
+
+
 def _labelled(space: Space, col: dict) -> dict:
     """A dict keyed by basis position of space, rekeyed by label."""
     labels = basis(space)
@@ -637,13 +649,7 @@ class LinearMap:
     def _add_image(self, acc: dict, items) -> dict:
         """Add to acc, keyed by codomain position, the raw image of the
         vector given as (domain position, coefficient) pairs; return acc."""
-        cols = self.pcols
-        zero = self.ring.zero
-        get = acc.get
-        for pos, c in items:
-            for row, m in cols[pos].items():
-                acc[row] = get(row, zero) + c * m
-        return acc
+        return _add_columns(acc, self.pcols, items, self.ring.zero)
 
     def _columns_after(self, phi: "LinearMap"):
         """The pairs (j, column j of phi after self, raw), one for every
@@ -867,11 +873,15 @@ def multiplication_map(ring: Ring, N: int, d: int) -> LinearMap:
     codomain = Wedge(N + 1, Sym(d))
     one, minus = ring.one, ring.from_int(-1)
     cols = (
-        {} if j is None else {~j: minus} if j < 0 else {j: one}
-        for row in _insertions(Wedge, Sym(d), N)
-        for j in row
+        _placed(j, one, minus) for row in _insertions(Wedge, Sym(d), N) for j in row
     )
     return LinearMap.from_positions(domain, codomain, ring, cols)
+
+
+def _placed(j, one, minus) -> dict:
+    """The column that an entry j of a wedge insertion table gives: zero
+    for a repeated factor, else one or minus at the position it names."""
+    return {} if j is None else {~j: minus} if j < 0 else {j: one}
 
 
 # ------------------------------------------------------------- linear algebra

@@ -3,6 +3,7 @@
 from math import gcd
 
 from plethy import (
+    QQ,
     ZZ,
     ConsistencyError,
     LinearMap,
@@ -12,12 +13,15 @@ from plethy import (
     Wedge,
     box,
     dim,
+    multiplication_map,
     pair_sort_key,
+    rank,
 )
+from plethy import tableaux
 from plethy.rings import Ring
 from plethy.conjecture import _Rows
 from plethy.iso import _is_block_identity, _phi_columns, _psi_columns, _witness
-from plethy.schur import hook_schur_space
+from plethy.schur import _support, hook_schur_space
 from plethy.spaces import basis, basis_index
 from plethy.tableaux import Pair, is_increasing
 
@@ -64,6 +68,79 @@ def kernel_basis_vector(hook, ring, pair) -> ModuleElement:
     return ModuleElement(hook.ambient, ring, coeffs)
 
 
+# ------------------------------------------------------------------------
+# The hook space's maps as HookSchurSpace built them before it built them
+# one Y-degree block at a time: mu, B and K whole, and the checks on the
+# whole maps.
+
+
+def whole_mu(hook) -> LinearMap:
+    """mu, whole: the multiplication map over ZZ."""
+    return multiplication_map(ZZ, hook.N, hook.d)
+
+
+def whole_basis_matrix(hook, ring=ZZ) -> LinearMap:
+    """B, whole: each column its pair's kernel support, keyed by ambient
+    position."""
+    amb = basis_index(hook.ambient)
+    one = ring.one
+    cols = ({amb[label]: one for label in _support(pair)} for pair in hook.pairs)
+    return LinearMap.from_positions(hook.coords, hook.ambient, ring, cols)
+
+
+def whole_coordinate_map(hook) -> LinearMap:
+    """K, whole, from every content chain and fixed pair: column p_s of a
+    chain holds (-1)^(t-s) at each p_t with t >= s, the terminal's column is
+    zero, and a fixed pair's column is one at itself."""
+    N, d = hook.N, hook.d
+    amb = basis_index(hook.ambient)
+    pos = basis_index(hook.coords)
+    cols: list = [{}] * dim(hook.ambient)  # a terminal keeps this zero column
+    for vals in tableaux.increasing_tuples(d, N + 1):
+        chain = tableaux.content_chain(vals)
+        rows = [pos[pair] for pair in chain]
+        for s, pair in enumerate(chain):
+            cols[amb[pair]] = {r: (-1) ** (t - s) for t, r in enumerate(rows[s:], s)}
+    for i in tableaux.increasing_tuples(d, N):
+        for j in i:
+            cols[amb[(i, j)]] = {pos[(i, j)]: 1}
+    return LinearMap.from_positions(hook.ambient, hook.coords, ZZ, cols)
+
+
+def whole_verify(hook) -> None:
+    """The checks on the whole maps: the pair count, mu B = 0 column by
+    column, and the two ranks over QQ."""
+    n = len(hook.pairs)
+    if n != tableaux.count_hook_tableaux(hook.N, hook.d):
+        raise ConsistencyError("pair enumeration does not match the count formula")
+    mu, B = whole_mu(hook), whole_basis_matrix(hook)
+    for pair, col in zip(hook.pairs, B.pcols):
+        if any(mu._add_image({}, col.items()).values()):
+            raise ConsistencyError(f"basis vector of {pair} is outside the kernel")
+    if rank(B.map_entries(QQ, QQ.from_int)) != n:
+        raise ConsistencyError("kernel basis vectors are linearly dependent")
+    if dim(mu.domain) - rank(mu.map_entries(QQ, QQ.from_int)) != n:
+        raise ConsistencyError("kernel dimension does not match the pair count")
+
+
+def linear_map_json_oracle(A: LinearMap) -> dict:
+    """The JSON form of A as linear_map_to_json built it before the payload
+    streamed: both label arrays and the entries, by column and then by row,
+    made whole."""
+    to_json = A.ring.payload_to_json
+    return {
+        "kind": "linear_map",
+        "ring": A.ring.to_json(),
+        "domain": A.domain.to_json(),
+        "codomain": A.codomain.to_json(),
+        "domain_basis": [A.domain.label_to_json(l) for l in basis(A.domain)],
+        "codomain_basis": [A.codomain.label_to_json(l) for l in basis(A.codomain)],
+        "entries": [
+            [r, c, to_json(v)] for c, col in enumerate(A.pcols) for r, v in sorted(col.items())
+        ],
+    }
+
+
 def phi_oracle(N: int, d: int) -> LinearMap:
     """phi over ZZ, one basis_image_oracle call per domain label."""
     domain = Tensor(Sym(N - 1), Wedge(N + 1, Sym(d + 1)))
@@ -75,9 +152,10 @@ def phi_oracle(N: int, d: int) -> LinearMap:
 
 class WholeMapContext:
     """The structure as IsoContext built it before it ran one Y-degree
-    block at a time: phi whole from _phi_columns, C = K phi by compose, the
-    membership loop over every column in domain order, the paired columns,
-    the unitriangular check, and the inverse built on first call by block
+    block at a time: phi whole from _phi_columns, C = K phi by compose with
+    whole_coordinate_map, the membership loop over every column in domain
+    order against whole_mu and whole_basis_matrix, the paired columns, the
+    unitriangular check, and the inverse built on first call by block
     substitution, with both round trips.  It has the attributes that
     weight_block_digests reads, so the digests of both can be compared."""
 
@@ -92,8 +170,8 @@ class WholeMapContext:
         self.matrix = LinearMap.from_positions(
             self.domain, hook.ambient, ZZ, _phi_columns(_psi_columns(N, d), N, hook.ambient)
         )
-        self.coord_matrix = hook.K.compose(self.matrix)
-        mu, B = hook.mu, hook.B
+        self.coord_matrix = whole_coordinate_map(hook).compose(self.matrix)
+        mu, B = whole_mu(hook), whole_basis_matrix(hook)
         for label, col, coords in zip(
             basis(self.domain), self.matrix.pcols, self.coord_matrix.pcols
         ):
@@ -125,6 +203,9 @@ class WholeMapContext:
 
     def weight_blocks(self) -> dict:
         return self._blocks
+
+    def weight_block_columns(self, w: int) -> dict:
+        return {m: self.paired_columns[m] for m in self._blocks.get(w, [])}
 
     def inverse(self) -> LinearMap:
         if self._inverse is not None:

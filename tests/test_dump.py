@@ -18,6 +18,8 @@ from plethy import (
     ZGAMMA,
     ZZ,
     IntPolynomialRing,
+    JsonArray,
+    LinearMap,
     PrimeField,
     Sym,
     basis_to_json,
@@ -27,6 +29,7 @@ from plethy import (
     iso_context,
     json_text,
     linear_map_from_json,
+    linear_map_stream,
     linear_map_to_csv,
     linear_map_to_json,
     multiplication_map,
@@ -34,6 +37,7 @@ from plethy import (
     write_json,
 )
 from plethy.cli import main
+from oracles import linear_map_json_oracle
 
 
 @pytest.mark.parametrize(
@@ -397,10 +401,19 @@ CLI_JSON_COMMANDS = [
 ]
 
 
+def _made(payload):
+    """The payload with each JsonArray value made into its list, as
+    json.dumps takes it."""
+    if isinstance(payload, dict):
+        return {k: list(v) if isinstance(v, JsonArray) else v for k, v in payload.items()}
+    return payload
+
+
 @pytest.mark.parametrize("argv", CLI_JSON_COMMANDS, ids=" ".join)
 def test_every_cli_payload_is_written_as_json_dumps_writes_it(argv, monkeypatch, capsys):
     # write_json is the streamed entry point, and json_text joins its pieces,
-    # so a payload that takes either way is recorded here
+    # so a payload that takes either way is recorded here.  A map's payload
+    # streams its arrays; json.dumps gets them made into lists
     payloads = []
 
     def record(payload, write):
@@ -412,7 +425,7 @@ def test_every_cli_payload_is_written_as_json_dumps_writes_it(argv, monkeypatch,
     capsys.readouterr()
     monkeypatch.undo()
     assert len(payloads) == 1
-    expected = json.dumps(payloads[0], indent=2) + "\n"
+    expected = json.dumps(_made(payloads[0]), indent=2) + "\n"
     for indent_in_c in (False, True):
         assert _written(payloads[0], indent_in_c) == expected
         assert "".join(_pieces(payloads[0], indent_in_c)) == expected
@@ -514,3 +527,63 @@ def test_a_streamed_dump_that_cannot_be_written_is_a_usage_error(monkeypatch, ca
             "--out", "/dev/full"]
     assert main(argv) == 2
     assert "cannot write /dev/full" in capsys.readouterr().err
+
+
+def _maps_to_stream(N: int, d: int):
+    """(what, ring name, map) for map, coords and inverse at (N, d) over
+    int, rat, fp and polygamma, as dump --what writes them, and for a small
+    map whose columns hold their rows out of order."""
+    ctx = iso_context(N, d)
+    unsorted = LinearMap.from_positions(Sym(1), Sym(2), ZZ, [{2: 5, 0: -1}, {1: 6, 0: 2}])
+    maps = (("map", ctx.matrix), ("coords", ctx.coord_matrix), ("inverse", ctx.inverse()))
+    for what, A in maps + (("unsorted", unsorted),):
+        for name, ring in (("int", ZZ), ("rat", QQ), ("fp", PrimeField(7)), ("polygamma", ZGAMMA)):
+            yield what, name, A if ring == ZZ else A.map_entries(ring, ring.from_int)
+
+
+@WRITER_PATHS
+@pytest.mark.parametrize("point", [(2, 0), (3, 7)], ids=str)
+@pytest.mark.parametrize("rows_per_slice", [5, _SLICE])
+def test_a_streamed_map_is_json_dumps_of_its_json_form(indent_in_c, point, rows_per_slice):
+    # at (2, 0) every space is empty; at (3, 7) the entries of every map
+    # cross a slice boundary at 1024 rows, and at 5 rows the label arrays do
+    for what, ring_name, A in _maps_to_stream(*point):
+        with mock.patch.object(dump, "_ROWS_PER_SLICE", rows_per_slice):
+            data = linear_map_to_json(A)
+            assert data == linear_map_json_oracle(A)
+            expected = json.dumps(data, indent=2) + "\n"
+            assert _written(linear_map_stream(A), indent_in_c) == expected, (what, ring_name)
+            pieces = _pieces(linear_map_stream(A), indent_in_c)
+        assert "".join(pieces) == expected
+        assert linear_map_from_json(json.loads(expected)) == A
+        assert linear_map_from_json(data) == A
+        if what == "unsorted":
+            assert [e[:2] for e in data["entries"]] == [[0, 0], [2, 0], [0, 1], [1, 1]]
+        elif point == (3, 7):
+            assert len(data["entries"]) > _SLICE
+        else:
+            assert data["entries"] == data["domain_basis"] == data["codomain_basis"] == []
+        # no piece holds more than one slice: an entry or a label has at
+        # most two brackets, an int entry's slice is one piece
+        assert max(piece.count("[") for piece in pieces) <= 2 * rows_per_slice + 1
+
+
+def test_a_streamed_array_is_made_afresh_on_every_read():
+    calls = []
+
+    def slices():
+        calls.append(1)
+        yield [[0, 1, 2], [3, 4, 5]]
+        yield [[6, 7, "8/9"]]
+
+    array = JsonArray(slices)
+    rows = [[0, 1, 2], [3, 4, 5], [6, 7, "8/9"]]
+    assert list(array) == rows and list(array) == rows
+    for indent_in_c in (False, True):
+        assert _written({"entries": array, "n": [1]}, indent_in_c) == (
+            json.dumps({"entries": rows, "n": [1]}, indent=2) + "\n"
+        )
+        assert _written([array, JsonArray(lambda: iter([]))], indent_in_c) == (
+            json.dumps([rows, []], indent=2) + "\n"
+        )
+    assert len(calls) == 6

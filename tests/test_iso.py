@@ -255,12 +255,15 @@ def test_factorization_through_coordinates():
         # (0, k) and below its diagonal; at s = 1 the bare canonical vector
         # ((1, 2), 3), with j outside i, which is never in the kernel
         ((0, 3, 4), ((1, 2), 2), "image of (1, (0, 3, 4)) is outside the kernel"),
-        # ((0, 1), s + 1): at s = 0 a kernel vector too, but at pair position
-        # 3, in the block of Y-degree 2, while column (0, k) is paired with
-        # position 7, in the block of Y-degree 4, so it leaves its block above
-        # the diagonal.  The blocks run in ascending Y-degree, so that is found
-        # before column (1, k) leaves the kernel in the block of Y-degree 5
-        ((0, 2, 4), ((0, 1), 1), "column 7 has support above the diagonal: not triangular"),
+        # ((0, 1), s + 1): at s = 0 a kernel vector too, but of Y-degree 2,
+        # while column (0, k) lands in the block of Y-degree 4, whose mu has
+        # no column at that label.  The blocks run in ascending Y-degree, so
+        # that is found before column (1, k) leaves the block of Y-degree 5
+        (
+            (0, 2, 4),
+            ((0, 1), 1),
+            "image of (0, (0, 2, 4)) leaves the Y-degree block 4 at ((0, 1), 1)",
+        ),
     ],
 )
 def test_an_image_outside_the_kernel_fails_structure_and_names_its_label(
@@ -303,14 +306,33 @@ def test_an_escaped_exponent_fails_both_the_image_and_the_context(monkeypatch):
         basis_image(ZZ, 2, 3, 1, (2, 3, 4))
 
 
+def _corrupt_block(monkeypatch, name: str, w: int, corrupt):
+    """Patch the hook space's block map `name` so that its block w goes
+    through corrupt(cols) first; every other block is left as it is."""
+    real = getattr(HookSchurSpace, name)
+
+    def corrupted(self, ww):
+        cols = real(self, ww)
+        if ww == w:
+            cols = {p: dict(col) for p, col in cols.items()}
+            corrupt(cols)
+        return cols
+
+    monkeypatch.setattr(HookSchurSpace, name, corrupted)
+
+
 def test_coordinates_that_do_not_rebuild_the_image_fail_construction(monkeypatch):
-    # K with one entry off: mu phi = 0 still holds, but B K phi != phi
-    hook = copy.copy(hook_schur_space(2, 3))
-    cols = [dict(col) for col in hook.K.pcols]
+    # K with one entry off in the block of Y-degree 3: mu phi = 0 still
+    # holds, but B K phi != phi
+    hook = hook_schur_space(2, 3)
     label = ((0, 1), 2)
-    cols[basis_index(hook.ambient)[label]][0] = 7
-    hook.K = LinearMap.from_positions(hook.ambient, hook.coords, ZZ, cols)
-    monkeypatch.setattr(iso, "hook_schur_space", lambda N, d: hook)
+    p, m = basis_index(hook.ambient)[label], basis_index(hook.coords)[label]
+
+    def corrupt(cols):
+        assert cols[p][m] == 1
+        cols[p][m] = 7
+
+    _corrupt_block(monkeypatch, "coordinate_block", 3, corrupt)
     with pytest.raises(ConsistencyError, match="not in the span of the kernel basis"):
         IsoContext(2, 3)
 
@@ -403,13 +425,17 @@ def test_inverse_round_trips_explicitly():
 
 
 def test_inverse_rejects_a_column_that_leaves_its_block(monkeypatch):
-    n = len(hook_schur_space(2, 3).pairs)
-    # singleton blocks: every off-diagonal entry now leaves its block, below
-    # the diagonal, so the triangular check passes and the substitution,
-    # which runs on block-local positions, is the check that refuses it
-    monkeypatch.setattr(
-        IsoContext, "weight_blocks", lambda self: {m: [m] for m in range(n)}
-    )
+    # the K of the block of Y-degree 3 also sends one label to the last
+    # pair, of a higher Y-degree, and its B takes that pair to zero, so
+    # B K phi = phi still holds; the entry lies below the diagonal, so the
+    # triangular check passes and the substitution, which runs on
+    # block-local positions, is the check that refuses it
+    hook = hook_schur_space(2, 3)
+    p = basis_index(hook.ambient)[((0, 1), 2)]
+    last = len(hook.pairs) - 1
+    assert last > max(hook.pair_blocks[3])
+    _corrupt_block(monkeypatch, "coordinate_block", 3, lambda cols: cols[p].update({last: 1}))
+    _corrupt_block(monkeypatch, "basis_block", 3, lambda cols: cols.update({last: {}}))
     with pytest.raises(ConsistencyError, match="couples two Y-degrees"):
         IsoContext(2, 3)
 
@@ -511,25 +537,35 @@ def test_stored_paired_structure_matches_a_fresh_rebuild(N, d):
     assert digests == expected_digests
 
 
-def test_verify_point_builds_the_paired_columns_once(monkeypatch):
-    # the paired columns are a view of the coordinate matrix K phi, which
-    # the block digests read; it is composed once for the whole point
+def test_verify_point_builds_no_whole_coordinate_map(monkeypatch):
+    # the block digests take each block's paired columns from psi and the
+    # block's K, so verify reads no whole K, mu or B of the hook space and
+    # composes no map into the pair coordinates
     builds = []
     compose = LinearMap.compose
 
     def counted(self, other):
-        if self.codomain == PairCoords(2, 3):
-            builds.append((2, 3))
+        if isinstance(self.codomain, PairCoords):
+            builds.append(self.codomain)
         return compose(self, other)
 
+    def refuse(self):
+        raise AssertionError("verify read a whole map of the hook space")
+
     monkeypatch.setattr(LinearMap, "compose", counted)
+    for view in ("mu", "B", "K"):
+        monkeypatch.setattr(HookSchurSpace, view, property(refuse))
     iso_context.cache_clear()
+    hook_schur_space.cache_clear()
     try:
-        point = verify_point(2, 3, (2, 3))
+        point = verify_point(3, 4, (2, 3))
     finally:
-        iso_context.cache_clear()  # drop the context built under the wrapper
+        # drop the context and hook space built under the wrapper
+        iso_context.cache_clear()
+        hook_schur_space.cache_clear()
     assert all(point["checks"].values())
-    assert builds == [(2, 3)]
+    assert len(point["block_hashes"]) == len(iso_context(3, 4).weight_blocks())
+    assert builds == []
 
 
 # ----------------------------------------------------------------- equivariance

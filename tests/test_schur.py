@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from plethy import (
     QQ,
     ZZ,
+    ConsistencyError,
+    HookSchurSpace,
     ModuleElement,
     PrimeField,
     basis_index,
@@ -21,6 +23,7 @@ from plethy import (
     semistandard_pairs,
 )
 
+import plethy.tableaux as tableaux
 from oracles import kernel_basis_vector
 
 
@@ -156,3 +159,113 @@ def test_pair_order_matches_basis_listing(data):
     hook = hook_schur_space(N, d)
     assert list(hook.pairs) == semistandard_pairs(N, d)
     assert all(basis_index(hook.coords)[p] == n for n, p in enumerate(hook.pairs))
+
+
+# ------------------------------------------------- checks one block at a time
+
+
+def _corrupt_block(monkeypatch, name: str, w: int, corrupt):
+    """Patch the block map `name` of HookSchurSpace so that its block w
+    goes through corrupt(hook, cols) first; every other block is as it is."""
+    real = getattr(HookSchurSpace, name)
+
+    def corrupted(self, ww):
+        cols = real(self, ww)
+        if ww == w:
+            cols = {p: dict(col) for p, col in cols.items()}
+            corrupt(self, cols)
+        return cols
+
+    monkeypatch.setattr(HookSchurSpace, name, corrupted)
+
+
+def _chain_labels(hook, vals):
+    """Ambient positions of the content chain of vals, its terminal
+    included: every label with content vals."""
+    amb = basis_index(hook.ambient)
+    return [amb[(vals[:t] + vals[t + 1 :], vals[t])] for t in range(len(vals))]
+
+
+def test_a_basis_vector_outside_the_kernel_names_its_pair_and_block(monkeypatch):
+    # the vector of ((0, 1), 2) also takes the terminal ((1, 2), 0) of its
+    # chain, whose image under mu is not cancelled
+    def corrupt(hook, cols):
+        m = basis_index(hook.coords)[((0, 1), 2)]
+        cols[m][basis_index(hook.ambient)[((1, 2), 0)]] = 1
+
+    _corrupt_block(monkeypatch, "basis_block", 3, corrupt)
+    message = r"^basis vector of \(\(0, 1\), 2\) is outside the kernel in the Y-degree block 3$"
+    with pytest.raises(ConsistencyError, match=message):
+        HookSchurSpace(2, 3)
+
+
+def test_dependent_basis_vectors_name_their_block(monkeypatch):
+    # the second pair of the block gets the first pair's vector, which is
+    # in the kernel, so only the rank tells them apart
+    def corrupt(hook, cols):
+        first, second = list(cols)[:2]
+        cols[second] = dict(cols[first])
+
+    _corrupt_block(monkeypatch, "basis_block", 4, corrupt)
+    message = r"^kernel basis vectors are linearly dependent in the Y-degree block 4$"
+    with pytest.raises(ConsistencyError, match=message):
+        HookSchurSpace(2, 3)
+
+
+def test_a_kernel_larger_than_the_pair_count_names_its_block(monkeypatch):
+    # mu sends every label of the content (0, 1, 3) to zero: the basis
+    # vectors stay in the kernel, and the kernel grows by one
+    n = len(hook_schur_space(2, 3).pair_blocks[4])
+
+    def corrupt(hook, cols):
+        for p in _chain_labels(hook, (0, 1, 3)):
+            cols[p] = {}
+
+    _corrupt_block(monkeypatch, "mu_block", 4, corrupt)
+    message = (
+        r"^kernel dimension does not match the pair count in the Y-degree "
+        rf"block 4: {n + 1} against {n}$"
+    )
+    with pytest.raises(ConsistencyError, match=message):
+        HookSchurSpace(2, 3)
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("basis_block", r"^basis vector of \(\(0, 1\), 2\) leaves the Y-degree block 3$"),
+        (
+            "mu_block",
+            r"^the multiplication map leaves the Y-degree block 3 at \(\(0, 1\), 2\)$",
+        ),
+    ],
+)
+def test_an_entry_that_leaves_its_block_fails_construction(monkeypatch, name, message):
+    # at (2, 3) the Y-degree 3 block takes B's column of ((0, 1), 2) to the
+    # label ((0, 1), 1), of Y-degree 2; or mu's columns that land on the
+    # wedge (0, 1, 2), position 0 of Wedge(3, Sym(3)), to (0, 1, 3), position
+    # 1, of Y-degree 4, with their signs, so that mu B = 0 still holds
+    def corrupt(hook, cols):
+        if name == "basis_block":
+            m = basis_index(hook.coords)[((0, 1), 2)]
+            cols[m][basis_index(hook.ambient)[((0, 1), 1)]] = 1
+        else:
+            for p, col in cols.items():
+                if 0 in col:
+                    cols[p] = {1: col[0]}
+
+    _corrupt_block(monkeypatch, name, 3, corrupt)
+    with pytest.raises(ConsistencyError, match=message):
+        HookSchurSpace(2, 3)
+
+
+def test_a_content_chain_that_leaves_its_block_fails_the_coordinate_map(monkeypatch):
+    # a chain that also yields a pair of another content, so of another
+    # Y-degree, is refused where K's block is built
+    hook = hook_schur_space(2, 3)
+    real = tableaux.content_chain
+    monkeypatch.setattr(tableaux, "content_chain", lambda vals: real(vals) + [((0, 1), 0)])
+    with pytest.raises(
+        ConsistencyError, match=r"^content chain of \(0, 1, 2\) leaves the Y-degree block 3$"
+    ):
+        hook.coordinate_block(3)

@@ -6,7 +6,9 @@ import hashlib
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plethy import IsoContext, LinearMap, hook_schur_space, iso_context
+import plethy.cli as cli
+import plethy.dump as dump
+from plethy import HookSchurSpace, IsoContext, JsonArray, LinearMap, hook_schur_space, iso_context
 from plethy.cli import main
 from plethy.dump import weight_block_digests
 from oracles import WholeMapContext
@@ -68,3 +70,39 @@ def test_an_inverse_dump_builds_no_whole_map(monkeypatch, tmp_path, capsys):
         iso_context.cache_clear()
         hook_schur_space.cache_clear()
     capsys.readouterr()
+
+
+def test_an_inverse_dump_reads_no_whole_hook_map_and_builds_no_entries_list(
+    monkeypatch, tmp_path, capsys
+):
+    # the hook space's mu, B and K are read block by block only, and the
+    # payload streams its entries and labels: linear_map_to_json, which
+    # makes them whole, is not called.  The bytes are the pinned ones
+    def refuse(*args):
+        raise AssertionError("the inverse dump built a whole map or list")
+
+    sent = []
+    write_json = cli.write_json
+
+    def recorded(payload, write):
+        sent.append(payload)
+        write_json(payload, write)
+
+    for view in ("mu", "B", "K"):
+        monkeypatch.setattr(HookSchurSpace, view, property(refuse))
+    monkeypatch.setattr(dump, "linear_map_to_json", refuse)
+    monkeypatch.setattr(cli, "write_json", recorded)
+    iso_context.cache_clear()
+    hook_schur_space.cache_clear()
+    try:
+        out = tmp_path / "inverse.json"
+        argv = ["dump", "--N", "3", "--d", "6", "--what", "inverse", "--format", "json"]
+        assert main(argv + ["--out", str(out)]) == 0
+    finally:
+        iso_context.cache_clear()
+        hook_schur_space.cache_clear()
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_DIGESTS["json"]
+    [payload] = sent
+    for key in ("domain_basis", "codomain_basis", "entries"):
+        assert isinstance(payload[key], JsonArray)
