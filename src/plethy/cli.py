@@ -13,10 +13,10 @@ Subcommands:
   machine-readable report; inequalities are findings, not errors.
 
 Machine payloads go to --out when given, otherwise to stdout, a JSON one
-streamed piece by piece; progress and summaries go to stderr.  An --out
-that cannot be written is a usage error found before any work starts.
-Files written via --out carry no timings, so repeated runs produce
-identical bytes.
+streamed piece by piece and a CSV one row by row; progress and summaries
+go to stderr.  An --out that cannot be written is a usage error found
+before any work starts.  Files written via --out carry no timings, so
+repeated runs produce identical bytes.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage.
 """
@@ -32,11 +32,12 @@ import time
 from .characters import verify_qchar_identity
 from .conjecture import CONVENTION, CSV_HEADER, DIM_CAP, scan
 from .dump import (
+    CsvTable,
     basis_to_json,
-    csv_text,
     linear_map_stream,
     linear_map_to_csv,
     weight_block_digests,
+    write_csv,
     write_json,
 )
 from .iso import (
@@ -176,14 +177,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def emit(payload, out: str | None):
-    """Write a payload to the file out, or to stdout when out is None: a str
-    as it is, anything else as its JSON text, which write_json sends piece
-    by piece.  A write that fails, to either, is a usage error; a reader
-    that closed the pipe early is one too."""
+    """Write a payload to the file out, or to stdout when out is None: a
+    CsvTable as its CSV text, which write_csv sends row by row, anything
+    else as its JSON text, which write_json sends piece by piece.  A write
+    that fails, to either, is a usage error; a reader that closed the pipe
+    early is one too."""
 
     def send(write):
-        if isinstance(payload, str):
-            write(payload)
+        if isinstance(payload, CsvTable):
+            write_csv(payload, write)
         else:
             write_json(payload, write)
 
@@ -380,7 +382,8 @@ def cmd_dump(args) -> int:
     else:
         A = _map_to_dump(N, d, args.what, ring_by_name(args.ring, p))
         _release_point()
-        # a JSON map streams its label arrays and entries, never held whole
+        # a JSON map streams its label arrays and entries and a CSV one its
+        # rows, never held whole
         payload = linear_map_stream(A) if args.format == "json" else linear_map_to_csv(A)
     emit(payload, args.out)
     return 0
@@ -419,7 +422,8 @@ def cmd_qchar(args) -> int:
         }
         emit(payload, args.out)
     else:
-        emit(csv_text(list(rows[0]), ([r[k] for k in rows[0]] for r in rows)), args.out)
+        header = list(rows[0])
+        emit(CsvTable(header, lambda: ([r[k] for k in header] for r in rows)), args.out)
     note(f"qchar: {len(rows) - len(failures)}/{len(rows)} grid points pass")
     return 0 if not failures else 1
 
@@ -463,8 +467,8 @@ def cmd_scan(args) -> int:
         }
         emit(payload, args.out)
     else:
-        rows = [row for r in reports for row in r.csv_rows()]
-        emit(csv_text(CSV_HEADER, rows), args.out)
+        table = CsvTable(CSV_HEADER, lambda: (row for r in reports for row in r.csv_rows()))
+        emit(table, args.out)
     note(
         f"scan: {len(reports)} grid points, {len(skipped)} skipped, "
         f"{len(disagreements)} disagreements"

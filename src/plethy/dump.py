@@ -1,24 +1,26 @@
 """Exact, byte-reproducible serialization of maps and bases.
 
-write_json and csv_text are the one JSON layout and the one CSV dialect
-of every payload the command line writes; json_text joins the pieces that
-write_json sends.  CSV: one header row of domain labels, then one row per
-codomain basis label with entries rendered exactly as strings.  JSON:
-explicit basis label arrays plus sparse entries, which the command line
-streams as JsonArrays (linear_map_stream); payloads stay exact, in the
-ring's own JSON form (ints as ints, rationals as "p/q" strings,
-polynomials as coefficient lists), so a dump parses back to an equal
-LinearMap.  Nothing here writes timestamps.
+write_json and write_csv are the one JSON layout and the one CSV dialect
+of every payload the command line writes, sent a piece at a time;
+json_text and csv_text join the pieces.  CSV: a CsvTable, which write_csv
+sends a line at a time; for a map (linear_map_to_csv), one header row of
+domain labels, then one row per codomain basis label with entries
+rendered exactly as strings.  JSON: explicit basis label arrays plus
+sparse entries, which the command line streams as JsonArrays
+(linear_map_stream); payloads stay exact, in the ring's own JSON form
+(ints as ints, rationals as "p/q" strings, polynomials as coefficient
+lists), so a dump parses back to an equal LinearMap.  Nothing here writes
+timestamps.  hashlib and csv are imported on first use, by
+weight_block_digest and write_csv, so a command that makes no block
+digest and no CSV loads neither OpenSSL nor _csv.
 """
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import io
 import json
 import sys
 from itertools import chain
+from types import SimpleNamespace
 
 from .iso import IsoContext
 from .rings import json_int, ring_from_json
@@ -172,14 +174,33 @@ def _write_array(slices, nl: str, write) -> None:
     write("[]" if sep is first else nl + "]")
 
 
-def csv_text(header: list, rows) -> str:
-    """A header row and then the rows as CSV text, each line ending in a
-    bare newline."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+class CsvTable:
+    """A CSV payload that write_csv sends a row at a time, so that its text
+    is never held whole: a header row, and rows() yielding the rows, afresh
+    on every call."""
+
+    __slots__ = ("header", "rows")
+
+    def __init__(self, header: list, rows):
+        self.header = header
+        self.rows = rows
+
+
+def csv_text(table: CsvTable) -> str:
+    """A table as CSV text, joined from the pieces that write_csv sends."""
+    out: list = []
+    write_csv(table, out.append)
+    return "".join(out)
+
+
+def write_csv(table: CsvTable, write) -> None:
+    """Send the header row and then each row of table to write, one line
+    each, ending in a bare newline."""
+    import csv  # on first use, so a run that writes no CSV never loads it
+
+    writer = csv.writer(SimpleNamespace(write=write), lineterminator="\n")
+    writer.writerow(table.header)
+    writer.writerows(table.rows())
 
 
 def linear_map_to_json(A: LinearMap) -> dict:
@@ -270,15 +291,31 @@ def _json_list(data: dict, key: str) -> list:
     return value
 
 
-def linear_map_to_csv(A: LinearMap) -> str:
-    return csv_text(
-        [""] + [A.domain.label_str(l) for l in basis(A.domain)],
-        (
-            [A.codomain.label_str(label)]
-            + [A.ring.to_str(col.get(r, A.ring.zero)) for col in A.pcols]
-            for r, label in enumerate(basis(A.codomain))
-        ),
-    )
+def linear_map_to_csv(A: LinearMap) -> CsvTable:
+    """The dense CSV form of A: a header of domain labels, then one row per
+    codomain label, its entries rendered exactly as strings.  One pass over
+    the columns indexes the entries by row; a row starts as the ring's zero
+    string, and only its nonzero entries are rendered."""
+    ring = A.ring
+    labels = basis(A.codomain)
+
+    def rows():
+        # per row, its column positions and values, flat and alternating
+        by_row: list = [[] for _ in labels]
+        for c, col in enumerate(A.pcols, 1):
+            for r, v in col.items():
+                by_row[r] += (c, v)
+        blank = [ring.to_str(ring.zero)] * (len(A.pcols) + 1)
+        for r, label in enumerate(labels):
+            row = blank.copy()
+            row[0] = A.codomain.label_str(label)
+            entries = iter(by_row[r])
+            for c, v in zip(entries, entries):
+                row[c] = ring.to_str(v)
+            by_row[r] = None
+            yield row
+
+    return CsvTable([""] + [A.domain.label_str(l) for l in basis(A.domain)], rows)
 
 
 def basis_to_json(hook: HookSchurSpace) -> list:
@@ -321,6 +358,8 @@ def _block_text(ctx: IsoContext, w: int) -> str:
 
 def weight_block_digest(ctx: IsoContext, w: int) -> str:
     """sha256 of the canonical text of the Y-degree block w."""
+    import hashlib  # on first use: it maps OpenSSL, which only verify needs
+
     return hashlib.sha256(_block_text(ctx, w).encode()).hexdigest()
 
 
@@ -333,5 +372,5 @@ def dump_payload(A: LinearMap, fmt: str) -> str:
     if fmt == "json":
         return json_text(linear_map_stream(A))
     if fmt == "csv":
-        return linear_map_to_csv(A)
+        return csv_text(linear_map_to_csv(A))
     raise ValueError(f"unknown format {fmt!r}")

@@ -1,5 +1,7 @@
 """Helpers shared by the oracle tests; nothing in the package uses them."""
 
+import csv
+import io
 from math import gcd
 
 from plethy import (
@@ -139,6 +141,31 @@ def linear_map_json_oracle(A: LinearMap) -> dict:
             [r, c, to_json(v)] for c, col in enumerate(A.pcols) for r, v in sorted(col.items())
         ],
     }
+
+
+def csv_text_oracle(header: list, rows) -> str:
+    """A header row and then the rows as CSV text, each line ending in a
+    bare newline, as csv_text wrote them before CSV streamed: one
+    csv.writer into a StringIO, the text made whole."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def linear_map_csv_oracle(A: LinearMap) -> str:
+    """The CSV text of A as linear_map_to_csv made it before CSV streamed:
+    every cell read with col.get, the ring's zero where a column has no
+    entry."""
+    return csv_text_oracle(
+        [""] + [A.domain.label_str(l) for l in basis(A.domain)],
+        (
+            [A.codomain.label_str(label)]
+            + [A.ring.to_str(col.get(r, A.ring.zero)) for col in A.pcols]
+            for r, label in enumerate(basis(A.codomain))
+        ),
+    )
 
 
 def phi_oracle(N: int, d: int) -> LinearMap:

@@ -504,6 +504,7 @@ class _ClosedPipe:
     [
         ["dump", "--N", "4", "--d", "4", "--what", "inverse", "--format", "json"],
         ["dump", "--N", "2", "--d", "3", "--what", "map"],
+        ["dump", "--N", "3", "--d", "5", "--what", "inverse", "--format", "csv"],
         ["verify", "--N", "1", "--d", "1", "--p", "2"],
         ["qchar", "--N", "1", "--d", "1"],
         ["qchar", "--N", "1", "--d", "1", "--format", "csv"],
@@ -541,3 +542,51 @@ def test_a_pipe_closed_by_its_reader_exits_two_with_one_line():
         os.close(write)
     assert run.returncode == 2
     assert run.stderr == "usage error: cannot write to stdout: Broken pipe\n"
+
+
+# Run in a fresh interpreter: the argv lists given as JSON, one after the
+# other, each printing its exit code and which of the modules that load on
+# first use it has loaded by its end, beyond those loaded before plethy.
+_FRESH_RUNS = """
+import json, sys
+before = set(sys.modules)
+from plethy.cli import main
+for argv in json.loads(sys.argv[1]):
+    rc = main(argv)
+    print(rc, *sorted({"hashlib", "_hashlib", "csv", "_csv"} & (set(sys.modules) - before)))
+"""
+
+
+def test_hashlib_and_csv_load_only_for_a_digest_or_a_csv(tmp_path):
+    # OpenSSL's hashlib maps about 3 MB: a dump or a scan that makes no
+    # block digest and no CSV must not load it, nor csv
+    from test_inverse_oracle import DUMP_DIGESTS
+
+    scan_argv, scan_digest = OUTPUT_PINS[1]
+    runs = [
+        (["dump", "--N", "3", "--d", "6", "--what", "inverse", "--format", "json"],
+         DUMP_DIGESTS["json"]),
+        (scan_argv, scan_digest),
+        (["dump", "--N", "3", "--d", "6", "--what", "inverse", "--format", "csv"],
+         DUMP_DIGESTS["csv"]),
+        (["verify", "--N", "1..3", "--d", "0..5", "--p", "2,3,5"],
+         "4bd2d9e94661c1f233077be8dd956b6f746d72876a050233be03f2813492458a"),
+    ]
+    outs = [tmp_path / f"{k}.out" for k in range(len(runs))]
+    argvs = [[*argv, "--out", str(out)] for (argv, _), out in zip(runs, outs)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUNS, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    json_dump, json_scan, csv_dump, verify = (line.split() for line in run.stdout.splitlines())
+    assert json_dump == json_scan == ["0"]
+    assert csv_dump[0] == "0" and {"csv", "_csv"} <= set(csv_dump)
+    assert "hashlib" not in csv_dump
+    assert verify[0] == "0" and {"csv", "hashlib"} <= set(verify)
+    for out, (argv, digest) in zip(outs, runs):
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv

@@ -22,7 +22,9 @@ from plethy import (
     LinearMap,
     PrimeField,
     Sym,
+    basis,
     basis_to_json,
+    csv_text,
     dump_payload,
     group_action_map,
     hook_schur_space,
@@ -34,10 +36,14 @@ from plethy import (
     linear_map_to_json,
     multiplication_map,
     ring_from_json,
+    scan,
+    verify_qchar_identity,
+    write_csv,
     write_json,
 )
 from plethy.cli import main
-from oracles import linear_map_json_oracle
+from plethy.conjecture import CSV_HEADER, DIM_CAP
+from oracles import csv_text_oracle, linear_map_csv_oracle, linear_map_json_oracle
 
 
 @pytest.mark.parametrize(
@@ -247,7 +253,7 @@ def test_map_json_rejects_payloads_outside_the_ring(ring, payload):
 def test_csv_renders_exact_entries():
     ring = QQ
     A = iso_context(1, 2).coord_matrix_over(ring)
-    text = linear_map_to_csv(A)
+    text = csv_text(linear_map_to_csv(A))
     lines = text.splitlines()
     assert lines[0].startswith(",")
     assert len(lines) == 1 + 6  # pairs of (1, 2): 1 * C(4, 2) rows
@@ -259,14 +265,14 @@ def test_csv_renders_exact_entries():
 def test_csv_polynomial_entries():
     g = ((ZGAMMA.one, ZGAMMA.gen()), (ZGAMMA.zero, ZGAMMA.one))
     A = group_action_map(ZGAMMA, g, Sym(2))
-    text = linear_map_to_csv(A)
+    text = csv_text(linear_map_to_csv(A))
     assert "gamma^2" in text
     assert "2*gamma" in text
 
 
 def test_dump_payload_formats():
     A = multiplication_map(ZZ, 1, 2)
-    assert dump_payload(A, "csv") == linear_map_to_csv(A)
+    assert dump_payload(A, "csv") == csv_text(linear_map_to_csv(A))
     assert json.loads(dump_payload(A, "json"))["kind"] == "linear_map"
     with pytest.raises(ValueError):
         dump_payload(A, "yaml")
@@ -292,7 +298,7 @@ def test_fraction_payloads_survive():
     data = json.loads(json.dumps(linear_map_to_json(A)))
     B = linear_map_from_json(data)
     assert B == A
-    assert "-3/7" in linear_map_to_csv(A)
+    assert "-3/7" in csv_text(linear_map_to_csv(A))
 
 
 # json_text is exactly json.dumps(payload, indent=2) and a newline, on both
@@ -587,3 +593,59 @@ def test_a_streamed_array_is_made_afresh_on_every_read():
             json.dumps([rows, []], indent=2) + "\n"
         )
     assert len(calls) == 6
+
+
+@pytest.mark.parametrize("point", [(2, 0), (3, 5), (3, 7)], ids=str)
+def test_a_streamed_csv_map_is_the_text_of_the_whole_writer(point):
+    # one piece per line: the header, then a row per codomain label
+    for what, ring_name, A in _maps_to_stream(*point):
+        table = linear_map_to_csv(A)
+        pieces: list = []
+        write_csv(table, pieces.append)
+        expected = linear_map_csv_oracle(A)
+        # line by line, so that a difference is shown in a line of its own
+        lines = expected.splitlines(keepends=True)
+        assert len(pieces) == len(lines) == 1 + len(basis(A.codomain))
+        for k, (piece, line) in enumerate(zip(pieces, lines)):
+            assert piece == line, (what, ring_name, k)
+        assert csv_text(table) == expected  # the rows are made afresh
+        if point == (2, 0) and what != "unsorted":
+            # every space is empty: a lone empty header cell, quoted
+            assert expected == '""\n'
+
+
+def _recorded_csv(argv, monkeypatch, capsys):
+    """The CsvTable that main(argv) writes, and the text on stdout."""
+    tables = []
+
+    def record(table, write):
+        tables.append(table)
+        write_csv(table, write)
+
+    monkeypatch.setattr(cli, "write_csv", record)
+    assert main(argv) == 0
+    (table,) = tables
+    return table, capsys.readouterr().out
+
+
+def test_scan_and_qchar_csv_are_the_text_of_the_whole_writer(monkeypatch, capsys):
+    Ms, Ns, ds, primes = [2, 3], [1, 2], [0, 1, 2, 3], (3, 2)
+    argv = ["scan", "--M", "2..3", "--N", "1..2", "--d", "0..3", "--p", "3,2", "--format", "csv"]
+    table, text = _recorded_csv(argv, monkeypatch, capsys)
+    reports, _ = scan(Ms, Ns, ds, primes, dim_cap=DIM_CAP)
+    rows = [row for r in reports for row in r.csv_rows()]
+    assert len(rows) > 1
+    expected = csv_text_oracle(CSV_HEADER, rows)
+    assert text == csv_text(table) == expected
+    pieces: list = []
+    write_csv(table, pieces.append)
+    assert len(pieces) == 1 + len(rows)
+
+    argv = ["qchar", "--N", "1..3", "--d", "0..4", "--format", "csv"]
+    table, text = _recorded_csv(argv, monkeypatch, capsys)
+    points = [{"N": N, "d": d, **verify_qchar_identity(N, d)} for N in range(1, 4) for d in range(5)]
+    expected = csv_text_oracle(list(points[0]), [list(p.values()) for p in points])
+    assert text == csv_text(table) == expected
+    pieces = []
+    write_csv(table, pieces.append)
+    assert len(pieces) == 1 + len(points)
