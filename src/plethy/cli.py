@@ -33,7 +33,7 @@ from .characters import verify_qchar_identity
 from .conjecture import CONVENTION, CSV_HEADER, DIM_CAP, scan
 from .dump import (
     CsvTable,
-    basis_to_json,
+    basis_stream,
     linear_map_stream,
     linear_map_to_csv,
     weight_block_digests,
@@ -51,7 +51,7 @@ from .iso import (
 )
 from .rings import ZZ, ConsistencyError, PrimeField, ring_by_name
 from .schur import hook_schur_space
-from .spaces import LinearMap
+from .spaces import LinearMap, _insertions, basis, basis_index, dim
 
 
 # The one-point caches that verify clears between grid points, bound at
@@ -314,9 +314,12 @@ def cmd_verify(args) -> int:
                 note(f"skip (N={N}, d={d}): rank exceeds degree + 2, no such map")
                 continue
             if points:
-                # drop the last point's context and hook space before this
+                # drop the last point's context and hook space, and the
+                # bases and insertion tables of its spaces, before this
                 # point's are built, so the run peaks at its largest point
                 _release_point()
+                for cached in (basis, basis_index, dim, _insertions):
+                    cached.cache_clear()
             point = verify_point(N, d, primes)
             points.append(point)
             failed = [k for k, v in point["checks"].items() if not v]
@@ -376,7 +379,7 @@ def cmd_dump(args) -> int:
             "kind": "kernel_basis",
             "N": N,
             "d": d,
-            "vectors": basis_to_json(hook_schur_space(N, d)),
+            "vectors": basis_stream(hook_schur_space(N, d)),
         }
         _release_point()
     else:

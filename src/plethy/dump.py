@@ -5,12 +5,16 @@ of every payload the command line writes, sent a piece at a time;
 json_text and csv_text join the pieces.  CSV: a CsvTable, which write_csv
 sends a line at a time; for a map (linear_map_to_csv), one header row of
 domain labels, then one row per codomain basis label with entries
-rendered exactly as strings.  JSON: explicit basis label arrays plus
-sparse entries, which the command line streams as JsonArrays
-(linear_map_stream); payloads stay exact, in the ring's own JSON form
-(ints as ints, rationals as "p/q" strings, polynomials as coefficient
-lists), so a dump parses back to an equal LinearMap.  Nothing here writes
-timestamps.  hashlib and csv are imported on first use, by
+rendered exactly as strings.  JSON: exactly json.dumps(payload, indent=2)
+and a newline, by one rule on every interpreter: a dict payload whose
+values include JsonArrays goes out a value at a time, a JsonArray a slice
+at a time, and any other payload through json.dump, so json picks its own
+encoder.  A map is explicit basis label arrays plus sparse entries, which
+the command line streams as JsonArrays (linear_map_stream), as it does the
+kernel basis (basis_stream); payloads stay exact, in the ring's own JSON
+form (ints as ints, rationals as "p/q" strings, polynomials as
+coefficient lists), so a dump parses back to an equal LinearMap.  Nothing
+here writes timestamps.  hashlib and csv are imported on first use, by
 weight_block_digest and write_csv, so a command that makes no block
 digest and no CSV loads neither OpenSSL nor _csv.
 """
@@ -18,7 +22,6 @@ digest and no CSV loads neither OpenSSL nor _csv.
 from __future__ import annotations
 
 import json
-import sys
 from itertools import chain
 from types import SimpleNamespace
 
@@ -28,23 +31,16 @@ from .schur import HookSchurSpace, _support
 from .spaces import LinearMap, basis, space_from_json
 
 
-# Before CPython 3.13 any indent sends json.dumps through its pure-Python
-# encoder, which write_json outruns; from 3.13 on the C encoder takes the
-# indent and is the faster of the two.
-_INDENT_IN_C = sys.version_info >= (3, 13) and json.encoder.c_make_encoder is not None
-
-
-# Rows of a map's entries that one repr renders: the text of a slice is
-# made and written at once, so no text of the whole list is.
-_ROWS_PER_SLICE = 1024
-# The piece size in which the text that json.dumps indents in C is written.
-_CHARS_PER_WRITE = 1 << 16
+# Elements of a JsonArray that one slice holds: the text of a slice is made
+# and written at once, so no text of the whole array is.
+_ROWS_PER_SLICE = 256
 
 
 class JsonArray:
-    """A JSON array that write_json sends a slice at a time, so that it is
-    never held whole: slices() yields its elements as lists, afresh on every
-    call.  Iterating it yields the elements, so list() makes the array."""
+    """A JSON array that write_json sends a slice at a time, as a value of a
+    dict payload, so that it is never held whole: slices() yields its
+    elements as lists, afresh on every call.  Iterating it yields the
+    elements, so list() makes the array."""
 
     __slots__ = ("slices",)
 
@@ -58,7 +54,7 @@ class JsonArray:
 def json_text(payload) -> str:
     """A payload as JSON text: exactly json.dumps(payload, indent=2) and one
     trailing newline, joined from the pieces that write_json makes; a
-    JsonArray in it is written as the list of its elements."""
+    JsonArray value in it is written as the list of its elements."""
     out: list = []
     write_json(payload, out.append)
     return "".join(out)
@@ -67,83 +63,36 @@ def json_text(payload) -> str:
 def write_json(payload, write) -> None:
     """Send the text json_text(payload) to write, one piece at a time.
 
-    An array is written a slice at a time: a list by slices of
-    _ROWS_PER_SLICE elements, a JsonArray by the slices it yields.  A slice
-    of non-empty lists of plain ints (a map's entries) is the repr of the
-    slice with the separators replaced, on every interpreter.  Any other
-    slice goes, where json.dumps indents in C, to json.dumps whole, its
-    lines indented in place; where it would indent in pure Python, the text
-    is built here from C-level string work: a plain int is its
-    int.__repr__, as json writes it, and a list of plain ints is one
-    str.join of those.  A dict with no container inside goes whole to
-    json.dumps, its item separator set to the indent.  Other dicts and lists
-    recurse; every other key, scalar and empty container goes to json.dumps,
-    so json's own rules decide it.
-    Where json.dumps indents in C, a value that is not a JsonArray and has
-    none as a value or an element, a payload with none included, goes to
-    json.dumps whole, and its text is sent in pieces of _CHARS_PER_WRITE
-    characters, so that a file encodes one piece at a time; so there a
-    JsonArray deeper in such a value is a TypeError."""
-    _write_json(payload, "\n", write)
-    write("\n")
-
-
-def _streams(value) -> bool:
-    """Whether value is a JsonArray or a dict, list or tuple with one as a
-    value or an element."""
-    if isinstance(value, dict):
-        value = value.values()
-    elif not isinstance(value, (list, tuple)):
-        return isinstance(value, JsonArray)
-    return any(isinstance(v, JsonArray) for v in value)
-
-
-def _write_json(value, nl: str, write) -> None:
-    """Send to write the indent-2 JSON text of value, whose closing bracket
-    goes after nl, a newline and the indent of value's own line."""
-    if _INDENT_IN_C and not _streams(value):
-        text = json.dumps(value, indent=2)
-        if nl != "\n":
-            # json.dumps writes no newline inside a string, so each newline
-            # it writes starts an indented line
-            text = text.replace("\n", nl)
-        for lo in range(0, len(text), _CHARS_PER_WRITE):
-            write(text[lo : lo + _CHARS_PER_WRITE])
-    elif type(value) is int:
-        write(int.__repr__(value))
-    elif isinstance(value, JsonArray):
-        _write_array(value.slices(), nl, write)
-    elif isinstance(value, dict) and value:
-        inner = nl + "  "
-        if not any(isinstance(v, (dict, list, tuple, JsonArray)) for v in value.values()):
-            # no container inside: json.dumps writes it whole, keys and all
-            text = json.dumps(value, separators=("," + inner, ": "))
-            write("{" + inner + text[1:-1] + nl + "}")
-            return
-        sep = "{" + inner
-        for k, v in value.items():
-            # a key that is not a str json.dumps writes, or rejects, by its rules
-            key = json.dumps(k) if isinstance(k, str) else json.dumps({k: None})[1:-7]
-            write(sep + key + ": ")
-            _write_json(v, inner, write)
-            sep = "," + inner
-        write(nl + "}")
-    elif isinstance(value, (list, tuple)) and value:
-        if set(map(type, value)) == {int}:
-            inner = nl + "  "
-            write("[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]")
+    A dict with a JsonArray among its values is written one value at a
+    time, each piece indented by two spaces: a JsonArray a slice at a time,
+    and any other value as json.dumps(value, indent=2).  Every other
+    payload goes to json.dump(payload, indent=2), which sends its text
+    chunk by chunk; a JsonArray there is a TypeError, as is any value json
+    cannot encode."""
+    if not isinstance(payload, dict) or not any(
+        isinstance(v, JsonArray) for v in payload.values()
+    ):
+        json.dump(payload, SimpleNamespace(write=write), indent=2)
+        write("\n")
+        return
+    sep = "{\n  "
+    for k, v in payload.items():
+        # '{"k": 0}' less "{" and "0}" is the key as json writes, or rejects, it
+        write(sep + json.dumps({k: 0})[1:-2])
+        if isinstance(v, JsonArray):
+            _write_array(v.slices(), write)
         else:
-            size = _ROWS_PER_SLICE
-            _write_array((value[lo : lo + size] for lo in range(0, len(value), size)), nl, write)
-    else:
-        write(json.dumps(value))
+            # json.dumps writes no newline inside a string, so each newline
+            # it writes starts a line to indent
+            write(json.dumps(v, indent=2).replace("\n", "\n  "))
+        sep = ",\n  "
+    write("\n}\n")
 
 
-def _write_array(slices, nl: str, write) -> None:
-    """Send to write the indent-2 JSON text of the array whose elements the
-    slices give in order, a slice's text at a time."""
-    inner = nl + "  "
-    first = sep = "[" + inner
+def _write_array(slices, write) -> None:
+    """Send to write the JSON text, indented by two spaces, of the array
+    whose elements the slices give in order, a slice's text at a time."""
+    sep = "[\n    "
     for piece in slices:
         if not piece:
             continue
@@ -154,24 +103,17 @@ def _write_array(slices, nl: str, write) -> None:
             and set(map(type, chain.from_iterable(piece))) == {int}
         ):
             # a slice's repr is "[[a, b], [c, d]]": only the separators change
-            deeper = inner + "  "
             rows = (
                 repr(piece)[2:-2]
-                .replace("], [", inner + "]," + inner + "[" + deeper)
-                .replace(", ", "," + deeper)
+                .replace("], [", "\n    ],\n    [\n      ")
+                .replace(", ", ",\n      ")
             )
-            write(sep + "[" + deeper + rows + inner + "]")
-        elif _INDENT_IN_C and not _streams(piece):
-            # "[" nl e1 "," nl e2 nl "]" with nl the newline and two spaces
-            write(sep + json.dumps(piece, indent=2)[4:-2].replace("\n", nl))
+            write(sep + "[\n      " + rows + "\n    ]")
         else:
-            for v in piece:
-                write(sep)
-                _write_json(v, inner, write)
-                sep = "," + inner
-            continue
-        sep = "," + inner
-    write("[]" if sep is first else nl + "]")
+            # json.dumps(piece, indent=2) is "[\n  e1,\n  e2\n]"
+            write(sep + json.dumps(piece, indent=2)[4:-2].replace("\n", "\n  "))
+        sep = ",\n    "
+    write("[]" if sep == "[\n    " else "\n  ]")
 
 
 class CsvTable:
@@ -235,19 +177,19 @@ def linear_map_stream(A: LinearMap) -> dict:
         "ring": A.ring.to_json(),
         "domain": A.domain.to_json(),
         "codomain": A.codomain.to_json(),
-        "domain_basis": _label_array(A.domain),
-        "codomain_basis": _label_array(A.codomain),
+        "domain_basis": _json_array(basis(A.domain), A.domain.label_to_json),
+        "codomain_basis": _json_array(basis(A.codomain), A.codomain.label_to_json),
         "entries": JsonArray(entries),
     }
 
 
-def _label_array(space) -> JsonArray:
-    """The JSON labels of a space's basis, in order, as a JsonArray."""
+def _json_array(items, to_json) -> JsonArray:
+    """to_json of each of the items, in order, as a JsonArray whose slices
+    hold _ROWS_PER_SLICE elements."""
 
     def slices():
-        labels, to_json = basis(space), space.label_to_json
-        for lo in range(0, len(labels), _ROWS_PER_SLICE):
-            yield [to_json(l) for l in labels[lo : lo + _ROWS_PER_SLICE]]
+        for lo in range(0, len(items), _ROWS_PER_SLICE):
+            yield [to_json(x) for x in items[lo : lo + _ROWS_PER_SLICE]]
 
     return JsonArray(slices)
 
@@ -318,19 +260,16 @@ def linear_map_to_csv(A: LinearMap) -> CsvTable:
     return CsvTable([""] + [A.domain.label_str(l) for l in basis(A.domain)], rows)
 
 
-def basis_to_json(hook: HookSchurSpace) -> list:
-    out = []
-    for pair in hook.pairs:
-        out.append(
-            {
-                "pair": hook.coords.label_to_json(pair),
-                "support": [
-                    [hook.ambient.label_to_json(lab), 1]
-                    for lab in _support(pair)
-                ],
-            }
-        )
-    return out
+def basis_stream(hook: HookSchurSpace) -> JsonArray:
+    """The hook kernel basis as a JsonArray: per pair, its label and the
+    ambient labels of its kernel vector's support, each with coefficient 1.
+    It reads the pairs and the two spaces, not the hook space itself."""
+    pair_json, label_json = hook.coords.label_to_json, hook.ambient.label_to_json
+
+    def vector(pair) -> dict:
+        return {"pair": pair_json(pair), "support": [[label_json(l), 1] for l in _support(pair)]}
+
+    return _json_array(hook.pairs, vector)
 
 
 def _block_text(ctx: IsoContext, w: int) -> str:

@@ -23,6 +23,7 @@ from plethy import (
     linear_map_from_json,
 )
 from plethy.cli import main, parse_primes, parse_range
+from plethy.spaces import Sym, Tensor, Wedge, _insertions, basis, basis_index, dim
 from plethy.cli import UsageError
 
 
@@ -336,6 +337,25 @@ def test_verify_holds_one_grid_point_at_a_time(capsys, monkeypatch):
     assert live == {IsoContext: [0] * 8, HookSchurSpace: [0] * 8}
     for cached in (iso_context, hook_schur_space):
         assert cached.cache_info().currsize == 1
+
+
+def test_verify_keeps_only_the_last_points_bases(capsys):
+    # after a grid, the basis, index, dim and insertion-table caches hold
+    # what the last point fills them with when it runs alone
+    caches = (basis, basis_index, dim, _insertions)
+
+    def sizes_after(N: str, d: str) -> list:
+        for cached in caches + (iso_context, hook_schur_space):
+            cached.cache_clear()
+        assert main(["verify", "--N", N, "--d", d, "--p", "2"]) == 0
+        capsys.readouterr()
+        return [cached.cache_info().currsize for cached in caches]
+
+    assert sizes_after("1..2", "2..3") == sizes_after("2", "3")
+    # the first point's domain is built afresh
+    misses = basis.cache_info().misses
+    basis(Tensor(Sym(0), Wedge(2, Sym(3))))
+    assert basis.cache_info().misses > misses
 
 
 def test_verify_report_bytes_do_not_depend_on_the_order_of_the_primes(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Serialization round trips for maps, rings, and bases."""
 
 import io
+import itertools
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from plethy import (
     PrimeField,
     Sym,
     basis,
-    basis_to_json,
+    basis_stream,
     csv_text,
     dump_payload,
     group_action_map,
@@ -280,7 +281,7 @@ def test_dump_payload_formats():
 
 def test_basis_json_structure():
     hook = hook_schur_space(2, 3)
-    vectors = basis_to_json(hook)
+    vectors = list(basis_stream(hook))
     assert len(vectors) == len(hook.pairs)
     for entry, pair in zip(vectors, hook.pairs):
         i, j = pair
@@ -301,19 +302,7 @@ def test_fraction_payloads_survive():
     assert "-3/7" in csv_text(linear_map_to_csv(A))
 
 
-# json_text is exactly json.dumps(payload, indent=2) and a newline, on both
-# of its paths: the writer of its own that runs before CPython 3.13, and
-# json.dumps itself, which 3.13 and later indent in C.
-WRITER_PATHS = pytest.mark.parametrize(
-    "indent_in_c", [False, True], ids=["own writer", "json.dumps"]
-)
-
-
-def _written(payload, indent_in_c: bool) -> str:
-    with mock.patch.object(dump, "_INDENT_IN_C", indent_in_c):
-        return json_text(payload)
-
-
+# json_text is exactly json.dumps(payload, indent=2) and a newline.
 _CHARS = st.one_of(
     st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u00e9\u20ac\u2028\ud83d\U0001f600'),
     st.characters(),
@@ -354,14 +343,12 @@ def _nested(depth: int):
     )
 
 
-@WRITER_PATHS
 @settings(max_examples=300, deadline=None)
 @given(_nested(4))
-def test_json_text_is_json_dumps_with_indent_two(indent_in_c, payload):
-    assert _written(payload, indent_in_c) == json.dumps(payload, indent=2) + "\n"
+def test_json_text_is_json_dumps_with_indent_two(payload):
+    assert json_text(payload) == json.dumps(payload, indent=2) + "\n"
 
 
-@WRITER_PATHS
 @pytest.mark.parametrize(
     "payload",
     [
@@ -371,11 +358,10 @@ def test_json_text_is_json_dumps_with_indent_two(indent_in_c, payload):
         {2.5: "quote \" backslash \\ nul \x00 astral \U0001f600"},
     ],
 )
-def test_json_text_edge_cases(indent_in_c, payload):
-    assert _written(payload, indent_in_c) == json.dumps(payload, indent=2) + "\n"
+def test_json_text_edge_cases(payload):
+    assert json_text(payload) == json.dumps(payload, indent=2) + "\n"
 
 
-@WRITER_PATHS
 @pytest.mark.parametrize(
     "payload",
     # repr(object()) holds an address, so that case gets a fixed id
@@ -384,14 +370,62 @@ def test_json_text_edge_cases(indent_in_c, payload):
         pytest.param([object()], id="[object()]"),
         {"a": [{1j: 0}]},
         [[1, 2], [3, {4}]],
+        # a JsonArray is streamed only as a value of a dict payload
+        pytest.param([JsonArray(lambda: iter([[1]]))], id="[JsonArray]"),
+        pytest.param({"a": [JsonArray(lambda: iter([[1]]))]}, id="{'a': [JsonArray]}"),
     ],
     ids=repr,
 )
-def test_json_text_rejects_what_json_dumps_rejects(indent_in_c, payload):
+def test_json_text_rejects_what_json_dumps_rejects(payload):
     with pytest.raises(TypeError):
         json.dumps(payload, indent=2)
     with pytest.raises(TypeError):
-        _written(payload, indent_in_c)
+        json_text(payload)
+
+
+# The slices of a streamed array: lists of leaves, rows of ints (a map's
+# entries, which write_json renders by repr), and empty slices.
+_SLICES = st.lists(
+    st.one_of(
+        st.lists(_LEAVES, max_size=4),
+        st.lists(st.lists(_INTS, min_size=1, max_size=3), min_size=1, max_size=4),
+        st.just([]),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(_KEYS, _nested(2), max_size=3),
+    st.lists(st.tuples(_KEYS, _SLICES), min_size=1, max_size=3),
+)
+def test_a_dict_with_streamed_arrays_is_json_dumps_of_it_made(values, arrays):
+    log: list = []
+
+    def logged(slices):
+        def made():
+            for piece in slices:
+                log.append(piece)
+                yield piece
+
+        return JsonArray(made)
+
+    payload, made = dict(values), dict(values)
+    for key, slices in arrays:
+        payload[key] = logged(slices)
+        made[key] = [v for piece in slices for v in piece]
+    expected = json.dumps(made, indent=2) + "\n"
+    assert json_text(payload) == expected
+    log.clear()
+    write_json(payload, log.append)
+    assert "".join(p for p in log if type(p) is str) == expected
+    # no piece holds more than one slice: a slice's elements are all in the
+    # pieces sent before the next slice is asked for
+    for k, piece in enumerate(log):
+        if type(piece) is list and piece:
+            sent = "".join(itertools.takewhile(lambda p: type(p) is str, log[k + 1 :]))
+            assert json.dumps(piece, indent=2)[4:-2].replace("\n", "\n  ") in sent
 
 
 CLI_JSON_COMMANDS = [
@@ -432,54 +466,46 @@ def test_every_cli_payload_is_written_as_json_dumps_writes_it(argv, monkeypatch,
     monkeypatch.undo()
     assert len(payloads) == 1
     expected = json.dumps(_made(payloads[0]), indent=2) + "\n"
-    for indent_in_c in (False, True):
-        assert _written(payloads[0], indent_in_c) == expected
-        assert "".join(_pieces(payloads[0], indent_in_c)) == expected
+    assert json_text(payloads[0]) == expected
+    assert "".join(_pieces(payloads[0])) == expected
 
 
-def _pieces(payload, indent_in_c: bool) -> list:
+def _pieces(payload) -> list:
     """The pieces that write_json sends, in order."""
     out: list = []
-    with mock.patch.object(dump, "_INDENT_IN_C", indent_in_c):
-        write_json(payload, out.append)
+    write_json(payload, out.append)
     return out
 
 
 _SLICE = dump._ROWS_PER_SLICE
 
 
-@WRITER_PATHS
 @pytest.mark.parametrize("n", [_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 3])
-def test_entries_across_slice_boundaries_are_json_dumps(indent_in_c, n):
+def test_entries_across_slice_boundaries_are_json_dumps(n):
     # rows of one to three ints, big and negative among them, so a slice
     # boundary falls between rows of every width
     big = [0, -1, 7, -(2**70), 2**64 + 5, 10**30, -12345]
     entries = [[big[(r + t) % len(big)] * (r - t) for t in range(r % 3 + 1)] for r in range(n)]
-    payload = {"kind": "linear_map", "entries": entries, "after": [entries[:2], -3]}
-    expected = json.dumps(payload, indent=2) + "\n"
-    assert _written(payload, indent_in_c) == expected
-    pieces = _pieces(payload, indent_in_c)
+    array = JsonArray(lambda: (entries[lo : lo + _SLICE] for lo in range(0, n, _SLICE)))
+    payload = {"kind": "linear_map", "entries": array, "after": [entries[:2], -3]}
+    expected = json.dumps(_made(payload), indent=2) + "\n"
+    assert json_text(payload) == expected
+    pieces = _pieces(payload)
     assert "".join(pieces) == expected
-    if indent_in_c:
-        # json.dumps's whole text is sent in pieces
-        assert max(map(len, pieces)) <= dump._CHARS_PER_WRITE
-    else:
-        # streamed: no piece holds more rows than one slice
-        assert max(piece.count("[") for piece in pieces) <= _SLICE + 1
+    # no piece holds more rows than one slice
+    assert max(piece.count("[") for piece in pieces) <= _SLICE + 1
 
 
 STREAMED_DUMPS = [(what, ring) for what in ("map", "coords", "inverse") for ring in ("int", "fp", "polygamma")]
 
 
-@WRITER_PATHS
 @pytest.mark.parametrize("what, ring_name", STREAMED_DUMPS)
-def test_a_streamed_dump_file_is_json_text_of_the_map(indent_in_c, what, ring_name, tmp_path):
+def test_a_streamed_dump_file_is_json_text_of_the_map(what, ring_name, tmp_path):
     N, d, p = 3, 7, 7
     out = tmp_path / "dump.json"
     argv = ["dump", "--N", str(N), "--d", str(d), "--what", what, "--ring", ring_name,
             "--p", str(p), "--format", "json", "--out", str(out)]
-    with mock.patch.object(dump, "_INDENT_IN_C", indent_in_c):
-        assert main(argv) == 0
+    assert main(argv) == 0
     ring = {"int": ZZ, "fp": PrimeField(p), "polygamma": ZGAMMA}[ring_name]
     ctx = iso_context(N, d)
     if what == "map":
@@ -547,19 +573,18 @@ def _maps_to_stream(N: int, d: int):
             yield what, name, A if ring == ZZ else A.map_entries(ring, ring.from_int)
 
 
-@WRITER_PATHS
 @pytest.mark.parametrize("point", [(2, 0), (3, 7)], ids=str)
 @pytest.mark.parametrize("rows_per_slice", [5, _SLICE])
-def test_a_streamed_map_is_json_dumps_of_its_json_form(indent_in_c, point, rows_per_slice):
+def test_a_streamed_map_is_json_dumps_of_its_json_form(point, rows_per_slice):
     # at (2, 0) every space is empty; at (3, 7) the entries of every map
-    # cross a slice boundary at 1024 rows, and at 5 rows the label arrays do
+    # cross a slice boundary at _SLICE rows, and at 5 rows the label arrays do
     for what, ring_name, A in _maps_to_stream(*point):
         with mock.patch.object(dump, "_ROWS_PER_SLICE", rows_per_slice):
             data = linear_map_to_json(A)
             assert data == linear_map_json_oracle(A)
             expected = json.dumps(data, indent=2) + "\n"
-            assert _written(linear_map_stream(A), indent_in_c) == expected, (what, ring_name)
-            pieces = _pieces(linear_map_stream(A), indent_in_c)
+            assert json_text(linear_map_stream(A)) == expected, (what, ring_name)
+            pieces = _pieces(linear_map_stream(A))
         assert "".join(pieces) == expected
         assert linear_map_from_json(json.loads(expected)) == A
         assert linear_map_from_json(data) == A
@@ -585,14 +610,10 @@ def test_a_streamed_array_is_made_afresh_on_every_read():
     array = JsonArray(slices)
     rows = [[0, 1, 2], [3, 4, 5], [6, 7, "8/9"]]
     assert list(array) == rows and list(array) == rows
-    for indent_in_c in (False, True):
-        assert _written({"entries": array, "n": [1]}, indent_in_c) == (
-            json.dumps({"entries": rows, "n": [1]}, indent=2) + "\n"
-        )
-        assert _written([array, JsonArray(lambda: iter([]))], indent_in_c) == (
-            json.dumps([rows, []], indent=2) + "\n"
-        )
-    assert len(calls) == 6
+    assert json_text({"entries": array, "n": [1]}) == (
+        json.dumps({"entries": rows, "n": [1]}, indent=2) + "\n"
+    )
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("point", [(2, 0), (3, 5), (3, 7)], ids=str)

@@ -944,3 +944,19 @@ def test_empty_edge_case():
     assert verify_structure(3, 1)["determinant_one"]
     assert verify_lie_equivariance(3, 1)["commutes_with_e"]
     assert verify_duality(3, 1)["swap_law_holds"]
+
+
+def test_the_paired_coordinates_are_ones_and_their_inverse_is_signs():
+    # the paired coordinate matrix C (column m: K phi at pair m's witness)
+    # has every nonzero entry 1, and its inverse every nonzero entry 1 or
+    # -1, at each point with N <= 4 and d <= 8
+    points = [(N, d) for N in range(1, 5) for d in range(9) if N <= d + 2]
+    assert len(points) == 33
+    for N, d in points:
+        ctx = iso_context(N, d)
+        for w in ctx.weight_blocks():
+            for m, col in ctx.weight_block_columns(w).items():
+                assert set(col.values()) == {1}, (N, d, m)
+        for c, col in enumerate(ctx.inverse().pcols):
+            assert set(col.values()) <= {1, -1}, (N, d, c)
+            assert col, (N, d, c)
