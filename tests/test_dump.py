@@ -343,12 +343,37 @@ def _nested(depth: int):
     )
 
 
+# write_json has two paths: json.dump for a payload with no JsonArray
+# value, and a value at a time for a dict that has one.  A payload beside a
+# streamed array takes the second.
+WRITER_PATHS = pytest.mark.parametrize(
+    "streamed", [False, True], ids=["json.dump", "beside a JsonArray"]
+)
+
+
+def _on_path(payload, streamed: bool):
+    """The payload that write_json is given and its made form, for which
+    json.dumps writes the expected text: payload itself, or, if streamed,
+    its items (payload itself under "v", if it is no dict) with a JsonArray
+    value beside them, one slice of int rows and one of other elements."""
+    if not streamed:
+        return payload, payload
+    items = dict(payload) if isinstance(payload, dict) else {"v": payload}
+    slices = [[[1, -(2**70)], [0]], ["x", None, [2, 3]]]
+    written = {**items, "streamed": JsonArray(lambda: iter(slices))}
+    made = {**items, "streamed": [v for piece in slices for v in piece]}
+    return written, made
+
+
+@WRITER_PATHS
 @settings(max_examples=300, deadline=None)
 @given(_nested(4))
-def test_json_text_is_json_dumps_with_indent_two(payload):
-    assert json_text(payload) == json.dumps(payload, indent=2) + "\n"
+def test_json_text_is_json_dumps_with_indent_two(streamed, payload):
+    written, made = _on_path(payload, streamed)
+    assert json_text(written) == json.dumps(made, indent=2) + "\n"
 
 
+@WRITER_PATHS
 @pytest.mark.parametrize(
     "payload",
     [
@@ -356,12 +381,15 @@ def test_json_text_is_json_dumps_with_indent_two(payload):
         {"row": [0, True], "rows": [[1, 2], [3, False]], "tuples": [(1, 2), (3,)]},
         {1: [float("nan"), float("inf"), -0.0], None: [[]], False: [[1], []]},
         {2.5: "quote \" backslash \\ nul \x00 astral \U0001f600"},
+        {"key \u00e9 \u2028 \" \U0001f600": [1], "\x00": "\ud83d"},
     ],
 )
-def test_json_text_edge_cases(payload):
-    assert json_text(payload) == json.dumps(payload, indent=2) + "\n"
+def test_json_text_edge_cases(streamed, payload):
+    written, made = _on_path(payload, streamed)
+    assert json_text(written) == json.dumps(made, indent=2) + "\n"
 
 
+@WRITER_PATHS
 @pytest.mark.parametrize(
     "payload",
     # repr(object()) holds an address, so that case gets a fixed id
@@ -376,11 +404,12 @@ def test_json_text_edge_cases(payload):
     ],
     ids=repr,
 )
-def test_json_text_rejects_what_json_dumps_rejects(payload):
+def test_json_text_rejects_what_json_dumps_rejects(streamed, payload):
+    written, made = _on_path(payload, streamed)
     with pytest.raises(TypeError):
-        json.dumps(payload, indent=2)
+        json.dumps(made, indent=2)
     with pytest.raises(TypeError):
-        json_text(payload)
+        json_text(written)
 
 
 # The slices of a streamed array: lists of leaves, rows of ints (a map's
@@ -481,11 +510,18 @@ _SLICE = dump._ROWS_PER_SLICE
 
 
 @pytest.mark.parametrize("n", [_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 3])
-def test_entries_across_slice_boundaries_are_json_dumps(n):
+@pytest.mark.parametrize("rationals", [False, True], ids=["ints", "rationals"])
+def test_entries_across_slice_boundaries_are_json_dumps(rationals, n):
     # rows of one to three ints, big and negative among them, so a slice
     # boundary falls between rows of every width
     big = [0, -1, 7, -(2**70), 2**64 + 5, 10**30, -12345]
     entries = [[big[(r + t) % len(big)] * (r - t) for t in range(r % 3 + 1)] for r in range(n)]
+    if rationals:
+        # a "p/q" value, as a rational map's entries hold, in some rows of
+        # the first slice: it goes through json.dumps, the later slices
+        # through the repr rewrite of int rows
+        for row in entries[:_SLICE:7]:
+            row[-1] = f"{row[-1]}/7"
     array = JsonArray(lambda: (entries[lo : lo + _SLICE] for lo in range(0, n, _SLICE)))
     payload = {"kind": "linear_map", "entries": array, "after": [entries[:2], -3]}
     expected = json.dumps(_made(payload), indent=2) + "\n"
@@ -500,12 +536,15 @@ STREAMED_DUMPS = [(what, ring) for what in ("map", "coords", "inverse") for ring
 
 
 @pytest.mark.parametrize("what, ring_name", STREAMED_DUMPS)
-def test_a_streamed_dump_file_is_json_text_of_the_map(what, ring_name, tmp_path):
+@pytest.mark.parametrize("rows_per_slice", [5, _SLICE])
+def test_a_streamed_dump_file_is_json_text_of_the_map(rows_per_slice, what, ring_name, tmp_path):
+    # at 5 rows a slice, the label arrays cross slice boundaries too
     N, d, p = 3, 7, 7
     out = tmp_path / "dump.json"
     argv = ["dump", "--N", str(N), "--d", str(d), "--what", what, "--ring", ring_name,
             "--p", str(p), "--format", "json", "--out", str(out)]
-    assert main(argv) == 0
+    with mock.patch.object(dump, "_ROWS_PER_SLICE", rows_per_slice):
+        assert main(argv) == 0
     ring = {"int": ZZ, "fp": PrimeField(p), "polygamma": ZGAMMA}[ring_name]
     ctx = iso_context(N, d)
     if what == "map":
