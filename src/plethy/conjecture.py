@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .characters import _count_qpoly, hook_schur_polynomial, qchar
@@ -37,7 +36,10 @@ from .spaces import (
     Tensor,
     Wedge,
     _eliminate,
+    _insertions,
     _step,
+    basis,
+    basis_index,
     dim,
     group_action_map,
     identity_map,
@@ -444,12 +446,12 @@ def _power_ranks(p: int, cols: list) -> list[int]:
 # ----------------------------------------------------------------------- scan
 
 
-@dataclass
 class PrimeFingerprint:
-    p: int
-    dim_rhs: int
-    jordan_lhs: tuple[int, ...]
-    jordan_rhs: tuple[int, ...]
+    def __init__(self, p: int, dim_rhs: int, jordan_lhs: tuple, jordan_rhs: tuple):
+        self.p = p
+        self.dim_rhs = dim_rhs
+        self.jordan_lhs = jordan_lhs
+        self.jordan_rhs = jordan_rhs
 
     @property
     def jordan_equal(self) -> bool:
@@ -460,17 +462,20 @@ class PrimeFingerprint:
         return dict(vars(self), jordan_equal=self.jordan_equal)
 
 
-@dataclass
 class ConjectureReport:
-    M: int
-    N: int
-    d: int
-    dim_lhs: int
-    dim_rhs_char0: int
-    qchar_equal: bool
-    qchar_shift: int
-    kernel_matches_tableaux: bool
-    primes: list[PrimeFingerprint] = field(default_factory=list)
+    def __init__(
+        self, M: int, N: int, d: int, dim_lhs: int, dim_rhs_char0: int, qchar_equal: bool,
+        qchar_shift: int, kernel_matches_tableaux: bool, primes: list | None = None,
+    ):
+        self.M = M
+        self.N = N
+        self.d = d
+        self.dim_lhs = dim_lhs
+        self.dim_rhs_char0 = dim_rhs_char0
+        self.qchar_equal = qchar_equal
+        self.qchar_shift = qchar_shift
+        self.kernel_matches_tableaux = kernel_matches_tableaux
+        self.primes = [] if primes is None else primes
 
     @property
     def all_equal(self) -> bool:
@@ -541,6 +546,12 @@ def _scan_job(args):
     return scan_one(*args)
 
 
+# The caches that a serial scan clears between grid points, bound at import
+# as cli's are: a tracer may rebind public names to plain wrappers, which
+# have no cache_clear.
+_POINT_CACHES = (basis, basis_index, dim, _insertions, _integer_kernel_map)
+
+
 def scan(
     Ms,
     Ns,
@@ -587,5 +598,11 @@ def scan(
         ) as pool:
             reports = list(pool.map(_scan_job, jobs))
     else:
-        reports = [_scan_job(j) for j in jobs]
+        reports = []
+        for job in jobs:
+            # drop the last point's bases, insertion tables and integer
+            # kernel map before this point's are built, as verify does
+            for cached in _POINT_CACHES if reports else ():
+                cached.cache_clear()
+            reports.append(_scan_job(job))
     return reports, skipped

@@ -8,13 +8,16 @@ domain labels, then one row per codomain basis label with entries
 rendered exactly as strings.  JSON: exactly json.dumps(payload, indent=2)
 and a newline, by one rule on every interpreter: a dict payload whose
 values include JsonArrays goes out a value at a time, a JsonArray a slice
-at a time, and any other payload through json.dump, so json picks its own
-encoder.  A map is explicit basis label arrays plus sparse entries, which
-the command line streams as JsonArrays (linear_map_stream), as it does the
-kernel basis (basis_stream); payloads stay exact, in the ring's own JSON
-form (ints as ints, rationals as "p/q" strings, polynomials as
-coefficient lists), so a dump parses back to an equal LinearMap.  Nothing
-here writes timestamps.  hashlib and csv are imported on first use, by
+at a time, and any other payload, such as a report, as one json.dumps
+piece, which json's C encoder makes where there is one.  A map is
+explicit basis label arrays plus sparse entries, which the command line
+streams as JsonArrays (linear_map_stream), as it does the kernel basis
+(basis_stream); payloads stay exact, in the ring's own JSON form (ints as
+ints, rationals as "p/q" strings, polynomials as coefficient lists), so a
+dump parses back to an equal LinearMap.  Nothing here writes timestamps.
+A weight-block digest hashes the block's canonical text a line at a time,
+made from its sparse columns indexed by row, so neither the text nor a
+dense block is held.  hashlib and csv are imported on first use, by
 weight_block_digest and write_csv, so a command that makes no block
 digest and no CSV loads neither OpenSSL nor _csv.
 """
@@ -66,13 +69,14 @@ def write_json(payload, write) -> None:
     A dict with a JsonArray among its values is written one value at a
     time, each piece indented by two spaces: a JsonArray a slice at a time,
     and any other value as json.dumps(value, indent=2).  Every other
-    payload goes to json.dump(payload, indent=2), which sends its text
-    chunk by chunk; a JsonArray there is a TypeError, as is any value json
-    cannot encode."""
+    payload, a report say, is one piece, json.dumps(payload, indent=2),
+    which json makes with its C encoder where it has one (json.dump never
+    does); a JsonArray there is a TypeError, as is any value json cannot
+    encode."""
     if not isinstance(payload, dict) or not any(
         isinstance(v, JsonArray) for v in payload.values()
     ):
-        json.dump(payload, SimpleNamespace(write=write), indent=2)
+        write(json.dumps(payload, indent=2))
         write("\n")
         return
     sep = "{\n  "
@@ -272,34 +276,43 @@ def basis_stream(hook: HookSchurSpace) -> JsonArray:
     return _json_array(hook.pairs, vector)
 
 
-def _block_text(ctx: IsoContext, w: int) -> str:
-    """Canonical text form of the Y-degree block w of the paired coordinate
-    matrix (ctx.weight_block_matrix): row labels, column labels, then dense
-    integer rows.  The block's sparse paired columns are scattered into
-    rows of decimal strings, so only the nonzero entries are converted."""
+def _block_lines(ctx: IsoContext, w: int):
+    """The canonical text of the Y-degree block w of the paired coordinate
+    matrix (ctx.weight_block_matrix), a line at a time: row labels, column
+    labels, then one line of dense integer entries per row.  The block's
+    sparse paired columns are first indexed by row, so one row at a time is
+    made into strings, and only its nonzero entries are converted."""
     idxs = ctx.weight_blocks().get(w, [])
     paired = ctx.weight_block_columns(w)
-    local = {m: k for k, m in enumerate(idxs)}
-    rows = [["0"] * len(idxs) for _ in idxs]
+    local = {m: i for i, m in enumerate(idxs)}
+    # per row, its column positions and entries, flat and alternating
+    by_row: list = [[] for _ in idxs]
     for k, c in enumerate(idxs):
-        for r, v in paired[c].items():
+        for r, v in paired.pop(c).items():
             i = local.get(r)
             if i is not None:
-                rows[i][k] = str(v)
+                by_row[i] += (k, v)
     hook = ctx.hook
-    lines = [
-        "rows=" + ";".join(hook.coords.label_str(hook.pairs[m]) for m in idxs),
-        "cols=" + ";".join(ctx.domain.label_str(ctx.witnesses[m]) for m in idxs),
-    ]
-    lines.extend(map(",".join, rows))
-    return "\n".join(lines) + "\n"
+    yield "rows=" + ";".join(hook.coords.label_str(hook.pairs[m]) for m in idxs) + "\n"
+    yield "cols=" + ";".join(ctx.domain.label_str(ctx.witnesses[m]) for m in idxs) + "\n"
+    blank = ["0"] * len(idxs)
+    for entries in by_row:
+        row = blank.copy()
+        pairs = iter(entries)
+        for k, v in zip(pairs, pairs):
+            row[k] = str(v)
+        yield ",".join(row) + "\n"
 
 
 def weight_block_digest(ctx: IsoContext, w: int) -> str:
-    """sha256 of the canonical text of the Y-degree block w."""
+    """sha256 of the canonical text of the Y-degree block w, fed to the
+    hash a line at a time, so the text is never held whole."""
     import hashlib  # on first use: it maps OpenSSL, which only verify needs
 
-    return hashlib.sha256(_block_text(ctx, w).encode()).hexdigest()
+    h = hashlib.sha256()
+    for line in _block_lines(ctx, w):
+        h.update(line.encode())
+    return h.hexdigest()
 
 
 def weight_block_digests(ctx: IsoContext) -> dict:

@@ -13,11 +13,13 @@ Y-degree of a label and the total degree, the label format, and its group
 and Lie action matrices, built from its factors' matrices the way the
 functors are: Sym^c(g), then Wedge^r, Sym^r and tensor products of those.
 A tensor's group action is kept as the Kronecker product of its factors'
-matrices, formed whole only when something reads its columns.  JSON forms
-come from the dataclass fields.  The module functions basis, basis_index
-and dim hold the one cache that all equal spaces share.  To add a kind,
-write one Space subclass with its fields, basis, dim, degrees, label_str
-and actions, and add it to the space_from_json kind table, _KINDS.
+matrices, formed whole only when something reads its columns.  A kind
+declares its fields once, as annotations; _frozen_space makes it an
+immutable value of them, and its JSON form comes from them.  The module
+functions basis, basis_index and dim hold the one cache that all equal
+spaces share.  To add a kind, write one Space subclass with its fields,
+basis, dim, degrees, label_str and actions, and add it to the
+space_from_json kind table, _KINDS.
 
 A map's columns and a vector's coefficients are keyed by basis position,
 the one form maps and vectors take between layers.  Labels are taken and
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, fields
 from functools import cache, lru_cache
 from math import gcd
 from typing import ClassVar
@@ -46,28 +47,50 @@ from . import tableaux
 
 
 def _frozen_space(cls):
-    """cls as a frozen dataclass whose hash, the dataclass hash of its
-    fields, is taken once per space and kept.  Equal spaces built apart
-    hash equal; the basis, basis_index and dim caches hash a space on every
-    lookup, and the field hash of a nested space recurses through it."""
-    cls = dataclass(frozen=True)(cls)
-    field_hash = cls.__hash__
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = field_hash(self)
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    cls.__hash__ = __hash__
+    """cls as an immutable value of its declared fields: its own
+    annotations that are not ClassVar, in order, kept as cls._fields, a
+    dict of field name to declared type (a string, as this module's
+    annotations are postponed).  The kind gets __init__, by
+    position or keyword, which then calls __post_init__ if the kind has
+    one; __repr__ as Kind(field=value, ...); __eq__, field by field within
+    one class; and __hash__, the hash of the field tuple, taken once per
+    space and kept.  Equal spaces built apart hash equal; the basis,
+    basis_index and dim caches hash a space on every lookup, and the field
+    hash of a nested space recurses through it.  The methods are compiled
+    per kind, so that no call loops over the fields."""
+    own = cls.__dict__["__annotations__"].items()
+    cls._fields = fields = {n: t for n, t in own if not t.startswith("ClassVar")}
+    post_init = "; self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in fields)
+    same = " and ".join(f"self.{n} == other.{n}" for n in fields)
+    methods: dict = {}
+    # object.__setattr__ keeps an instance's attributes inline, where
+    # reading self.__dict__ would make every later attribute read slower
+    exec(f"""
+def __init__(self, {", ".join(fields)}):
+    {"; ".join(f"_set(self, {n!r}, {n})" for n in fields)}{post_init}
+def __repr__(self):
+    return f"{{type(self).__name__}}({shown})"
+def __eq__(self, other):
+    return {same} if other.__class__ is self.__class__ else NotImplemented
+def __hash__(self):
+    try:
+        return self._hash
+    except AttributeError:
+        h = hash(({"".join(f"self.{n}, " for n in fields)}))
+        _set(self, "_hash", h)
+        return h
+""", {"_set": object.__setattr__}, methods)
+    for name, method in methods.items():
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
     return cls
 
 
 class Space:
-    """The interface of a space kind, a frozen dataclass (made by
-    _frozen_space, which keeps its hash) with a JSON kind.
+    """The interface of a space kind, an immutable value of the fields it
+    declares (made by _frozen_space, which keeps its hash and its field
+    table, _fields) with a JSON kind.
 
     A kind writes its fields and these: _basis() and _dim() enumerate and
     count the basis (call basis and dim, which cache them); ydegree(label)
@@ -88,13 +111,19 @@ class Space:
     the refusals below, which come before any label is looked at."""
 
     kind: ClassVar[str]
+    _fields: ClassVar[dict]
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"a {type(self).__name__} is immutable: {name!r} cannot change")
+
+    __delattr__ = __setattr__
 
     def to_json(self) -> dict:
         """The kind, then each field in order, a Space field as its to_json()."""
         out = {"kind": self.kind}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = v.to_json() if isinstance(v, Space) else v
+        for name in self._fields:
+            v = getattr(self, name)
+            out[name] = v.to_json() if isinstance(v, Space) else v
         return out
 
     def label_to_json(self, label):
@@ -112,9 +141,8 @@ class Space:
 
     def sym_atoms(self) -> frozenset:
         """The Sym atoms the space is built from, read off its fields."""
-        return frozenset().union(
-            *(f.sym_atoms() for f in vars(self).values() if isinstance(f, Space))
-        )
+        values = map(self.__getattribute__, self._fields)
+        return frozenset().union(*(v.sym_atoms() for v in values if isinstance(v, Space)))
 
     def _action_map(self, ring: Ring, g) -> "LinearMap":
         return LinearMap.from_positions(self, self, ring, self._action_columns(ring, g))
@@ -367,13 +395,13 @@ def space_from_json(data) -> Space:
     cls = json_kind(data, _KINDS)
     if cls is None:
         raise ValueError(f"not a space of a known kind: {data!r}")
-    names = [f.name for f in fields(cls)]
+    names = list(cls._fields)
     if set(data) != {"kind", *names}:
         raise ValueError(f"a {cls.kind} space has the fields {names}, got {data!r}")
     return cls(*(
-        json_int(data[f.name], f"{cls.kind} field {f.name}")
-        if f.type == "int" else space_from_json(data[f.name])
-        for f in fields(cls)
+        json_int(data[name], f"{cls.kind} field {name}")
+        if t == "int" else space_from_json(data[name])
+        for name, t in cls._fields.items()
     ))
 
 

@@ -610,3 +610,20 @@ def test_hashlib_and_csv_load_only_for_a_digest_or_a_csv(tmp_path):
     assert verify[0] == "0" and {"csv", "hashlib"} <= set(verify)
     for out, (argv, digest) in zip(outs, runs):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses imports inspect, ast, dis and tokenize, most of what an
+    # import of plethy.cli once cost every command
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, plethy.cli; print(*sorted(sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stdout.split())
+    assert "plethy.cli" in loaded
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & loaded

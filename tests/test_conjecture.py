@@ -439,6 +439,26 @@ def test_scan_dim_cap_skips():
     assert "exceeds cap" in skipped[0]["reason"]
 
 
+def test_serial_scan_keeps_only_the_last_points_caches():
+    # after a grid, the basis, index, dim, insertion-table and integer
+    # kernel map caches hold what scan_one fills them with at the last point
+    caches = conjecture._POINT_CACHES
+    assert {c.__wrapped__.__name__ for c in caches} == {
+        "basis", "basis_index", "dim", "_insertions", "_integer_kernel_map"
+    }
+    for cached in caches:
+        cached.cache_clear()
+    scan_one(3, 2, 4, (2, 3))
+    alone = [cached.cache_info().currsize for cached in caches]
+    reports, _ = scan((1, 2, 3), (1, 2), (2, 3, 4), (2, 3), workers=1)
+    assert (reports[-1].M, reports[-1].N, reports[-1].d) == (3, 2, 4)
+    assert [cached.cache_info().currsize for cached in caches] == alone
+    # an earlier point's space is built afresh
+    misses = basis.cache_info().misses
+    basis(lhs_space(2, 1, 2))
+    assert basis.cache_info().misses > misses
+
+
 def test_scan_workers_match_serial():
     grid = ((1, 2), (2,), (2, 3), (2,))
     serial, _ = scan(*grid, workers=1)

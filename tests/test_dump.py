@@ -343,9 +343,10 @@ def _nested(depth: int):
     )
 
 
-# write_json has two paths: json.dump for a payload with no JsonArray
-# value, and a value at a time for a dict that has one.  A payload beside a
-# streamed array takes the second.
+# write_json has two paths: one json.dumps piece for a payload with no
+# JsonArray value (the "json.dump" id is the path's older name), and a value
+# at a time for a dict that has one.  A payload beside a streamed array
+# takes the second.
 WRITER_PATHS = pytest.mark.parametrize(
     "streamed", [False, True], ids=["json.dump", "beside a JsonArray"]
 )

@@ -1,6 +1,5 @@
 """Spaces, actions, and exact sparse elimination."""
 
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plethy
 from plethy import (
     QQ,
     ZGAMMA,
@@ -224,14 +224,113 @@ SPACE_RECIPES = st.recursive(
 @settings(max_examples=100, deadline=None)
 @given(SPACE_RECIPES)
 def test_equal_spaces_built_apart_hash_equal_and_share_one_basis_index(recipe):
-    # a space keeps its hash once taken; it is the dataclass hash of its
-    # fields, so equal spaces built apart still meet in every cache
+    # a space keeps its hash once taken; it is the hash of its field
+    # tuple, so equal spaces built apart still meet in every cache
     a, b = _build_space(recipe), _build_space(recipe)
     assert a == b and a is not b
-    field_hash = hash(tuple(getattr(a, f.name) for f in dataclasses.fields(a)))
+    field_hash = hash(tuple(getattr(a, name) for name in a._fields))
     assert hash(a) == hash(a) == hash(b) == field_hash
     assert basis_index(a) is basis_index(b)
     assert basis_index(a) == {label: n for n, label in enumerate(basis(b))}
+
+
+# Every kind: its field values in order, its repr, and its declared fields,
+# which space_from_json reads to tell an int field from a space field.
+KINDS = [
+    (Sym, (2,), "Sym(c=2)", {"c": "int"}),
+    (Wedge, (2, Sym(3)), "Wedge(r=2, inner=Sym(c=3))", {"r": "int", "inner": "Sym"}),
+    (SymPower, (2, Sym(3)), "SymPower(r=2, inner=Sym(c=3))", {"r": "int", "inner": "Sym"}),
+    (
+        Tensor,
+        (Sym(1), Wedge(1, Sym(2))),
+        "Tensor(left=Sym(c=1), right=Wedge(r=1, inner=Sym(c=2)))",
+        {"left": "Space", "right": "Space"},
+    ),
+    (PairCoords, (2, 3), "PairCoords(N=2, d=3)", {"N": "int", "d": "int"}),
+]
+KIND_CASES = pytest.mark.parametrize(
+    "kind, values, text, fields", KINDS, ids=[case[0].__name__ for case in KINDS]
+)
+
+
+@KIND_CASES
+def test_a_space_is_built_by_position_or_keyword(kind, values, text, fields):
+    assert kind._fields == fields
+    names = list(fields)
+    by_keyword = dict(zip(names, values))
+    for space in (kind(*values), kind(**by_keyword), kind(**dict(reversed(by_keyword.items())))):
+        assert type(space) is kind
+        assert tuple(getattr(space, name) for name in names) == values
+    for bad in (
+        lambda: kind(*values[:-1]),
+        lambda: kind(*values, values[-1]),
+        lambda: kind(*values, other=1),
+        lambda: kind(*values, **{names[0]: values[0]}),
+    ):
+        with pytest.raises(TypeError):
+            bad()
+
+
+@KIND_CASES
+def test_a_space_repr_names_its_kind_and_fields(kind, values, text, fields):
+    space = kind(*values)
+    assert repr(space) == text
+    assert eval(text, vars(plethy)) == space
+
+
+@KIND_CASES
+def test_spaces_are_equal_only_within_a_kind(kind, values, text, fields):
+    space = kind(*values)
+    assert space == kind(*values) and not space != kind(*values)
+    for other_kind, other_values, _, _ in KINDS:
+        if other_kind is not kind:
+            other = other_kind(*other_values)
+            assert space != other and not space == other
+            assert space.__eq__(other) is NotImplemented
+    # the two power kinds share their fields, but not equality
+    if kind in (Wedge, SymPower):
+        twin = (SymPower if kind is Wedge else Wedge)(*values)
+        assert space != twin and hash(space) == hash(twin)
+    # one field changed
+    changed = (values[0] + 1,) + values[1:] if type(values[0]) is int else values[::-1]
+    assert space != kind(*changed)
+
+
+@KIND_CASES
+def test_a_space_hash_is_the_hash_of_its_field_tuple(kind, values, text, fields):
+    space = kind(*values)
+    assert hash(space) == hash(values) == hash(kind(*values))
+    assert hash(space) == hash(space)
+    assert len({space, kind(*values)}) == 1
+
+
+@KIND_CASES
+def test_a_space_refuses_assignment_and_deletion(kind, values, text, fields):
+    space = kind(*values)
+    hash(space)
+    for name in (*fields, "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(space, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(space, name)
+    assert tuple(getattr(space, name) for name in fields) == values
+    assert hash(space) == hash(values)
+
+
+@KIND_CASES
+def test_space_from_json_reads_the_declared_field_types(kind, values, text, fields):
+    form = kind(*values).to_json()
+    assert list(form) == ["kind", *fields]
+    assert space_from_json(form) == kind(*values)
+    for name, declared in fields.items():
+        # an int field takes only a JSON integer; any other field a space
+        wrong = [2.0, True, "2", Sym(1).to_json()] if declared == "int" else [1, None, [1]]
+        for value in wrong:
+            with pytest.raises(ValueError):
+                space_from_json({**form, name: value})
+    last = list(fields)[-1]
+    with pytest.raises(ValueError):
+        space_from_json({k: v for k, v in form.items() if k != last})
 
 
 @pytest.mark.parametrize(
