@@ -51,18 +51,7 @@ from .iso import (
 )
 from .rings import ZZ, ConsistencyError, PrimeField, ring_by_name
 from .schur import hook_schur_space
-from .spaces import LinearMap, _insertions, basis, basis_index, dim
-
-
-# The one-point caches that verify clears between grid points, bound at
-# import: a tracer such as perfbench/spans.py rebinds the public names to
-# plain wrappers, which have no cache_clear.
-_POINT_CACHES = (iso_context, hook_schur_space)
-
-
-def _release_point():
-    for cached in _POINT_CACHES:
-        cached.cache_clear()
+from .spaces import LinearMap, release_point
 
 
 class UsageError(Exception):
@@ -168,7 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=DIM_CAP,
         help="skip grid points above this ambient dimension (default %(default)s)",
     )
-    p_scan.add_argument("--workers", type=int, default=1, help="parallel processes")
+    p_scan.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="parallel processes, at most one per grid point and per usable CPU",
+    )
     p_scan.add_argument("--format", default="json", choices=("json", "csv"))
     p_scan.add_argument("--out", help="output path (default stdout)")
     p_scan.set_defaults(func=cmd_scan)
@@ -314,12 +308,9 @@ def cmd_verify(args) -> int:
                 note(f"skip (N={N}, d={d}): rank exceeds degree + 2, no such map")
                 continue
             if points:
-                # drop the last point's context and hook space, and the
-                # bases and insertion tables of its spaces, before this
-                # point's are built, so the run peaks at its largest point
-                _release_point()
-                for cached in (basis, basis_index, dim, _insertions):
-                    cached.cache_clear()
+                # the last point goes before this one is built; the first
+                # point is not released, so a context built for it is used
+                release_point()
             point = verify_point(N, d, primes)
             points.append(point)
             failed = [k for k, v in point["checks"].items() if not v]
@@ -370,8 +361,6 @@ def cmd_dump(args) -> int:
         raise UsageError(f"need 1 <= N <= d + 2, got (N={N}, d={d})")
     p = parse_primes(args.p)[0]
 
-    # the point's structure is released once what is written is in hand,
-    # so the payload is built and streamed without it
     if args.what == "basis":
         if args.format != "json":
             raise UsageError("the kernel basis dump is JSON only")
@@ -381,13 +370,14 @@ def cmd_dump(args) -> int:
             "d": d,
             "vectors": basis_stream(hook_schur_space(N, d)),
         }
-        _release_point()
     else:
         A = _map_to_dump(N, d, args.what, ring_by_name(args.ring, p))
-        _release_point()
         # a JSON map streams its label arrays and entries and a CSV one its
-        # rows, never held whole
+        # rows, never held whole; both take the bases they label with now
         payload = linear_map_stream(A) if args.format == "json" else linear_map_to_csv(A)
+    # the payload holds what it writes, so the point goes before the first
+    # byte is written
+    release_point()
     emit(payload, args.out)
     return 0
 

@@ -21,6 +21,7 @@ types over small prime fields, and reports what it finds.
 
 from __future__ import annotations
 
+import os
 import sys
 from collections import Counter
 from functools import lru_cache
@@ -35,15 +36,14 @@ from .spaces import (
     SymPower,
     Tensor,
     Wedge,
+    _POINT_MEMOS,
     _eliminate,
-    _insertions,
     _step,
-    basis,
-    basis_index,
     dim,
     group_action_map,
     identity_map,
     kernel_basis,
+    release_point,
     wedge_normalize,
 )
 
@@ -108,6 +108,9 @@ def _integer_kernel_map(M: int, N: int, d: int) -> LinearMap:
         return out
 
     return LinearMap.from_function(ZZ, domain, codomain, fn)
+
+
+_POINT_MEMOS.append(_integer_kernel_map)
 
 
 def hook_kernel_vectors(ring: Ring, M: int, N: int, d: int) -> list[ModuleElement]:
@@ -543,13 +546,10 @@ def scan_one(M: int, N: int, d: int, primes: tuple[int, ...]) -> ConjectureRepor
 
 
 def _scan_job(args):
+    """scan_one at one grid point, with the last point's memos dropped
+    first, in a pool worker as in a serial scan."""
+    release_point()
     return scan_one(*args)
-
-
-# The caches that a serial scan clears between grid points, bound at import
-# as cli's are: a tracer may rebind public names to plain wrappers, which
-# have no cache_clear.
-_POINT_CACHES = (basis, basis_index, dim, _insertions, _integer_kernel_map)
 
 
 def scan(
@@ -565,7 +565,8 @@ def scan(
     Returns (reports, skipped); a grid point is skipped with a notice when
     either side's ambient dimension exceeds dim_cap.  Grid points are
     independent, so workers > 1 fans them out to at most one process per
-    grid point.
+    grid point and per CPU this process may run on: a fork pool starts
+    all its processes up front.
     """
     jobs = []
     skipped = []
@@ -578,31 +579,18 @@ def scan(
                 _check_mnd(M, N, d)
                 sizes = (dim(lhs_space(M, N, d)), dim(hook_domain(M, N, d)))
                 if max(sizes) > dim_cap:
-                    skipped.append(
-                        {
-                            "M": M,
-                            "N": N,
-                            "d": d,
-                            "reason": f"dimension {max(sizes)} exceeds cap {dim_cap}",
-                        }
-                    )
+                    reason = f"dimension {max(sizes)} exceeds cap {dim_cap}"
+                    skipped.append({"M": M, "N": N, "d": d, "reason": reason})
                     continue
                 jobs.append((M, N, d, primes))
-    if workers > 1 and len(jobs) > 1:
-        # imported here: only a parallel scan needs the pool, and the import
-        # costs every command several milliseconds
-        import concurrent.futures
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(workers, len(jobs), cpus)
+    if workers < 2:
+        return [_scan_job(job) for job in jobs], skipped
+    # imported here: only a parallel scan needs the pool, and the import
+    # costs every command several milliseconds
+    import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(jobs))
-        ) as pool:
-            reports = list(pool.map(_scan_job, jobs))
-    else:
-        reports = []
-        for job in jobs:
-            # drop the last point's bases, insertion tables and integer
-            # kernel map before this point's are built, as verify does
-            for cached in _POINT_CACHES if reports else ():
-                cached.cache_clear()
-            reports.append(_scan_job(job))
-    return reports, skipped
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_scan_job, jobs)), skipped

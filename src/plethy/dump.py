@@ -9,7 +9,8 @@ rendered exactly as strings.  JSON: exactly json.dumps(payload, indent=2)
 and a newline, by one rule on every interpreter: a dict payload whose
 values include JsonArrays goes out a value at a time, a JsonArray a slice
 at a time, and any other payload, such as a report, as one json.dumps
-piece, which json's C encoder makes where there is one.  A map is
+piece.  json.dumps with an indent runs json's pure-Python encoder on
+CPython 3.10-3.12 and its C encoder from 3.13 on.  A map is
 explicit basis label arrays plus sparse entries, which the command line
 streams as JsonArrays (linear_map_stream), as it does the kernel basis
 (basis_stream); payloads stay exact, in the ring's own JSON form (ints as
@@ -70,9 +71,10 @@ def write_json(payload, write) -> None:
     time, each piece indented by two spaces: a JsonArray a slice at a time,
     and any other value as json.dumps(value, indent=2).  Every other
     payload, a report say, is one piece, json.dumps(payload, indent=2),
-    which json makes with its C encoder where it has one (json.dump never
-    does); a JsonArray there is a TypeError, as is any value json cannot
-    encode."""
+    which json makes with its pure-Python encoder on CPython 3.10-3.12,
+    where the C encoder takes no indent, and with the C encoder from 3.13
+    on (json.dump, chunk by chunk, never takes it); a JsonArray there is a
+    TypeError, as is any value json cannot encode."""
     if not isinstance(payload, dict) or not any(
         isinstance(v, JsonArray) for v in payload.values()
     ):

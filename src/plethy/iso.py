@@ -114,6 +114,7 @@ from .spaces import (
     Sym,
     Tensor,
     Wedge,
+    _POINT_MEMOS,
     _add_columns,
     _settled,
     basis,
@@ -454,8 +455,12 @@ def _is_block_identity(left, right, idxs) -> bool:
 @lru_cache(maxsize=1)
 def iso_context(N: int, d: int) -> IsoContext:
     """Shared context for the last (N, d) asked for: a command certifies one
-    point at a time, so one is held."""
+    point at a time, so one is held; the next point evicts it, and
+    spaces.release_point drops it."""
     return IsoContext(N, d)
+
+
+_POINT_MEMOS.append(iso_context)
 
 
 # ---------------------------------------------------------------- verification
@@ -568,10 +573,12 @@ def _sym_tables_are_monomial(spaces, transpose: bool) -> bool:
 # The poly route's last integer comparison of phi with U(1), one slot per
 # transpose: (phi, domain action, ambient action, result) over ZZ.  The fp
 # route reads it in _passed_over_zz.  Every poly call clears both slots
-# first, so they hold the maps of one point at most.  The record is not kept
-# on the context: copies of a context (copy.copy) would share it, and the is
-# check on phi is what keeps one copy from reading another copy's result.
+# first, so they hold the maps of one point at most, and release_point drops
+# them with the point.  The record is not kept on the context: copies of a
+# context (copy.copy) would share it, and the is check on phi is what keeps
+# one copy from reading another copy's result.
 _zz_unipotent_checks: dict = {}
+_POINT_MEMOS.append(_zz_unipotent_checks)
 
 
 def verify_group_equivariance_poly(N: int, d: int) -> dict:

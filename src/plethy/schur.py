@@ -47,6 +47,7 @@ from .spaces import (
     Sym,
     Tensor,
     Wedge,
+    _POINT_MEMOS,
     _add_columns,
     _eliminate,
     _insertions,
@@ -261,5 +262,8 @@ def _support(pair) -> tuple:
 @lru_cache(maxsize=1)
 def hook_schur_space(N: int, d: int) -> HookSchurSpace:
     """Shared, construction-verified instance for the last (N, d) asked
-    for; one point is held at a time."""
+    for: the next point evicts it, and spaces.release_point drops it."""
     return HookSchurSpace(N, d)
+
+
+_POINT_MEMOS.append(hook_schur_space)

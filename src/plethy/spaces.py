@@ -447,6 +447,25 @@ def _insertions(kind: type, inner: Sym, k: int) -> list:
     return table
 
 
+# Everything that holds one grid point: the memos above, and each module's
+# own memo or record of a point, appended where it is defined (schur's hook
+# space, iso's context and its poly route's record, conjecture's integer
+# kernel map).  Two memos are kept across points, as they are small and any
+# point may read them: _sym_action_table (at most 1024 tables) and
+# characters.gaussian_binomial.
+_POINT_MEMOS: list = [basis, basis_index, dim, _insertions]
+
+
+def release_point() -> None:
+    """Drop everything that one grid point holds, so that a run over a
+    grid peaks at its largest point, not at the sum of its points: verify
+    calls it before each point after its first, scan before each point,
+    and dump once its payload is built.  Nothing is lost but time: a memo
+    builds its point again when asked."""
+    for memo in _POINT_MEMOS:
+        (memo.clear if isinstance(memo, dict) else memo.cache_clear)()
+
+
 def wedge_normalize(factors, top: int):
     """Sort wedge factors, tracking the permutation sign.
 

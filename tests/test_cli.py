@@ -21,6 +21,7 @@ from plethy import (
     hook_schur_space,
     iso_context,
     linear_map_from_json,
+    release_point,
 )
 from plethy.cli import main, parse_primes, parse_range
 from plethy.spaces import Sym, Tensor, Wedge, _insertions, basis, basis_index, dim
@@ -322,8 +323,7 @@ def test_verify_holds_one_grid_point_at_a_time(capsys, monkeypatch):
             refs[cls].append(weakref.ref(self))
             init(self, N, d)
         monkeypatch.setattr(cls, "__init__", counting)
-    iso_context.cache_clear()
-    hook_schur_space.cache_clear()
+    release_point()
     ctx = iso_context(1, 0)  # the grid's first point, which the run reuses
     dead_ctx, dead_hook = weakref.ref(ctx), weakref.ref(ctx.hook)
     del ctx
@@ -345,8 +345,7 @@ def test_verify_keeps_only_the_last_points_bases(capsys):
     caches = (basis, basis_index, dim, _insertions)
 
     def sizes_after(N: str, d: str) -> list:
-        for cached in caches + (iso_context, hook_schur_space):
-            cached.cache_clear()
+        release_point()
         assert main(["verify", "--N", N, "--d", d, "--p", "2"]) == 0
         capsys.readouterr()
         return [cached.cache_info().currsize for cached in caches]

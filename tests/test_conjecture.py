@@ -36,6 +36,7 @@ from plethy import (
     lhs_space,
     multiplication_map,
     qchar,
+    release_point,
     scan,
     scan_one,
 )
@@ -439,15 +440,17 @@ def test_scan_dim_cap_skips():
     assert "exceeds cap" in skipped[0]["reason"]
 
 
+def _point_memos() -> list:
+    """The memos that release_point drops, less the poly route's record."""
+    return [memo for memo in spaces._POINT_MEMOS if not isinstance(memo, dict)]
+
+
 def test_serial_scan_keeps_only_the_last_points_caches():
-    # after a grid, the basis, index, dim, insertion-table and integer
-    # kernel map caches hold what scan_one fills them with at the last point
-    caches = conjecture._POINT_CACHES
-    assert {c.__wrapped__.__name__ for c in caches} == {
-        "basis", "basis_index", "dim", "_insertions", "_integer_kernel_map"
-    }
-    for cached in caches:
-        cached.cache_clear()
+    # after a grid, the memos of one point (bases, indexes, dims, insertion
+    # tables, the integer kernel map) hold what scan_one fills them with at
+    # the last point
+    caches = _point_memos()
+    release_point()
     scan_one(3, 2, 4, (2, 3))
     alone = [cached.cache_info().currsize for cached in caches]
     reports, _ = scan((1, 2, 3), (1, 2), (2, 3, 4), (2, 3), workers=1)
@@ -459,6 +462,21 @@ def test_serial_scan_keeps_only_the_last_points_caches():
     assert basis.cache_info().misses > misses
 
 
+def test_a_scan_job_after_another_point_holds_only_its_own():
+    # what a pool worker runs: each job drops the point before it, so a
+    # worker holds one point at a time, whatever it ran before
+    caches = _point_memos()
+    job = (3, 2, 4, (2, 3))
+    release_point()
+    scan_one(*job)
+    alone = [cached.cache_info().currsize for cached in caches]
+    assert all(alone[:4])  # the bases, indexes, dims and insertion tables
+    for before in ((2, 1, 3, (2, 3)), (1, 3, 5, (2,)), job):
+        conjecture._scan_job(before)
+        conjecture._scan_job(job)
+        assert [cached.cache_info().currsize for cached in caches] == alone
+
+
 def test_scan_workers_match_serial():
     grid = ((1, 2), (2,), (2, 3), (2,))
     serial, _ = scan(*grid, workers=1)
@@ -466,8 +484,10 @@ def test_scan_workers_match_serial():
     assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
 
 
-def test_scan_starts_at_most_one_worker_per_grid_point(monkeypatch):
-    # a serial stand-in: no process is started, only max_workers is recorded
+def _recorded_pools(monkeypatch) -> list:
+    """Put a serial stand-in for ProcessPoolExecutor in place and return
+    the list it appends each pool's max_workers to: no process is started,
+    whatever the count."""
     seen = []
 
     class RecordingExecutor:
@@ -484,12 +504,43 @@ def test_scan_starts_at_most_one_worker_per_grid_point(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    return seen
+
+
+def _usable_cpus(monkeypatch, n: int):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def test_scan_starts_at_most_one_worker_per_grid_point(monkeypatch):
+    seen = _recorded_pools(monkeypatch)
+    _usable_cpus(monkeypatch, 8)
     grid = ((1,), (2,), (2, 3), (2,))
     reports, _ = scan(*grid, workers=64)
     assert seen == [2]
     serial, _ = scan(*grid, workers=1)
     assert seen == [2]
     assert [r.to_json() for r in reports] == [r.to_json() for r in serial]
+
+
+def test_scan_starts_at_most_one_worker_per_usable_cpu(monkeypatch):
+    # fork starts every worker of a pool up front, so --workers 64 on a
+    # grid of 9 points starts no more processes than the CPUs it may use
+    seen = _recorded_pools(monkeypatch)
+    grid = ((1,), (1, 2, 3), (0, 1, 2), (2,))
+    serial, _ = scan(*grid, workers=1)
+    for cpus, started in ((3, [3]), (2, [2]), (1, [])):
+        seen.clear()
+        _usable_cpus(monkeypatch, cpus)
+        reports, _ = scan(*grid, workers=64)
+        assert seen == started
+        assert [r.to_json() for r in reports] == [r.to_json() for r in serial]
+    # where the affinity mask cannot be read, the CPU count is used
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, started in ((4, [4]), (None, [])):
+        seen.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        scan(*grid, workers=64)
+        assert seen == started
 
 
 def test_importing_the_cli_does_not_import_the_pool():

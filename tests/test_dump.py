@@ -590,6 +590,28 @@ def test_dump_releases_the_point_before_its_first_write(what, fmt, monkeypatch):
     assert stream.getvalue()
 
 
+@pytest.mark.parametrize(
+    "what, fmt",
+    [(what, "json") for what in ("map", "coords", "inverse", "basis")]
+    + [(what, "csv") for what in ("map", "coords", "inverse")],
+)
+def test_dump_builds_no_basis_after_its_release(what, fmt, monkeypatch):
+    # the payload takes the bases it labels with before the point is
+    # released, so writing it builds none again
+    emit = cli.emit
+    seen = []
+
+    def emitting(payload, out):
+        before = basis.cache_info()
+        emit(payload, out)
+        seen.append((before.currsize, basis.cache_info().misses - before.misses))
+
+    monkeypatch.setattr(cli, "emit", emitting)
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert main(["dump", "--N", "3", "--d", "5", "--what", what, "--format", fmt]) == 0
+    assert seen == [(0, 0)]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_a_streamed_dump_that_cannot_be_written_is_a_usage_error(monkeypatch, capsys):
     # the up-front --out check is skipped, so the failure comes from the

@@ -34,6 +34,7 @@ from plethy import (
     increasing_tuples,
     iso_context,
     multiplication_map,
+    release_point,
     reversal_sign,
     triangular_witness,
     verify_duality,
@@ -280,11 +281,11 @@ def test_an_image_outside_the_kernel_fails_structure_and_names_its_label(
         return rows
 
     monkeypatch.setattr(iso, "_image_rows", leaving)
-    iso_context.cache_clear()
+    release_point()
     try:
         point = verify_point(2, 3, (2,))
     finally:
-        iso_context.cache_clear()  # drop the contexts built under the patch
+        release_point()  # drop the contexts built under the patch
     assert point["checks"]["structure.consistency"] is False
     assert point["data"]["structure.consistency_error"] == message
 
@@ -343,13 +344,11 @@ def test_structure_needs_no_apply_and_no_coordinates_call(monkeypatch):
 
     monkeypatch.setattr(LinearMap, "apply", refuse)
     monkeypatch.setattr(HookSchurSpace, "coordinates", refuse)
-    iso_context.cache_clear()
-    hook_schur_space.cache_clear()
+    release_point()
     try:
         report = verify_structure(4, 6)
     finally:
-        iso_context.cache_clear()
-        hook_schur_space.cache_clear()
+        release_point()
     assert report and all(v is True for v in report.values())
 
 
@@ -359,7 +358,7 @@ def test_the_structure_maps_are_built_on_positions(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a structure map was built label by label")
 
-    hook_schur_space.cache_clear()
+    release_point()
     try:
         with monkeypatch.context() as m:
             m.setattr(LinearMap, "from_function", refuse)
@@ -369,7 +368,7 @@ def test_the_structure_maps_are_built_on_positions(monkeypatch):
             ctx = IsoContext(4, 6)
             ctx.inverse()
     finally:
-        hook_schur_space.cache_clear()
+        release_point()
     assert ctx.columns_in_kernel and ctx.unitriangular and ctx.inverse_round_trip
     assert ctx.matrix == phi_oracle(4, 6)
 
@@ -380,7 +379,7 @@ def test_the_structure_checks_no_pair_or_wedge_label_again(monkeypatch):
     def refuse(*args):
         raise AssertionError("a pair or a wedge label was checked again")
 
-    hook_schur_space.cache_clear()
+    release_point()
     try:
         with monkeypatch.context() as m:
             m.setattr(tableaux, "is_semistandard", refuse)
@@ -388,7 +387,7 @@ def test_the_structure_checks_no_pair_or_wedge_label_again(monkeypatch):
             ctx = IsoContext(4, 6)
             ctx.inverse()
     finally:
-        hook_schur_space.cache_clear()
+        release_point()
     assert ctx.columns_in_kernel and ctx.unitriangular and ctx.inverse_round_trip
     assert ctx.witnesses == [triangular_witness(p) for p in ctx.hook.pairs]
 
@@ -555,14 +554,12 @@ def test_verify_point_builds_no_whole_coordinate_map(monkeypatch):
     monkeypatch.setattr(LinearMap, "compose", counted)
     for view in ("mu", "B", "K"):
         monkeypatch.setattr(HookSchurSpace, view, property(refuse))
-    iso_context.cache_clear()
-    hook_schur_space.cache_clear()
+    release_point()
     try:
         point = verify_point(3, 4, (2, 3))
     finally:
         # drop the context and hook space built under the wrapper
-        iso_context.cache_clear()
-        hook_schur_space.cache_clear()
+        release_point()
     assert all(point["checks"].values())
     assert len(point["block_hashes"]) == len(iso_context(3, 4).weight_blocks())
     assert builds == []

@@ -1,6 +1,8 @@
 """Spaces, actions, and exact sparse elimination."""
 
+import importlib
 import json
+import pkgutil
 import random
 from fractions import Fraction
 from math import gcd
@@ -10,6 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plethy
+import plethy.characters as characters
+import plethy.conjecture as conjecture
+import plethy.iso as iso
+import plethy.spaces as spaces
 from plethy import (
     QQ,
     ZGAMMA,
@@ -33,6 +39,7 @@ from plethy import (
     multiplication_map,
     rank,
     rank_of_vectors,
+    release_point,
     wedge_normalize,
 )
 from plethy.spaces import space_from_json
@@ -804,3 +811,46 @@ def test_action_preserves_ydegree_shift_invariants(data):
     A = group_action_map(ring, g, space)
     for n, label in enumerate(basis(space)):
         assert A.cols[n] == {label: pow(t, space.ydegree(label), 7)}
+
+
+# ------------------------------------------------------------ one grid point
+
+
+def _package_memos() -> list:
+    """Every object with cache_clear bound in a module of the package."""
+    found = []
+    for info in pkgutil.iter_modules(plethy.__path__):
+        module = importlib.import_module(f"plethy.{info.name}")
+        found += [obj for obj in vars(module).values() if hasattr(obj, "cache_clear")]
+    return found
+
+
+def test_every_memo_of_the_package_goes_with_its_point_or_is_kept_on_purpose():
+    # a memo added to the package is in the registry, or it is one of the
+    # two kept across points, so none outlives its point unseen
+    registry = spaces._POINT_MEMOS
+    kept = [spaces._sym_action_table, characters.gaussian_binomial]
+    memos = _package_memos()
+    assert set(map(id, kept)) <= set(map(id, memos))
+    for memo in memos:
+        assert any(memo is m for m in registry + kept), memo
+    assert {m.__wrapped__.__name__ for m in registry if not isinstance(m, dict)} == {
+        "basis", "basis_index", "dim", "_insertions",
+        "hook_schur_space", "iso_context", "_integer_kernel_map",
+    }
+    # the one record in it is the poly route's, of its integer comparisons
+    assert [id(m) for m in registry if isinstance(m, dict)] == [id(iso._zz_unipotent_checks)]
+
+
+def test_release_point_empties_every_memo_of_the_point():
+    iso.verify_group_equivariance_poly(2, 3)
+    conjecture.scan_one(3, 1, 2, (2,))
+    assert iso._zz_unipotent_checks
+    registry = spaces._POINT_MEMOS
+    assert all(m.cache_info().currsize for m in registry if not isinstance(m, dict))
+    tables = spaces._sym_action_table.cache_info().currsize
+    release_point()
+    assert not iso._zz_unipotent_checks
+    assert not any(m.cache_info().currsize for m in registry if not isinstance(m, dict))
+    # the Sym action tables stay across points
+    assert spaces._sym_action_table.cache_info().currsize == tables > 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import plethy.cli as cli
 import plethy.dump as dump
-from plethy import HookSchurSpace, IsoContext, JsonArray, LinearMap, hook_schur_space, iso_context
+from plethy import HookSchurSpace, IsoContext, JsonArray, LinearMap, release_point
 from plethy.cli import main
 from plethy.dump import weight_block_digests
 from oracles import WholeMapContext
@@ -58,8 +58,7 @@ def test_an_inverse_dump_builds_no_whole_map(monkeypatch, tmp_path, capsys):
     for view in ("matrix", "coord_matrix", "paired_columns"):
         monkeypatch.setattr(IsoContext, view, property(refuse))
     monkeypatch.setattr(LinearMap, "compose", refuse)
-    iso_context.cache_clear()
-    hook_schur_space.cache_clear()
+    release_point()
     try:
         for fmt, digest in sorted(DUMP_DIGESTS.items()):
             out = tmp_path / f"inverse.{fmt}"
@@ -67,8 +66,7 @@ def test_an_inverse_dump_builds_no_whole_map(monkeypatch, tmp_path, capsys):
             assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     finally:
-        iso_context.cache_clear()
-        hook_schur_space.cache_clear()
+        release_point()
     capsys.readouterr()
 
 
@@ -92,15 +90,13 @@ def test_an_inverse_dump_reads_no_whole_hook_map_and_builds_no_entries_list(
         monkeypatch.setattr(HookSchurSpace, view, property(refuse))
     monkeypatch.setattr(dump, "linear_map_to_json", refuse)
     monkeypatch.setattr(cli, "write_json", recorded)
-    iso_context.cache_clear()
-    hook_schur_space.cache_clear()
+    release_point()
     try:
         out = tmp_path / "inverse.json"
         argv = ["dump", "--N", "3", "--d", "6", "--what", "inverse", "--format", "json"]
         assert main(argv + ["--out", str(out)]) == 0
     finally:
-        iso_context.cache_clear()
-        hook_schur_space.cache_clear()
+        release_point()
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_DIGESTS["json"]
     [payload] = sent
