@@ -12,8 +12,10 @@ Each space type carries its own facts as methods: its basis and dim, the
 Y-degree of a label and the total degree, the label format, and its group
 and Lie action matrices, built from its factors' matrices the way the
 functors are: Sym^c(g), then Wedge^r, Sym^r and tensor products of those.
-A tensor's group action is kept as the Kronecker product of its factors'
-matrices, formed whole only when something reads its columns.  A kind
+A tensor's actions are kept as its factors' maps: g as the Kronecker
+product of its factors' matrices, and e or f as their Kronecker sum, which
+acts on one factor at a time.  Either is formed whole only when something
+reads its columns, and its identity factors never are.  A kind
 declares its fields once, as annotations; _frozen_space makes it an
 immutable value of them, and its JSON form comes from them.  The module
 functions basis, basis_index and dim hold the one cache that all equal
@@ -103,12 +105,14 @@ class Space:
     holds _action_columns(ring, g), the columns in basis order keyed by
     basis position, a list or a one-pass iterator whose entries may be
     unreduced.  A Tensor instead keeps its factors' maps in a
-    KroneckerMap.  _lie_columns(which) is the list of the integer columns
-    of e or f, keyed by position.  A kind builds both from
-    its factors' columns: a divided power D^r(Sym c), say, would expand
-    each label's image from the columns of Sym(c), as _Power does, with
-    its own coefficients.  A kind that is not a polynomial space inherits
-    the refusals below, which come before any label is looked at."""
+    KroneckerMap.  _lie_map(which) is the integer matrix of e or f; by
+    default it holds _lie_columns(which), the list of its columns keyed by
+    position, and a Tensor keeps its factors' maps in a KroneckerSum.  A
+    kind builds both from its factors' columns: a divided power D^r(Sym
+    c), say, would expand each label's image from the columns of Sym(c),
+    as _Power does, with its own coefficients.  A kind that is not a
+    polynomial space inherits the refusals below, which come before any
+    label is looked at."""
 
     kind: ClassVar[str]
     _fields: ClassVar[dict]
@@ -149,6 +153,9 @@ class Space:
 
     def _action_columns(self, ring: Ring, g):
         raise TypeError(f"the group action is undefined on {self!r}")
+
+    def _lie_map(self, which: str) -> "LinearMap":
+        return LinearMap.from_positions(self, self, ZZ, self._lie_columns(which))
 
     def _lie_columns(self, which: str) -> list:
         raise TypeError(f"the Lie action is undefined on {self!r}")
@@ -337,19 +344,8 @@ class Tensor(Space):
             self.left._action_map(ring, g), self.right._action_map(ring, g)
         )
 
-    def _lie_columns(self, which):
-        # position (l, r) is l * m + r, with m the right factor's dimension
-        m = dim(self.right)
-        rcols = self.right._lie_columns(which)
-        cols = []
-        for l, lcol in enumerate(self.left._lie_columns(which)):
-            for r, rcol in enumerate(rcols):
-                out = {ll * m + r: lv for ll, lv in lcol.items()}
-                for rl, rv in rcol.items():
-                    key = l * m + rl
-                    out[key] = out.get(key, 0) + rv
-                cols.append(out)
-        return cols
+    def _lie_map(self, which):
+        return KroneckerSum(self.left._lie_map(which), self.right._lie_map(which))
 
 
 @_frozen_space
@@ -689,9 +685,14 @@ class LinearMap:
         out = self._add_image({}, v.pcoeffs.items())
         return ModuleElement.from_positions(self.codomain, self.ring, out)
 
-    # The raw image of a vector, and the columns of phi after this map, one
-    # method per map kind: a KroneckerMap overrides both to work from its
-    # factors.  phi A == B phi is checked by the pair of them.
+    # One column, the raw image of a vector, and the columns of phi after
+    # this map, one method per map kind: a KroneckerMap and a KroneckerSum
+    # override them to work from their factors.  phi A == B phi is checked
+    # by them.
+
+    def _raw_column(self, j: int) -> dict:
+        """Column j, keyed by codomain position, its entries maybe raw."""
+        return self.pcols[j]
 
     def _add_image(self, acc: dict, items) -> dict:
         """Add to acc, keyed by codomain position, the raw image of the
@@ -701,8 +702,8 @@ class LinearMap:
     def _columns_after(self, phi: "LinearMap"):
         """The pairs (j, column j of phi after self, raw), one for every
         column j, in some order."""
-        for j, col in enumerate(self.pcols):
-            yield j, phi._add_image({}, col.items())
+        for j in range(dim(self.domain)):
+            yield j, phi._add_image({}, self._raw_column(j).items())
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
@@ -745,21 +746,20 @@ class LinearMap:
             ({r: fn(v) for r, v in col.items()} for col in self.pcols),
         )
 
+    def scale(self, s) -> "LinearMap":
+        """s times the map, over its ring."""
+        return self.map_entries(self.ring, lambda v: s * v)
+
     def entry_count(self) -> int:
         return sum(len(col) for col in self.pcols)
 
 
-class KroneckerMap(LinearMap):
-    """The Kronecker product A (x) B of two maps over one ring, from
-    Tensor(A.domain, B.domain) to Tensor(A.codomain, B.codomain): column
-    (l, r) holds a b at (l', r') for each entry a at l' of column l of A
-    and b at r' of column r of B.  Position (l, r) of a tensor basis is
-    l * n + r, with n the dimension of the right factor.
-
-    It keeps its two factors, and forms its columns, settled as any
-    LinearMap's, only when something first reads pcols.  The commutation
-    check never does: with A (x) B = (A (x) 1)(1 (x) B), _add_image and
-    _columns_after apply one factor at a time."""
+class _FactorMap(LinearMap):
+    """A map on tensors kept as two maps over one ring, left and right,
+    with domain and codomain the tensors of theirs.  A kind gives
+    _raw_column and _add_image, and may give _columns_after, from the two;
+    its columns, settled as any LinearMap's, are formed only when something
+    first reads pcols."""
 
     __slots__ = ("left", "right", "_pcols")
 
@@ -777,18 +777,51 @@ class KroneckerMap(LinearMap):
     @property
     def pcols(self) -> list:
         if self._pcols is None:
-            self._pcols = self._product_columns()
+            self._pcols = self._whole_columns()
         return self._pcols
 
-    def _product_columns(self) -> list:
+    def _whole_columns(self) -> list:
         ring = self.ring
+        return [_settled(ring, self._raw_column(j)) for j in range(dim(self.domain))]
+
+
+class KroneckerMap(_FactorMap):
+    """The Kronecker product A (x) B of two maps over one ring, from
+    Tensor(A.domain, B.domain) to Tensor(A.codomain, B.codomain): column
+    (l, r) holds a b at (l', r') for each entry a at l' of column l of A
+    and b at r' of column r of B.  Position (l, r) of a tensor basis is
+    l * n + r, with n the dimension of the right factor.
+
+    The commutation check never forms its columns: with A (x) B =
+    (A (x) 1)(1 (x) B), _add_image and _columns_after apply one factor at a
+    time.  Composing two of them composes their factors, as (A (x) B)(C (x)
+    D) = AC (x) BD, and two with equal factors are equal without a column
+    formed."""
+
+    __slots__ = ()
+
+    def _raw_column(self, j):
+        l, r = divmod(j, dim(self.right.domain))
         m = dim(self.right.codomain)
-        rcols = [col.items() for col in self.right.pcols]
-        return [
-            _settled(ring, {ll * m + rl: a * b for ll, a in lcol.items() for rl, b in rcol})
-            for lcol in self.left.pcols
-            for rcol in rcols
-        ]
+        lcol, rcol = self.left.pcols[l].items(), self.right.pcols[r].items()
+        return {ll * m + rl: a * b for ll, a in lcol for rl, b in rcol}
+
+    def compose(self, other):
+        if isinstance(other, KroneckerMap) and other.codomain == self.domain:
+            left, right = self.left.compose(other.left), self.right.compose(other.right)
+            return KroneckerMap(left, right)
+        return LinearMap.compose(self, other)
+
+    def __eq__(self, other):
+        # unequal factors may still give equal products, a scalar moved
+        # from one factor to the other, so those are compared whole
+        factors = (self.left, self.right)
+        if isinstance(other, KroneckerMap) and factors == (other.left, other.right):
+            return True
+        return LinearMap.__eq__(self, other)
+
+    def scale(self, s):
+        return KroneckerMap(self.left.scale(s), self.right)
 
     def _columns_after(self, phi):
         # column (l, r) of phi (A (x) B) is the sum over l' of A[l', l]
@@ -843,7 +876,54 @@ class KroneckerMap(LinearMap):
         return acc
 
 
+class KroneckerSum(_FactorMap):
+    """The Kronecker sum A (x) 1 + 1 (x) B of two maps over one ring, each
+    from a space to itself, on Tensor(A.domain, B.domain): a tensor's Lie
+    action, e or f on one factor at a time.  Column (l, r) holds a at (l',
+    r) for each entry a at l' of column l of A, then b at (l, r') for each
+    entry b at r' of column r of B; equal positions add.
+
+    Position (l, r) is l n + r, with n the dimension of the right factor,
+    so A moves it by (l' - l) n and B by r' - r.  The terms of each
+    position are kept as two lists of (shift, entry) pairs, one shared by
+    every position of its left label and one by every position of its right
+    label; _raw_column and _add_image read them, and no identity factor is
+    built."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, left: LinearMap, right: LinearMap):
+        super().__init__(left, right)
+        if self.domain != self.codomain:
+            raise ValueError("a Kronecker sum takes maps from a space to itself")
+        n = dim(right.domain)
+        lcols, rcols = enumerate(left.pcols), enumerate(right.pcols)
+        lterms = [[((k - l) * n, a) for k, a in col.items()] for l, col in lcols]
+        rterms = [[(k - r, b) for k, b in col.items()] for r, col in rcols]
+        self._terms = [t for t in lterms for _ in range(n)], rterms * len(lterms)
+
+    def _raw_column(self, j):
+        return self._add_image({}, ((j, self.ring.one),))
+
+    def _add_image(self, acc, items):
+        lterms, rterms = self._terms
+        zero = self.ring.zero
+        get = acc.get
+        for pos, c in items:
+            for s, a in lterms[pos]:
+                row = pos + s
+                acc[row] = get(row, zero) + c * a
+            for s, b in rterms[pos]:
+                row = pos + s
+                acc[row] = get(row, zero) + c * b
+        return acc
+
+
 def identity_map(ring: Ring, space: Space) -> LinearMap:
+    """The identity; on a Tensor, the KroneckerMap of its factors'
+    identities, as is the action of the unit matrix."""
+    if type(space) is Tensor:
+        return KroneckerMap(*(identity_map(ring, f) for f in (space.left, space.right)))
     return LinearMap.from_positions(
         space, space, ring, ({j: ring.one} for j in range(dim(space)))
     )
@@ -899,10 +979,12 @@ def group_action_map(ring: Ring, g, space: Space) -> LinearMap:
 
 def lie_action_map(which: str, space: Space) -> LinearMap:
     """The integer matrix of e = X d/dY, which lowers the Y-degree by one,
-    or of f = Y d/dX, which raises it."""
+    or of f = Y d/dX, which raises it; on a Tensor, a KroneckerSum of the
+    factors' matrices, e (x) 1 + 1 (x) e, whose columns are built when
+    first read."""
     if which not in ("e", "f"):
         raise ValueError(f"unknown generator {which!r}")
-    return LinearMap.from_positions(space, space, ZZ, space._lie_columns(which))
+    return space._lie_map(which)
 
 
 # ------------------------------------------------------- multiplication map

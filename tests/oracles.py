@@ -275,6 +275,35 @@ class WholeMapContext:
         return self._inverse
 
 
+
+# ------------------------------------------------------------------------
+# A tensor's Lie action as Tensor._lie_columns built it before the action
+# was kept as its factors' Kronecker sum: every column, whole.
+
+
+def tensor_lie_columns(which: str, space) -> list:
+    """The integer columns of e or f on a space, keyed by position.  On a
+    Tensor, column (l, r) is the left factor's column l placed at right
+    label r, plus the right factor's column r placed at left label l."""
+    if type(space) is not Tensor:
+        return space._lie_columns(which)
+    m = dim(space.right)
+    rcols = tensor_lie_columns(which, space.right)
+    cols = []
+    for l, lcol in enumerate(tensor_lie_columns(which, space.left)):
+        for r, rcol in enumerate(rcols):
+            out = {ll * m + r: lv for ll, lv in lcol.items()}
+            for rl, rv in rcol.items():
+                key = l * m + rl
+                out[key] = out.get(key, 0) + rv
+            cols.append(out)
+    return cols
+
+
+def whole_lie_map(which: str, space) -> LinearMap:
+    """e or f on a space over ZZ, a plain LinearMap built whole."""
+    return LinearMap.from_positions(space, space, ZZ, tensor_lie_columns(which, space))
+
 def pair_precedes(p: Pair, q: Pair) -> bool:
     """Strict total order on semistandard pairs of one (N, d)."""
     return pair_sort_key(p) < pair_sort_key(q)

@@ -22,6 +22,7 @@ from plethy import (
     ZGAMMA,
     ZZ,
     IntPoly,
+    KroneckerMap,
     LinearMap,
     PrimeField,
     Sym,
@@ -34,13 +35,14 @@ from plethy import (
     dim,
     group_action_map,
     hook_schur_space,
+    identity_map,
     iso_context,
     lie_action_map,
     multiplication_map,
     wedge_normalize,
 )
 import plethy.spaces as spaces
-from oracles import gamma_coefficients, kernel_basis_vector
+from oracles import gamma_coefficients, kernel_basis_vector, whole_lie_map
 
 RINGS = (ZZ, QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), ZGAMMA)
 
@@ -456,6 +458,93 @@ def test_lie_map_matches_oracle(which, space):
     assert A.ring == ZZ
     assert A.cols == oracle_lie_cols(which, space)
 
+
+
+# tensors of the atoms, one of them nested
+TENSORS = st.one_of(
+    SPACES.filter(lambda s: type(s) is Tensor),
+    st.builds(Tensor, st.builds(Tensor, _atoms, _atoms), _atoms).filter(
+        lambda s: dim(s) <= 40
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from("ef"), TENSORS, st.data())
+def test_tensor_lie_map_on_its_factors_matches_the_whole_map(which, space, data):
+    # the Kronecker sum e (x) 1 + 1 (x) e against the whole map that
+    # Tensor._lie_columns built: the raw image of a vector and the columns
+    # of a map phi after it, which form no column, then the columns, in the
+    # same order
+    A = lie_action_map(which, space)
+    W = whole_lie_map(which, space)
+    assert isinstance(A, spaces.KroneckerSum) and A.ring == ZZ
+    n = dim(space)
+    raw = data.draw(st.lists(st.tuples(st.integers(0, 10**6), scalars(ZZ)), max_size=6))
+    items = [(pos % n, c) for pos, c in raw] if n else []
+    settled = spaces._settled
+    assert settled(ZZ, A._add_image({}, items)) == settled(ZZ, W._add_image({}, items))
+    phi = data.draw(sparse_map(ZZ, space, data.draw(SMALL_SPACES)))
+    after = dict(A._columns_after(phi))
+    assert sorted(after) == list(range(n))
+    assert all(
+        settled(ZZ, after[j]) == settled(ZZ, col) for j, col in W._columns_after(phi)
+    )
+    assert A._pcols is None
+    assert A.pcols == W.pcols
+    assert [list(col) for col in A.pcols] == [list(col) for col in W.pcols]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((ZZ, PrimeField(2), PrimeField(3), PrimeField(5))), st.data())
+def test_kronecker_compose_composes_the_factors(ring, data):
+    # (A (x) B)(C (x) D) = AC (x) BD, against the whole composition
+    tiny = SPACES.filter(lambda s: dim(s) <= 5)
+    l0, l1, l2, r0, r1, r2 = (data.draw(tiny) for _ in range(6))
+    outer = KroneckerMap(
+        data.draw(sparse_map(ring, l1, l2)), data.draw(sparse_map(ring, r1, r2))
+    )
+    inner = KroneckerMap(
+        data.draw(sparse_map(ring, l0, l1)), data.draw(sparse_map(ring, r0, r1))
+    )
+    product = outer.compose(inner)
+    assert isinstance(product, KroneckerMap) and product._pcols is None
+    assert product.cols == oracle_compose_cols(outer, inner)
+    # a plain map on either side composes whole, as before
+    plain = LinearMap(inner.domain, inner.codomain, ring, inner.cols)
+    assert type(outer.compose(plain)) is LinearMap
+    assert outer.compose(plain).cols == product.cols
+    # factor spaces that do not match are refused, as by any compose
+    if l0 != l1 or r0 != r1:
+        with pytest.raises(ValueError, match="composition mismatch"):
+            outer.compose(KroneckerMap(identity_map(ring, l0), identity_map(ring, r0)))
+
+
+@pytest.mark.parametrize("ring", [ZZ, PrimeField(3)])
+def test_kronecker_maps_compare_and_scale_as_their_products(ring):
+    left, right = Wedge(2, Sym(3)), Sym(2)
+    space = Tensor(left, right)
+    plain = LinearMap.from_positions(
+        space, space, ring, ({j: ring.one} for j in range(dim(space)))
+    )
+    one = identity_map(ring, space)
+    assert isinstance(one, KroneckerMap) and one == plain and plain == one
+    # unequal factors whose products are equal: -1 (x) -1 is the identity
+    minus = KroneckerMap(
+        identity_map(ring, left).scale(-1), identity_map(ring, right).scale(-1)
+    )
+    assert minus == one
+    half = KroneckerMap(identity_map(ring, left).scale(-1), identity_map(ring, right))
+    assert half != one
+    # a Kronecker sum is only of maps from a space to itself
+    with pytest.raises(ValueError, match="from a space to itself"):
+        spaces.KroneckerSum(multiplication_map(ring, 1, 1), identity_map(ring, right))
+    g = ((ring.from_int(1), ring.from_int(2)), (ring.zero, ring.one))
+    A = group_action_map(ring, g, space)
+    for s in (1, -1, 2):
+        scaled = A.scale(s)
+        assert isinstance(scaled, KroneckerMap)
+        assert scaled.cols == LinearMap(space, space, ring, A.cols).scale(s).cols
 
 @settings(max_examples=150, deadline=None)
 @given(composable_maps())

@@ -412,7 +412,7 @@ def test_scan_never_builds_a_tensor_action_whole(monkeypatch):
         raise AssertionError("a tensor action was built whole")
 
     monkeypatch.setattr(spaces.LinearMap, "_label_cols", refuse)
-    monkeypatch.setattr(spaces.KroneckerMap, "_product_columns", refuse)
+    monkeypatch.setattr(spaces.KroneckerMap, "_whole_columns", refuse)
     r = scan_one(3, 2, 4, (2, 3))
     two, three = r.primes
     assert two.jordan_lhs == (2,) * 51 + (1,) * 3

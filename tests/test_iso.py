@@ -33,6 +33,7 @@ from plethy import (
     identity_map,
     increasing_tuples,
     iso_context,
+    lie_action_map,
     multiplication_map,
     release_point,
     reversal_sign,
@@ -765,7 +766,7 @@ def test_unipotent_routes_never_build_a_tensor_action_whole(monkeypatch, N, d):
         raise AssertionError("a tensor action was built whole")
 
     monkeypatch.setattr(spaces.LinearMap, "_label_cols", refuse)
-    monkeypatch.setattr(spaces.KroneckerMap, "_product_columns", refuse)
+    monkeypatch.setattr(spaces.KroneckerMap, "_whole_columns", refuse)
     reports = [verify_group_equivariance_poly(N, d)]
     reports += [verify_group_equivariance_fp(N, d, p) for p in (2, 3)]
     for report in reports:
@@ -776,6 +777,31 @@ def test_unipotent_routes_never_build_a_tensor_action_whole(monkeypatch, N, d):
     with pytest.raises(AssertionError, match="built whole"):
         U.pcols
 
+
+
+@pytest.mark.parametrize("N, d", [(2, 4), (3, 5)])
+def test_lie_and_duality_never_build_a_tensor_map_whole(monkeypatch, N, d):
+    # e and f on a tensor are Kronecker sums and the swaps Kronecker maps;
+    # the checks apply them one factor at a time, the swaps' involutions
+    # compose factors and compare them with the identity's factors, and the
+    # signed swap signs one factor.  Building any of them whole would raise
+    # here; phi alone is whole
+    expected = verify_lie_equivariance(N, d), verify_duality(N, d)
+
+    def refuse(self):
+        raise AssertionError("a tensor map was built whole")
+
+    monkeypatch.setattr(spaces.LinearMap, "_label_cols", refuse)
+    monkeypatch.setattr(spaces.KroneckerSum, "_whole_columns", refuse)
+    monkeypatch.setattr(spaces.KroneckerMap, "_whole_columns", refuse)
+    lie, duality = verify_lie_equivariance(N, d), verify_duality(N, d)
+    assert (lie, duality) == expected
+    assert all(value is True for value in lie.values()), lie
+    assert duality["swap_law_sign"] == reversal_sign(N) * reversal_sign(N + 1)
+    assert all(v is True for k, v in duality.items() if k != "swap_law_sign"), duality
+    E = lie_action_map("e", iso_context(N, d).hook.ambient)
+    with pytest.raises(AssertionError, match="built whole"):
+        E.pcols
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_fp_route_catches_a_fault_seen_only_at_the_spot_check(monkeypatch, p):

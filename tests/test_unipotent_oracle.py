@@ -660,6 +660,31 @@ def test_fp_route_alone_equals_fp_route_after_poly(monkeypatch, N, d):
         assert alone == after == oracle_fp(ctx, p), p
 
 
+
+@pytest.mark.parametrize("N, d", [(1, 3), (2, 4), (3, 5)])
+def test_fp_route_reduces_phi_only_for_a_comparison(monkeypatch, N, d):
+    # after the poly route, p = 2 compares nothing over GF(2), so phi is
+    # never reduced there; p = 3 reduces it once, for the spot check.
+    # Without the record both compare, and each reduces phi once
+    ctx = iso_context(N, d)
+    calls = []
+    real = iso.IsoContext.matrix_over
+
+    def counting(self, ring):
+        calls.append(ring.p)
+        return real(self, ring)
+
+    verify_group_equivariance_poly(N, d)
+    with monkeypatch.context() as m:
+        m.setattr(iso.IsoContext, "matrix_over", counting)
+        after = {p: verify_group_equivariance_fp(N, d, p) for p in (2, 3)}
+        assert calls == [3]
+        calls.clear()
+        m.setattr(iso, "_zz_unipotent_checks", {})
+        alone = {p: verify_group_equivariance_fp(N, d, p) for p in (2, 3)}
+        assert calls == [2, 3]
+    assert after == alone == {p: oracle_fp(ctx, p) for p in (2, 3)}
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_reduces_to_matches_the_reduced_copy_of_each_factor(data):
