@@ -59,15 +59,21 @@ the routes to the work their claims need:
     are built over Z[gamma], to check the rule where the action code
     makes it.
   * fp: generators.  Over GF(p), U(gamma) = U(1)^gamma, and U(1) with its
-    transpose generates every unipotent, so two action pairs cover them all;
-    for p > 2 one spot check at gamma = p - 1 cross-checks the group-action
-    code.  Both generator pairs are still built over GF(p), but when the
-    poly route has just found phi A = B phi over ZZ for U(1) or its
-    transpose, and the GF(p) pair equals A and B reduced mod p entry by
-    entry, the GF(p) comparison is skipped: reduction ZZ -> GF(p) is a ring
-    map and the fp route's phi is phi reduced, so the reduced identity is
-    the one the comparison would test.  Without such a record, or when any
-    entry differs, the pair is compared directly; the spot check always is.
+    transpose generates every unipotent, so two action pairs cover them all.
+    Both generator pairs are still built over GF(p), but when the poly
+    route has just found phi A = B phi over ZZ for U(1) or its transpose,
+    and the GF(p) pair equals A and B reduced mod p entry by entry, the
+    GF(p) comparison is skipped: reduction ZZ -> GF(p) is a ring map and
+    the fp route's phi is phi reduced, so the reduced identity is the one
+    the comparison would test.  Without such a record, or when any entry
+    differs, the pair is compared directly.  For p > 2 the spot check at
+    gamma = p - 1 cross-checks the group-action code where the code makes
+    its claim, on the actions alone: U(p - 1) U(1) = 1 on both spaces, as
+    KroneckerMaps whose factors are composed and compared with the
+    identity's.  The law pins U(p - 1) as the inverse of U(1), so with the
+    generators it gives phi U(p - 1) = U(p - 1) phi, and phi is compared
+    with nothing more; an action code that gave the identity there would
+    commute with any phi, and fails the law.
   * no certificate builds a whole product map.  Each commutation phi A =
     B phi, the swap's sign law included, is checked one domain column at a
     time, both sides summed raw into one dict keyed by basis position and
@@ -76,7 +82,12 @@ the routes to the work their claims need:
     positions local to the block.  The swaps' involutions compose factors:
     tau tau is the KroneckerMap of its factors' squares, and it equals the
     identity, kept as the KroneckerMap of its factors' identities, once
-    the factors do; a map of another kind is compared whole.
+    the factors do; a map of another kind is compared whole.  The fp
+    route's group law composes and compares factors the same way.  The
+    swaps' exchange of e and f is checked per factor first: tau is a
+    KroneckerMap and e and f KroneckerSums, and tau_L e_L = f_L tau_L with
+    tau_R e_R = f_R tau_R gives the whole identity; only when a factor
+    check fails does the column check on the whole tensor run.
   * no route builds a tensor action whole, group or Lie.  Both spaces are
     tensor products.  group_action_map gives the action of g on one as a
     KroneckerMap of its factors' actions A (x) B, and lie_action_map gives
@@ -87,8 +98,7 @@ the routes to the work their claims need:
     and on the codomain side A (x) 1 goes first, equal positions merge,
     and the Sym table of B follows.  A Kronecker sum moves each position by
     its two factors' shifts, kept per left and per right label.  The swap
-    with its sign s is the KroneckerMap with its left factor times s, and
-    the swap read as phi in the exchange checks is applied the same way.
+    with its sign s is the KroneckerMap with its left factor times s.
     A route holds factor maps only, the largest on Wedge(N+1, Sym(d+1)),
     and duality builds one space's e and f at a time.
 
@@ -96,8 +106,10 @@ Since phi is integral and k! E^(k) = E^k for the divided powers that make
 up the unipotents, the Lie check already implies the polynomial identity;
 the group routes add value by cross-checking separately written action
 code.  Over GF(p) that cross-check is the entry-by-entry comparison of the
-GF(p) generator actions with the integer ones, plus the spot check's direct
-comparison at gamma = p - 1.
+GF(p) generator actions with the integer ones, plus the group law
+U(p - 1) U(1) = 1 at the spot check.  The law is a claim about the action
+code, so it is checked on the actions; phi is compared with the tensor
+actions only for claims about phi.
 """
 
 from __future__ import annotations
@@ -116,6 +128,7 @@ from .rings import (
 from .schur import hook_schur_space
 from .spaces import (
     KroneckerMap,
+    KroneckerSum,
     LinearMap,
     ModuleElement,
     Sym,
@@ -523,6 +536,14 @@ def _commutes(phi: LinearMap, dom: LinearMap, amb: LinearMap) -> bool:
     and the first column that keeps an entry once reduced ends the check.
     Each side is formed by the map's own method, so a tensor action, a
     KroneckerMap, is applied one factor at a time and never built whole.
+
+    When phi is a KroneckerMap P (x) Q and dom and amb are both KroneckerMaps
+    A (x) B and C (x) D, or both KroneckerSums A (x) 1 + 1 (x) B and
+    C (x) 1 + 1 (x) D, then P A == C P and Q B == D Q give the whole
+    identity, so those two factor checks come first.  They are sufficient,
+    not necessary: a scalar moved from one factor to the other changes the
+    factors and not the map.  So when either fails, the whole check runs,
+    and the result is always the whole check's.
     """
     if (
         dom.domain != phi.domain
@@ -532,6 +553,14 @@ def _commutes(phi: LinearMap, dom: LinearMap, amb: LinearMap) -> bool:
         or not phi.ring == dom.ring == amb.ring
     ):
         raise ValueError("commutation mismatch")
+    if (
+        isinstance(phi, KroneckerMap)
+        and type(dom) is type(amb)
+        and isinstance(dom, (KroneckerMap, KroneckerSum))
+        and _commutes(phi.left, dom.left, amb.left)
+        and _commutes(phi.right, dom.right, amb.right)
+    ):
+        return True
     ring = phi.ring
     # the residues are reduced only up to the first nonzero one, and not at
     # all when reduce is the identity
@@ -666,33 +695,42 @@ def verify_group_equivariance_fp(N: int, d: int, p: int) -> dict:
 
     The route checks generators: over GF(p), U(gamma) = U(1)^gamma, so U(1)
     and its transpose generate every unipotent, and phi commutes with all of
-    them once it commutes with those two.  For p > 2 one more element, the
-    upper unipotent at gamma = p - 1, is checked as a cross-check on the
-    group-action code; at p = 2 that element is U(1) itself.
+    them once it commutes with those two.  For p > 2 the spot check at
+    gamma = p - 1 cross-checks the group-action code by the group law
+    U(p - 1) U(1) = 1 on both spaces; at p = 2 that element is U(1) itself.
+    The law makes U(p - 1) the inverse of U(1), with which phi commutes
+    once it commutes with U(1), so phi is not compared with it.  Both sides
+    are KroneckerMaps, so the law composes and compares factors.
 
-    Every action pair is built over GF(p).  For U(1) and its transpose the
-    comparison is skipped when the poly route has found phi A == B phi over
-    ZZ for this phi, and the GF(p) actions equal A and B reduced mod p,
-    entry by entry: reduction is a ring map, so the identity holds over
-    GF(p) too.  Otherwise, and always at the spot check, phi is compared
-    with the GF(p) pair directly, so the keys are the same either way.
+    Every generator pair is built over GF(p).  Its comparison with phi is
+    skipped when the poly route has found phi A == B phi over ZZ for this
+    phi, and the GF(p) actions equal A and B reduced mod p, entry by entry:
+    reduction is a ring map, so the identity holds over GF(p) too.
+    Otherwise phi is compared with the GF(p) pair directly, so the keys are
+    the same either way.
     """
     ring = PrimeField(p)
     ctx = iso_context(N, d)
+    spaces = (ctx.domain, ctx.hook.ambient)
     phi = None  # phi reduced mod p, made for the first comparison that runs
-    elements = [(1, False), (1, True)] + ([(p - 1, False)] if p > 2 else [])
     ok = True
-    for gamma, transpose in elements:
-        if not ok:
-            break
-        g = _unipotent(ring, ring.from_int(gamma), transpose)
-        dom = group_action_map(ring, g, ctx.domain)
-        amb = group_action_map(ring, g, ctx.hook.ambient)
-        if gamma == 1 and _passed_over_zz(ctx.matrix, transpose, dom, amb):
+    # the upper pair last: the law reuses it, and the lower pair is dropped
+    for transpose in (True, False):
+        g = _unipotent(ring, ring.one, transpose)
+        dom, amb = (group_action_map(ring, g, space) for space in spaces)
+        if _passed_over_zz(ctx.matrix, transpose, dom, amb):
             continue
         if phi is None:
             phi = ctx.matrix_over(ring)
         ok = _commutes(phi, dom, amb)
+        if not ok:
+            break
+    if ok and p > 2:
+        g = _unipotent(ring, ring.from_int(p - 1), False)
+        ok = all(
+            group_action_map(ring, g, space).compose(U) == identity_map(ring, space)
+            for space, U in zip(spaces, (dom, amb))
+        )
     return {
         "commutes_with_all_unipotents": ok,
         "determinant_unit_mod_p": prod(ctx.diagonal) % p == 1 % p,
@@ -707,6 +745,12 @@ def verify_duality(N: int, d: int) -> dict:
     product of the two reversal signs.  Both signs hold only when both sides
     are zero, the zero-dimensional corner, which carries no sign; none holds
     when the law fails, and then no sign is reported either.
+
+    The involutions and the exchanges are claims about the action code, so
+    they are checked on the tensor factors: tau tau is composed and compared
+    with the identity factor by factor, and _commutes checks each exchange
+    of e and f on the two factors before it falls back to the whole tensor.
+    Only the sign law reads phi.
     """
     ctx = iso_context(N, d)
     phi = ctx.matrix

@@ -822,6 +822,35 @@ def test_fp_route_catches_a_fault_seen_only_at_the_spot_check(monkeypatch, p):
     assert verify_group_equivariance_fp(2, 4, p)["commutes_with_all_unipotents"] is False
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fp_route_law_catches_an_identity_at_the_spot_check(monkeypatch, p):
+    # an action code that gives the identity at gamma = p - 1 on both spaces
+    # commutes with every phi, so comparing phi with it cannot see the
+    # fault; the group law U(p - 1) U(1) = 1 does, with the poly route's
+    # record and without it
+    ctx = iso_context(2, 4)
+    ring = PrimeField(p)
+    spot = iso._unipotent(ring, ring.from_int(p - 1), False)
+    real = iso.group_action_map
+
+    def identity_at_the_spot(ring, g, space):
+        if g == spot:
+            return identity_map(ring, space)
+        return real(ring, g, space)
+
+    monkeypatch.setattr(iso, "group_action_map", identity_at_the_spot)
+    dom, amb = (identity_at_the_spot(ring, spot, s) for s in (ctx.domain, ctx.hook.ambient))
+    assert iso._commutes(ctx.matrix_over(ring), dom, amb)
+    verify_group_equivariance_poly(2, 4)
+    after = verify_group_equivariance_fp(2, 4, p)
+    monkeypatch.setattr(iso, "_zz_unipotent_checks", {})
+    alone = verify_group_equivariance_fp(2, 4, p)
+    assert after == alone == {
+        "commutes_with_all_unipotents": False,
+        "determinant_unit_mod_p": True,
+    }
+
+
 def test_gamma_coefficients_split_a_known_map():
     gamma = ZGAMMA.gen()
     g = ((ZGAMMA.one, gamma), (ZGAMMA.zero, ZGAMMA.one))

@@ -16,11 +16,18 @@ whole pass, and on a Y-homogeneous map the two agree, which is what lets
 the polynomial route compare once after checking homogeneity.  Those oracles run on
 random sparse maps and on the routes themselves.
 
+When phi is itself a Kronecker map and both actions are Kronecker maps or
+Kronecker sums, iso._commutes first checks the factors; those checks are
+sufficient, not necessary, so random factor maps with a scalar moved
+between factors pin the result to the whole products.
+
 The prime-field route skips its GF(p) comparison for U(1) and its
 transpose when the polynomial route's record shows the same phi commuting
-with integer maps that reduce to the GF(p) ones.  The last tests count the
-GF(p) comparisons that remain, and poison the record, to show that the
-route's keys equal the direct oracle's whatever the record holds.
+with integer maps that reduce to the GF(p) ones, and checks its spot check
+as the group law U(p - 1) U(1) = 1 on the actions, not against phi.  The
+last tests count the GF(p) comparisons and reductions of phi that remain,
+and poison the record, to show that the route's keys equal the direct
+oracle's whatever the record holds.
 """
 
 import copy
@@ -53,6 +60,7 @@ from plethy import (
     verify_lie_equivariance,
 )
 from oracles import gamma_coefficients
+from plethy.spaces import KroneckerSum
 from plethy.cli import verify_point
 
 PRIMES = (2, 3, 5, 7)
@@ -163,16 +171,30 @@ def oracle_poly_by_ychange(ctx) -> dict:
     return out
 
 
+def _whole(M):
+    """M as a plain map, its columns built whole."""
+    return LinearMap.from_positions(M.domain, M.codomain, M.ring, M.pcols)
+
+
 def oracle_fp_generators(ctx, p: int) -> dict:
+    """The fp route with whole maps: phi reduced mod p against U(1) and its
+    transpose, and for p > 2 the group law U(p - 1) U(1) = 1 on both
+    spaces."""
     ring = PrimeField(p)
     phi = ctx.matrix_over(ring)
-    elements = [(1, False), (1, True)] + ([(p - 1, False)] if p > 2 else [])
-    ok = True
-    for gamma, transpose in elements:
+    spaces = (ctx.domain, ctx.hook.ambient)
+
+    def action(gamma, transpose, space):
         g = iso._unipotent(ring, ring.from_int(gamma), transpose)
-        dom = group_action_map(ring, g, ctx.domain)
-        amb = group_action_map(ring, g, ctx.hook.ambient)
-        ok = oracle_commutes(phi, dom, amb) and ok
+        return _whole(group_action_map(ring, g, space))
+
+    ok = True
+    for transpose in (False, True):
+        ok = oracle_commutes(phi, *(action(1, transpose, s) for s in spaces)) and ok
+    if p > 2:
+        for space in spaces:
+            law = action(p - 1, False, space).compose(action(1, False, space))
+            ok = law == _whole(identity_map(ring, space)) and ok
     return {
         "commutes_with_all_unipotents": ok,
         "determinant_unit_mod_p": prod(ctx.diagonal) % p == 1 % p,
@@ -447,6 +469,109 @@ def test_factored_commutes_matches_the_whole_map_oracle_on_tensor_actions(case):
     assert result == oracle_commutes(phi, *built)
 
 
+FACTOR_RINGS = (ZZ, PrimeField(2), PrimeField(3), PrimeField(5))
+
+
+def _polynomial(ring, A, coeffs):
+    """c0 + c1 A + c2 A^2 for coeffs (c0, c1, c2): a map that commutes
+    with A."""
+    c0, c1, c2 = coeffs
+    one = identity_map(ring, A.domain)
+    return (A.compose(A).scale(c2) - A.scale(-c1)) - one.scale(-c0)
+
+
+@st.composite
+def factor_commutation_cases(draw):
+    """(phi, dom, amb, factors): phi a KroneckerMap P (x) Q, and dom and amb
+    both KroneckerMaps A (x) B and C (x) D, or both KroneckerSums A (x) 1 +
+    1 (x) B and C (x) 1 + 1 (x) D, over ZZ or GF(2, 3, 5); factors the two
+    factor triples (P, A, C) and (Q, B, D).  Either P and Q are polynomials
+    in A and B, with C = A and D = B, so that the factors commute, or every
+    factor is random.  Then one factor entry may be changed, and a scalar
+    may be moved from one factor of dom to the other, which changes its
+    factors and not dom."""
+    ring = draw(st.sampled_from(FACTOR_RINGS))
+    kind = draw(st.sampled_from((KroneckerMap, KroneckerSum)))
+    X = [draw(st.sampled_from(TENSOR_FACTORS)) for _ in range(2)]
+    if draw(st.booleans()):
+        A, B = (draw(sparse_maps(ring, S, S)) for S in X)
+        coeffs = st.tuples(*[st.integers(-2, 2)] * 3)
+        P, Q = (_polynomial(ring, M, draw(coeffs)) for M in (A, B))
+        C, D = A, B
+    else:
+        Y = [draw(st.sampled_from(TENSOR_FACTORS)) for _ in range(2)]
+        P, Q = (draw(sparse_maps(ring, S, T)) for S, T in zip(X, Y))
+        A, B = (draw(sparse_maps(ring, S, S)) for S in X)
+        C, D = (draw(sparse_maps(ring, T, T)) for T in Y)
+    maps = {"P": P, "Q": Q, "A": A, "B": B, "C": C, "D": D}
+    target = draw(st.sampled_from(("none",) + tuple(maps)))
+    if target != "none":
+        M = maps[target]
+        j = draw(st.integers(0, len(M.cols) - 1))
+        row = draw(st.sampled_from(basis(M.codomain)))
+        maps[target] = _changed(ring, M, j, row, draw(st.integers(1, 4)))
+    P, Q, A, B, C, D = maps.values()
+    if draw(st.booleans()):
+        c = draw(st.sampled_from((-1, 1) if ring is ZZ else range(1, ring.p)))
+        if kind is KroneckerSum:
+            # (A + c) (x) 1 + 1 (x) (B - c) = A (x) 1 + 1 (x) B
+            A, B = _polynomial(ring, A, (c, 1, 0)), _polynomial(ring, B, (-c, 1, 0))
+        else:
+            # (c A) (x) (B / c) = A (x) B, for a unit c
+            A, B = A.scale(c), B.scale(c if ring is ZZ else pow(c, -1, ring.p))
+    return KroneckerMap(P, Q), kind(A, B), kind(C, D), ((P, A, C), (Q, B, D))
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_commutation_cases())
+def test_factored_commutes_matches_the_whole_products_on_kronecker_factors(case):
+    # the factor checks decide only when both pass; otherwise the whole
+    # check runs, so the result is that of the whole products either way
+    phi, dom, amb, factors = case
+    result = iso._commutes(phi, dom, amb)
+    assert result == oracle_commutes(*(_whole(M) for M in (phi, dom, amb)))
+    if all(iso._commutes(*triple) for triple in factors):
+        assert result is True
+
+
+@pytest.mark.parametrize("ring", FACTOR_RINGS, ids=str)
+def test_factored_commutes_passes_a_scalar_moved_between_sum_factors(ring):
+    # U(1) commutes with e on each factor; moving 1 from the right factor of
+    # e's Kronecker sum to the left one breaks both factor checks and keeps
+    # the map, so the whole check decides, and passes
+    X = Tensor(Sym(2), Wedge(2, Sym(3)))
+    phi = group_action_map(ring, iso._unipotent(ring, ring.one, False), X)
+    e = [lie_action_map("e", S).map_entries(ring, ring.from_int) for S in (X.left, X.right)]
+    moved = KroneckerSum(_polynomial(ring, e[0], (1, 1, 0)), _polynomial(ring, e[1], (-1, 1, 0)))
+    amb = KroneckerSum(*e)
+    assert not iso._commutes(phi.left, moved.left, amb.left)
+    assert not iso._commutes(phi.right, moved.right, amb.right)
+    assert iso._commutes(phi, moved, amb) is True
+    assert oracle_commutes(*(_whole(M) for M in (phi, moved, amb)))
+
+
+@pytest.mark.parametrize("ring", FACTOR_RINGS, ids=str)
+@pytest.mark.parametrize("kind", ["map", "sum"])
+def test_factored_commutes_fails_on_one_corrupted_factor_entry(ring, kind):
+    # phi is U(1) and dom its own action, or e; amb is dom with one entry of
+    # its right factor raised by one, and U(1) is invertible, so phi dom -
+    # amb phi = (1 (x) delta) phi is not zero
+    X = Tensor(Sym(2), Wedge(2, Sym(3)))
+    g = iso._unipotent(ring, ring.one, False)
+    phi = group_action_map(ring, g, X)
+    if kind == "map":
+        dom = phi
+    else:
+        dom = KroneckerSum(
+            *(lie_action_map("e", S).map_entries(ring, ring.from_int) for S in (X.left, X.right))
+        )
+    right = _changed(ring, dom.right, 1, basis(X.right)[0], 1)
+    amb = type(dom)(dom.left, right)
+    assert iso._commutes(phi, dom, dom) is True
+    assert iso._commutes(phi, dom, amb) is False
+    assert not oracle_commutes(*(_whole(M) for M in (phi, dom, amb)))
+
+
 def _y_shifts(phi) -> set:
     """The Y-degree drops from column label to row label over the entries
     of phi: at most one for a Y-homogeneous map."""
@@ -635,55 +760,68 @@ def _counting_fp_commutes(monkeypatch) -> dict:
     return counts
 
 
-@pytest.mark.parametrize("N, d", [(1, 3), (2, 4), (3, 5)])
-def test_verify_point_compares_over_gf_p_only_at_the_spot_check(monkeypatch, N, d):
-    # the poly route runs first and leaves its integer comparisons, so the
-    # generators need no GF(p) comparison, and the spot check at p - 1 has one
-    counts = _counting_fp_commutes(monkeypatch)
-    point = verify_point(N, d, (2, 3, 5))
-    assert all(point["checks"].values())
-    assert counts == {3: 1, 5: 1}
-
-
-@pytest.mark.parametrize("N, d", GRID)
-def test_fp_route_alone_equals_fp_route_after_poly(monkeypatch, N, d):
-    ctx = iso_context(N, d)
-    for p in PRIMES:
-        monkeypatch.setattr(iso, "_zz_unipotent_checks", {})
-        counts = _counting_fp_commutes(monkeypatch)
-        alone = verify_group_equivariance_fp(N, d, p)
-        assert counts.get(p) == (3 if p > 2 else 2)
-        counts.clear()
-        verify_group_equivariance_poly(N, d)
-        after = verify_group_equivariance_fp(N, d, p)
-        assert counts.get(p, 0) == (1 if p > 2 else 0)
-        assert alone == after == oracle_fp(ctx, p), p
-
-
-
-@pytest.mark.parametrize("N, d", [(1, 3), (2, 4), (3, 5)])
-def test_fp_route_reduces_phi_only_for_a_comparison(monkeypatch, N, d):
-    # after the poly route, p = 2 compares nothing over GF(2), so phi is
-    # never reduced there; p = 3 reduces it once, for the spot check.
-    # Without the record both compare, and each reduces phi once
-    ctx = iso_context(N, d)
-    calls = []
+def _counting_reductions(monkeypatch) -> list:
+    """Patch IsoContext.matrix_over to record the p of each reduction of
+    phi."""
+    calls: list = []
     real = iso.IsoContext.matrix_over
 
     def counting(self, ring):
         calls.append(ring.p)
         return real(self, ring)
 
+    monkeypatch.setattr(iso.IsoContext, "matrix_over", counting)
+    return calls
+
+
+@pytest.mark.parametrize("N, d", [(1, 3), (2, 4), (3, 5)])
+def test_verify_point_compares_phi_over_no_gf_p(monkeypatch, N, d):
+    # the poly route runs first and leaves its integer comparisons, so the
+    # generators need no GF(p) comparison, and the spot check at p - 1 is
+    # the group law on the actions alone: phi is neither compared nor
+    # reduced over any GF(p)
+    counts = _counting_fp_commutes(monkeypatch)
+    reductions = _counting_reductions(monkeypatch)
+    point = verify_point(N, d, (2, 3, 5))
+    assert all(point["checks"].values())
+    assert counts == {}
+    assert reductions == []
+
+
+@pytest.mark.parametrize("N, d", GRID)
+def test_fp_route_alone_equals_fp_route_after_poly(monkeypatch, N, d):
+    # alone, the route compares phi with the two generators at every p;
+    # after the poly route it compares phi with nothing
+    ctx = iso_context(N, d)
+    for p in PRIMES:
+        monkeypatch.setattr(iso, "_zz_unipotent_checks", {})
+        counts = _counting_fp_commutes(monkeypatch)
+        alone = verify_group_equivariance_fp(N, d, p)
+        assert counts.get(p) == 2
+        counts.clear()
+        verify_group_equivariance_poly(N, d)
+        after = verify_group_equivariance_fp(N, d, p)
+        assert counts.get(p, 0) == 0
+        assert alone == after == oracle_fp(ctx, p), p
+
+
+@pytest.mark.parametrize("N, d", [(1, 3), (2, 4), (3, 5)])
+def test_fp_route_reduces_phi_only_for_a_comparison(monkeypatch, N, d):
+    # after the poly route no p compares phi over GF(p), so phi is never
+    # reduced; without the record every p compares the generators, and
+    # each reduces phi once
+    ctx = iso_context(N, d)
+    primes = (2, 3, 5)
     verify_group_equivariance_poly(N, d)
     with monkeypatch.context() as m:
-        m.setattr(iso.IsoContext, "matrix_over", counting)
-        after = {p: verify_group_equivariance_fp(N, d, p) for p in (2, 3)}
-        assert calls == [3]
-        calls.clear()
+        calls = _counting_reductions(m)
+        after = {p: verify_group_equivariance_fp(N, d, p) for p in primes}
+        assert calls == []
         m.setattr(iso, "_zz_unipotent_checks", {})
-        alone = {p: verify_group_equivariance_fp(N, d, p) for p in (2, 3)}
-        assert calls == [2, 3]
-    assert after == alone == {p: oracle_fp(ctx, p) for p in (2, 3)}
+        alone = {p: verify_group_equivariance_fp(N, d, p) for p in primes}
+        assert calls == list(primes)
+    assert after == alone == {p: oracle_fp(ctx, p) for p in primes}
+
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
