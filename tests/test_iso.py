@@ -839,7 +839,8 @@ def test_fp_route_law_catches_an_identity_at_the_spot_check(monkeypatch, p):
         return real(ring, g, space)
 
     monkeypatch.setattr(iso, "group_action_map", identity_at_the_spot)
-    dom, amb = (identity_at_the_spot(ring, spot, s) for s in (ctx.domain, ctx.hook.ambient))
+    sides = (ctx.domain, ctx.hook.ambient)
+    dom, amb = (identity_at_the_spot(ring, spot, space) for space in sides)
     assert iso._commutes(ctx.matrix_over(ring), dom, amb)
     verify_group_equivariance_poly(2, 4)
     after = verify_group_equivariance_fp(2, 4, p)

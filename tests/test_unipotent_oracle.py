@@ -534,6 +534,13 @@ def test_factored_commutes_matches_the_whole_products_on_kronecker_factors(case)
         assert result is True
 
 
+def _e_factors(ring, X) -> list:
+    """e on each factor of the tensor X, over ring."""
+    return [
+        lie_action_map("e", S).map_entries(ring, ring.from_int) for S in (X.left, X.right)
+    ]
+
+
 @pytest.mark.parametrize("ring", FACTOR_RINGS, ids=str)
 def test_factored_commutes_passes_a_scalar_moved_between_sum_factors(ring):
     # U(1) commutes with e on each factor; moving 1 from the right factor of
@@ -541,8 +548,10 @@ def test_factored_commutes_passes_a_scalar_moved_between_sum_factors(ring):
     # the map, so the whole check decides, and passes
     X = Tensor(Sym(2), Wedge(2, Sym(3)))
     phi = group_action_map(ring, iso._unipotent(ring, ring.one, False), X)
-    e = [lie_action_map("e", S).map_entries(ring, ring.from_int) for S in (X.left, X.right)]
-    moved = KroneckerSum(_polynomial(ring, e[0], (1, 1, 0)), _polynomial(ring, e[1], (-1, 1, 0)))
+    e = _e_factors(ring, X)
+    moved = KroneckerSum(
+        _polynomial(ring, e[0], (1, 1, 0)), _polynomial(ring, e[1], (-1, 1, 0))
+    )
     amb = KroneckerSum(*e)
     assert not iso._commutes(phi.left, moved.left, amb.left)
     assert not iso._commutes(phi.right, moved.right, amb.right)
@@ -562,9 +571,7 @@ def test_factored_commutes_fails_on_one_corrupted_factor_entry(ring, kind):
     if kind == "map":
         dom = phi
     else:
-        dom = KroneckerSum(
-            *(lie_action_map("e", S).map_entries(ring, ring.from_int) for S in (X.left, X.right))
-        )
+        dom = KroneckerSum(*_e_factors(ring, X))
     right = _changed(ring, dom.right, 1, basis(X.right)[0], 1)
     amb = type(dom)(dom.left, right)
     assert iso._commutes(phi, dom, dom) is True
